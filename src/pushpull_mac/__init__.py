@@ -3,28 +3,9 @@ single-cell IoT uplink, with a capacity-search and experiment harness."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    FrameConfig,
-    FrameLayout,
-    GlobalClock,
-    Packet,
-    PacketClass,
-    SlotKind,
-    SlotOutcome,
-    frame_layout,
-    resolve_slot,
-)
-from .traffic import (
-    ObservationModel,
-    PoissonArrivals,
-    PushTrigger,
-    SemanticQuery,
-    apply_query,
-    derive_seed,
-    sample_arrivals,
-    sample_push_set,
-)
-from .mac_cff import PullQueue, PushBacklog, contend_push, schedule_pull, simulate_cff
+from .core import FrameConfig, PacketClass, SlotKind, SlotOutcome
+from .traffic import ObservationModel, PoissonArrivals, PushTrigger, SemanticQuery, derive_seed
+from .mac_cff import schedule_pull, simulate_cff, uniform_slot_contention
 from .mac_rcs import FrameResult, RcsPopulation, RcsResult, run_rcs_frame, simulate_rcs
 from .metrics import EmptySampleError, MetricsRecord, empirical_quantile, merge_records, reliability_within
 from .capacity import CapacitySpec, FrontierPoint, MaxRateResult, capacity_frontier, max_class_rate, max_rate
@@ -33,27 +14,17 @@ from .harness import ConfigError, ExperimentConfig, RunResult, load_config, run_
 __all__ = [
     "__version__",
     "FrameConfig",
-    "FrameLayout",
-    "GlobalClock",
-    "Packet",
     "PacketClass",
     "SlotKind",
     "SlotOutcome",
-    "frame_layout",
-    "resolve_slot",
     "ObservationModel",
     "PoissonArrivals",
     "PushTrigger",
     "SemanticQuery",
-    "apply_query",
     "derive_seed",
-    "sample_arrivals",
-    "sample_push_set",
-    "PullQueue",
-    "PushBacklog",
-    "contend_push",
     "schedule_pull",
     "simulate_cff",
+    "uniform_slot_contention",
     "FrameResult",
     "RcsPopulation",
     "RcsResult",

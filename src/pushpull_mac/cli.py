@@ -78,13 +78,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.replications < 1:
                 raise ConfigError("--replications must be >= 1")
             config = replace(config, replications=args.replications)
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ConfigError("--workers must be >= 1")
         _check_command(args.command, config)
     except ConfigError as exc:
         print(f"pushpull-mac: config error: {exc}", file=sys.stderr)
         return 1
 
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    workers = getattr(args, "workers", 1)
     try:
         result = run_experiment(config, out=args.out, workers=workers, log=log)
     except ConfigError as exc:

@@ -9,19 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
-__all__ = [
-    "PacketClass",
-    "FrameConfig",
-    "FrameLayout",
-    "frame_layout",
-    "Packet",
-    "SlotKind",
-    "SlotOutcome",
-    "resolve_slot",
-    "GlobalClock",
-]
+__all__ = ["PacketClass", "FrameConfig", "SlotKind", "SlotOutcome"]
 
 # Guard against IEEE representation error in alpha * S (e.g. 0.29 * 100 ==
 # 28.999999999999996); small enough never to bump a genuinely fractional value.
@@ -106,52 +96,6 @@ class FrameConfig:
         return self.push_slot_budget // self.push_packet_slots
 
 
-@dataclass(frozen=True, slots=True)
-class FrameLayout:
-    pull_tx_capacity: int
-    pull_slot_budget: int
-    push_slot_budget: int
-
-
-def frame_layout(config: FrameConfig) -> FrameLayout:
-    """Split a frame's usable slots into the pull and push sub-frames."""
-    return FrameLayout(
-        pull_tx_capacity=config.pull_tx_capacity,
-        pull_slot_budget=config.pull_slot_budget,
-        push_slot_budget=config.push_slot_budget,
-    )
-
-
-@dataclass(slots=True)
-class Packet:
-    """One uplink data unit.
-
-    ``delivery_slot`` is the global index of the last slot of the packet's
-    successful transmission; latency runs from the arrival slot to the end of
-    that slot.
-    """
-
-    id: int
-    klass: PacketClass
-    arrival_slot: int
-    delivery_slot: Optional[int] = None
-    attempts: int = 0
-
-    @property
-    def delivered(self) -> bool:
-        return self.delivery_slot is not None
-
-    @property
-    def latency_slots(self) -> Optional[int]:
-        if self.delivery_slot is None:
-            return None
-        return self.delivery_slot + 1 - self.arrival_slot
-
-    def latency_seconds(self, slot_duration: float) -> float:
-        lat = self.latency_slots
-        return math.inf if lat is None else lat * slot_duration
-
-
 class SlotKind(Enum):
     IDLE = "idle"
     SUCCESS = "success"
@@ -163,7 +107,7 @@ class SlotOutcome:
     """Channel result of one slot: idle, a single winner, or a collision."""
 
     kind: SlotKind
-    winner: Optional[int] = None  # packet/device id, success only
+    winner: Optional[int] = None  # device id, success only
     count: int = 0  # simultaneous transmitters
 
     def __post_init__(self) -> None:
@@ -185,39 +129,3 @@ class SlotOutcome:
     @classmethod
     def collision(cls, count: int) -> "SlotOutcome":
         return cls(SlotKind.COLLISION, count=count)
-
-
-def resolve_slot(transmitter_ids: Iterable[int]) -> SlotOutcome:
-    """Collision channel without capture: one transmitter wins, two or more all fail."""
-    ids = set(transmitter_ids)
-    if not ids:
-        return SlotOutcome.idle()
-    if len(ids) == 1:
-        return SlotOutcome.success(next(iter(ids)))
-    return SlotOutcome.collision(len(ids))
-
-
-@dataclass(slots=True)
-class GlobalClock:
-    """Monotone slot counter with frame bookkeeping."""
-
-    slots_per_frame: int
-    current_slot: int = 0
-
-    def __post_init__(self) -> None:
-        if self.slots_per_frame < 1:
-            raise ValueError("slots_per_frame must be >= 1")
-        if self.current_slot < 0:
-            raise ValueError("current_slot must be >= 0")
-
-    @property
-    def current_frame(self) -> int:
-        return self.current_slot // self.slots_per_frame
-
-    @property
-    def at_frame_boundary(self) -> bool:
-        return self.current_slot % self.slots_per_frame == 0
-
-    def tick(self) -> int:
-        self.current_slot += 1
-        return self.current_slot

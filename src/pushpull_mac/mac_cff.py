@@ -6,31 +6,29 @@ eligible at frame f+1 (the scheduler only knows, and devices only hear the
 beacon about, what is pending at the boundary).  Collided push packets
 re-contend in every subsequent frame, drawing a fresh uniform slot in that
 frame's push sub-frame, until success or the horizon.
+
+Packets are global arrival-slot indices held in int64 arrays: the pull queue
+is a FIFO window over one preallocated buffer, the push backlog an array
+filtered after each contention round.  Capacity probes above the service
+ceiling back up to ~1e5 contenders per frame, far past what a per-object loop
+sustains.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import FrameConfig, Packet, PacketClass, SlotOutcome, frame_layout, stable_floor
+from .core import FrameConfig, PacketClass, stable_floor
 from .metrics import MetricsRecord
 from .traffic import PoissonArrivals, sample_arrival_offsets, sample_frame_arrival_counts
 
-__all__ = [
-    "PullQueue",
-    "PushBacklog",
-    "PushAbortRule",
-    "schedule_pull",
-    "contend_push",
-    "simulate_cff",
-    "uniform_slot_contention",
-]
+__all__ = ["PushAbortRule", "schedule_pull", "simulate_cff", "uniform_slot_contention"]
 
-DeliveryCallback = Callable[[Packet], None]
+# on_delivery(klass, arrival_slots, delivery_slots), once per delivering sub-frame
+DeliveryCallback = Callable[[PacketClass, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,63 +54,6 @@ class PushAbortRule:
             raise ValueError("target_reliability must be in (0,1]")
 
 
-class PullQueue:
-    """FIFO of pending pull packets at the BS scheduler.
-
-    Order is (arrival_slot, id) ascending; enforced on insert so a scheduling
-    bug cannot silently reorder service.
-    """
-
-    def __init__(self, packets: Iterable[Packet] = ()) -> None:
-        self._q: deque[Packet] = deque()
-        self._last_key: Tuple[int, int] = (-1, -1)
-        for p in packets:
-            self.append(p)
-
-    def append(self, packet: Packet) -> None:
-        key = (packet.arrival_slot, packet.id)
-        if key < self._last_key:
-            raise ValueError(f"out-of-order pull enqueue: {key} after {self._last_key}")
-        self._last_key = key
-        self._q.append(packet)
-
-    def extend(self, packets: Iterable[Packet]) -> None:
-        for p in packets:
-            self.append(p)
-
-    def popleft(self) -> Packet:
-        return self._q.popleft()
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def __iter__(self):
-        return iter(self._q)
-
-
-class PushBacklog:
-    """Push packets awaiting a successful contention slot.
-
-    Packets leave only on success (or when the caller drops them in
-    no-retransmission test mode); collisions keep them in place.
-    """
-
-    def __init__(self, packets: Iterable[Packet] = ()) -> None:
-        self._packets: List[Packet] = list(packets)
-
-    def add(self, packet: Packet) -> None:
-        self._packets.append(packet)
-
-    def extend(self, packets: Iterable[Packet]) -> None:
-        self._packets.extend(packets)
-
-    def __len__(self) -> int:
-        return len(self._packets)
-
-    def __iter__(self):
-        return iter(self._packets)
-
-
 def uniform_slot_contention(
     n_contenders: int, n_slots: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,75 +71,23 @@ def uniform_slot_contention(
     return choices, counts, winner_mask
 
 
-def _outcomes(choices: np.ndarray, counts: np.ndarray, ids: Sequence[int]) -> List[SlotOutcome]:
-    winners = {}
-    for i, slot in enumerate(choices):
-        if counts[slot] == 1:
-            winners[int(slot)] = ids[i]
-    out: List[SlotOutcome] = []
-    for slot, count in enumerate(counts):
-        if count == 0:
-            out.append(SlotOutcome.idle())
-        elif count == 1:
-            out.append(SlotOutcome.success(winners[slot]))
-        else:
-            out.append(SlotOutcome.collision(int(count)))
-    return out
-
-
 def schedule_pull(
-    queue: PullQueue, capacity: int, frame_start_slot: int = 0, packet_slots: int = 1
-) -> List[Packet]:
-    """Serve up to ``capacity`` queued pull packets, collision-free.
+    queue: np.ndarray, capacity: int, frame_start_slot: int = 0, packet_slots: int = 1
+) -> np.ndarray:
+    """Serve up to ``capacity`` packets from the head of ``queue``, collision-free.
 
-    Packets dequeue in FIFO order into consecutive ``packet_slots``-wide blocks
-    starting at ``frame_start_slot``; each is delivered at the end slot of its
-    block.  The rest stay queued for the next frame.
+    ``queue`` holds the pending arrival slots, oldest first.  Served packets
+    fill consecutive ``packet_slots``-wide blocks starting at
+    ``frame_start_slot``; the result is each one's delivery slot (the end slot
+    of its block), in queue order.  The caller drops that many packets off the
+    head; the rest stay queued for the next frame.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     if packet_slots < 1:
         raise ValueError("packet_slots must be >= 1")
-    served: List[Packet] = []
-    for k in range(min(len(queue), capacity)):
-        p = queue.popleft()
-        p.attempts += 1
-        p.delivery_slot = frame_start_slot + (k + 1) * packet_slots - 1
-        served.append(p)
-    return served
-
-
-def contend_push(
-    backlog: PushBacklog,
-    new_pushes: Iterable[Packet],
-    push_slots: int,
-    rng: np.random.Generator,
-    first_slot: int = 0,
-    slot_stride: int = 1,
-) -> Tuple[List[Packet], PushBacklog, List[SlotOutcome]]:
-    """One frame of push contention over ``push_slots`` opportunities.
-
-    Backlogged and newly eligible packets each draw one uniform slot; unique
-    occupancy delivers, anything else persists (1-persistent: retry
-    probability 1, no backoff growth, no drop).  With zero slots everything
-    persists.  Slot k maps to delivery slot ``first_slot + (k+1)*slot_stride - 1``.
-    """
-    if push_slots < 0:
-        raise ValueError("push_slots must be >= 0")
-    contenders = list(backlog) + list(new_pushes)
-    if push_slots == 0 or not contenders:
-        return [], PushBacklog(contenders), []
-    choices, counts, winner_mask = uniform_slot_contention(len(contenders), push_slots, rng)
-    delivered: List[Packet] = []
-    surviving = PushBacklog()
-    for i, p in enumerate(contenders):
-        p.attempts += 1
-        if winner_mask[i]:
-            p.delivery_slot = first_slot + (int(choices[i]) + 1) * slot_stride - 1
-            delivered.append(p)
-        else:
-            surviving.add(p)
-    return delivered, surviving, _outcomes(choices, counts, [p.id for p in contenders])
+    n_served = min(len(queue), capacity)
+    return frame_start_slot - 1 + packet_slots * np.arange(1, n_served + 1, dtype=np.int64)
 
 
 def simulate_cff(
@@ -218,12 +107,10 @@ def simulate_cff(
     Packets arriving during warm-up frames are simulated but not measured.
     Anything undelivered at the horizon counts as failed (latency +inf).
     ``push_retransmit=False`` drops collided push packets after their single
-    attempt (slotted-ALOHA test mode).  ``push_abort`` enables the certified
-    early exit used by capacity probes far above capacity.
-
-    The push path keeps pending packets as parallel arrays; capacity probes
-    above the service ceiling back up to ~1e5 contenders per frame, far past
-    what a per-object loop sustains.
+    attempt (slotted-ALOHA test mode).  ``on_delivery(klass, arrival_slots,
+    delivery_slots)`` sees every delivery, warm-up included, once per
+    sub-frame that delivers.  ``push_abort`` enables the certified early exit
+    used by capacity probes far above capacity.
     """
     if horizon_frames < 1:
         raise ValueError(f"horizon_frames must be >= 1, got {horizon_frames}")
@@ -235,13 +122,12 @@ def simulate_cff(
     rng = np.random.default_rng(seed)
     S = config.slots_per_frame
     slot_dur = config.slot_duration
-    layout = frame_layout(config)
-    pull_capacity = layout.pull_tx_capacity
+    pull_capacity = config.pull_tx_capacity
     pull_stride = config.pull_packet_slots
     push_ops = config.push_tx_capacity
     push_stride = config.push_packet_slots
     pull_start_off = config.data_start_slot
-    push_start_off = config.data_start_slot + layout.pull_slot_budget
+    push_start_off = config.data_start_slot + config.pull_slot_budget
     measured_from_slot = warmup_frames * S
 
     record = MetricsRecord()
@@ -265,38 +151,27 @@ def simulate_cff(
         total_measured_push = int(push_counts[warmup_frames:].sum())
         late_budget = (1.0 - push_abort.target_reliability) * total_measured_push
 
-    next_id = 0
-    queue = PullQueue()
-    staged_pull: List[Packet] = []
-    # pending push packets: (global arrival slot, id, first contention frame)
+    # pending packets as arrival slots: the pull FIFO is pull_arrivals[head:tail]
+    # (arrival order), the push backlog pend_arrival
+    pull_arrivals = np.empty(int(pull_counts.sum()), dtype=np.int64)
+    head = tail = 0
     pend_arrival = empty_i64
-    pend_id = empty_i64
-    pend_eligible = empty_i64
-    staged_push: Tuple[np.ndarray, np.ndarray] = (empty_i64, empty_i64)  # (arrivals, ids)
 
     for f in range(horizon_frames):
         base = f * S
         measured_frame = f >= warmup_frames
 
-        # frame boundary: last frame's arrivals become eligible
-        if staged_pull:
-            queue.extend(staged_pull)
-            staged_pull = []
-        if staged_push[0].size:
-            pend_arrival = np.concatenate((pend_arrival, staged_push[0]))
-            pend_id = np.concatenate((pend_id, staged_push[1]))
-            pend_eligible = np.concatenate(
-                (pend_eligible, np.full(staged_push[0].size, f, dtype=np.int64))
-            )
-            staged_push = (empty_i64, empty_i64)
-
         # pull sub-frame: contention-free FIFO service
-        if pull_capacity and len(queue):
-            for p in schedule_pull(queue, pull_capacity, base + pull_start_off, pull_stride):
-                if p.arrival_slot >= measured_from_slot:
-                    record.add_delivery(PacketClass.PULL, (p.delivery_slot + 1 - p.arrival_slot) * slot_dur)
-                if on_delivery is not None:
-                    on_delivery(p)
+        if pull_capacity and head < tail:
+            delivery_slots = schedule_pull(
+                pull_arrivals[head:tail], pull_capacity, base + pull_start_off, pull_stride
+            )
+            served = pull_arrivals[head : head + delivery_slots.size]
+            head += delivery_slots.size
+            lats = (delivery_slots + 1 - served) * slot_dur
+            record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
+            if on_delivery is not None:
+                on_delivery(PacketClass.PULL, served, delivery_slots)
 
         # push sub-frame: framed-ALOHA contention among everything pending
         n_pending = pend_arrival.size
@@ -304,35 +179,18 @@ def simulate_cff(
             choices, _, winner_mask = uniform_slot_contention(n_pending, push_ops, rng)
             if winner_mask.any():
                 won_arrival = pend_arrival[winner_mask]
-                won_choice = choices[winner_mask]
-                delivery_slots = base + push_start_off + (won_choice + 1) * push_stride - 1
+                delivery_slots = base + push_start_off + (choices[winner_mask] + 1) * push_stride - 1
                 lats = (delivery_slots + 1 - won_arrival) * slot_dur
-                measured = won_arrival >= measured_from_slot
-                record.extend_deliveries(PacketClass.PUSH, lats[measured])
+                record.extend_deliveries(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
                 if on_delivery is not None:
-                    won_id = pend_id[winner_mask]
-                    won_eligible = pend_eligible[winner_mask]
-                    for j in range(won_arrival.size):
-                        on_delivery(
-                            Packet(
-                                id=int(won_id[j]),
-                                klass=PacketClass.PUSH,
-                                arrival_slot=int(won_arrival[j]),
-                                delivery_slot=int(delivery_slots[j]),
-                                attempts=f - int(won_eligible[j]) + 1,
-                            )
-                        )
+                    on_delivery(PacketClass.PUSH, won_arrival, delivery_slots)
             loser_mask = ~winner_mask
             if push_retransmit:
                 pend_arrival = pend_arrival[loser_mask]
-                pend_id = pend_id[loser_mask]
-                pend_eligible = pend_eligible[loser_mask]
             else:
                 lost = int(np.count_nonzero(pend_arrival[loser_mask] >= measured_from_slot))
                 record.add_failures(PacketClass.PUSH, lost)
                 pend_arrival = empty_i64
-                pend_id = empty_i64
-                pend_eligible = empty_i64
 
         # certified abort: count packets that became provably late this frame
         # (arrival windows are disjoint across frames, so nothing double-counts)
@@ -349,10 +207,8 @@ def simulate_cff(
             if late_cum > late_budget:
                 _finalize_aborted(
                     record,
-                    queue,
-                    staged_pull,
+                    pull_arrivals[head:tail],
                     pend_arrival,
-                    staged_push[0],
                     pull_counts,
                     push_counts,
                     first_unsimulated_frame=f,
@@ -361,58 +217,49 @@ def simulate_cff(
                 )
                 return record
 
-        # arrivals during frame f, eligible at f+1
+        # arrivals during frame f join the queues after its sub-frames, so they
+        # are eligible from frame f+1
         n_pull = int(pull_counts[f])
         if n_pull:
-            offsets = sample_arrival_offsets(n_pull, S, rng)
-            staged_pull = [
-                Packet(id=next_id + i, klass=PacketClass.PULL, arrival_slot=base + int(off))
-                for i, off in enumerate(offsets)
-            ]
-            next_id += n_pull
+            pull_arrivals[tail : tail + n_pull] = base + sample_arrival_offsets(n_pull, S, rng)
+            tail += n_pull
             if measured_frame:
                 record.add_arrivals(PacketClass.PULL, n_pull)
         n_push = int(push_counts[f])
         if n_push:
-            offsets = sample_arrival_offsets(n_push, S, rng)
-            staged_push = (
-                base + offsets,
-                np.arange(next_id, next_id + n_push, dtype=np.int64),
-            )
-            next_id += n_push
+            pend_arrival = np.concatenate((pend_arrival, base + sample_arrival_offsets(n_push, S, rng)))
             if measured_frame:
                 record.add_arrivals(PacketClass.PUSH, n_push)
 
-    # horizon: everything still pending or staged fails with latency +inf
-    n_pull_lost = sum(1 for p in queue if p.arrival_slot >= measured_from_slot)
-    n_pull_lost += sum(1 for p in staged_pull if p.arrival_slot >= measured_from_slot)
-    record.add_failures(PacketClass.PULL, n_pull_lost)
-    n_push_lost = int(np.count_nonzero(pend_arrival >= measured_from_slot))
-    n_push_lost += int(np.count_nonzero(staged_push[0] >= measured_from_slot))
-    record.add_failures(PacketClass.PUSH, n_push_lost)
+    # horizon: everything still pending fails with latency +inf
+    _finalize_aborted(
+        record,
+        pull_arrivals[head:tail],
+        pend_arrival,
+        pull_counts,
+        push_counts,
+        first_unsimulated_frame=horizon_frames,
+        warmup_frames=warmup_frames,
+        measured_from_slot=measured_from_slot,
+    )
     return record
 
 
 def _finalize_aborted(
     record: MetricsRecord,
-    queue: PullQueue,
-    staged_pull: List[Packet],
-    pend_push_arrivals: np.ndarray,
-    staged_push_arrivals: np.ndarray,
+    pull_pending: np.ndarray,
+    push_pending: np.ndarray,
     pull_counts: np.ndarray,
     push_counts: np.ndarray,
     first_unsimulated_frame: int,
     warmup_frames: int,
     measured_from_slot: int,
 ) -> None:
-    """Close an aborted run: everything pending and every not-yet-simulated
-    arrival counts as a miss, keeping arrived == delivered + failed exact."""
-    n_pull = sum(1 for p in queue if p.arrival_slot >= measured_from_slot)
-    n_pull += sum(1 for p in staged_pull if p.arrival_slot >= measured_from_slot)
-    record.add_failures(PacketClass.PULL, n_pull)
-    n_push = int(np.count_nonzero(pend_push_arrivals >= measured_from_slot))
-    n_push += int(np.count_nonzero(staged_push_arrivals >= measured_from_slot))
-    record.add_failures(PacketClass.PUSH, n_push)
+    """Close a run at the horizon or an abort: every pending arrival slot and
+    every not-yet-simulated arrival counts as a miss, keeping arrived ==
+    delivered + failed exact.  At the horizon the future slices are empty."""
+    record.add_failures(PacketClass.PULL, int(np.count_nonzero(pull_pending >= measured_from_slot)))
+    record.add_failures(PacketClass.PUSH, int(np.count_nonzero(push_pending >= measured_from_slot)))
     start = max(first_unsimulated_frame, warmup_frames)
     future_pull = int(pull_counts[start:].sum())
     future_push = int(push_counts[start:].sum())

@@ -8,12 +8,12 @@ single shared retry do not carry over (the next frame is a fresh query).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import FrameConfig, SlotOutcome
-from .mac_cff import uniform_slot_contention, _outcomes
+from .mac_cff import uniform_slot_contention
 from .metrics import MetricsRecord
 from .traffic import ObservationModel, PushTrigger, SemanticQuery
 
@@ -35,14 +35,6 @@ class RcsPopulation:
     def __post_init__(self) -> None:
         if self.n_pull_devices < 0 or self.n_push_devices < 0:
             raise ValueError("device counts must be >= 0")
-
-    @property
-    def pull_device_ids(self) -> range:
-        return range(self.n_pull_devices)
-
-    @property
-    def push_device_ids(self) -> range:
-        return range(self.n_pull_devices, self.n_pull_devices + self.n_push_devices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +75,24 @@ def _contention_slots(config: FrameConfig) -> Tuple[int, int, int]:
     return k, config.pull_slot_budget // k, config.push_slot_budget // k
 
 
+def _outcomes(choices: np.ndarray, counts: np.ndarray, ids: Sequence[int]) -> List[SlotOutcome]:
+    """Per-slot channel results of one contention round, without capture: a
+    slot with one transmitter delivers it, two or more all fail."""
+    winners = {}
+    for i, slot in enumerate(choices):
+        if counts[slot] == 1:
+            winners[int(slot)] = ids[i]
+    out: List[SlotOutcome] = []
+    for slot, count in enumerate(counts):
+        if count == 0:
+            out.append(SlotOutcome.idle())
+        elif count == 1:
+            out.append(SlotOutcome.success(winners[slot]))
+        else:
+            out.append(SlotOutcome.collision(int(count)))
+    return out
+
+
 def run_rcs_frame(
     config: FrameConfig,
     population: RcsPopulation,
@@ -102,7 +112,7 @@ def run_rcs_frame(
     path consumes the identical random draws, so results do not change).
     """
     _, reserved_ops, shared_ops = _contention_slots(config)
-    return _run_frame(reserved_ops, shared_ops, population, query, rng, record_outcomes)
+    return _run_frame(reserved_ops, shared_ops, population, query, rng, record_outcomes)[0]
 
 
 def _run_frame(
@@ -112,15 +122,24 @@ def _run_frame(
     query: SemanticQuery,
     rng: np.random.Generator,
     record_outcomes: bool,
-) -> FrameResult:
+    pending: Optional[np.ndarray] = None,
+) -> Tuple[FrameResult, Optional[np.ndarray]]:
+    """One RCS frame; returns its result and the next ``pending`` mask.
+
+    ``pending`` (persistent-backlog mode) marks push devices whose update
+    collided earlier: they re-attempt this frame and their fresh trigger draw
+    is discarded.  Both modes make the same draws in the same order, so they
+    differ only in which devices enter the shared contention.  Without
+    ``pending`` the returned mask is None.
+    """
     n_pull = population.n_pull_devices
-    n_push = population.n_push_devices
 
     # canonical draw order: observations, push triggers, reserved, shared
-    obs = population.observations.sample(n_pull, rng)
-    match_mask = (obs >= query.lo) & (obs <= query.hi)
+    match_mask = query.match_mask(population.observations.sample(n_pull, rng))
     n_matched = int(np.count_nonzero(match_mask))
-    push_mask = rng.uniform(0.0, 1.0, size=n_push) > population.trigger.threshold
+    push_mask = population.trigger.push_mask(population.n_push_devices, rng)
+    if pending is not None:
+        push_mask |= pending
     n_pushing = int(np.count_nonzero(push_mask))
 
     reserved_outcomes: Tuple[SlotOutcome, ...] = ()
@@ -145,7 +164,8 @@ def _run_frame(
     if shared_ops > 0 and n_shared:
         choices, counts, winner_mask = uniform_slot_contention(n_shared, shared_ops, rng)
         pull_shared_succeeded = int(np.count_nonzero(winner_mask[:n_stragglers]))
-        push_succeeded = int(np.count_nonzero(winner_mask[n_stragglers:]))
+        push_won = winner_mask[n_stragglers:]
+        push_succeeded = int(np.count_nonzero(push_won))
         if record_outcomes:
             matched_ids = np.flatnonzero(match_mask)
             if reserved_winner_mask is not None:
@@ -155,10 +175,13 @@ def _run_frame(
             push_ids = n_pull + np.flatnonzero(push_mask)
             contender_ids = [int(d) for d in straggler_ids] + [int(d) for d in push_ids]
             shared_outcomes = tuple(_outcomes(choices, counts, contender_ids))
+        if pending is not None:
+            # delivered updates leave the backlog; collided ones stay pending
+            push_mask[np.flatnonzero(push_mask)[push_won]] = False
     elif record_outcomes and shared_ops > 0:
         shared_outcomes = tuple(SlotOutcome.idle() for _ in range(shared_ops))
 
-    return FrameResult(
+    result = FrameResult(
         matched_pull=n_matched,
         pull_succeeded=n_res_won + pull_shared_succeeded,
         push_attempted=n_pushing,
@@ -168,62 +191,7 @@ def _run_frame(
         reserved_outcomes=reserved_outcomes,
         shared_outcomes=shared_outcomes,
     )
-
-
-def _run_frame_persistent(
-    reserved_ops: int,
-    shared_ops: int,
-    population: RcsPopulation,
-    query: SemanticQuery,
-    rng: np.random.Generator,
-    pending: np.ndarray,
-) -> Tuple[FrameResult, np.ndarray]:
-    """Persistent-backlog variant: a push device whose update collided keeps
-    re-attempting in later frames (and draws no fresh trigger while pending).
-
-    The draw order matches :func:`_run_frame`, so the two modes differ only in
-    which devices enter the shared contention.
-    """
-    n_pull = population.n_pull_devices
-    n_push = population.n_push_devices
-
-    obs = population.observations.sample(n_pull, rng)
-    n_matched = int(np.count_nonzero((obs >= query.lo) & (obs <= query.hi)))
-    fresh = rng.uniform(0.0, 1.0, size=n_push) > population.trigger.threshold
-    active = pending | fresh  # a pending device's fresh draw is discarded
-    n_active = int(np.count_nonzero(active))
-
-    if reserved_ops > 0 and n_matched:
-        _, _, winner_mask = uniform_slot_contention(n_matched, reserved_ops, rng)
-        n_res_won = int(np.count_nonzero(winner_mask))
-    else:
-        n_res_won = 0
-    n_stragglers = n_matched - n_res_won
-
-    pull_shared_succeeded = 0
-    push_succeeded = 0
-    n_shared = n_stragglers + n_active
-    if shared_ops > 0 and n_shared:
-        _, _, winner_mask = uniform_slot_contention(n_shared, shared_ops, rng)
-        pull_shared_succeeded = int(np.count_nonzero(winner_mask[:n_stragglers]))
-        push_won = winner_mask[n_stragglers:]
-        push_succeeded = int(np.count_nonzero(push_won))
-        next_pending = active.copy()
-        next_pending[np.flatnonzero(active)[push_won]] = False
-    else:
-        next_pending = active
-
-    return (
-        FrameResult(
-            matched_pull=n_matched,
-            pull_succeeded=n_res_won + pull_shared_succeeded,
-            push_attempted=n_active,
-            push_succeeded=push_succeeded,
-            pull_succeeded_reserved=n_res_won,
-            pull_succeeded_shared=pull_shared_succeeded,
-        ),
-        next_pending,
-    )
+    return result, (push_mask if pending is not None else None)
 
 
 @dataclass(slots=True)
@@ -261,14 +229,9 @@ def simulate_rcs(
     record = MetricsRecord()
     frames: List[FrameResult] = []
     _, reserved_ops, shared_ops = _contention_slots(config)  # hoisted: loop invariant
-    pending = np.zeros(population.n_push_devices, dtype=bool)
+    pending = np.zeros(population.n_push_devices, dtype=bool) if persistent_push_backlog else None
     for _ in range(n_frames):
-        if persistent_push_backlog:
-            fr, pending = _run_frame_persistent(
-                reserved_ops, shared_ops, population, query, rng, pending
-            )
-        else:
-            fr = _run_frame(reserved_ops, shared_ops, population, query, rng, False)
+        fr, pending = _run_frame(reserved_ops, shared_ops, population, query, rng, False, pending)
         frames.append(fr)
         record.add_rcs_frame(fr.retrieval_success, fr.push_attempted, fr.push_succeeded)
     accuracy = record.rcs_retrieval_successes / record.rcs_frames

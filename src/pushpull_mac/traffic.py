@@ -8,7 +8,7 @@ derived with :func:`derive_seed` and therefore merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Set
+from typing import Optional
 
 import math
 
@@ -16,14 +16,11 @@ import numpy as np
 
 __all__ = [
     "PoissonArrivals",
-    "sample_arrivals",
     "sample_frame_arrival_counts",
     "sample_arrival_offsets",
     "ObservationModel",
     "SemanticQuery",
-    "apply_query",
     "PushTrigger",
-    "sample_push_set",
     "derive_seed",
 ]
 
@@ -53,15 +50,6 @@ class PoissonArrivals:
     @property
     def mean_per_slot(self) -> float:
         return self.rate * self.slot_duration
-
-
-def sample_arrivals(process: PoissonArrivals, slot: int, rng: np.random.Generator) -> int:
-    """Number of arrivals in one slot: Poisson(rate * slot_duration)."""
-    if slot < 0:
-        raise ValueError("slot index must be >= 0")
-    if process.rate == 0.0:
-        return 0
-    return int(rng.poisson(process.mean_per_slot))
 
 
 def sample_frame_arrival_counts(
@@ -109,7 +97,8 @@ class ObservationModel:
                     f"fixed observations cover {len(self.fixed)} devices, expected {n_devices}"
                 )
             return np.asarray(self.fixed, dtype=np.float64)
-        return rng.uniform(0.0, 1.0, size=n_devices)
+        # same doubles as rng.uniform(0.0, 1.0, n) at about half the call cost
+        return rng.random(n_devices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +114,6 @@ class SemanticQuery:
         if self.lo > self.hi:
             raise ValueError(f"query interval empty: lo={self.lo} > hi={self.hi}")
 
-    def matches(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def match_mask(self, values: np.ndarray) -> np.ndarray:
         return (values >= self.lo) & (values <= self.hi)
 
@@ -135,14 +121,6 @@ class SemanticQuery:
     def match_probability(self) -> float:
         """Match probability under the default uniform-[0,1] observation model."""
         return max(0.0, min(self.hi, 1.0) - max(self.lo, 0.0))
-
-
-def apply_query(query: SemanticQuery, observations: Mapping[int, float]) -> Set[int]:
-    """Device ids whose observation satisfies the query condition."""
-    for value in observations.values():
-        if not math.isfinite(value):
-            raise ValueError("observations must be finite")
-    return {dev for dev, value in observations.items() if query.matches(value)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,13 +137,4 @@ class PushTrigger:
     def push_mask(self, n_devices: int, rng: np.random.Generator) -> np.ndarray:
         if n_devices < 0:
             raise ValueError("n_devices must be >= 0")
-        return rng.uniform(0.0, 1.0, size=n_devices) > self.threshold
-
-
-def sample_push_set(
-    trigger: PushTrigger, push_devices: Iterable[int], rng: np.random.Generator
-) -> Set[int]:
-    """Subset of push-enabled devices that generate an update this frame."""
-    devices = sorted(push_devices)
-    mask = trigger.push_mask(len(devices), rng)
-    return {dev for dev, pushing in zip(devices, mask) if pushing}
+        return rng.random(n_devices) > self.threshold

@@ -1,13 +1,10 @@
 """Shared randomized-invariant checks used by the property and acceptance suites."""
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from pushpull_mac import (
     FrameConfig,
-    Packet,
     PacketClass,
     RcsPopulation,
     PushTrigger,
@@ -44,7 +41,7 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     horizon = int(rng.integers(3, 26))
     retransmit = bool(rng.random() < 0.7)
 
-    deliveries: List[Packet] = []
+    deliveries = []  # (klass, arrival_slots, delivery_slots) per delivering sub-frame
     record = simulate_cff(
         config,
         pull_rate,
@@ -52,7 +49,7 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         horizon,
         seed=int(rng.integers(0, 2**32)),
         push_retransmit=retransmit,
-        on_delivery=deliveries.append,
+        on_delivery=lambda *d: deliveries.append(d),
     )
 
     # exact conservation per class (no warm-up)
@@ -60,30 +57,32 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     assert record.push_arrived == record.push_delivered + record.push_failed
     assert len(record.pull_latencies) == record.pull_arrived
     assert len(record.push_latencies) == record.push_arrived
+    assert sum(a.size for k, a, _ in deliveries if k is PacketClass.PULL) == record.pull_delivered
+    assert sum(a.size for k, a, _ in deliveries if k is PacketClass.PUSH) == record.push_delivered
 
     pull_budget = config.pull_slot_budget
     data_start = config.data_start_slot
     push_start = data_start + pull_budget
     pull_blocks = []
-    last_pull_key = (-1, -1)
-    for p in deliveries:
-        assert p.delivery_slot is not None and p.delivery_slot + 1 - p.arrival_slot > 0
-        assert p.delivery_slot // s > p.arrival_slot // s, "delivered before eligibility"
-        off = p.delivery_slot % s
-        if p.klass is PacketClass.PULL:
-            assert p.attempts == 1
+    last_pull_arrival = -1
+    for klass, arrival, delivery in deliveries:
+        assert arrival.size == delivery.size > 0
+        assert (delivery + 1 - arrival > 0).all()
+        assert (delivery // s > arrival // s).all(), "delivered before eligibility"
+        off = delivery % s
+        if klass is PacketClass.PULL:
             stride = config.pull_packet_slots
-            assert data_start + stride - 1 <= off < data_start + pull_budget
-            assert (off - data_start - (stride - 1)) % stride == 0
-            key = (p.arrival_slot, p.id)
-            assert key > last_pull_key, "pull FIFO order broken"
-            last_pull_key = key
-            pull_blocks.append((p.delivery_slot - stride + 1, p.delivery_slot))
+            assert ((data_start + stride - 1 <= off) & (off < data_start + pull_budget)).all()
+            assert ((off - data_start - (stride - 1)) % stride == 0).all()
+            assert arrival[0] >= last_pull_arrival and (np.diff(arrival) >= 0).all(), "pull FIFO order broken"
+            last_pull_arrival = int(arrival[-1])
+            pull_blocks.extend(zip((delivery - stride + 1).tolist(), delivery.tolist()))
         else:
-            assert p.attempts >= 1
             if not retransmit:
-                assert p.attempts == 1
-            assert push_start + config.push_packet_slots - 1 <= off < data_start + config.usable_slots
+                # a single attempt: contention in the frame after arrival
+                assert (delivery // s == arrival // s + 1).all(), "push retransmitted"
+            push_end = data_start + config.usable_slots
+            assert ((push_start + config.push_packet_slots - 1 <= off) & (off < push_end)).all()
 
     # no two pull transmissions may overlap any slot (contention-free sub-frame)
     pull_blocks.sort()

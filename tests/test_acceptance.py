@@ -12,18 +12,15 @@ from pushpull_mac import (
     CapacitySpec,
     FrameConfig,
     PacketClass,
-    PushBacklog,
-    Packet,
     PushTrigger,
     RcsPopulation,
     SemanticQuery,
     capacity_frontier,
-    contend_push,
-    frame_layout,
     max_class_rate,
     run_experiment,
     simulate_cff,
     simulate_rcs,
+    uniform_slot_contention,
     validate_config,
 )
 from pushpull_mac.cli import main as cli_main
@@ -177,24 +174,12 @@ def test_criterion_4_small_instance_enumeration():
     rng = np.random.default_rng(44)
     wins = 0
     for _ in range(frames):
-        delivered, _, _ = contend_push(
-            PushBacklog(),
-            [Packet(0, PUSH, 0), Packet(1, PUSH, 0)],
-            push_slots=2,
-            rng=rng,
-        )
-        wins += len(delivered)
+        wins += int(np.count_nonzero(uniform_slot_contention(2, 2, rng)[2]))
     contend_rate = wins / (2 * frames)
 
     forced = 0
     for _ in range(frames):
-        delivered, _, _ = contend_push(
-            PushBacklog(),
-            [Packet(0, PUSH, 0), Packet(1, PUSH, 0)],
-            push_slots=1,
-            rng=rng,
-        )
-        forced += len(delivered)
+        forced += int(np.count_nonzero(uniform_slot_contention(2, 1, rng)[2]))
 
     # same enumeration through the RCS reserved portion (2 matched, 2 reserved slots)
     pop2 = RcsPopulation(2, 0, PushTrigger(1.0))
@@ -204,9 +189,9 @@ def test_criterion_4_small_instance_enumeration():
 
     problems = []
     if abs(contend_rate - 0.5) > 0.01:
-        problems.append(f"contend_push 2/2 rate {contend_rate:.4f}")
+        problems.append(f"contention 2/2 rate {contend_rate:.4f}")
     if forced != 0:
-        problems.append(f"contend_push 2/1 delivered {forced} packets")
+        problems.append(f"contention 2/1 delivered {forced} packets")
     if abs(rcs_device_rate - 0.5) > 0.01:
         problems.append(f"RCS reserved 2/2 rate {rcs_device_rate:.4f}")
     if res1.retrieval_accuracy != 0.0:
@@ -279,9 +264,9 @@ def test_criterion_7_degenerate_endpoints():
 
     cff0 = FrameConfig(alpha=0.0, **PAPER_FRAME)
     cff1 = FrameConfig(alpha=1.0, **PAPER_FRAME)
-    if frame_layout(cff0).pull_tx_capacity != 0:
+    if cff0.pull_tx_capacity != 0:
         problems.append("alpha=0 leaves pull capacity")
-    if frame_layout(cff1).push_slot_budget != 0:
+    if cff1.push_slot_budget != 0:
         problems.append("alpha=1 leaves push slots")
 
     rec0 = simulate_cff(cff0, pull_rate=800, push_rate=0, horizon_frames=100, seed=7)

@@ -138,6 +138,11 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, cff_single())
         assert main(["cff", "--config", cfg, "--seed", "-3"]) == 1
 
+    def test_bad_workers_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, rcs_single())
+        assert main(["sweep", "--config", cfg, "--workers", "0", "--quiet"]) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

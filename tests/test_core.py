@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pushpull_mac import (
-    FrameConfig,
-    GlobalClock,
-    Packet,
-    PacketClass,
-    SlotKind,
-    SlotOutcome,
-    frame_layout,
-    resolve_slot,
-)
+from pushpull_mac import FrameConfig, PacketClass, SlotKind, SlotOutcome, simulate_cff
+from pushpull_mac.mac_rcs import _outcomes
 
 
 def paper_config(alpha: float, **kw) -> FrameConfig:
@@ -28,25 +20,25 @@ def paper_config(alpha: float, **kw) -> FrameConfig:
 
 class TestFrameLayout:
     def test_full_pull_frame(self):
-        layout = frame_layout(paper_config(1.0))
+        layout = paper_config(1.0)
         assert layout.pull_tx_capacity == 20
         assert layout.push_slot_budget == 0
         assert layout.pull_slot_budget == 100
 
     def test_zero_pull_fraction(self):
-        layout = frame_layout(paper_config(0.0))
+        layout = paper_config(0.0)
         assert layout.pull_tx_capacity == 0
         assert layout.push_slot_budget == 100
 
     def test_fractional_alpha_floor(self):
-        layout = frame_layout(paper_config(0.33))
+        layout = paper_config(0.33)
         assert layout.pull_slot_budget == 33
         assert layout.pull_tx_capacity == 6
         assert layout.push_slot_budget == 67
 
     def test_float_representation_guard(self):
         # 0.29 * 100 == 28.999999999999996 in IEEE doubles; floor must give 29
-        layout = frame_layout(paper_config(0.29))
+        layout = paper_config(0.29)
         assert layout.pull_slot_budget == 29
 
     def test_budgets_partition_frame(self):
@@ -54,9 +46,8 @@ class TestFrameLayout:
         for _ in range(300):
             s = int(rng.integers(1, 200))
             cfg = FrameConfig(s, 0.01, 1, 1, alpha=float(rng.random()))
-            layout = frame_layout(cfg)
-            assert layout.pull_slot_budget + layout.push_slot_budget == s
-            assert 0 <= layout.pull_slot_budget <= s
+            assert cfg.pull_slot_budget + cfg.push_slot_budget == s
+            assert 0 <= cfg.pull_slot_budget <= s
 
     def test_budgets_partition_with_overhead(self):
         cfg = paper_config(0.5, overhead_slots=10)
@@ -66,7 +57,7 @@ class TestFrameLayout:
 
     def test_monotone_in_alpha(self):
         alphas = [i / 40 for i in range(41)]
-        layouts = [frame_layout(paper_config(a)) for a in alphas]
+        layouts = [paper_config(a) for a in alphas]
         for prev, cur in zip(layouts, layouts[1:]):
             assert cur.pull_tx_capacity >= prev.pull_tx_capacity
             assert cur.push_slot_budget <= prev.push_slot_budget
@@ -95,30 +86,44 @@ class TestFrameConfigValidation:
         assert paper_config(0.5).slot_duration == pytest.approx(1e-4)
 
 
+def resolve(ids):
+    """Outcome of one slot that every id in ``ids`` transmits in."""
+    choices = np.zeros(len(ids), dtype=np.int64)
+    return _outcomes(choices, np.bincount(choices, minlength=1), ids)[0]
+
+
 class TestResolveSlot:
     def test_idle(self):
-        assert resolve_slot(set()) == SlotOutcome.idle()
+        assert resolve([]) == SlotOutcome.idle()
 
     def test_success(self):
-        out = resolve_slot({7})
+        out = resolve([7])
         assert out.kind is SlotKind.SUCCESS
         assert out.winner == 7
         assert out.count == 1
 
     def test_collision(self):
-        out = resolve_slot({3, 9})
+        out = resolve([3, 9])
         assert out.kind is SlotKind.COLLISION
         assert out.count == 2
         assert out.winner is None
 
     def test_pure_and_order_invariant(self):
         ids = [5, 1, 9, 3]
-        a = resolve_slot(ids)
-        b = resolve_slot(reversed(ids))
-        c = resolve_slot(ids)
+        a = resolve(ids)
+        b = resolve(list(reversed(ids)))
+        c = resolve(ids)
         assert a == b == c
-        # duplicates collapse: it is a set of transmitters
-        assert resolve_slot([4, 4]).kind is SlotKind.SUCCESS
+        # per-slot results of a whole round do not depend on contender order
+        choices = np.array([0, 2, 2, 1], dtype=np.int64)
+        counts = np.bincount(choices, minlength=4)
+        order = [3, 1, 0, 2]
+        forward = _outcomes(choices, counts, ids)
+        permuted = _outcomes(choices[order], counts, [ids[i] for i in order])
+        assert forward == permuted
+        assert [o.kind for o in forward] == [
+            SlotKind.SUCCESS, SlotKind.SUCCESS, SlotKind.COLLISION, SlotKind.IDLE,
+        ]
 
 
 class TestSlotOutcome:
@@ -133,33 +138,16 @@ class TestSlotOutcome:
 
 class TestPacket:
     def test_latency(self):
-        p = Packet(id=0, klass=PacketClass.PULL, arrival_slot=10)
-        assert not p.delivered
-        assert p.latency_slots is None
-        assert p.latency_seconds(1e-4) == math.inf
-        p.delivery_slot = 14
-        p.attempts = 1
-        assert p.latency_slots == 5
-        assert p.latency_seconds(1e-4) == pytest.approx(5e-4)
-        assert p.latency_seconds(1e-4) > 0
-
-
-class TestGlobalClock:
-    def test_tick_and_frame(self):
-        clk = GlobalClock(slots_per_frame=10)
-        assert clk.at_frame_boundary
-        assert clk.current_frame == 0
-        seen = [clk.current_slot]
-        for _ in range(25):
-            clk.tick()
-            seen.append(clk.current_slot)
-        assert seen == list(range(26))
-        assert clk.current_frame == 2
-        boundaries = [s for s in seen if s % 10 == 0]
-        assert boundaries == [0, 10, 20]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GlobalClock(slots_per_frame=0)
-        with pytest.raises(ValueError):
-            GlobalClock(slots_per_frame=5, current_slot=-1)
+        # latency runs from the arrival slot to the end of the delivery slot
+        cfg = paper_config(0.5)
+        log = []
+        rec = simulate_cff(cfg, 300, 300, 40, seed=4, on_delivery=lambda *d: log.append(d))
+        for klass in PacketClass:
+            expected = [
+                float(lat) * cfg.slot_duration
+                for k, arrival, delivery in log
+                if k is klass
+                for lat in delivery + 1 - arrival
+            ]
+            assert expected and all(x > 0 for x in expected)
+            assert [x for x in rec.latencies(klass) if math.isfinite(x)] == expected

@@ -3,122 +3,102 @@ import math
 import numpy as np
 import pytest
 
-from pushpull_mac import (
-    FrameConfig,
-    Packet,
-    PacketClass,
-    PullQueue,
-    PushBacklog,
-    SlotKind,
-    contend_push,
-    schedule_pull,
-    simulate_cff,
-)
+from pushpull_mac import FrameConfig, PacketClass, schedule_pull, simulate_cff, uniform_slot_contention
 from pushpull_mac.mac_cff import PushAbortRule
 from pushpull_mac.metrics import reliability_within
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
 
-def pull_packets(n, start_slot=0):
-    return [Packet(id=i, klass=PULL, arrival_slot=start_slot + i) for i in range(n)]
-
-
-def push_packets(n, start_id=0, arrival_slot=0):
-    return [Packet(id=start_id + i, klass=PUSH, arrival_slot=arrival_slot) for i in range(n)]
-
-
 def paper_config(alpha):
     return FrameConfig(100, 0.01, 5, 1, alpha)
 
 
+def delivery_log(config, pull_rate, push_rate, horizon_frames, seed, **kw):
+    """Run simulate_cff and return {klass: [(arrival_slots, delivery_slots), ...]}."""
+    log = {PULL: [], PUSH: []}
+    simulate_cff(
+        config, pull_rate, push_rate, horizon_frames, seed,
+        on_delivery=lambda klass, arrival, delivery: log[klass].append((arrival, delivery)),
+        **kw,
+    )
+    return log
+
+
 class TestPullQueue:
     def test_fifo_order_enforced(self):
-        q = PullQueue(pull_packets(3))
-        assert len(q) == 3
-        with pytest.raises(ValueError):
-            q.append(Packet(id=99, klass=PULL, arrival_slot=0))
-
-    def test_ties_break_by_id(self):
-        q = PullQueue()
-        q.append(Packet(id=4, klass=PULL, arrival_slot=7))
-        q.append(Packet(id=5, klass=PULL, arrival_slot=7))
-        assert q.popleft().id == 4
+        # overloaded pull: packets pile up, several share an arrival slot, and
+        # the queue is served oldest first, one block per packet
+        log = delivery_log(paper_config(0.2), 3000, 0, 60, seed=8)
+        arrival = np.concatenate([a for a, _ in log[PULL]])
+        delivery = np.concatenate([d for _, d in log[PULL]])
+        assert (np.diff(arrival) >= 0).all()
+        assert (np.diff(arrival) == 0).any()
+        assert (np.diff(delivery) > 0).all()
 
 
 class TestSchedulePull:
     def test_small_queue_fully_served(self):
-        q = PullQueue(pull_packets(3))
-        served = schedule_pull(q, capacity=20, frame_start_slot=100, packet_slots=5)
-        assert [p.id for p in served] == [0, 1, 2]
-        assert len(q) == 0
-        assert [p.delivery_slot for p in served] == [104, 109, 114]
-        assert all(p.attempts == 1 for p in served)
+        queue = np.arange(3, dtype=np.int64)
+        served = schedule_pull(queue, capacity=20, frame_start_slot=100, packet_slots=5)
+        assert served.dtype == np.int64
+        assert served.tolist() == [104, 109, 114]
 
     def test_excess_resched_next_frame(self):
-        q = PullQueue(pull_packets(25))
-        served = schedule_pull(q, capacity=20, frame_start_slot=0, packet_slots=5)
+        queue = np.arange(25, dtype=np.int64)
+        served = schedule_pull(queue, capacity=20, frame_start_slot=0, packet_slots=5)
         assert len(served) == 20
-        assert len(q) == 5
-        # the five most recent arrivals remain queued
-        assert [p.id for p in q] == [20, 21, 22, 23, 24]
+        # the caller drops the served head; the five most recent arrivals remain queued
+        assert queue[len(served):].tolist() == [20, 21, 22, 23, 24]
 
     def test_empty_queue(self):
-        assert schedule_pull(PullQueue(), capacity=20) == []
+        assert schedule_pull(np.empty(0, dtype=np.int64), capacity=20).size == 0
 
     def test_zero_capacity(self):
-        q = PullQueue(pull_packets(2))
-        assert schedule_pull(q, capacity=0) == []
-        assert len(q) == 2
+        assert schedule_pull(np.arange(2, dtype=np.int64), capacity=0).size == 0
 
 
 class TestContendPush:
     def test_lone_contender_always_delivered(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            delivered, surviving, outcomes = contend_push(
-                PushBacklog(), push_packets(1), push_slots=80, rng=rng
-            )
-            assert len(delivered) == 1 and len(surviving) == 0
-            assert delivered[0].attempts == 1
-            kinds = [o.kind for o in outcomes]
-            assert kinds.count(SlotKind.SUCCESS) == 1
-            assert kinds.count(SlotKind.IDLE) == 79
+            choices, counts, winners = uniform_slot_contention(1, 80, rng)
+            assert winners.tolist() == [True]
+            assert counts[choices[0]] == 1
+            assert np.count_nonzero(counts == 1) == 1
+            assert np.count_nonzero(counts == 0) == 79
 
     def test_two_contenders_one_slot_collide(self):
-        rng = np.random.default_rng(0)
-        backlog = PushBacklog(push_packets(2))
-        delivered, surviving, outcomes = contend_push(backlog, [], push_slots=1, rng=rng)
-        assert delivered == []
-        assert len(surviving) == 2
-        assert outcomes[0].kind is SlotKind.COLLISION
-        assert outcomes[0].count == 2
-        assert all(p.attempts == 1 for p in surviving)
+        choices, counts, winners = uniform_slot_contention(2, 1, np.random.default_rng(0))
+        assert choices.tolist() == [0, 0]
+        assert counts.tolist() == [2]
+        assert not winners.any()
 
     def test_zero_slots_everything_persists(self):
-        delivered, surviving, outcomes = contend_push(
-            PushBacklog(push_packets(3)), push_packets(2, start_id=3), 0, np.random.default_rng(0)
-        )
-        assert delivered == []
-        assert len(surviving) == 5
-        assert outcomes == []
+        with pytest.raises(ValueError):
+            uniform_slot_contention(5, 0, np.random.default_rng(0))
+        # a frame without push opportunities delivers no push packet; all
+        # of them are still pending, hence failed, at the horizon
+        rec = simulate_cff(paper_config(1.0), 0, 2000, 30, seed=6)
+        assert rec.push_arrived > 0
+        assert rec.push_failed == rec.push_arrived
+        assert delivery_log(paper_config(1.0), 0, 2000, 30, seed=6)[PUSH] == []
 
     def test_two_contenders_two_slots_half_succeed(self):
         rng = np.random.default_rng(123)
         wins = 0
         frames = 30_000
         for _ in range(frames):
-            delivered, _, _ = contend_push(PushBacklog(), push_packets(2), 2, rng)
-            wins += len(delivered)
+            wins += int(np.count_nonzero(uniform_slot_contention(2, 2, rng)[2]))
         assert wins / (2 * frames) == pytest.approx(0.5, abs=0.015)
 
     def test_delivery_slot_mapping_with_stride(self):
-        rng = np.random.default_rng(4)
-        delivered, _, _ = contend_push(
-            PushBacklog(), push_packets(1), push_slots=5, rng=rng, first_slot=200, slot_stride=3
-        )
-        slot = delivered[0].delivery_slot
-        assert slot in {200 + (k + 1) * 3 - 1 for k in range(5)}
+        # S=20, alpha=0.25: push sub-frame starts at offset 5 with five
+        # 3-slot opportunities, each delivered at its end slot
+        cfg = FrameConfig(20, 0.01, 1, 3, 0.25)
+        log = delivery_log(cfg, 0, 100, 100, seed=4)
+        offsets = np.concatenate([d for _, d in log[PUSH]]) % 20
+        assert set(offsets.tolist()) == {5 + (k + 1) * 3 - 1 for k in range(5)}
 
 
 class TestSimulateCff:
@@ -145,15 +125,17 @@ class TestSimulateCff:
 
     def test_sparse_pull_served_next_frame_within_two_frames(self):
         cfg = paper_config(0.5)
-        deliveries = []
+        log = []
         rec = simulate_cff(
-            cfg, pull_rate=100, push_rate=0, horizon_frames=400, seed=5, on_delivery=deliveries.append
+            cfg, pull_rate=100, push_rate=0, horizon_frames=400, seed=5,
+            on_delivery=lambda *d: log.append(d),
         )
         assert rec.pull_delivered > 0
         # light load: every packet is scheduled in the frame after arrival,
         # inside the first capacity blocks, so latency <= 2 frames
-        for p in deliveries:
-            assert p.delivery_slot // 100 == p.arrival_slot // 100 + 1
+        for klass, arrival, delivery in log:
+            assert klass is PULL
+            assert (delivery // 100 == arrival // 100 + 1).all()
         finite = [l for l in rec.pull_latencies if math.isfinite(l)]
         assert max(finite) <= 2 * cfg.frame_duration + 1e-12
 
@@ -207,13 +189,12 @@ class TestSimulateCff:
 
     def test_push_deliveries_only_in_push_subframe(self):
         cfg = paper_config(0.6)
-        deliveries = []
-        simulate_cff(cfg, 0, 2000, 60, seed=31, on_delivery=deliveries.append)
-        assert deliveries
-        for p in deliveries:
-            off = p.delivery_slot % 100
-            assert 60 <= off < 100
-            assert p.attempts >= 1
+        log = delivery_log(cfg, 0, 2000, 60, seed=31)
+        assert log[PUSH] and not log[PULL]
+        for arrival, delivery in log[PUSH]:
+            off = delivery % 100
+            assert ((60 <= off) & (off < 100)).all()
+            assert (delivery // 100 > arrival // 100).all()
 
     def test_latency_quantiles_monotone_in_alpha(self):
         # at fixed rates, more pull slots cannot worsen pull latency and

@@ -157,6 +157,20 @@ class TestSimulateRcs:
         b = simulate_rcs(config(30, 0.0), quiet, q, 2000, seed=14, persistent_push_backlog=True)
         assert a.record.rcs_push_successes <= b.record.rcs_push_successes
 
+    def test_persistent_backlog_pinned(self):
+        # exact values: both modes run one frame kernel, and a change in the
+        # persistent mode's draw order or backlog update moves them
+        pop = population(12, 40)
+        q = SemanticQuery(0.25, 0.75)
+        for alpha, accuracy, push_prob, attempts in (
+            (0.4, 0.21, 0.06898859559886492, 74708),
+            (0.0, 0.002, 0.2115317555376988, 65957),
+        ):
+            res = simulate_rcs(config(25, alpha), pop, q, 2000, seed=7, persistent_push_backlog=True)
+            assert res.retrieval_accuracy == accuracy
+            assert res.push_success_prob == push_prob
+            assert res.record.rcs_push_attempts == attempts
+
     def test_persistent_backlog_blocked_at_alpha_one(self):
         pop = population(2, 4, threshold=0.0)
         res = simulate_rcs(config(10, 1.0), pop, ALL, 50, seed=15, persistent_push_backlog=True)

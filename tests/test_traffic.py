@@ -8,10 +8,7 @@ from pushpull_mac import (
     PoissonArrivals,
     PushTrigger,
     SemanticQuery,
-    apply_query,
     derive_seed,
-    sample_arrivals,
-    sample_push_set,
 )
 from pushpull_mac.traffic import sample_arrival_offsets, sample_frame_arrival_counts
 
@@ -20,15 +17,17 @@ class TestPoissonArrivals:
     def test_zero_rate_never_arrives(self):
         proc = PoissonArrivals(rate=0.0, slot_duration=1e-4)
         rng = np.random.default_rng(0)
-        assert all(sample_arrivals(proc, t, rng) == 0 for t in range(1000))
+        counts = sample_frame_arrival_counts(proc, n_slots=1, n_frames=1000, rng=rng)
+        assert counts.dtype == np.int64 and counts.shape == (1000,)
+        assert not counts.any()
 
     def test_slot_mean_matches_rate(self):
         # rate 1e5 pkt/s on 0.1 ms slots: mean 10 per slot
         proc = PoissonArrivals(rate=1e5, slot_duration=1e-4)
         rng = np.random.default_rng(7)
         n = 100_000
-        total = sum(sample_arrivals(proc, t, rng) for t in range(n))
-        assert total / n == pytest.approx(10.0, abs=0.05)
+        counts = sample_frame_arrival_counts(proc, n_slots=1, n_frames=n, rng=rng)
+        assert counts.sum() / n == pytest.approx(10.0, abs=0.05)
 
     def test_batched_counts_mean_over_million_slots(self):
         proc = PoissonArrivals(rate=1e5, slot_duration=1e-4)
@@ -39,9 +38,9 @@ class TestPoissonArrivals:
     def test_deterministic_given_seed(self):
         proc = PoissonArrivals(rate=5000.0, slot_duration=1e-4)
         rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-        s1 = [sample_arrivals(proc, t, rng1) for t in range(200)]
-        s2 = [sample_arrivals(proc, t, rng2) for t in range(200)]
-        assert s1 == s2
+        s1 = sample_frame_arrival_counts(proc, 100, 200, rng1)
+        s2 = sample_frame_arrival_counts(proc, 100, 200, rng2)
+        assert s1.tolist() == s2.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -50,7 +49,9 @@ class TestPoissonArrivals:
             PoissonArrivals(rate=1.0, slot_duration=0.0)
         proc = PoissonArrivals(rate=1.0, slot_duration=1e-4)
         with pytest.raises(ValueError):
-            sample_arrivals(proc, -1, np.random.default_rng(0))
+            sample_frame_arrival_counts(proc, 0, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_frame_arrival_counts(proc, 10, 0, np.random.default_rng(0))
 
     def test_offsets_sorted_in_range(self):
         rng = np.random.default_rng(5)
@@ -63,26 +64,23 @@ class TestPoissonArrivals:
 
 class TestSemanticQuery:
     def test_full_interval_matches_everything(self):
-        obs = {i: v for i, v in enumerate(np.random.default_rng(0).uniform(size=50))}
-        assert apply_query(SemanticQuery(0.0, 1.0), obs) == set(obs)
+        obs = np.random.default_rng(0).uniform(size=50)
+        assert SemanticQuery(0.0, 1.0).match_mask(obs).all()
 
     def test_point_query(self):
-        assert apply_query(SemanticQuery(0.4, 0.4), {1: 0.4, 2: 0.5}) == {1}
+        assert SemanticQuery(0.4, 0.4).match_mask(np.array([0.4, 0.5])).tolist() == [True, False]
 
     def test_match_fraction_concentrates(self):
         rng = np.random.default_rng(21)
         values = rng.uniform(size=100_000)
-        obs = dict(enumerate(values))
-        matched = apply_query(SemanticQuery(0.2, 0.7), obs)
-        assert len(matched) / len(obs) == pytest.approx(0.5, abs=0.01)
+        matched = SemanticQuery(0.2, 0.7).match_mask(values)
+        assert matched.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             SemanticQuery(0.7, 0.2)
         with pytest.raises(ValueError):
             SemanticQuery(math.nan, 0.5)
-        with pytest.raises(ValueError):
-            apply_query(SemanticQuery(0.0, 1.0), {0: math.inf})
 
     def test_match_probability(self):
         assert SemanticQuery(0.2, 0.7).match_probability == pytest.approx(0.5)
@@ -94,17 +92,17 @@ class TestPushTrigger:
     def test_threshold_one_never_pushes(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert sample_push_set(PushTrigger(1.0), range(10), rng) == set()
+            assert not PushTrigger(1.0).push_mask(10, rng).any()
 
     def test_threshold_zero_always_pushes(self):
         rng = np.random.default_rng(0)
-        assert sample_push_set(PushTrigger(0.0), range(10), rng) == set(range(10))
+        assert PushTrigger(0.0).push_mask(10, rng).all()
 
     def test_inclusion_rate(self):
         rng = np.random.default_rng(31)
         included = 0
         for _ in range(1000):
-            included += len(sample_push_set(PushTrigger(0.9), range(100), rng))
+            included += int(np.count_nonzero(PushTrigger(0.9).push_mask(100, rng)))
         assert included / 100_000 == pytest.approx(0.1, abs=0.005)
 
     def test_validation(self):
@@ -112,6 +110,8 @@ class TestPushTrigger:
             PushTrigger(1.2)
         with pytest.raises(ValueError):
             PushTrigger(-0.01)
+        with pytest.raises(ValueError):
+            PushTrigger(0.5).push_mask(-1, np.random.default_rng(0))
 
 
 class TestObservationModel:
@@ -160,6 +160,6 @@ class TestDeriveSeed:
 
     def test_determinism_of_generators(self):
         t = PushTrigger(0.5)
-        a = sample_push_set(t, range(50), np.random.default_rng(derive_seed(7, 3)))
-        b = sample_push_set(t, range(50), np.random.default_rng(derive_seed(7, 3)))
-        assert a == b
+        a = t.push_mask(50, np.random.default_rng(derive_seed(7, 3)))
+        b = t.push_mask(50, np.random.default_rng(derive_seed(7, 3)))
+        assert a.tolist() == b.tolist()
