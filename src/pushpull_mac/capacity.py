@@ -119,8 +119,11 @@ def make_cff_rate_evaluator(
     Replication seeds are master XOR index, shared across probed rates.
 
     Push probes carry a :class:`PushAbortRule` so far-above-capacity runs stop
-    as soon as missing the target is certain (the probe value then understates
-    reliability, never the pass/fail comparison).
+    as soon as missing the target is certain.  An aborted run's reliability is
+    understated but stays below the target, so that run's own pass/fail is
+    exact.  With ``replications > 1`` the understated value lowers the probe
+    mean, so a probe whose other runs pass could in principle flip from pass
+    to fail; the abort is certified per run, not per probe.
     """
     warmup = int(spec.horizon_frames * WARMUP_FRACTION)
     abort = (

@@ -565,7 +565,9 @@ def run_experiment(
             if log:
                 log(f"point {job.index + 1}/{len(jobs)} done (alpha={job.alpha})")
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool starts all its workers at once; more than one
+        # per point would only idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             for index, rows in pool.map(_run_point, jobs):
                 results.append((index, rows))
                 if log:

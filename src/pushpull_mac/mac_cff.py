@@ -7,11 +7,15 @@ beacon about, what is pending at the boundary).  Collided push packets
 re-contend in every subsequent frame, drawing a fresh uniform slot in that
 frame's push sub-frame, until success or the horizon.
 
-Packets are global arrival-slot indices held in int64 arrays: the pull queue
-is a FIFO window over one preallocated buffer, the push backlog an array
-filtered after each contention round.  Capacity probes above the service
-ceiling back up to ~1e5 contenders per frame, far past what a per-object loop
-sustains.
+Packets are global arrival-slot indices held in int64 arrays.  Only push
+contention rounds run frame by frame: the push backlog is an array filtered
+after each round.  Capacity probes above the service ceiling back up to ~1e5
+contenders per frame, far past what a per-object loop sustains.  The pull
+FIFO draws no randomness, so its whole run is served at once in closed form
+(:func:`schedule_pull`) from the per-frame arrival counts.  Arrival offsets
+are drawn only when a contention round (or the abort check) needs the
+backlog, or at the end of the run: all offset draws between two rounds share
+one bound, so one draw yields exactly the values of the per-frame draws.
 """
 from __future__ import annotations
 
@@ -72,22 +76,35 @@ def uniform_slot_contention(
 
 
 def schedule_pull(
-    queue: np.ndarray, capacity: int, frame_start_slot: int = 0, packet_slots: int = 1
+    joining: np.ndarray,
+    capacity: int,
+    slots_per_frame: int,
+    start_offset: int = 0,
+    packet_slots: int = 1,
 ) -> np.ndarray:
-    """Serve up to ``capacity`` packets from the head of ``queue``, collision-free.
+    """Serve a FIFO over consecutive frames, collision-free, in closed form.
 
-    ``queue`` holds the pending arrival slots, oldest first.  Served packets
-    fill consecutive ``packet_slots``-wide blocks starting at
-    ``frame_start_slot``; the result is each one's delivery slot (the end slot
-    of its block), in queue order.  The caller drops that many packets off the
-    head; the rest stay queued for the next frame.
+    ``joining[g]`` packets join the back of the queue before frame ``g``'s
+    pull sub-frame, which serves up to ``capacity`` packets from the head in
+    consecutive ``packet_slots``-wide blocks starting at slot ``start_offset``
+    of the frame (frame ``g`` starts at slot ``g * slots_per_frame``).  The
+    result is each served packet's delivery slot (the end slot of its block),
+    in queue order; the packets past its length are still queued after the
+    last frame.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     if packet_slots < 1:
         raise ValueError("packet_slots must be >= 1")
-    n_served = min(len(queue), capacity)
-    return frame_start_slot - 1 + packet_slots * np.arange(1, n_served + 1, dtype=np.int64)
+    eligible = np.cumsum(joining, dtype=np.int64)
+    ramp = capacity * np.arange(eligible.size, dtype=np.int64)
+    # served by the end of frame g, D(g) = min(D(g-1) + capacity, eligible(g))
+    # with D(-1) = 0, unrolled: capacity*g + min(capacity, min_{h<=g} eligible(h) - capacity*h)
+    done = ramp + np.minimum(np.minimum.accumulate(eligible - ramp), capacity)
+    per_frame = np.diff(done, prepend=0)
+    frame = np.repeat(np.arange(eligible.size, dtype=np.int64), per_frame)
+    block = np.arange(frame.size, dtype=np.int64) - np.repeat(done - per_frame, per_frame)
+    return frame * slots_per_frame + start_offset + (block + 1) * packet_slots - 1
 
 
 def simulate_cff(
@@ -109,8 +126,9 @@ def simulate_cff(
     ``push_retransmit=False`` drops collided push packets after their single
     attempt (slotted-ALOHA test mode).  ``on_delivery(klass, arrival_slots,
     delivery_slots)`` sees every delivery, warm-up included, once per
-    sub-frame that delivers.  ``push_abort`` enables the certified early exit
-    used by capacity probes far above capacity.
+    sub-frame that delivers: the push sub-frames in frame order as they run,
+    then the pull sub-frames in frame order.  ``push_abort`` enables the
+    certified early exit used by capacity probes far above capacity.
     """
     if horizon_frames < 1:
         raise ValueError(f"horizon_frames must be >= 1, got {horizon_frames}")
@@ -122,23 +140,19 @@ def simulate_cff(
     rng = np.random.default_rng(seed)
     S = config.slots_per_frame
     slot_dur = config.slot_duration
-    pull_capacity = config.pull_tx_capacity
-    pull_stride = config.pull_packet_slots
     push_ops = config.push_tx_capacity
     push_stride = config.push_packet_slots
-    pull_start_off = config.data_start_slot
     push_start_off = config.data_start_slot + config.pull_slot_budget
     measured_from_slot = warmup_frames * S
 
     record = MetricsRecord()
-    empty_i64 = np.empty(0, dtype=np.int64)
 
     # Canonical draw order: both per-frame count batches up front, then per
-    # frame: push contention, pull arrival offsets, push arrival offsets.
-    pull_proc = PoissonArrivals(pull_rate, slot_dur)
-    push_proc = PoissonArrivals(push_rate, slot_dur)
-    pull_counts = sample_frame_arrival_counts(pull_proc, S, horizon_frames, rng)
-    push_counts = sample_frame_arrival_counts(push_proc, S, horizon_frames, rng)
+    # frame: push contention, pull arrival offsets, push arrival offsets.  The
+    # offset draws between two contention rounds are batched into one below.
+    pull_counts = sample_frame_arrival_counts(PoissonArrivals(pull_rate, slot_dur), S, horizon_frames, rng)
+    push_counts = sample_frame_arrival_counts(PoissonArrivals(push_rate, slot_dur), S, horizon_frames, rng)
+    push_per_frame = push_counts.tolist()
 
     # certified-abort bookkeeping: with counts batched, the run's total
     # measured arrivals (and hence its miss budget) are known exactly
@@ -151,35 +165,43 @@ def simulate_cff(
         total_measured_push = int(push_counts[warmup_frames:].sum())
         late_budget = (1.0 - push_abort.target_reliability) * total_measured_push
 
-    # pending packets as arrival slots: the pull FIFO is pull_arrivals[head:tail]
-    # (arrival order), the push backlog pend_arrival
-    pull_arrivals = np.empty(int(pull_counts.sum()), dtype=np.int64)
-    head = tail = 0
-    pend_arrival = empty_i64
+    # The run's arrivals in stream order (pull f, push f, pull f+1, ...) have
+    # known batch sizes.  Frames [0, drawn) have their arrival slots in
+    # drawn_parts, and those of their push packets still pending in
+    # pend_arrival.
+    batches = np.stack((pull_counts, push_counts), axis=1).ravel()
+    is_push = np.repeat(np.tile((False, True), horizon_frames), batches)
+    frame_base = np.repeat(np.arange(0, horizon_frames * S, S, dtype=np.int64), pull_counts + push_counts)
+    frame_start = [0] + np.cumsum(pull_counts + push_counts).tolist()
+    drawn_parts = []
+
+    def draw_arrivals(lo: int, hi: int) -> np.ndarray:
+        """Draw the arrival slots of frames [lo, hi); return the push ones."""
+        a, b = frame_start[lo], frame_start[hi]
+        slots = sample_arrival_offsets(batches[2 * lo : 2 * hi], S, rng)
+        slots += frame_base[a:b]
+        drawn_parts.append(slots)
+        return slots[is_push[a:b]]
+
+    drawn = 0
+    undrawn_push = 0  # push arrivals of frames [drawn, f)
+    pend_arrival = np.empty(0, dtype=np.int64)
+    arrived_frames = horizon_frames  # frames whose arrivals joined the queues
 
     for f in range(horizon_frames):
-        base = f * S
-        measured_frame = f >= warmup_frames
-
-        # pull sub-frame: contention-free FIFO service
-        if pull_capacity and head < tail:
-            delivery_slots = schedule_pull(
-                pull_arrivals[head:tail], pull_capacity, base + pull_start_off, pull_stride
-            )
-            served = pull_arrivals[head : head + delivery_slots.size]
-            head += delivery_slots.size
-            lats = (delivery_slots + 1 - served) * slot_dur
-            record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
-            if on_delivery is not None:
-                on_delivery(PacketClass.PULL, served, delivery_slots)
-
+        # this frame's contention round and abort check read the backlog, and
+        # the round's draw follows the offsets of every earlier frame
+        if drawn < f and (undrawn_push or pend_arrival.size):
+            pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, f)))
+            drawn, undrawn_push = f, 0
         # push sub-frame: framed-ALOHA contention among everything pending
         n_pending = pend_arrival.size
         if n_pending and push_ops > 0:
             choices, _, winner_mask = uniform_slot_contention(n_pending, push_ops, rng)
             if winner_mask.any():
                 won_arrival = pend_arrival[winner_mask]
-                delivery_slots = base + push_start_off + (choices[winner_mask] + 1) * push_stride - 1
+                # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
+                delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)
                 lats = (delivery_slots + 1 - won_arrival) * slot_dur
                 record.extend_deliveries(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
                 if on_delivery is not None:
@@ -190,80 +212,80 @@ def simulate_cff(
             else:
                 lost = int(np.count_nonzero(pend_arrival[loser_mask] >= measured_from_slot))
                 record.add_failures(PacketClass.PUSH, lost)
-                pend_arrival = empty_i64
+                pend_arrival = pend_arrival[:0]
 
         # certified abort: count packets that became provably late this frame
         # (arrival windows are disjoint across frames, so nothing double-counts)
         if push_abort is not None and pend_arrival.size:
+            lo = max(f * S - late_slots + 1, measured_from_slot)
             hi = (f + 1) * S - late_slots
-            lo_bound = f * S - late_slots
-            late_cum += int(
-                np.count_nonzero(
-                    (pend_arrival > lo_bound)
-                    & (pend_arrival <= hi)
-                    & (pend_arrival >= measured_from_slot)
-                )
-            )
+            late_cum += int(np.count_nonzero((pend_arrival >= lo) & (pend_arrival <= hi)))
             if late_cum > late_budget:
-                _finalize_aborted(
-                    record,
-                    pull_arrivals[head:tail],
-                    pend_arrival,
-                    pull_counts,
-                    push_counts,
-                    first_unsimulated_frame=f,
-                    warmup_frames=warmup_frames,
-                    measured_from_slot=measured_from_slot,
-                )
-                return record
+                arrived_frames = f
+                break
 
         # arrivals during frame f join the queues after its sub-frames, so they
         # are eligible from frame f+1
-        n_pull = int(pull_counts[f])
-        if n_pull:
-            pull_arrivals[tail : tail + n_pull] = base + sample_arrival_offsets(n_pull, S, rng)
-            tail += n_pull
-            if measured_frame:
-                record.add_arrivals(PacketClass.PULL, n_pull)
-        n_push = int(push_counts[f])
-        if n_push:
-            pend_arrival = np.concatenate((pend_arrival, base + sample_arrival_offsets(n_push, S, rng)))
-            if measured_frame:
-                record.add_arrivals(PacketClass.PUSH, n_push)
+        undrawn_push += push_per_frame[f]
 
-    # horizon: everything still pending fails with latency +inf
-    _finalize_aborted(
+    if drawn < arrived_frames:
+        pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, arrived_frames)))
+    # every run has drawn by now: an abort needs a drawn, nonempty backlog
+    all_slots = np.concatenate(drawn_parts)
+    pull_arrivals = all_slots[~is_push[: all_slots.size]]  # FIFO order
+
+    # pull sub-frames: contention-free FIFO service, closed form over the
+    # frames that ran (an aborted frame's pull sub-frame ran before the abort)
+    n_served = 0
+    if config.pull_tx_capacity and pull_arrivals.size:
+        pull_frames = min(arrived_frames + 1, horizon_frames)
+        delivery_slots = schedule_pull(
+            np.concatenate(([0], pull_counts[: pull_frames - 1])),
+            config.pull_tx_capacity,
+            S,
+            config.data_start_slot,
+            config.pull_packet_slots,
+        )
+        n_served = delivery_slots.size
+        served = pull_arrivals[:n_served]
+        lats = (delivery_slots + 1 - served) * slot_dur
+        record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
+        if on_delivery is not None and n_served:
+            cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
+            for arrival, delivery in zip(np.split(served, cuts), np.split(delivery_slots, cuts)):
+                on_delivery(PacketClass.PULL, arrival, delivery)
+
+    _close_run(
         record,
-        pull_arrivals[head:tail],
+        pull_arrivals[n_served:],
         pend_arrival,
         pull_counts,
         push_counts,
-        first_unsimulated_frame=horizon_frames,
+        arrived_frames=arrived_frames,
         warmup_frames=warmup_frames,
         measured_from_slot=measured_from_slot,
     )
     return record
 
 
-def _finalize_aborted(
+def _close_run(
     record: MetricsRecord,
     pull_pending: np.ndarray,
     push_pending: np.ndarray,
     pull_counts: np.ndarray,
     push_counts: np.ndarray,
-    first_unsimulated_frame: int,
+    arrived_frames: int,
     warmup_frames: int,
     measured_from_slot: int,
 ) -> None:
-    """Close a run at the horizon or an abort: every pending arrival slot and
-    every not-yet-simulated arrival counts as a miss, keeping arrived ==
+    """Close a run at the horizon or an abort: count the measured arrivals,
+    and as a miss every pending arrival slot and every arrival of the frames
+    from ``arrived_frames`` on (never simulated), keeping arrived ==
     delivered + failed exact.  At the horizon the future slices are empty."""
-    record.add_failures(PacketClass.PULL, int(np.count_nonzero(pull_pending >= measured_from_slot)))
-    record.add_failures(PacketClass.PUSH, int(np.count_nonzero(push_pending >= measured_from_slot)))
-    start = max(first_unsimulated_frame, warmup_frames)
-    future_pull = int(pull_counts[start:].sum())
-    future_push = int(push_counts[start:].sum())
-    record.add_arrivals(PacketClass.PULL, future_pull)
-    record.add_failures(PacketClass.PULL, future_pull)
-    record.add_arrivals(PacketClass.PUSH, future_push)
-    record.add_failures(PacketClass.PUSH, future_push)
+    start = max(arrived_frames, warmup_frames)
+    for klass, pending, counts in (
+        (PacketClass.PULL, pull_pending, pull_counts),
+        (PacketClass.PUSH, push_pending, push_counts),
+    ):
+        record.add_arrivals(klass, int(counts[warmup_frames:].sum()))
+        record.add_failures(klass, int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum()))

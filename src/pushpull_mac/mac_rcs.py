@@ -4,9 +4,18 @@ together.
 
 Queries are per-frame: devices that fail both the reserved attempt and the
 single shared retry do not carry over (the next frame is a fresh query).
+
+``run_rcs_frame`` simulates one frame with one numpy call per draw.
+``simulate_rcs`` with independent frames runs whole blocks of frames from
+the generator's raw 64-bit output instead (``_independent_frames``): it
+replays numpy's own sampling rules on that output, so a seed gives the same
+frames, draw for draw, as a loop of ``run_rcs_frame`` calls.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,7 +26,7 @@ from .mac_cff import uniform_slot_contention
 from .metrics import MetricsRecord
 from .traffic import ObservationModel, PushTrigger, SemanticQuery
 
-__all__ = ["RcsPopulation", "FrameResult", "RcsResult", "run_rcs_frame", "simulate_rcs"]
+__all__ = ["RcsPopulation", "FrameResult", "FrameLog", "RcsResult", "run_rcs_frame", "simulate_rcs"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,6 +203,29 @@ def _run_frame(
     return result, (push_mask if pending is not None else None)
 
 
+class FrameLog(SequenceABC):
+    """Per-frame counts of a run, read back as ``FrameResult`` objects.
+
+    Row ``i`` holds frame ``i``'s (matched, reserved pull successes, shared
+    pull successes, push attempts, push successes); results are built on
+    access, so a long run stores five integers per frame.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: np.ndarray) -> None:
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        matched, reserved, shared, attempted, succeeded = (int(x) for x in self.counts[index])
+        return FrameResult(matched, reserved + shared, attempted, succeeded, reserved, shared)
+
+
 @dataclass(slots=True)
 class RcsResult:
     """Aggregate of an RCS run; ``push_success_prob`` is None when no push was
@@ -201,8 +233,208 @@ class RcsResult:
 
     retrieval_accuracy: float
     push_success_prob: Optional[float]
-    frames: List[FrameResult]
+    frames: FrameLog
     record: MetricsRecord
+
+
+_FRAMES_PER_BLOCK = 128
+# numpy's ``integers(0, bound)`` on 32-bit words, 2 <= bound < 2**32, is
+# Lemire's multiply-shift: a word x draws (x * bound) >> 32, unless the low
+# 32 bits of x * bound fall below 2**32 % bound, which rejects x (redraw).
+
+
+def _choices(halves: np.ndarray, bound: int) -> np.ndarray:
+    product = np.multiply(halves, bound, dtype=np.uint64)
+    product >>= np.uint64(32)
+    return product.astype(np.uint32)
+
+
+def _rejected(halves: np.ndarray, bound: int) -> List[int]:
+    """Sorted indices of the words a draw below ``bound`` rejects."""
+    low = halves * np.uint32(bound)  # wraps: the low 32 product bits
+    return np.flatnonzero(low < np.uint32(2**32 % bound)).tolist()
+
+
+def _array(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array``: indexing it in a scalar loop is cheaper
+    than indexing an ndarray, and building it copies bytes instead of making
+    ``tolist``'s Python ints."""
+    out = array(typecode)
+    out.frombytes(values.view(np.uint8))
+    return out
+
+
+def _window_counts(mask: np.ndarray, offset: int, width: int, n_starts: int) -> array:
+    """For each start word p < ``n_starts``, how many of the words
+    p + offset .. p + offset + width - 1 are set in ``mask``.  The result is
+    an ``array``, for the scalar frame walk."""
+    total = np.zeros(len(mask) + 1, dtype=np.int32)
+    np.cumsum(mask, out=total[1:])
+    return _array("i", total[offset + width : offset + width + n_starts] - total[offset : offset + n_starts])
+
+
+def _span_end(start: int, need: int, rejected: List[int]) -> int:
+    """End of the run of 32-bit words from ``start`` that yields ``need``
+    accepted draws, given the sorted indices of rejected words."""
+    end = start + need
+    i = bisect_left(rejected, start)
+    while i < len(rejected) and rejected[i] < end:
+        end += 1
+        i += 1
+    return end
+
+
+def _independent_frames(
+    reserved_ops: int,
+    shared_ops: int,
+    population: RcsPopulation,
+    query: SemanticQuery,
+    n_frames: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``n_frames`` independent RCS frames as ``FrameLog`` counts, the same
+    frames a loop of ``_run_frame`` calls on ``rng`` gives.
+
+    Every draw ``_run_frame`` makes comes from PCG64's 64-bit outputs:
+    ``random`` turns one output into a double ((x >> 11) * 2**-53), and
+    ``integers`` below 2**32 takes 32-bit halves, low half first, keeping the
+    unused high half in the generator for the next 32-bit draw, whatever
+    doubles come between.  A block of frames is therefore one ``random_raw``
+    call: each output's double and both halves' bounded draws are computed
+    for the whole block, and a scalar pass walks the frames, reading a
+    frame's match and push counts at its start word and running its reserved
+    round, whose winners fix the shared round's size and so where the next
+    frame starts.  The shared rounds then run together on one ``bincount``.
+    ``rng`` is left past the words drawn, so it is spent after the call.
+    """
+    n_pull, n_push = population.n_pull_devices, population.n_push_devices
+    if max(reserved_ops, shared_ops) >= 2**32:
+        raise ValueError("contention rounds need fewer than 2**32 slots")
+    fixed_matches = None
+    if population.observations.fixed is not None:  # no observation draws
+        fixed_matches = int(np.count_nonzero(query.match_mask(population.observations.sample(n_pull, rng))))
+    n_obs = n_pull if fixed_matches is None else 0
+    n_dbl = n_obs + n_push  # doubles at a frame's start
+    # words a frame can take without rejections: its doubles, then at most
+    # n_pull reserved and n_pull + n_push shared 32-bit draws
+    worst = n_dbl + (2 * n_pull + n_push + 1) // 2
+    rate = worst  # words drawn per frame, re-estimated after each block
+    counts = np.zeros((n_frames, 5), dtype=np.int64)
+    words = np.empty(0, dtype=np.uint64)
+    p = 0  # first unused 64-bit word
+    lead = -1  # index of the buffered high half, if any
+    slack = 4
+    f = 0
+    while f < n_frames:
+        keep = p if lead < 0 else min(p, lead // 2)
+        block = min(n_frames - f, _FRAMES_PER_BLOCK)
+        short = int(block * rate) + worst + slack - (len(words) - p)
+        words = np.concatenate((words[keep:], rng.bit_generator.random_raw(max(short, 0))))
+        p -= keep
+        if lead >= 0:
+            lead -= 2 * keep
+        doubles = (words >> np.uint64(11)) * 2.0**-53
+        n_starts = len(words) - n_dbl + 1
+        if fixed_matches is None:
+            matched_at = _window_counts(query.match_mask(doubles), 0, n_obs, n_starts)
+        else:
+            matched_at = array("i", [fixed_matches]) * n_starts
+        pushing_at = _window_counts(population.trigger.fires(doubles), n_obs, n_push, n_starts)
+        del doubles
+        halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+        if reserved_ops >= 2:
+            res_choice = _array("I", _choices(halves, reserved_ops))
+            res_rejected = _rejected(halves, reserved_ops)
+        if shared_ops >= 2:
+            sh_rejected = _rejected(halves, shared_ops)
+
+        f0, p0 = f, p
+        matched_l, won_l, pushing_l, lead_l, start_l, end_l = [], [], [], [], [], []
+        while f < f0 + block and p + worst <= len(words):
+            # the frame's 32-bit draws: the buffered half (if any), then
+            # fresh halves from the word after its doubles
+            h = first = 2 * (p + n_dbl)
+            ld = lead
+            matched, pushing = matched_at[p], pushing_at[p]
+            won = 0
+            if matched and reserved_ops >= 2:
+                need, drawn = matched, res_choice[:0]
+                if ld >= 0:
+                    if ld not in res_rejected:
+                        drawn = res_choice[ld : ld + 1]
+                        need -= 1
+                    ld = -1
+                if res_rejected:
+                    end = _span_end(h, need, res_rejected)
+                    drawn += array("I", (c for i, c in enumerate(res_choice[h:end], h) if i not in res_rejected))
+                else:
+                    end = h + need
+                    drawn += res_choice[h:end]
+                h = end
+                won = list(map(drawn.count, drawn)).count(1)
+            elif matched and reserved_ops:  # one slot: a lone contender gets through
+                won = int(matched == 1)
+            shared_lead = -1
+            shared_start = h
+            need = matched - won + pushing
+            if need and shared_ops >= 2:
+                if ld >= 0:
+                    if ld not in sh_rejected:
+                        shared_lead = ld
+                        need -= 1
+                    ld = -1
+                h = _span_end(h, need, sh_rejected) if sh_rejected else h + need
+            if h > len(halves):  # rejections overran the words drawn
+                slack *= 2
+                break
+            lead = h if (h - first) % 2 else ld  # an odd count leaves a high half
+            p = (h + 1) // 2
+            matched_l.append(matched)
+            won_l.append(won)
+            pushing_l.append(pushing)
+            lead_l.append(shared_lead)
+            start_l.append(shared_start)
+            end_l.append(h)
+            f += 1
+        if f == f0:
+            continue
+        # a little above the mean, so the next block rarely runs short
+        rate = min(worst, 1.05 * (p - p0) / (f - f0))
+
+        k = f - f0
+        matched = np.array(matched_l, dtype=np.int64)
+        won = np.array(won_l, dtype=np.int64)
+        pushing = np.array(pushing_l, dtype=np.int64)
+        stragglers = matched - won
+        contenders = stragglers + pushing
+        if shared_ops >= 2:
+            lead_a = np.array(lead_l, dtype=np.int64)
+            start_a = np.array(start_l, dtype=np.int64)
+            has_lead = lead_a >= 0
+            # a buffered half is its frame's first draw: widen the span by one
+            # in front, then point that entry at the buffered half
+            span = np.array(end_l, dtype=np.int64) - start_a + has_lead
+            first_at = np.cumsum(span) - span
+            frame_of = np.repeat(np.arange(k), span)
+            idx = np.arange(len(frame_of)) + np.repeat(start_a - has_lead - first_at, span)
+            idx[first_at[has_lead]] = lead_a[has_lead]
+            if sh_rejected:
+                accepted = np.isin(idx, sh_rejected, invert=True)
+                frame_of, idx = frame_of[accepted], idx[accepted]
+            key = frame_of * shared_ops + _choices(halves[idx], shared_ops).astype(np.int64)
+            win = np.bincount(key, minlength=k * shared_ops)[key] == 1
+            # the frame's stragglers come first, then its pushing devices
+            pull_win = np.arange(len(key)) < np.repeat(np.cumsum(contenders) - pushing, contenders)
+            shared_pull = np.bincount(frame_of[win & pull_win], minlength=k)
+            push_won = np.bincount(frame_of[win & ~pull_win], minlength=k)
+        elif shared_ops == 1:  # one slot: a lone contender gets through
+            alone = contenders == 1
+            shared_pull = (alone & (stragglers == 1)).astype(np.int64)
+            push_won = (alone & (pushing == 1)).astype(np.int64)
+        else:
+            shared_pull = push_won = np.zeros(k, dtype=np.int64)
+        counts[f0:f] = np.column_stack((matched, won, shared_pull, pushing, push_won))
+    return counts
 
 
 def simulate_rcs(
@@ -221,23 +453,40 @@ def simulate_rcs(
     probability pools attempts across frames.  Frames are independent by
     default (failed devices abandon at the frame end); with
     ``persistent_push_backlog`` collided push updates carry over and retry
-    until delivered.
+    until delivered, one ``_run_frame`` call per frame.  Both modes give the
+    frames a loop of ``run_rcs_frame`` calls on ``default_rng(seed)`` gives.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     rng = np.random.default_rng(seed)
-    record = MetricsRecord()
-    frames: List[FrameResult] = []
     _, reserved_ops, shared_ops = _contention_slots(config)  # hoisted: loop invariant
-    pending = np.zeros(population.n_push_devices, dtype=bool) if persistent_push_backlog else None
-    for _ in range(n_frames):
-        fr, pending = _run_frame(reserved_ops, shared_ops, population, query, rng, False, pending)
-        frames.append(fr)
-        record.add_rcs_frame(fr.retrieval_success, fr.push_attempted, fr.push_succeeded)
-    accuracy = record.rcs_retrieval_successes / record.rcs_frames
+    if persistent_push_backlog:
+        rows = []
+        pending = np.zeros(population.n_push_devices, dtype=bool)
+        for _ in range(n_frames):
+            fr, pending = _run_frame(reserved_ops, shared_ops, population, query, rng, False, pending)
+            rows.append(
+                (
+                    fr.matched_pull,
+                    fr.pull_succeeded_reserved,
+                    fr.pull_succeeded_shared,
+                    fr.push_attempted,
+                    fr.push_succeeded,
+                )
+            )
+        counts = np.array(rows, dtype=np.int64)
+    else:
+        counts = _independent_frames(reserved_ops, shared_ops, population, query, n_frames, rng)
+    matched, reserved, shared, attempted, succeeded = counts.T
+    record = MetricsRecord(
+        rcs_frames=n_frames,
+        rcs_retrieval_successes=int(np.count_nonzero(reserved + shared == matched)),
+        rcs_push_attempts=int(attempted.sum()),
+        rcs_push_successes=int(succeeded.sum()),
+    )
     return RcsResult(
-        retrieval_accuracy=accuracy,
+        retrieval_accuracy=record.rcs_retrieval_successes / record.rcs_frames,
         push_success_prob=record.push_success_rate,
-        frames=frames,
+        frames=FrameLog(counts),
         record=record,
     )

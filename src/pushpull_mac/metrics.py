@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from .core import PacketClass
 
 __all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within", "empirical_quantile"]
@@ -65,8 +67,8 @@ class MetricsRecord:
             self.push_delivered += 1
             self.push_latencies.append(latency)
 
-    def extend_deliveries(self, klass: PacketClass, latencies: Iterable[float]) -> None:
-        lats = [float(x) for x in latencies]
+    def extend_deliveries(self, klass: PacketClass, latencies: np.ndarray) -> None:
+        lats = np.asarray(latencies, dtype=np.float64).tolist()
         if klass is PacketClass.PULL:
             self.pull_delivered += len(lats)
             self.pull_latencies.extend(lats)

@@ -67,15 +67,23 @@ def sample_frame_arrival_counts(
     return rng.poisson(process.mean_per_slot * n_slots, size=n_frames).astype(np.int64)
 
 
-def sample_arrival_offsets(count: int, n_slots: int, rng: np.random.Generator) -> np.ndarray:
-    """Slot offsets within a frame for ``count`` arrivals, ascending.
+def sample_arrival_offsets(counts: np.ndarray, n_slots: int, rng: np.random.Generator) -> np.ndarray:
+    """Slot offsets within a frame for consecutive arrival batches, ascending
+    within each batch.
 
-    Conditioned on the frame count, Poisson arrival positions are iid uniform
-    over the frame's slots.
+    Batch ``i`` holds ``counts[i]`` arrivals (one class in one frame); the
+    result lists the batches back to back.  Conditioned on the frame count,
+    Poisson arrival positions are iid uniform over the frame's slots.  All
+    batches come from one draw, which yields the same values as one draw per
+    batch in order (same bound, so the generator stream is consumed alike).
     """
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(rng.integers(0, n_slots, size=count, dtype=np.int64))
+    # one sort orders every batch: batch i is lifted to [i*n_slots, (i+1)*n_slots)
+    lift = np.arange(0, len(counts) * n_slots, n_slots, dtype=np.int64).repeat(counts)
+    offsets = rng.integers(0, n_slots, size=lift.size, dtype=np.int64)
+    offsets += lift
+    offsets.sort()
+    offsets -= lift
+    return offsets
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,4 +145,8 @@ class PushTrigger:
     def push_mask(self, n_devices: int, rng: np.random.Generator) -> np.ndarray:
         if n_devices < 0:
             raise ValueError("n_devices must be >= 0")
-        return rng.random(n_devices) > self.threshold
+        return self.fires(rng.random(n_devices))
+
+    def fires(self, values: np.ndarray) -> np.ndarray:
+        """Which drawn values trigger a push."""
+        return values > self.threshold

@@ -6,13 +6,16 @@ import numpy as np
 from pushpull_mac import (
     FrameConfig,
     PacketClass,
+    PoissonArrivals,
     RcsPopulation,
     PushTrigger,
     SemanticQuery,
     SlotKind,
     run_rcs_frame,
     simulate_cff,
+    simulate_rcs,
 )
+from pushpull_mac.traffic import sample_frame_arrival_counts
 
 
 def random_cff_config(rng: np.random.Generator) -> FrameConfig:
@@ -33,13 +36,15 @@ def random_cff_config(rng: np.random.Generator) -> FrameConfig:
 
 def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     """One randomized CFF run; asserts conservation, sub-frame containment,
-    collision-freedom of pull, FIFO order and eligibility timing."""
+    collision-freedom of pull, FIFO order, eligibility timing, pull work
+    conservation and one delivery callback per delivering sub-frame."""
     s = config.slots_per_frame
     slot_rate = s / config.frame_duration
     pull_rate = float(rng.uniform(0, 1.5 * slot_rate / config.pull_packet_slots))
     push_rate = float(rng.uniform(0, 1.0 * slot_rate / config.push_packet_slots))
     horizon = int(rng.integers(3, 26))
     retransmit = bool(rng.random() < 0.7)
+    seed = int(rng.integers(0, 2**32))
 
     deliveries = []  # (klass, arrival_slots, delivery_slots) per delivering sub-frame
     record = simulate_cff(
@@ -47,7 +52,7 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         pull_rate,
         push_rate,
         horizon,
-        seed=int(rng.integers(0, 2**32)),
+        seed=seed,
         push_retransmit=retransmit,
         on_delivery=lambda *d: deliveries.append(d),
     )
@@ -65,8 +70,12 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     push_start = data_start + pull_budget
     pull_blocks = []
     last_pull_arrival = -1
+    served = {klass: np.zeros(horizon, dtype=np.int64) for klass in PacketClass}  # per frame
     for klass, arrival, delivery in deliveries:
         assert arrival.size == delivery.size > 0
+        frame = int(delivery[0]) // s
+        assert (delivery // s == frame).all() and served[klass][frame] == 0, "one call per delivering sub-frame"
+        served[klass][frame] = delivery.size
         assert (delivery + 1 - arrival > 0).all()
         assert (delivery // s > arrival // s).all(), "delivered before eligibility"
         off = delivery % s
@@ -88,6 +97,18 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     pull_blocks.sort()
     for (a0, a1), (b0, b1) in zip(pull_blocks, pull_blocks[1:]):
         assert a1 < b0, "pull transmissions overlap"
+
+    # pull work conservation: every frame serves min(eligible backlog, capacity).
+    # The per-frame counts are the run's first draw; frame g's arrivals are
+    # eligible from frame g+1.
+    pull_counts = sample_frame_arrival_counts(
+        PoissonArrivals(pull_rate, config.slot_duration), s, horizon, np.random.default_rng(seed)
+    )
+    backlog = 0
+    for g in range(horizon):
+        backlog += int(pull_counts[g - 1]) if g else 0
+        assert served[PacketClass.PULL][g] == min(backlog, config.pull_tx_capacity), "pull service not work-conserving"
+        backlog -= int(served[PacketClass.PULL][g])
 
 
 def random_rcs_case(rng: np.random.Generator):
@@ -143,3 +164,17 @@ def check_rcs_frame(config, population, query, rng: np.random.Generator) -> None
     else:
         assert fr.push_succeeded == 0
         assert fr.pull_succeeded_shared == 0
+
+
+def check_rcs_run(config, population, query, n_frames: int, seed: int) -> None:
+    """``simulate_rcs`` replays the generator's raw output in blocks of frames;
+    its frames must equal a loop of ``run_rcs_frame`` calls on the same seed."""
+    rng = np.random.default_rng(seed)
+    expected = [run_rcs_frame(config, population, query, rng, record_outcomes=False) for _ in range(n_frames)]
+    res = simulate_rcs(config, population, query, n_frames, seed)
+    assert len(res.frames) == n_frames
+    for g, (got, want) in enumerate(zip(res.frames, expected)):
+        assert got == want, f"frame {g}: {got} != {want}"
+    assert res.record.rcs_retrieval_successes == sum(f.retrieval_success for f in expected)
+    assert res.record.rcs_push_attempts == sum(f.push_attempted for f in expected)
+    assert res.record.rcs_push_successes == sum(f.push_succeeded for f in expected)

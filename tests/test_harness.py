@@ -256,6 +256,31 @@ class TestRunExperiment:
         run_experiment(cfg, out=str(b), workers=2)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+        # a fake pool records its size and maps in-process, so no process starts
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = validate_config(rcs_cfg())
+        a, b = tmp_path / "w1.csv", tmp_path / "w500.csv"
+        run_experiment(cfg, out=str(a), workers=1)
+        run_experiment(cfg, out=str(b), workers=500)
+        assert sizes == [len(enumerate_points(cfg))] == [4]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_changes_bytes(self, tmp_path):
         a = run_experiment(validate_config(rcs_cfg()), out=str(tmp_path / "a.csv"))
         b = run_experiment(validate_config(rcs_cfg(master_seed=10)), out=str(tmp_path / "b.csv"))

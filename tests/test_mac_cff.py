@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -37,25 +38,49 @@ class TestPullQueue:
         assert (np.diff(delivery) > 0).all()
 
 
+def reference_schedule(joining, capacity, slots_per_frame, start_offset, packet_slots):
+    """Frame-by-frame FIFO service: the loop that schedule_pull unrolls."""
+    out, queued = [], 0
+    for g, n in enumerate(joining):
+        queued += n
+        k = min(queued, capacity)
+        out += [g * slots_per_frame + start_offset + (b + 1) * packet_slots - 1 for b in range(k)]
+        queued -= k
+    return out
+
+
 class TestSchedulePull:
     def test_small_queue_fully_served(self):
-        queue = np.arange(3, dtype=np.int64)
-        served = schedule_pull(queue, capacity=20, frame_start_slot=100, packet_slots=5)
+        # three packets queued for frame 1 (slots 100..199) fill its first 5-slot blocks
+        served = schedule_pull(np.array([0, 3]), capacity=20, slots_per_frame=100, packet_slots=5)
         assert served.dtype == np.int64
         assert served.tolist() == [104, 109, 114]
 
     def test_excess_resched_next_frame(self):
-        queue = np.arange(25, dtype=np.int64)
-        served = schedule_pull(queue, capacity=20, frame_start_slot=0, packet_slots=5)
+        served = schedule_pull(np.array([25]), capacity=20, slots_per_frame=100, packet_slots=5)
         assert len(served) == 20
-        # the caller drops the served head; the five most recent arrivals remain queued
-        assert queue[len(served):].tolist() == [20, 21, 22, 23, 24]
+        # the five most recent arrivals stay queued and lead the next frame
+        served = schedule_pull(np.array([25, 0]), capacity=20, slots_per_frame=100, packet_slots=5)
+        assert served[20:].tolist() == [104, 109, 114, 119, 124]
 
     def test_empty_queue(self):
-        assert schedule_pull(np.empty(0, dtype=np.int64), capacity=20).size == 0
+        assert schedule_pull(np.zeros(3, dtype=np.int64), capacity=20, slots_per_frame=100).size == 0
+        assert schedule_pull(np.empty(0, dtype=np.int64), capacity=20, slots_per_frame=100).size == 0
 
     def test_zero_capacity(self):
-        assert schedule_pull(np.arange(2, dtype=np.int64), capacity=0).size == 0
+        assert schedule_pull(np.array([2, 5]), capacity=0, slots_per_frame=100).size == 0
+
+    def test_backlog_carries_over_frames(self):
+        # each frame serves min(queued, capacity), oldest first; the rest waits
+        joining = np.array([25, 30, 0, 3, 0])
+        served = schedule_pull(joining, capacity=20, slots_per_frame=100, start_offset=10, packet_slots=4)
+        assert np.bincount(served // 100).tolist() == [20, 20, 15, 3]
+        assert served.tolist() == reference_schedule(joining.tolist(), 20, 100, 10, 4)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            joining = rng.poisson(rng.uniform(0, 8), size=int(rng.integers(1, 30)))
+            args = (int(rng.integers(0, 8)), 50, int(rng.integers(0, 10)), int(rng.integers(1, 5)))
+            assert schedule_pull(joining, *args).tolist() == reference_schedule(joining.tolist(), *args)
 
 
 class TestContendPush:
@@ -208,3 +233,75 @@ class TestSimulateCff:
         for p in (0.5, 0.9):
             assert empirical_quantile(hi.pull_latencies, p) <= empirical_quantile(lo.pull_latencies, p) + slack
             assert empirical_quantile(hi.push_latencies, p) >= empirical_quantile(lo.push_latencies, p) - slack
+
+
+# Exact outputs of nine runs, recorded before the pull FIFO was served in
+# closed form and the offset draws were batched; both changes must keep the
+# random stream and every record byte-identical.  Counts are (pull arrived,
+# delivered, failed, push arrived, delivered, failed); the digest covers both
+# latency lists in order.
+PINNED = {
+    "pull_only": (
+        (paper_config(0.5), 3000, 0, 120, 11, {}),
+        (3528, 1190, 2338, 0, 0, 0),
+        "11b4b7a032d8e41a2caa754a56cf1039b2c7d2514b88749d39b54b3173947c0e",
+    ),
+    "push_abort": (
+        (paper_config(0.3), 0, 2600, 300, 21, dict(warmup_frames=30, push_abort=PushAbortRule(0.05, 0.9))),
+        (0, 0, 0, 7026, 703, 6323),
+        "c6ffc9d41bc2431ca2a62cb918277bf9d5df628215f52cc42e5e286f785e0cf4",
+    ),
+    "mixed_overload": (
+        (paper_config(0.4), 3000, 15000, 80, 9, {}),
+        (2398, 632, 1766, 12058, 18, 12040),
+        "b6eca995d2acff4dd3443d5a595950622c012fdfb287139fa7304a489e7d074c",
+    ),
+    "no_retransmit": (
+        (paper_config(0.3), 500, 6000, 100, 13, dict(push_retransmit=False)),
+        (481, 474, 7, 5982, 2507, 3475),
+        "fd2a884476bb91c6b63b77a6bd06d72a5fdc16ed6f5db5f307cbfb48c398c815",
+    ),
+    "warmup": (
+        (paper_config(0.5), 800, 900, 150, 3, dict(warmup_frames=40)),
+        (874, 855, 19, 954, 946, 8),
+        "3019515d7422a0a2969839d04e07e060ba7958b2195a660c36ecbaaaa67fb944",
+    ),
+    "one_frame": (
+        (paper_config(0.5), 3000, 3000, 1, 5, {}),
+        (35, 0, 35, 30, 0, 30),
+        "89dcbbed3ee89ec6e71538b69597f467a19931deceb145ac035db17cd88d676d",
+    ),
+    "overhead": (
+        (FrameConfig(40, 0.004, 3, 2, 0.45, overhead_slots=3), 2000, 2500, 90, 17, {}),
+        (719, 445, 274, 918, 12, 906),
+        "ed5cf67821b5fef28b8af3a0d37c96693a261f9b73457752c5b723189b201ab2",
+    ),
+    # frames without new push arrivals while collided ones still wait: their
+    # round must draw after the pull offsets of the frames before it
+    "sparse_push_backlog": (
+        (FrameConfig(10, 0.01, 2, 2, 0.3), 300, 100, 200, 41, dict(warmup_frames=12)),
+        (577, 154, 423, 200, 38, 162),
+        "7606e702430ba9360d83f3069059a1d8dc460c4b55fde1a3523c8eacf51c4958",
+    ),
+    # no push opportunities: nothing contends, yet the abort still reads the
+    # backlog every frame and stops the run midway
+    "alpha_one_abort": (
+        (paper_config(1.0), 800, 500, 100, 6, dict(warmup_frames=10, push_abort=PushAbortRule(0.02, 0.5))),
+        (726, 396, 330, 499, 0, 499),
+        "be57bafb063ced03956e27a0ae8d4fac7717282fb1f33b883671c6075df01523",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_output(case):
+    (cfg, pull_rate, push_rate, horizon, seed, kw), counts, digest = PINNED[case]
+    rec = simulate_cff(cfg, pull_rate, push_rate, horizon, seed, **kw)
+    assert (
+        rec.pull_arrived, rec.pull_delivered, rec.pull_failed,
+        rec.push_arrived, rec.push_delivered, rec.push_failed,
+    ) == counts
+    h = hashlib.sha256()
+    for lats in (rec.pull_latencies, rec.push_latencies):
+        h.update(np.asarray(lats, dtype=np.float64).tobytes())
+    assert h.hexdigest() == digest

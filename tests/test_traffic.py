@@ -55,11 +55,23 @@ class TestPoissonArrivals:
 
     def test_offsets_sorted_in_range(self):
         rng = np.random.default_rng(5)
-        offs = sample_arrival_offsets(500, 40, rng)
+        offs = sample_arrival_offsets(np.array([500]), 40, rng)
         assert offs.shape == (500,)
         assert (offs[:-1] <= offs[1:]).all()
         assert offs.min() >= 0 and offs.max() < 40
-        assert sample_arrival_offsets(0, 40, rng).size == 0
+        assert sample_arrival_offsets(np.array([0]), 40, rng).size == 0
+
+    def test_batched_offsets_match_per_batch_draws(self):
+        # one draw over consecutive batches yields the values of one draw per
+        # batch, each sorted within its batch, and leaves the stream where the
+        # per-batch draws leave it
+        counts = np.array([3, 0, 7, 1, 0, 12, 5])
+        per_batch = np.random.default_rng(9)
+        expected = [np.sort(per_batch.integers(0, 6, size=n, dtype=np.int64)) for n in counts]
+        batched = np.random.default_rng(9)
+        offs = sample_arrival_offsets(counts, 6, batched)
+        assert offs.tolist() == np.concatenate(expected).tolist()
+        assert batched.integers(0, 2**32) == per_batch.integers(0, 2**32)
 
 
 class TestSemanticQuery:
