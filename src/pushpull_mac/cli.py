@@ -12,6 +12,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .harness import ConfigError, ExperimentConfig, load_config, run_experiment
+from .traffic import SEED_LIMIT
 
 
 class _UsageError(Exception):
@@ -71,8 +72,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
+            if not 0 <= args.seed < SEED_LIMIT:
+                raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
             config = replace(config, master_seed=args.seed)
         if args.replications is not None:
             if args.replications < 1:

@@ -29,7 +29,7 @@ from .core import FrameConfig, PacketClass
 from .mac_cff import simulate_cff
 from .mac_rcs import simulate_rcs, RcsPopulation
 from .metrics import merge_records, reliability_within
-from .traffic import ObservationModel, PushTrigger, SemanticQuery, derive_seed
+from .traffic import SEED_LIMIT, ObservationModel, PushTrigger, SemanticQuery, derive_seed
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "run_experiment", "RunResult"]
 
@@ -67,11 +67,13 @@ def _check_keys(data: dict, allowed: set, required: set, path: str = "") -> None
             raise ConfigError(f"missing config key: {path}{key}")
 
 
-def _as_int(value, path: str, minimum: Optional[int] = None) -> int:
+def _as_int(value, path: str, minimum: Optional[int] = None, limit: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if limit is not None and value >= limit:
+        raise ConfigError(f"{path}: must be < {limit}, got {value}")
     return value
 
 
@@ -242,7 +244,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         _as_alpha(a, f"alphas[{i}]") for i, a in enumerate(_as_list(data["alphas"], "alphas"))
     )
     replications = _as_int(data.get("replications", 1), "replications", 1)
-    master_seed = _as_int(data.get("master_seed", 0), "master_seed", 0)
+    master_seed = _as_int(data.get("master_seed", 0), "master_seed", 0, SEED_LIMIT)
     output = data.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a string path, got {output!r}")
@@ -368,7 +370,9 @@ class RunResult:
 
 def _point_seed(master_seed: int, index: int) -> int:
     # keeps point streams clear of the replication XOR space (indices < 2**32)
-    return (master_seed ^ ((index + 1) << 32)) & ((1 << 64) - 1)
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    return (master_seed ^ ((index + 1) << 32)) & (SEED_LIMIT - 1)
 
 
 def _fmt(value) -> str:

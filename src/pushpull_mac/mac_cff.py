@@ -7,32 +7,58 @@ beacon about, what is pending at the boundary).  Collided push packets
 re-contend in every subsequent frame, drawing a fresh uniform slot in that
 frame's push sub-frame, until success or the horizon.
 
+Random stream.  After the two per-frame count draws, every draw of a run is
+a bounded 32-bit integer draw, in this order per frame: the push contention
+round (one draw below ``push_tx_capacity`` per pending packet, as
+:func:`uniform_slot_contention` makes it), then the frame's pull and push
+arrival offsets (below S, as :func:`~.traffic.sample_arrival_offsets` makes
+them).  With no doubles left to draw, numpy's buffered high half is simply
+the next half, so these draws are consecutive 32-bit halves of the raw PCG64
+output.  ``simulate_cff`` fetches that output a window at a time and replays
+numpy's bounded-integer rule on it (:mod:`.rawdraw`), so a seed gives the
+records of the per-draw ``Generator`` calls.  If numpy changes that rule,
+the pinned outputs in the tests fail instead of the output changing
+silently.
+
 Packets are global arrival-slot indices held in int64 arrays.  Only push
-contention rounds run frame by frame: the push backlog is an array filtered
-after each round.  Capacity probes above the service ceiling back up to ~1e5
-contenders per frame, far past what a per-object loop sustains.  The pull
-FIFO draws no randomness, so its whole run is served at once in closed form
-(:func:`schedule_pull`) from the per-frame arrival counts.  Arrival offsets
-are drawn only when a contention round (or the abort check) needs the
-backlog, or at the end of the run: all offset draws between two rounds share
-one bound, so one draw yields exactly the values of the per-frame draws.
+contention rounds run frame by frame: the pending push packets are ascending
+indices into the run's push arrivals (arrival slots never decrease with the
+index), a round is one ``bincount`` over a slice of draws computed ahead
+(for a window's worth of short rounds, or for one long round), and offset
+draws are only stepped over.  Capacity probes above
+the service ceiling back up to ~1e5 contenders per frame, far past what a
+per-object loop sustains.  At the end of the run the offsets are sorted and
+lifted to arrival slots in bulk, latencies and ``on_delivery`` calls are
+built from the rounds' winners, and the pull FIFO, which draws no
+randomness, is served in closed form (:func:`schedule_pull`).
 """
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import FrameConfig, PacketClass, stable_floor
 from .metrics import MetricsRecord
-from .traffic import PoissonArrivals, sample_arrival_offsets, sample_frame_arrival_counts
+from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
+from .traffic import PoissonArrivals, sample_frame_arrival_counts, sort_arrival_offsets
+
+# ``sample_arrival_offsets`` is the per-draw form of the offset draws replayed
+# here; it stays importable from this module, where the benchmark tracer
+# (perfbench/tracer.py) looks it up.
+from .traffic import sample_arrival_offsets  # noqa: F401
 
 __all__ = ["PushAbortRule", "schedule_pull", "simulate_cff", "uniform_slot_contention"]
 
 # on_delivery(klass, arrival_slots, delivery_slots), once per delivering sub-frame
 DeliveryCallback = Callable[[PacketClass, np.ndarray, np.ndarray], None]
+
+# raw 64-bit outputs fetched at a time; a take longer than that fetches what it needs
+_WINDOW_WORDS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +133,178 @@ def schedule_pull(
     return frame * slots_per_frame + start_offset + (block + 1) * packet_slots - 1
 
 
+class _HalfStream:
+    """A run's bounded draws: consecutive 32-bit halves of raw PCG64 output,
+    fetched about ``_WINDOW_WORDS`` outputs at a time.
+
+    ``contend(n)`` takes a round's n draws below the push capacity and
+    returns them.  ``skip(n)`` takes n arrival-offset draws below S without
+    computing them; their values are read when the window is dropped, and
+    ``close()`` returns every one taken, in stream order.
+    ``count_below(n)`` counts the last n offsets taken that come from a half
+    below ``cut_half``.  A take always lies in one window: a window that
+    falls short is replaced by its unused tail plus fresh output.  The push
+    draws and their rejections are computed for a round's halves, or a
+    window's worth ahead when rounds are short; the offset rejections and
+    counts from the window's first offset take to its end.  The window and
+    the push draws live in buffers kept for the run (grown when short):
+    allocating new ones per refill, up to every frame when rounds are long,
+    fragmented the heap and cost about 1 MiB of peak memory on cff_mixed.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int, cut_half: int) -> None:
+        self.bit_generator = bit_generator
+        self.n_slots = n_slots
+        self.push_ops = push_ops
+        self.cut_half = cut_half
+        self.buffer = np.empty(0, dtype=np.uint64)  # holds the window's words at its front
+        self.draw_buffer = np.empty(0, dtype=np.uint64)  # holds the push draws
+        self.words = self.buffer
+        self.halves = halves_of(self.words)
+        self.size = 0  # halves in the window
+        self.h = 0  # next unused half
+        self.push_from = self.push_to = -1  # halves the push table covers, once built
+        self.slot_from = -1  # where the slot table starts (it runs to the window's end), once built
+        self.choice = np.empty(0, dtype=np.int64)  # choice[i - push_from]: the draw below push_ops from half i
+        self.rejected_push: List[int] = []
+        self.rejected_slot: List[int] = []
+        self.below = array("i")  # below[i - slot_from]: halves from slot_from to i below cut_half
+        self.spans: List[int] = []  # offset takes in this window: start, end, start, end, ...
+        self.read: List[np.ndarray] = []  # offset draws of dropped windows
+        self.n_offsets = 0
+
+    def _refill(self, short: int) -> None:
+        """Keep the window's unused tail and append at least ``short`` halves."""
+        self._read_spans()
+        keep = self.h // 2
+        tail = self.words[keep:]
+        fresh = self.bit_generator.random_raw(_WINDOW_WORDS + (short + 1) // 2)
+        n = len(tail) + len(fresh)
+        self.buffer = _room(self.buffer, n)
+        self.buffer[: len(tail)] = tail  # may overlap the tail; numpy copies safely
+        self.buffer[len(tail) : n] = fresh
+        self.words = self.buffer[:n]
+        self.h -= 2 * keep
+        self.halves = halves_of(self.words)
+        self.size = len(self.halves)
+        self.push_from = self.push_to = self.slot_from = -1
+
+    def _push_table(self, end: int) -> Tuple[List[int], int]:
+        """Rejections below push_ops and the end of the halves the table
+        covers, which include [h, end): a round's own halves, or a window's
+        worth when rounds are short."""
+        if end > self.push_to:
+            h = self.h
+            self.push_from = h
+            self.push_to = min(self.size, max(end, h + 2 * _WINDOW_WORDS))
+            part = self.halves[h : self.push_to]
+            self.draw_buffer = _room(self.draw_buffer, len(part))
+            self.choice = bounded(part, self.push_ops, self.draw_buffer[: len(part)])
+            self.rejected_push = [h + i for i in rejected(part, self.push_ops)]
+        return self.rejected_push, self.push_to
+
+    def _slot_table(self, end: int) -> Tuple[List[int], int]:
+        """Rejections below S, and the counts below ``cut_half``, from the
+        window's first offset take to its end."""
+        if self.slot_from < 0:
+            self.slot_from = self.h
+            rest = self.halves[self.h :]
+            self.rejected_slot = [self.h + i for i in rejected(rest, self.n_slots)]
+            if self.cut_half:
+                below = np.zeros(len(rest) + 1, dtype=np.int32)
+                np.cumsum(rest < self.cut_half, out=below[1:])
+                self.below = array("i")
+                self.below.frombytes(below.tobytes())
+        return self.rejected_slot, self.size
+
+    def _take(self, n: int, table: Callable[[int], Tuple[List[int], int]]) -> Tuple[int, int]:
+        """The span of halves that yields the next ``n`` accepted draws."""
+        end = self.h + n
+        while True:
+            if end > self.size:
+                self._refill(end - self.size)
+                end = self.h + n
+            rej, covered = table(end)
+            if rej:
+                end = span_end(self.h, n, rej)
+            if end <= covered:
+                h, self.h = self.h, end
+                return h, end
+
+    def contend(self, n: int) -> np.ndarray:
+        """A contention round's ``n`` slot choices (int64)."""
+        if self.push_ops == 1:  # a bound-1 draw is 0 and consumes nothing
+            return np.zeros(n, dtype=np.int64)
+        h = self.h
+        end = h + n
+        if end > self.push_to or self.rejected_push:
+            h, end = self._take(n, self._push_table)
+        self.h = end
+        choice = self.choice[h - self.push_from : end - self.push_from]
+        if end - h > n:
+            choice = np.delete(choice, [i - h for i in self.rejected_push if h <= i < end])
+        return choice
+
+    def skip(self, n: int) -> None:
+        """Take ``n`` arrival-offset draws."""
+        self.n_offsets += n
+        if n and self.n_slots >= 2:
+            h = self.h
+            end = h + n
+            if end > self.size or self.slot_from < 0 or self.rejected_slot:
+                h, end = self._take(n, self._slot_table)
+            self.h = end
+            if self.spans and self.spans[-1] == h:
+                self.spans[-1] = end
+            else:
+                self.spans += (h, end)
+
+    def count_below(self, n: int) -> int:
+        """How many of the last ``n`` offsets taken come from a half below ``cut_half``."""
+        end = self.h
+        start = end - n
+        rej = self.rejected_slot
+        below = self.below
+        base = self.slot_from
+        if not rej or bisect_left(rej, start) == bisect_left(rej, end):
+            return below[end - base] - below[start - base]
+        while end - start - (bisect_left(rej, end) - bisect_left(rej, start)) < n:
+            start -= 1
+        dropped = rej[bisect_left(rej, start) : bisect_left(rej, end)]
+        dropped_below = sum(int(self.halves[i] < self.cut_half) for i in dropped)
+        return below[end - base] - below[start - base] - dropped_below
+
+    def _read_spans(self) -> None:
+        """Compute the offset draws taken in this window."""
+        if not self.spans:
+            return
+        parts = []
+        rej = self.rejected_slot
+        for a, b in zip(self.spans[0::2], self.spans[1::2]):
+            for r in rej[bisect_left(rej, a) : bisect_left(rej, b)] if rej else ():
+                parts.append(self.halves[a:r])
+                a = r + 1
+            parts.append(self.halves[a:b])
+        self.read.append(bounded(np.concatenate(parts), self.n_slots))
+        self.spans = []
+
+    def close(self) -> np.ndarray:
+        """Every offset draw taken, in stream order (int64); drops the window."""
+        if self.n_slots == 1:
+            return np.zeros(self.n_offsets, dtype=np.int64)
+        self._read_spans()
+        offsets = np.concatenate(self.read) if self.read else np.empty(0, dtype=np.int64)
+        self.buffer = self.draw_buffer = self.words = self.halves = self.choice = None
+        self.below = array("i")
+        self.read = []
+        return offsets
+
+
+def _room(buffer: np.ndarray, n: int) -> np.ndarray:
+    """``buffer``, or an empty one twice as long if it holds fewer than ``n`` values."""
+    return buffer if len(buffer) >= n else np.empty(max(n, 2 * len(buffer)), dtype=buffer.dtype)
+
+
 def simulate_cff(
     config: FrameConfig,
     pull_rate: float,
@@ -126,9 +324,9 @@ def simulate_cff(
     ``push_retransmit=False`` drops collided push packets after their single
     attempt (slotted-ALOHA test mode).  ``on_delivery(klass, arrival_slots,
     delivery_slots)`` sees every delivery, warm-up included, once per
-    sub-frame that delivers: the push sub-frames in frame order as they run,
-    then the pull sub-frames in frame order.  ``push_abort`` enables the
-    certified early exit used by capacity probes far above capacity.
+    sub-frame that delivers: the push sub-frames in frame order, then the
+    pull sub-frames in frame order.  ``push_abort`` enables the certified
+    early exit used by capacity probes far above capacity.
     """
     if horizon_frames < 1:
         raise ValueError(f"horizon_frames must be >= 1, got {horizon_frames}")
@@ -136,11 +334,13 @@ def simulate_cff(
         raise ValueError("rates must be >= 0")
     if not 0 <= warmup_frames < horizon_frames:
         raise ValueError(f"warmup_frames must be in [0, {horizon_frames}), got {warmup_frames}")
+    S = config.slots_per_frame
+    push_ops = config.push_tx_capacity
+    if max(S, push_ops) >= MAX_BOUND:
+        raise ValueError("frames need fewer than 2**32 slots")
 
     rng = np.random.default_rng(seed)
-    S = config.slots_per_frame
     slot_dur = config.slot_duration
-    push_ops = config.push_tx_capacity
     push_stride = config.push_packet_slots
     push_start_off = config.data_start_slot + config.pull_slot_budget
     measured_from_slot = warmup_frames * S
@@ -148,91 +348,97 @@ def simulate_cff(
     record = MetricsRecord()
 
     # Canonical draw order: both per-frame count batches up front, then per
-    # frame: push contention, pull arrival offsets, push arrival offsets.  The
-    # offset draws between two contention rounds are batched into one below.
+    # frame: push contention, pull arrival offsets, push arrival offsets.
     pull_counts = sample_frame_arrival_counts(PoissonArrivals(pull_rate, slot_dur), S, horizon_frames, rng)
     push_counts = sample_frame_arrival_counts(PoissonArrivals(push_rate, slot_dur), S, horizon_frames, rng)
     push_per_frame = push_counts.tolist()
+    cum_offsets = [0] + np.cumsum(pull_counts + push_counts).tolist()
+    # push packets are numbered in arrival order: packet i arrives in frame g
+    # iff cum_push[g] <= i < cum_push[g+1]
+    cum_push = [0] + np.cumsum(push_counts).tolist()
+    push_frames = np.flatnonzero(push_counts).tolist()
+    n_warm = cum_push[warmup_frames]  # push packets from this index on are measured
 
-    # certified-abort bookkeeping: with counts batched, the run's total
-    # measured arrivals (and hence its miss budget) are known exactly
-    late_slots = 0
-    late_budget = math.inf
+    # Certified-abort bookkeeping.  With counts batched, the run's total
+    # measured arrivals (and hence its miss budget) are known exactly.  A
+    # packet is late at frame f if its arrival slot lies in
+    # [f*S - late_slots + 1, (f+1)*S - late_slots] (latency <= target  <=>
+    # delivery_slot - arrival_slot + 1 <= late_slots).  These windows tile
+    # the slot line at offset `cut` of frame f - back, so with below[g] the
+    # push arrivals of frame g before its cut, a window is an index range.
     late_cum = 0
+    late_budget = math.inf
+    back = cut = cut_half = 0
+    below = [0] * horizon_frames
     if push_abort is not None:
-        # latency <= target  <=>  delivery_slot - arrival_slot + 1 <= late_slots
         late_slots = stable_floor(push_abort.latency_target / slot_dur)
-        total_measured_push = int(push_counts[warmup_frames:].sum())
-        late_budget = (1.0 - push_abort.target_reliability) * total_measured_push
+        late_budget = (1.0 - push_abort.target_reliability) * (cum_push[-1] - n_warm)
+        back = -((1 - late_slots) // S)
+        cut = (1 - late_slots) % S
+        # an offset drawn from half x is below cut iff x < ceil(cut * 2**32 / S)
+        cut_half = -(-cut * 2**32 // S)
 
-    # The run's arrivals in stream order (pull f, push f, pull f+1, ...) have
-    # known batch sizes.  Frames [0, drawn) have their arrival slots in
-    # drawn_parts, and those of their push packets still pending in
-    # pend_arrival.
-    batches = np.stack((pull_counts, push_counts), axis=1).ravel()
-    is_push = np.repeat(np.tile((False, True), horizon_frames), batches)
-    frame_base = np.repeat(np.arange(0, horizon_frames * S, S, dtype=np.int64), pull_counts + push_counts)
-    frame_start = [0] + np.cumsum(pull_counts + push_counts).tolist()
-    drawn_parts = []
-
-    def draw_arrivals(lo: int, hi: int) -> np.ndarray:
-        """Draw the arrival slots of frames [lo, hi); return the push ones."""
-        a, b = frame_start[lo], frame_start[hi]
-        slots = sample_arrival_offsets(batches[2 * lo : 2 * hi], S, rng)
-        slots += frame_base[a:b]
-        drawn_parts.append(slots)
-        return slots[is_push[a:b]]
-
-    drawn = 0
-    undrawn_push = 0  # push arrivals of frames [drawn, f)
-    pend_arrival = np.empty(0, dtype=np.int64)
+    stream = _HalfStream(rng.bit_generator, S, push_ops, cut_half)
+    pend = np.empty(0, dtype=np.int64)  # pending push packets, ascending
+    # a push packet is delivered at most once: its delivery slot, or -1
+    delivered_at = np.full(cum_push[-1], -1, dtype=np.int64)
+    dropped = []  # without retransmission: (frame, measured packets dropped) per round
     arrived_frames = horizon_frames  # frames whose arrivals joined the queues
 
-    for f in range(horizon_frames):
-        # this frame's contention round and abort check read the backlog, and
-        # the round's draw follows the offsets of every earlier frame
-        if drawn < f and (undrawn_push or pend_arrival.size):
-            pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, f)))
-            drawn, undrawn_push = f, 0
+    def before(g: int, f: int) -> int:
+        """Push packets pending at frame f that arrived before frame g's cut."""
+        return 0 if g < 0 else cum_push[f] if g >= f else cum_push[g] + below[g]
+
+    f = 0
+    while f < horizon_frames:
+        if not pend.size:
+            # nothing contends or turns late until push packets arrive: take
+            # the offsets of every frame up to the next one with push arrivals
+            j = bisect_left(push_frames, f)
+            g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
+            stream.skip(cum_offsets[g] - cum_offsets[f])
+            if cut and j < len(push_frames):
+                below[g - 1] = stream.count_below(push_per_frame[g - 1])
+            pend = np.arange(cum_push[f], cum_push[g])
+            f = g
+            continue
+
         # push sub-frame: framed-ALOHA contention among everything pending
-        n_pending = pend_arrival.size
-        if n_pending and push_ops > 0:
-            choices, _, winner_mask = uniform_slot_contention(n_pending, push_ops, rng)
-            if winner_mask.any():
-                won_arrival = pend_arrival[winner_mask]
-                # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
-                delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)
-                lats = (delivery_slots + 1 - won_arrival) * slot_dur
-                record.extend_deliveries(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
-                if on_delivery is not None:
-                    on_delivery(PacketClass.PUSH, won_arrival, delivery_slots)
-            loser_mask = ~winner_mask
+        if push_ops:
+            choice = stream.contend(pend.size)
+            win = np.bincount(choice)[choice] == 1
+            # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
+            delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
             if push_retransmit:
-                pend_arrival = pend_arrival[loser_mask]
+                pend = pend[~win]
             else:
-                lost = int(np.count_nonzero(pend_arrival[loser_mask] >= measured_from_slot))
-                record.add_failures(PacketClass.PUSH, lost)
-                pend_arrival = pend_arrival[:0]
+                dropped.append((f, int(np.count_nonzero(pend[~win] >= n_warm))))
+                pend = pend[:0]
 
         # certified abort: count packets that became provably late this frame
-        # (arrival windows are disjoint across frames, so nothing double-counts)
-        if push_abort is not None and pend_arrival.size:
-            lo = max(f * S - late_slots + 1, measured_from_slot)
-            hi = (f + 1) * S - late_slots
-            late_cum += int(np.count_nonzero((pend_arrival >= lo) & (pend_arrival <= hi)))
-            if late_cum > late_budget:
-                arrived_frames = f
-                break
+        # (the windows are disjoint across frames, so nothing double-counts)
+        if push_abort is not None and pend.size:
+            lo = max(before(f - back, f), n_warm)
+            hi = before(f + 1 - back, f)
+            if hi > lo:
+                late_cum += int(pend.searchsorted(hi) - pend.searchsorted(lo))
+                if late_cum > late_budget:
+                    arrived_frames = f
+                    break
 
         # arrivals during frame f join the queues after its sub-frames, so they
         # are eligible from frame f+1
-        undrawn_push += push_per_frame[f]
+        stream.skip(cum_offsets[f + 1] - cum_offsets[f])
+        if push_per_frame[f]:
+            if cut:
+                below[f] = stream.count_below(push_per_frame[f])
+            pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + 1])))
+        f += 1
 
-    if drawn < arrived_frames:
-        pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, arrived_frames)))
-    # every run has drawn by now: an abort needs a drawn, nonempty backlog
-    all_slots = np.concatenate(drawn_parts)
-    pull_arrivals = all_slots[~is_push[: all_slots.size]]  # FIFO order
+    pull_arrivals, push_arrivals = _arrival_slots(
+        stream.close(), pull_counts[:arrived_frames], push_counts[:arrived_frames], S
+    )
+    _deliver_push(record, delivered_at, push_arrivals, n_warm, S, slot_dur, on_delivery, dropped, push_retransmit)
 
     # pull sub-frames: contention-free FIFO service, closed form over the
     # frames that ran (an aborted frame's pull sub-frame ran before the abort)
@@ -257,35 +463,83 @@ def simulate_cff(
 
     _close_run(
         record,
-        pull_arrivals[n_served:],
-        pend_arrival,
+        int(np.count_nonzero(pull_arrivals[n_served:] >= measured_from_slot)),
+        int(np.count_nonzero(pend >= n_warm)),
         pull_counts,
         push_counts,
         arrived_frames=arrived_frames,
         warmup_frames=warmup_frames,
-        measured_from_slot=measured_from_slot,
     )
     return record
 
 
+def _arrival_slots(
+    offsets: np.ndarray, pull_counts: np.ndarray, push_counts: np.ndarray, S: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(pull, push) arrival slots from the offset draws of consecutive frames,
+    taken in stream order (pull f, push f, pull f+1, ...); each class's slots
+    ascend, so the pull ones are the FIFO order."""
+    batches = np.stack((pull_counts, push_counts), axis=1)
+    slots = sort_arrival_offsets(offsets, batches.ravel(), S)
+    slots += np.repeat(np.arange(0, len(batches) * S, S, dtype=np.int64), batches.sum(axis=1))
+    is_push = np.repeat(np.tile((False, True), len(batches)), batches.ravel())
+    return slots[~is_push], slots[is_push]
+
+
+def _deliver_push(
+    record: MetricsRecord,
+    delivered_at: np.ndarray,
+    push_arrivals: np.ndarray,
+    n_warm: int,
+    S: int,
+    slot_dur: float,
+    on_delivery: Optional[DeliveryCallback],
+    dropped: List[Tuple[int, int]],
+    push_retransmit: bool,
+) -> None:
+    """Record the push deliveries in the order the rounds made them: by
+    frame, then in pending order (ascending packet index).  Packets from
+    index ``n_warm`` on are measured; ``dropped`` lists each round's measured
+    drops when collided packets are not retransmitted."""
+    won = np.flatnonzero(delivered_at >= 0)
+    won = won[np.argsort(delivered_at[won] // S, kind="stable")]
+    delivery_slots = delivered_at[won]
+    won_arrival = push_arrivals[won]
+    lats = (delivery_slots + 1 - won_arrival) * slot_dur
+    measured = won >= n_warm
+    if push_retransmit:
+        record.extend_deliveries(PacketClass.PUSH, lats[measured])
+    else:
+        # each round's drops follow its deliveries in the sample list
+        frames = delivery_slots // S
+        for f, n_dropped in dropped:
+            a, b = frames.searchsorted(f), frames.searchsorted(f, "right")
+            record.extend_deliveries(PacketClass.PUSH, lats[a:b][measured[a:b]])
+            record.add_failures(PacketClass.PUSH, n_dropped)
+    if on_delivery is not None and won.size:
+        cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
+        for arrival, delivery in zip(np.split(won_arrival, cuts), np.split(delivery_slots, cuts)):
+            on_delivery(PacketClass.PUSH, arrival, delivery)
+
+
 def _close_run(
     record: MetricsRecord,
-    pull_pending: np.ndarray,
-    push_pending: np.ndarray,
+    pull_left: int,
+    push_left: int,
     pull_counts: np.ndarray,
     push_counts: np.ndarray,
     arrived_frames: int,
     warmup_frames: int,
-    measured_from_slot: int,
 ) -> None:
     """Close a run at the horizon or an abort: count the measured arrivals,
-    and as a miss every pending arrival slot and every arrival of the frames
-    from ``arrived_frames`` on (never simulated), keeping arrived ==
-    delivered + failed exact.  At the horizon the future slices are empty."""
+    and as a miss every measured packet still queued or pending (``pull_left``,
+    ``push_left``) and every arrival of the frames from ``arrived_frames`` on
+    (never simulated), keeping arrived == delivered + failed exact.  At the
+    horizon the future slices are empty."""
     start = max(arrived_frames, warmup_frames)
-    for klass, pending, counts in (
-        (PacketClass.PULL, pull_pending, pull_counts),
-        (PacketClass.PUSH, push_pending, push_counts),
+    for klass, left, counts in (
+        (PacketClass.PULL, pull_left, pull_counts),
+        (PacketClass.PUSH, push_left, push_counts),
     ):
         record.add_arrivals(klass, int(counts[warmup_frames:].sum()))
-        record.add_failures(klass, int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum()))
+        record.add_failures(klass, left + int(counts[start:].sum()))

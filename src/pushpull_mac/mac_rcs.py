@@ -14,7 +14,6 @@ frames, draw for draw, as a loop of ``run_rcs_frame`` calls.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -24,6 +23,7 @@ import numpy as np
 from .core import FrameConfig, SlotOutcome
 from .mac_cff import uniform_slot_contention
 from .metrics import MetricsRecord
+from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
 from .traffic import ObservationModel, PushTrigger, SemanticQuery
 
 __all__ = ["RcsPopulation", "FrameResult", "FrameLog", "RcsResult", "run_rcs_frame", "simulate_rcs"]
@@ -238,21 +238,6 @@ class RcsResult:
 
 
 _FRAMES_PER_BLOCK = 128
-# numpy's ``integers(0, bound)`` on 32-bit words, 2 <= bound < 2**32, is
-# Lemire's multiply-shift: a word x draws (x * bound) >> 32, unless the low
-# 32 bits of x * bound fall below 2**32 % bound, which rejects x (redraw).
-
-
-def _choices(halves: np.ndarray, bound: int) -> np.ndarray:
-    product = np.multiply(halves, bound, dtype=np.uint64)
-    product >>= np.uint64(32)
-    return product.astype(np.uint32)
-
-
-def _rejected(halves: np.ndarray, bound: int) -> List[int]:
-    """Sorted indices of the words a draw below ``bound`` rejects."""
-    low = halves * np.uint32(bound)  # wraps: the low 32 product bits
-    return np.flatnonzero(low < np.uint32(2**32 % bound)).tolist()
 
 
 def _array(typecode: str, values: np.ndarray) -> array:
@@ -271,17 +256,6 @@ def _window_counts(mask: np.ndarray, offset: int, width: int, n_starts: int) -> 
     total = np.zeros(len(mask) + 1, dtype=np.int32)
     np.cumsum(mask, out=total[1:])
     return _array("i", total[offset + width : offset + width + n_starts] - total[offset : offset + n_starts])
-
-
-def _span_end(start: int, need: int, rejected: List[int]) -> int:
-    """End of the run of 32-bit words from ``start`` that yields ``need``
-    accepted draws, given the sorted indices of rejected words."""
-    end = start + need
-    i = bisect_left(rejected, start)
-    while i < len(rejected) and rejected[i] < end:
-        end += 1
-        i += 1
-    return end
 
 
 def _independent_frames(
@@ -308,7 +282,7 @@ def _independent_frames(
     ``rng`` is left past the words drawn, so it is spent after the call.
     """
     n_pull, n_push = population.n_pull_devices, population.n_push_devices
-    if max(reserved_ops, shared_ops) >= 2**32:
+    if max(reserved_ops, shared_ops) >= MAX_BOUND:
         raise ValueError("contention rounds need fewer than 2**32 slots")
     fixed_matches = None
     if population.observations.fixed is not None:  # no observation draws
@@ -341,12 +315,12 @@ def _independent_frames(
             matched_at = array("i", [fixed_matches]) * n_starts
         pushing_at = _window_counts(population.trigger.fires(doubles), n_obs, n_push, n_starts)
         del doubles
-        halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+        halves = halves_of(words)
         if reserved_ops >= 2:
-            res_choice = _array("I", _choices(halves, reserved_ops))
-            res_rejected = _rejected(halves, reserved_ops)
+            res_choice = _array("I", bounded(halves, reserved_ops).astype(np.uint32))  # 4 bytes a draw
+            res_rejected = rejected(halves, reserved_ops)
         if shared_ops >= 2:
-            sh_rejected = _rejected(halves, shared_ops)
+            sh_rejected = rejected(halves, shared_ops)
 
         f0, p0 = f, p
         matched_l, won_l, pushing_l, lead_l, start_l, end_l = [], [], [], [], [], []
@@ -365,7 +339,7 @@ def _independent_frames(
                         need -= 1
                     ld = -1
                 if res_rejected:
-                    end = _span_end(h, need, res_rejected)
+                    end = span_end(h, need, res_rejected)
                     drawn += array("I", (c for i, c in enumerate(res_choice[h:end], h) if i not in res_rejected))
                 else:
                     end = h + need
@@ -383,7 +357,7 @@ def _independent_frames(
                         shared_lead = ld
                         need -= 1
                     ld = -1
-                h = _span_end(h, need, sh_rejected) if sh_rejected else h + need
+                h = span_end(h, need, sh_rejected) if sh_rejected else h + need
             if h > len(halves):  # rejections overran the words drawn
                 slack *= 2
                 break
@@ -421,7 +395,7 @@ def _independent_frames(
             if sh_rejected:
                 accepted = np.isin(idx, sh_rejected, invert=True)
                 frame_of, idx = frame_of[accepted], idx[accepted]
-            key = frame_of * shared_ops + _choices(halves[idx], shared_ops).astype(np.int64)
+            key = frame_of * shared_ops + bounded(halves[idx], shared_ops)
             win = np.bincount(key, minlength=k * shared_ops)[key] == 1
             # the frame's stragglers come first, then its pushing devices
             pull_win = np.arange(len(key)) < np.repeat(np.cumsum(contenders) - pushing, contenders)

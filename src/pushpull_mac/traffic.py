@@ -18,20 +18,24 @@ __all__ = [
     "PoissonArrivals",
     "sample_frame_arrival_counts",
     "sample_arrival_offsets",
+    "sort_arrival_offsets",
     "ObservationModel",
     "SemanticQuery",
     "PushTrigger",
     "derive_seed",
+    "SEED_LIMIT",
 ]
 
-_SEED_MASK = (1 << 64) - 1
+SEED_LIMIT = 2**64  # seeds are 64-bit: a larger one would alias a smaller one
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Per-replication seed: master XOR replication index (64-bit)."""
     if master_seed < 0 or index < 0:
         raise ValueError("seeds and indices must be non-negative")
-    return (master_seed ^ index) & _SEED_MASK
+    if master_seed >= SEED_LIMIT or index >= SEED_LIMIT:
+        raise ValueError("seeds and indices must be below 2**64")
+    return master_seed ^ index
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +81,15 @@ def sample_arrival_offsets(counts: np.ndarray, n_slots: int, rng: np.random.Gene
     batches come from one draw, which yields the same values as one draw per
     batch in order (same bound, so the generator stream is consumed alike).
     """
+    offsets = rng.integers(0, n_slots, size=int(np.sum(counts)), dtype=np.int64)
+    return sort_arrival_offsets(offsets, counts, n_slots)
+
+
+def sort_arrival_offsets(offsets: np.ndarray, counts: np.ndarray, n_slots: int) -> np.ndarray:
+    """Sort int64 ``offsets`` (each below ``n_slots``) ascending within each
+    consecutive batch of ``counts[i]`` values, in place; returns ``offsets``."""
     # one sort orders every batch: batch i is lifted to [i*n_slots, (i+1)*n_slots)
     lift = np.arange(0, len(counts) * n_slots, n_slots, dtype=np.int64).repeat(counts)
-    offsets = rng.integers(0, n_slots, size=lift.size, dtype=np.int64)
     offsets += lift
     offsets.sort()
     offsets -= lift

@@ -12,10 +12,173 @@ from pushpull_mac import (
     SemanticQuery,
     SlotKind,
     run_rcs_frame,
+    schedule_pull,
     simulate_cff,
     simulate_rcs,
+    uniform_slot_contention,
 )
-from pushpull_mac.traffic import sample_frame_arrival_counts
+from pushpull_mac.core import stable_floor
+from pushpull_mac.metrics import MetricsRecord
+from pushpull_mac.traffic import sample_arrival_offsets, sample_frame_arrival_counts
+
+
+_MASK64 = (1 << 64) - 1
+_HIGH = 0x9E3779B97F4A7C18
+
+
+def generator_emitting(word: int, position: int, high: int = _HIGH) -> np.random.Generator:
+    """A PCG64 generator whose 64-bit output number ``position`` is ``word``.
+
+    PCG64 steps its 128-bit state, then outputs rotr64(high ^ low, high >> 58);
+    any high half with low = rotl64(word, rotation) ^ high yields ``word``.
+    The default high half makes outputs 0-2 doubles <= 0.5 for the words the
+    RCS tests use; other high halves give other outputs before ``position``.
+    """
+    rot = high >> 58
+    low = ((word << rot) | (word >> (64 - rot))) & _MASK64 ^ high
+    bit_generator = np.random.PCG64(0)
+    state = bit_generator.state
+    state["state"]["state"] = (high << 64) | low
+    bit_generator.state = state
+    bit_generator.advance(-(position + 1))
+    check = np.random.PCG64(0)
+    check.state = bit_generator.state
+    assert int(check.random_raw(position + 1)[-1]) == word
+    return np.random.Generator(bit_generator)
+
+
+def check_cff_matches_reference(config: FrameConfig, pull_rate, push_rate, horizon_frames, seed, **kw) -> None:
+    """``simulate_cff`` and ``reference_cff_run`` give equal records (latency
+    lists in order) and equal ``on_delivery`` calls.  ``seed`` may be a
+    ``Generator`` factory, called once per run, for crafted states."""
+    runs = []
+    for run in (reference_cff_run, simulate_cff):
+        log = []
+        rng = seed() if callable(seed) else seed
+        record = run(config, pull_rate, push_rate, horizon_frames, rng, on_delivery=lambda *d: log.append(d), **kw)
+        runs.append((record, log))
+    (want, want_log), (got, got_log) = runs
+    for name in MetricsRecord.__slots__:
+        assert getattr(got, name) == getattr(want, name), f"{name} differs"
+    assert len(got_log) == len(want_log), "on_delivery call count differs"
+    for (k1, a1, d1), (k2, a2, d2) in zip(got_log, want_log):
+        assert k1 is k2 and a1.tolist() == a2.tolist() and d1.tolist() == d2.tolist(), "on_delivery calls differ"
+
+
+def reference_cff_run(
+    config: FrameConfig,
+    pull_rate: float,
+    push_rate: float,
+    horizon_frames: int,
+    seed,
+    *,
+    warmup_frames: int = 0,
+    push_retransmit: bool = True,
+    on_delivery=None,
+    push_abort=None,
+) -> MetricsRecord:
+    """``simulate_cff`` as a loop of ``Generator`` calls: one
+    ``uniform_slot_contention`` call per push contention round and one
+    ``sample_arrival_offsets`` call for the offsets drawn between two rounds.
+    ``simulate_cff`` replays the same draws on raw generator output, so both
+    must give the same record and the same ``on_delivery`` calls."""
+    rng = np.random.default_rng(seed)
+    S = config.slots_per_frame
+    slot_dur = config.slot_duration
+    push_ops = config.push_tx_capacity
+    push_stride = config.push_packet_slots
+    push_start_off = config.data_start_slot + config.pull_slot_budget
+    measured_from_slot = warmup_frames * S
+    record = MetricsRecord()
+
+    # draw order: both per-frame count batches, then per frame: push
+    # contention, pull arrival offsets, push arrival offsets
+    pull_counts = sample_frame_arrival_counts(PoissonArrivals(pull_rate, slot_dur), S, horizon_frames, rng)
+    push_counts = sample_frame_arrival_counts(PoissonArrivals(push_rate, slot_dur), S, horizon_frames, rng)
+
+    late_slots, late_budget, late_cum = 0, np.inf, 0
+    if push_abort is not None:
+        late_slots = stable_floor(push_abort.latency_target / slot_dur)
+        late_budget = (1.0 - push_abort.target_reliability) * int(push_counts[warmup_frames:].sum())
+
+    # frames [0, drawn) have their arrival slots in drawn_parts
+    batches = np.stack((pull_counts, push_counts), axis=1).ravel()
+    is_push = np.repeat(np.tile((False, True), horizon_frames), batches)
+    frame_base = np.repeat(np.arange(0, horizon_frames * S, S, dtype=np.int64), pull_counts + push_counts)
+    frame_start = [0] + np.cumsum(pull_counts + push_counts).tolist()
+    drawn_parts = []
+
+    def draw_arrivals(lo, hi):
+        a, b = frame_start[lo], frame_start[hi]
+        slots = sample_arrival_offsets(batches[2 * lo : 2 * hi], S, rng) + frame_base[a:b]
+        drawn_parts.append(slots)
+        return slots[is_push[a:b]]
+
+    drawn = 0
+    pend_arrival = np.empty(0, dtype=np.int64)
+    arrived_frames = horizon_frames
+    for f in range(horizon_frames):
+        # the round's draw follows the offsets of every earlier frame
+        if drawn < f and (push_counts[drawn:f].any() or pend_arrival.size):
+            pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, f)))
+            drawn = f
+        if pend_arrival.size and push_ops > 0:
+            choices, _, winner_mask = uniform_slot_contention(pend_arrival.size, push_ops, rng)
+            if winner_mask.any():
+                won_arrival = pend_arrival[winner_mask]
+                delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)
+                lats = (delivery_slots + 1 - won_arrival) * slot_dur
+                record.extend_deliveries(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
+                if on_delivery is not None:
+                    on_delivery(PacketClass.PUSH, won_arrival, delivery_slots)
+            if push_retransmit:
+                pend_arrival = pend_arrival[~winner_mask]
+            else:
+                lost = int(np.count_nonzero(pend_arrival[~winner_mask] >= measured_from_slot))
+                record.add_failures(PacketClass.PUSH, lost)
+                pend_arrival = pend_arrival[:0]
+        if push_abort is not None and pend_arrival.size:
+            lo = max(f * S - late_slots + 1, measured_from_slot)
+            hi = (f + 1) * S - late_slots
+            late_cum += int(np.count_nonzero((pend_arrival >= lo) & (pend_arrival <= hi)))
+            if late_cum > late_budget:
+                arrived_frames = f
+                break
+
+    if drawn < arrived_frames:
+        pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, arrived_frames)))
+    all_slots = np.concatenate(drawn_parts) if drawn_parts else np.empty(0, dtype=np.int64)
+    pull_arrivals = all_slots[~is_push[: all_slots.size]]
+
+    n_served = 0
+    if config.pull_tx_capacity and pull_arrivals.size:
+        pull_frames = min(arrived_frames + 1, horizon_frames)
+        delivery_slots = schedule_pull(
+            np.concatenate(([0], pull_counts[: pull_frames - 1])),
+            config.pull_tx_capacity,
+            S,
+            config.data_start_slot,
+            config.pull_packet_slots,
+        )
+        n_served = delivery_slots.size
+        served = pull_arrivals[:n_served]
+        lats = (delivery_slots + 1 - served) * slot_dur
+        record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
+        if on_delivery is not None and n_served:
+            cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
+            for arrival, delivery in zip(np.split(served, cuts), np.split(delivery_slots, cuts)):
+                on_delivery(PacketClass.PULL, arrival, delivery)
+
+    # close the run: undelivered measured packets, and every arrival of the
+    # frames never simulated after an abort, are misses
+    start = max(arrived_frames, warmup_frames)
+    for klass, pending, counts in (
+        (PacketClass.PULL, pull_arrivals[n_served:], pull_counts),
+        (PacketClass.PUSH, pend_arrival, push_counts),
+    ):
+        record.add_arrivals(klass, int(counts[warmup_frames:].sum()))
+        record.add_failures(klass, int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum()))
+    return record
 
 
 def random_cff_config(rng: np.random.Generator) -> FrameConfig:

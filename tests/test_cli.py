@@ -138,6 +138,16 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, cff_single())
         assert main(["cff", "--config", cfg, "--seed", "-3"]) == 1
 
+    def test_seed_beyond_64_bits_rejected(self, tmp_path, capsys):
+        # 5 + 2**64 would run the streams of seed 5 under another name
+        cfg = write_cfg(tmp_path, rcs_single())
+        out = tmp_path / "r.csv"
+        assert main(["rcs", "--config", cfg, "--seed", str(5 + 2**64), "--out", str(out), "--quiet"]) == 1
+        assert "--seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["rcs", "--config", cfg, "--seed", str(2**64 - 1), "--out", str(out), "--quiet"]) == 0
+        assert main(["rcs", "--config", write_cfg(tmp_path, rcs_single(master_seed=2**64)), "--quiet"]) == 1
+
     def test_bad_workers_flag(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, rcs_single())
         assert main(["sweep", "--config", cfg, "--workers", "0", "--quiet"]) == 1

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,16 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.csv_path is None
         assert len(result.rows) == 8
+
+    def test_seeds_beyond_64_bits_rejected(self):
+        # seed derivation is 64-bit, so 5 + 2**64 would alias seed 5
+        with pytest.raises(ConfigError, match="master_seed: must be < 18446744073709551616"):
+            validate_config(rcs_cfg(master_seed=5 + 2**64))
+        assert validate_config(rcs_cfg(master_seed=2**64 - 1)).master_seed == 2**64 - 1
+        with pytest.raises(ValueError):
+            _point_seed(2**64, 0)
+        with pytest.raises(ValueError):
+            enumerate_points(replace(validate_config(rcs_cfg()), master_seed=5 + 2**64))
 
     def test_point_seeds_distinct(self):
         cfg = validate_config(rcs_cfg())

@@ -4,9 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from pushpull_mac import FrameConfig, PacketClass, schedule_pull, simulate_cff, uniform_slot_contention
+from pushpull_mac import (
+    FrameConfig,
+    PacketClass,
+    PoissonArrivals,
+    mac_cff,
+    schedule_pull,
+    simulate_cff,
+    uniform_slot_contention,
+)
 from pushpull_mac.mac_cff import PushAbortRule
 from pushpull_mac.metrics import reliability_within
+from pushpull_mac.traffic import sample_frame_arrival_counts
+
+from _invariants import check_cff_matches_reference, generator_emitting
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
@@ -305,3 +316,98 @@ def test_pinned_output(case):
     for lats in (rec.pull_latencies, rec.push_latencies):
         h.update(np.asarray(lats, dtype=np.float64).tobytes())
     assert h.hexdigest() == digest
+
+
+class TestRejectedDraws:
+    """numpy rejects a 32-bit half x for a draw below n when (x * n) mod 2**32
+    < 2**32 % n and takes the next half instead.  ``simulate_cff`` replays
+    that rule on raw output in contention draws (below push_tx_capacity) and
+    offset draws (below S), also where a rejection pushes a take past the end
+    of a raw window.  Such a half turns up about once in 1e8 draws, so these
+    generator states are built rather than found."""
+
+    REJECTED = 171798692  # * 25 == 2**32 + 4 (4 < 2**32 % 25 == 21); * 50 == 2**33 + 8 (8 < 2**32 % 50 == 46)
+    ACCEPTED = 7
+    CONFIG = FrameConfig(50, 0.01, 1, 1, 0.5)  # S = 50, push_tx_capacity = 25
+    # (bound, draws) per take, as a run makes them: offsets, a round, offsets, ...
+    # halves 0-2, 3-6, 7, 8-13, 14-18, 19-20 when nothing is rejected
+    TAKES = ((50, 3), (25, 4), (50, 1), (25, 6), (50, 5), (25, 2))
+
+    @pytest.mark.parametrize(
+        "window, position, low, high",
+        [
+            (4096, 2, REJECTED, ACCEPTED),  # half 4: a round skips a low half
+            (4096, 2, ACCEPTED, REJECTED),  # half 5: a round skips a high half
+            (4096, 0, ACCEPTED, REJECTED),  # half 1: offsets skip a high half
+            (4096, 7, REJECTED, REJECTED),  # halves 14-15: offsets skip two
+            (1, 2, REJECTED, REJECTED),  # the first window ends at half 8: two skips push a round past it
+            (1, 3, ACCEPTED, REJECTED),  # half 7, the window's last, skipped by a one-draw offset take
+        ],
+    )
+    def test_stream_matches_numpy(self, monkeypatch, window, position, low, high):
+        monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", window)
+        word = (high << 32) | low
+        numpy_rng = generator_emitting(word, position)
+        expected = [numpy_rng.integers(0, bound, size=n, dtype=np.int64).tolist() for bound, n in self.TAKES]
+        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
+        rounds = [stream.contend(n).tolist() if bound == 25 else stream.skip(n) for bound, n in self.TAKES]
+        offsets = iter(stream.close().tolist())
+        got = [r if bound == 25 else [next(offsets) for _ in range(n)] for r, (bound, n) in zip(rounds, self.TAKES)]
+        assert got == expected
+        assert next(offsets, None) is None
+
+    @pytest.mark.parametrize("low, high", [(REJECTED, ACCEPTED), (ACCEPTED, REJECTED), (REJECTED, REJECTED)])
+    def test_count_below_skips_rejected(self, low, high):
+        # the abort counts a frame's push offsets below a cut from the halves
+        # that end its take; output 8 (halves 16-17) ends the fifth take
+        word, cut = (high << 32) | low, 3
+        numpy_rng = generator_emitting(word, 8)
+        for bound, n in self.TAKES[:4]:
+            numpy_rng.integers(0, bound, size=n)
+        last = numpy_rng.integers(0, 50, size=self.TAKES[4][1], dtype=np.int64)
+        stream = mac_cff._HalfStream(generator_emitting(word, 8).bit_generator, 50, 25, -(-cut * 2**32 // 50))
+        for bound, n in self.TAKES[:5]:
+            stream.contend(n) if bound == 25 else stream.skip(n)
+        for n in range(1, len(last) + 1):
+            assert stream.count_below(n) == np.count_nonzero(last[-n:] < cut)
+
+    @staticmethod
+    def _layout(rng, horizon):
+        """Words the count draws take, and the halves of the first offset
+        take and of the first contention round after them."""
+        config = TestRejectedDraws.CONFIG
+        start = rng.bit_generator.state["state"]["state"]
+        counts = [
+            sample_frame_arrival_counts(PoissonArrivals(rate, config.slot_duration), 50, horizon, rng)
+            for rate in (200.0, 300.0)
+        ]
+        after = rng.bit_generator.state["state"]["state"]
+        probe = np.random.PCG64(0)
+        state = probe.state
+        state["state"]["state"] = start
+        probe.state = state
+        words = next(k for k in range(1, 1000) if probe.advance(1).state["state"]["state"] == after)
+        pull, push = counts
+        first = int(np.flatnonzero(push)[0])  # frames before it have no push arrival
+        offsets = int(pull[: first + 1].sum() + push[: first + 1].sum())
+        return words, (2 * words, 2 * words + offsets), (2 * words + offsets, 2 * words + offsets + int(push[first]))
+
+    @pytest.mark.parametrize("target", [0, 1])  # 0: offset draws, 1: a contention round
+    def test_runs_match_numpy(self, target):
+        # both halves of one output are rejected; search high state halves
+        # until that output lands in the first offsets (or the first round)
+        # right after the count draws, then compare whole runs
+        word = (self.REJECTED << 32) | self.REJECTED
+        position, horizon = 44, 6
+        for i in range(4000):
+            high = (0x9E3779B97F4A7C18 + i * 0x2545F4914F6CDD1D) % 2**64
+            words, *spans = self._layout(generator_emitting(word, position, high), horizon)
+            lo, hi = spans[target]
+            if words <= position and lo <= 2 * position and 2 * position + 1 < hi:
+                break
+        else:
+            raise AssertionError("no state puts the rejected output in the target draws")
+        for kw in ({}, dict(push_abort=PushAbortRule(0.01, 0.9)), dict(push_retransmit=False)):
+            check_cff_matches_reference(
+                self.CONFIG, 200.0, 300.0, horizon, lambda: generator_emitting(word, position, high), **kw
+            )

@@ -13,6 +13,8 @@ from pushpull_mac import (
 )
 from pushpull_mac.mac_rcs import _independent_frames
 
+from _invariants import generator_emitting
+
 ALL = SemanticQuery(0.0, 1.0)
 NONE = SemanticQuery(2.0, 3.0)
 
@@ -190,30 +192,6 @@ class TestSimulateRcs:
         assert 1.4 <= ratio <= 2.9
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _generator_emitting(word: int, position: int) -> np.random.Generator:
-    """A PCG64 generator whose 64-bit output number ``position`` is ``word``.
-
-    PCG64 steps its 128-bit state, then outputs rotr64(high ^ low, high >> 58);
-    any high half with low = rotl64(word, rotation) ^ high yields ``word``.
-    This high half makes outputs 0-2 doubles <= 0.5 for both words used below.
-    """
-    high = 0x9E3779B97F4A7C18
-    rot = high >> 58
-    low = ((word << rot) | (word >> (64 - rot))) & _MASK64 ^ high
-    bit_generator = np.random.PCG64(0)
-    state = bit_generator.state
-    state["state"]["state"] = (high << 64) | low
-    bit_generator.state = state
-    bit_generator.advance(-(position + 1))
-    check = np.random.PCG64(0)
-    check.state = bit_generator.state
-    assert int(check.random_raw(position + 1)[-1]) == word
-    return np.random.Generator(bit_generator)
-
-
 class TestRejectedDraws:
     """numpy rejects a 32-bit word w for a draw below n when (w * n) mod 2**32
     < 2**32 % n and takes the next word instead; the block kernel replays
@@ -241,14 +219,14 @@ class TestRejectedDraws:
         bound = 25 if alpha else 50  # 2**32 % 50 == 46 rejects REJECTED too
         pop = RcsPopulation(1, 3, PushTrigger(0.5), ObservationModel((0.5,)))
         word = (high << 32) | low
-        probe = _generator_emitting(word, 3)
+        probe = generator_emitting(word, 3)
         probe.random(3)
         first = probe.integers(0, bound, size=1, dtype=np.int64)
         assert first[0] == ((low if low == self.ACCEPTED else high) * bound) >> 32
-        rng = _generator_emitting(word, 3)
+        rng = generator_emitting(word, 3)
         expected = [run_rcs_frame(cfg, pop, ALL, rng, record_outcomes=False) for _ in range(50)]
         assert expected[0].push_attempted == 0
-        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, _generator_emitting(word, 3))
+        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, generator_emitting(word, 3))
         assert counts.tolist() == [
             [f.matched_pull, f.pull_succeeded_reserved, f.pull_succeeded_shared, f.push_attempted, f.push_succeeded]
             for f in expected

@@ -2,13 +2,22 @@
 portion purity over >= 10^3 generated configurations."""
 import numpy as np
 
-from pushpull_mac import ObservationModel, RcsPopulation, mac_rcs
+from pushpull_mac import FrameConfig, ObservationModel, RcsPopulation, mac_cff, mac_rcs
+from pushpull_mac.mac_cff import PushAbortRule
 
-from _invariants import check_cff_run, check_rcs_frame, check_rcs_run, random_cff_config, random_rcs_case
+from _invariants import (
+    check_cff_matches_reference,
+    check_cff_run,
+    check_rcs_frame,
+    check_rcs_run,
+    random_cff_config,
+    random_rcs_case,
+)
 
 N_CFF_CONFIGS = 600
 N_RCS_FRAMES = 500
 N_RCS_RUNS = 60
+N_CFF_RUNS = 120
 
 
 def test_cff_invariants_randomized():
@@ -55,4 +64,49 @@ def test_rcs_runs_match_frame_loop():
                 f"run #{i} ({n_frames} frames, seed {seed}) differs from the frame loop: {config}, "
                 f"pull={population.n_pull_devices}, push={population.n_push_devices}, "
                 f"query=[{query.lo}, {query.hi}]"
+            ) from exc
+
+
+def _edge_cff_config(rng: np.random.Generator) -> FrameConfig:
+    """Geometries whose draws consume no words or whose rounds run long."""
+    return [
+        FrameConfig(1, 0.001, 1, 1, 0.0),  # S = 1: offset draws consume nothing
+        FrameConfig(12, 0.01, 2, 5, 0.5),  # push_tx_capacity 1: rounds consume nothing
+        FrameConfig(12, 0.01, 1, 7, 0.5),  # push_tx_capacity 0: no rounds
+        FrameConfig(20, 0.005, 2, 1, 1.0),  # alpha 1
+        FrameConfig(20, 0.005, 2, 1, 0.0),  # alpha 0
+        FrameConfig(40, 0.004, 3, 2, 0.45, overhead_slots=3),
+    ][int(rng.integers(0, 6))]
+
+
+def test_cff_runs_match_reference():
+    # simulate_cff replays the generator's raw output; a loop of Generator
+    # calls must give the same records and delivery callbacks.  Heavy push
+    # loads back up to rounds longer than one raw window.
+    rng = np.random.default_rng(1616)
+    window_halves = 2 * mac_cff._WINDOW_WORDS
+    for i in range(N_CFF_RUNS):
+        config = _edge_cff_config(rng) if rng.random() < 0.35 else random_cff_config(rng)
+        slot_rate = config.slots_per_frame / config.frame_duration
+        pull_rate = float(rng.uniform(0, 1.5 * slot_rate / config.pull_packet_slots)) * (rng.random() < 0.8)
+        push_rate = float(rng.uniform(0, slot_rate / config.push_packet_slots)) * (rng.random() < 0.9)
+        horizon = int(rng.integers(1, 160))
+        kw = {}
+        if i % 10 == 9:  # deep backlog: about 100 new contenders per frame
+            config = FrameConfig(100, 0.01, 5, 1, 0.8)
+            pull_rate, push_rate, horizon = 300.0, 10_000.0, 8 + window_halves // 80
+        if rng.random() < 0.3:
+            kw["warmup_frames"] = int(rng.integers(0, horizon))
+        if rng.random() < 0.2:
+            kw["push_retransmit"] = False
+        if rng.random() < 0.4:
+            target = float(rng.uniform(0.05, 6)) * config.frame_duration
+            kw["push_abort"] = PushAbortRule(target, float(rng.choice([0.5, 0.9, 0.99, 1.0])))
+        seed = int(rng.integers(0, 2**32))
+        try:
+            check_cff_matches_reference(config, pull_rate, push_rate, horizon, seed, **kw)
+        except AssertionError as exc:
+            raise AssertionError(
+                f"run #{i} differs from the Generator loop: {config}, rates {pull_rate}/{push_rate}, "
+                f"{horizon} frames, seed {seed}, {kw}"
             ) from exc

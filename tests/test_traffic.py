@@ -170,6 +170,11 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(0, -1)
 
+    def test_rejects_seeds_beyond_64_bits(self):
+        assert derive_seed(2**64 - 1, 1) == 2**64 - 2
+        with pytest.raises(ValueError):
+            derive_seed(5 + 2**64, 0)
+
     def test_determinism_of_generators(self):
         t = PushTrigger(0.5)
         a = t.push_mask(50, np.random.default_rng(derive_seed(7, 3)))
