@@ -1,6 +1,6 @@
 """Latency-reliability capacity search: the maximum sustainable arrival rate
-meeting a latency target at a reliability level, and the capacity frontier
-over the pull fraction.
+of one traffic class meeting a latency target at a reliability level.  The
+harness's ``capacity`` experiment runs it per class over the pull fraction.
 
 Reliability is assumed nonincreasing in the offered rate; a runtime guard
 flags observed violations beyond Monte Carlo noise instead of failing
@@ -8,9 +8,8 @@ silently.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from .core import FrameConfig, PacketClass
 from .mac_cff import PushAbortRule, simulate_cff
@@ -23,8 +22,6 @@ __all__ = [
     "max_rate",
     "make_cff_rate_evaluator",
     "max_class_rate",
-    "FrontierPoint",
-    "capacity_frontier",
     "service_ceiling",
 ]
 
@@ -180,41 +177,3 @@ def max_class_rate(
     bounded = replace(spec, rate_upper_bound=min(spec.rate_upper_bound, ceiling))
     return max_rate(make_cff_rate_evaluator(config, klass, bounded, master_seed), bounded)
 
-
-@dataclass(frozen=True, slots=True)
-class FrontierPoint:
-    alpha: float
-    pull: Optional[MaxRateResult]
-    push: Optional[MaxRateResult]
-    error: Optional[str] = None
-
-    @property
-    def max_pull_rate(self) -> float:
-        return self.pull.rate if self.pull is not None else math.nan
-
-    @property
-    def max_push_rate(self) -> float:
-        return self.push.rate if self.push is not None else math.nan
-
-
-def capacity_frontier(
-    config_base: FrameConfig,
-    alphas: Sequence[float],
-    spec: CapacitySpec,
-    master_seed: int = 0,
-) -> List[FrontierPoint]:
-    """Fig.-3-style frontier: per alpha, independent pull and push capacity
-    searches (CFF sub-frames are resource-disjoint, so the searches decouple).
-
-    Per-point failures are recorded on the point instead of aborting the sweep.
-    """
-    points: List[FrontierPoint] = []
-    for alpha in alphas:
-        try:
-            config = replace(config_base, alpha=alpha)
-            pull_res = max_class_rate(config, PacketClass.PULL, spec, master_seed)
-            push_res = max_class_rate(config, PacketClass.PUSH, spec, master_seed)
-            points.append(FrontierPoint(alpha=alpha, pull=pull_res, push=push_res))
-        except Exception as exc:  # per-point isolation; sweep continues
-            points.append(FrontierPoint(alpha=alpha, pull=None, push=None, error=str(exc)))
-    return points

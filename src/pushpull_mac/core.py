@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
-__all__ = ["PacketClass", "FrameConfig", "SlotKind", "SlotOutcome"]
+__all__ = ["PacketClass", "FrameConfig"]
 
 # Guard against IEEE representation error in alpha * S (e.g. 0.29 * 100 ==
 # 28.999999999999996); small enough never to bump a genuinely fractional value.
@@ -94,38 +93,3 @@ class FrameConfig:
     def push_tx_capacity(self) -> int:
         """Whole push packets fitting in the push sub-frame (contention opportunities)."""
         return self.push_slot_budget // self.push_packet_slots
-
-
-class SlotKind(Enum):
-    IDLE = "idle"
-    SUCCESS = "success"
-    COLLISION = "collision"
-
-
-@dataclass(frozen=True, slots=True)
-class SlotOutcome:
-    """Channel result of one slot: idle, a single winner, or a collision."""
-
-    kind: SlotKind
-    winner: Optional[int] = None  # device id, success only
-    count: int = 0  # simultaneous transmitters
-
-    def __post_init__(self) -> None:
-        if self.kind is SlotKind.SUCCESS and (self.winner is None or self.count != 1):
-            raise ValueError("success outcome requires a winner and count == 1")
-        if self.kind is SlotKind.COLLISION and self.count < 2:
-            raise ValueError(f"collision count must be >= 2, got {self.count}")
-        if self.kind is SlotKind.IDLE and (self.winner is not None or self.count != 0):
-            raise ValueError("idle outcome carries no transmitters")
-
-    @classmethod
-    def idle(cls) -> "SlotOutcome":
-        return cls(SlotKind.IDLE)
-
-    @classmethod
-    def success(cls, winner: int) -> "SlotOutcome":
-        return cls(SlotKind.SUCCESS, winner=winner, count=1)
-
-    @classmethod
-    def collision(cls, count: int) -> "SlotOutcome":
-        return cls(SlotKind.COLLISION, count=count)

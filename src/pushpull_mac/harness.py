@@ -428,17 +428,16 @@ def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
     merged = merge_records(records)
     rows: List[Dict[str, str]] = []
     for l_ms in cfg.latency_targets_ms:
-        for klass, name in ((PacketClass.PULL, "pull_reliability"), (PacketClass.PUSH, "push_reliability")):
-            value: Optional[float] = None
-            if merged.arrived(klass) > 0:
-                value = reliability_within(merged, klass, l_ms * 1e-3)
-            row = _base_row(job)
-            row["L_ms"] = _fmt(l_ms)
-            row["pull_rate_pps"] = _fmt(cfg.pull_rate_pps)
-            row["push_rate_pps"] = _fmt(cfg.push_rate_pps)
-            row["metric_name"] = name
-            row["metric_value"] = _fmt(value)
-            rows.append(row)
+        rows += _metric_rows(
+            job,
+            [
+                (name, reliability_within(merged, klass, l_ms * 1e-3) if merged.arrived(klass) else None)
+                for klass, name in ((PacketClass.PULL, "pull_reliability"), (PacketClass.PUSH, "push_reliability"))
+            ],
+            L_ms=l_ms,
+            pull_rate_pps=cfg.pull_rate_pps,
+            push_rate_pps=cfg.push_rate_pps,
+        )
     return rows
 
 

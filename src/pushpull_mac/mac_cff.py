@@ -457,9 +457,7 @@ def simulate_cff(
         lats = (delivery_slots + 1 - served) * slot_dur
         record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
         if on_delivery is not None and n_served:
-            cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
-            for arrival, delivery in zip(np.split(served, cuts), np.split(delivery_slots, cuts)):
-                on_delivery(PacketClass.PULL, arrival, delivery)
+            _report_subframes(on_delivery, PacketClass.PULL, served, delivery_slots, S)
 
     _close_run(
         record,
@@ -517,9 +515,14 @@ def _deliver_push(
             record.extend_deliveries(PacketClass.PUSH, lats[a:b][measured[a:b]])
             record.add_failures(PacketClass.PUSH, n_dropped)
     if on_delivery is not None and won.size:
-        cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
-        for arrival, delivery in zip(np.split(won_arrival, cuts), np.split(delivery_slots, cuts)):
-            on_delivery(PacketClass.PUSH, arrival, delivery)
+        _report_subframes(on_delivery, PacketClass.PUSH, won_arrival, delivery_slots, S)
+
+
+def _report_subframes(on_delivery: DeliveryCallback, klass: PacketClass, arrivals, deliveries, S: int) -> None:
+    """One ``on_delivery`` call per delivering sub-frame, for deliveries in frame order."""
+    cuts = np.flatnonzero(np.diff(deliveries // S)) + 1
+    for arrival, delivery in zip(np.split(arrivals, cuts), np.split(deliveries, cuts)):
+        on_delivery(klass, arrival, delivery)
 
 
 def _close_run(

@@ -14,13 +14,13 @@ frames, draw for draw, as a loop of ``run_rcs_frame`` calls.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence as SequenceABC
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import FrameConfig, SlotOutcome
+from .core import FrameConfig
 from .mac_cff import uniform_slot_contention
 from .metrics import MetricsRecord
 from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
@@ -46,27 +46,21 @@ class RcsPopulation:
             raise ValueError("device counts must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class FrameResult:
-    """Per-frame outcome counts; a frame retrieves successfully iff every
+class FrameResult(NamedTuple):
+    """One frame's counts, the row ``FrameLog`` stores: query-matching pull
+    devices, pull successes in the reserved and in the shared portion, push
+    attempts and push successes.  A frame retrieves successfully iff every
     query-matching device got its response through."""
 
     matched_pull: int
-    pull_succeeded: int
+    pull_succeeded_reserved: int
+    pull_succeeded_shared: int
     push_attempted: int
     push_succeeded: int
-    pull_succeeded_reserved: int = 0
-    pull_succeeded_shared: int = 0
-    reserved_outcomes: Tuple[SlotOutcome, ...] = ()
-    shared_outcomes: Tuple[SlotOutcome, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.pull_succeeded > self.matched_pull:
-            raise ValueError("pull_succeeded cannot exceed matched_pull")
-        if self.push_succeeded > self.push_attempted:
-            raise ValueError("push_succeeded cannot exceed push_attempted")
-        if self.pull_succeeded_reserved + self.pull_succeeded_shared != self.pull_succeeded:
-            raise ValueError("reserved/shared pull successes must sum to pull_succeeded")
+    @property
+    def pull_succeeded(self) -> int:
+        return self.pull_succeeded_reserved + self.pull_succeeded_shared
 
     @property
     def retrieval_success(self) -> bool:
@@ -84,31 +78,11 @@ def _contention_slots(config: FrameConfig) -> Tuple[int, int, int]:
     return k, config.pull_slot_budget // k, config.push_slot_budget // k
 
 
-def _outcomes(choices: np.ndarray, counts: np.ndarray, ids: Sequence[int]) -> List[SlotOutcome]:
-    """Per-slot channel results of one contention round, without capture: a
-    slot with one transmitter delivers it, two or more all fail."""
-    winners = {}
-    for i, slot in enumerate(choices):
-        if counts[slot] == 1:
-            winners[int(slot)] = ids[i]
-    out: List[SlotOutcome] = []
-    for slot, count in enumerate(counts):
-        if count == 0:
-            out.append(SlotOutcome.idle())
-        elif count == 1:
-            out.append(SlotOutcome.success(winners[slot]))
-        else:
-            out.append(SlotOutcome.collision(int(count)))
-    return out
-
-
 def run_rcs_frame(
     config: FrameConfig,
     population: RcsPopulation,
     query: SemanticQuery,
     rng: np.random.Generator,
-    *,
-    record_outcomes: bool = True,
 ) -> FrameResult:
     """Simulate one RCS frame.
 
@@ -116,12 +90,9 @@ def run_rcs_frame(
     reserved slots (skipped if that budget is zero), then the unsuccessful
     ones retry once alongside the frame's pushing devices in the shared slots.
     Inter- and intra-class collisions are both plain losses.
-
-    ``record_outcomes=False`` skips per-slot outcome objects (the counts-only
-    path consumes the identical random draws, so results do not change).
     """
     _, reserved_ops, shared_ops = _contention_slots(config)
-    return _run_frame(reserved_ops, shared_ops, population, query, rng, record_outcomes)[0]
+    return _run_frame(reserved_ops, shared_ops, population, query, rng)[0]
 
 
 def _run_frame(
@@ -130,10 +101,9 @@ def _run_frame(
     population: RcsPopulation,
     query: SemanticQuery,
     rng: np.random.Generator,
-    record_outcomes: bool,
     pending: Optional[np.ndarray] = None,
 ) -> Tuple[FrameResult, Optional[np.ndarray]]:
-    """One RCS frame; returns its result and the next ``pending`` mask.
+    """One RCS frame; returns its counts and the next ``pending`` mask.
 
     ``pending`` (persistent-backlog mode) marks push devices whose update
     collided earlier: they re-attempt this frame and their fresh trigger draw
@@ -141,70 +111,36 @@ def _run_frame(
     differ only in which devices enter the shared contention.  Without
     ``pending`` the returned mask is None.
     """
-    n_pull = population.n_pull_devices
-
     # canonical draw order: observations, push triggers, reserved, shared
-    match_mask = query.match_mask(population.observations.sample(n_pull, rng))
-    n_matched = int(np.count_nonzero(match_mask))
+    observations = population.observations.sample(population.n_pull_devices, rng)
+    n_matched = int(np.count_nonzero(query.match_mask(observations)))
     push_mask = population.trigger.push_mask(population.n_push_devices, rng)
     if pending is not None:
         push_mask |= pending
     n_pushing = int(np.count_nonzero(push_mask))
 
-    reserved_outcomes: Tuple[SlotOutcome, ...] = ()
-    reserved_winner_mask = None
+    n_res_won = 0
     if reserved_ops > 0 and n_matched:
-        choices, counts, winner_mask = uniform_slot_contention(n_matched, reserved_ops, rng)
-        n_res_won = int(np.count_nonzero(winner_mask))
-        reserved_winner_mask = winner_mask
-        if record_outcomes:
-            matched_ids = [int(d) for d in np.flatnonzero(match_mask)]
-            reserved_outcomes = tuple(_outcomes(choices, counts, matched_ids))
-    else:
-        n_res_won = 0
-        if record_outcomes and reserved_ops > 0:
-            reserved_outcomes = tuple(SlotOutcome.idle() for _ in range(reserved_ops))
+        n_res_won = int(np.count_nonzero(uniform_slot_contention(n_matched, reserved_ops, rng)[2]))
     n_stragglers = n_matched - n_res_won
 
-    pull_shared_succeeded = 0
-    push_succeeded = 0
-    shared_outcomes: Tuple[SlotOutcome, ...] = ()
-    n_shared = n_stragglers + n_pushing
-    if shared_ops > 0 and n_shared:
-        choices, counts, winner_mask = uniform_slot_contention(n_shared, shared_ops, rng)
+    pull_shared_succeeded = push_succeeded = 0
+    if shared_ops > 0 and n_stragglers + n_pushing:
+        winner_mask = uniform_slot_contention(n_stragglers + n_pushing, shared_ops, rng)[2]
+        # the frame's stragglers come first, then its pushing devices
         pull_shared_succeeded = int(np.count_nonzero(winner_mask[:n_stragglers]))
         push_won = winner_mask[n_stragglers:]
         push_succeeded = int(np.count_nonzero(push_won))
-        if record_outcomes:
-            matched_ids = np.flatnonzero(match_mask)
-            if reserved_winner_mask is not None:
-                straggler_ids = matched_ids[~reserved_winner_mask]
-            else:
-                straggler_ids = matched_ids
-            push_ids = n_pull + np.flatnonzero(push_mask)
-            contender_ids = [int(d) for d in straggler_ids] + [int(d) for d in push_ids]
-            shared_outcomes = tuple(_outcomes(choices, counts, contender_ids))
         if pending is not None:
             # delivered updates leave the backlog; collided ones stay pending
             push_mask[np.flatnonzero(push_mask)[push_won]] = False
-    elif record_outcomes and shared_ops > 0:
-        shared_outcomes = tuple(SlotOutcome.idle() for _ in range(shared_ops))
 
-    result = FrameResult(
-        matched_pull=n_matched,
-        pull_succeeded=n_res_won + pull_shared_succeeded,
-        push_attempted=n_pushing,
-        push_succeeded=push_succeeded,
-        pull_succeeded_reserved=n_res_won,
-        pull_succeeded_shared=pull_shared_succeeded,
-        reserved_outcomes=reserved_outcomes,
-        shared_outcomes=shared_outcomes,
-    )
+    result = FrameResult(n_matched, n_res_won, pull_shared_succeeded, n_pushing, push_succeeded)
     return result, (push_mask if pending is not None else None)
 
 
-class FrameLog(SequenceABC):
-    """Per-frame counts of a run, read back as ``FrameResult`` objects.
+class FrameLog(Sequence):
+    """Per-frame counts of a run, read back as ``FrameResult`` rows.
 
     Row ``i`` holds frame ``i``'s (matched, reserved pull successes, shared
     pull successes, push attempts, push successes); results are built on
@@ -222,8 +158,7 @@ class FrameLog(SequenceABC):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        matched, reserved, shared, attempted, succeeded = (int(x) for x in self.counts[index])
-        return FrameResult(matched, reserved + shared, attempted, succeeded, reserved, shared)
+        return FrameResult(*(int(x) for x in self.counts[index]))
 
 
 @dataclass(slots=True)
@@ -425,10 +360,13 @@ def simulate_rcs(
     Retrieval accuracy is the fraction of frames in which every matching
     device was received (vacuously successful with zero matches); push success
     probability pools attempts across frames.  Frames are independent by
-    default (failed devices abandon at the frame end); with
-    ``persistent_push_backlog`` collided push updates carry over and retry
-    until delivered, one ``_run_frame`` call per frame.  Both modes give the
-    frames a loop of ``run_rcs_frame`` calls on ``default_rng(seed)`` gives.
+    default (failed devices abandon at the frame end) and run in blocks
+    (``_independent_frames``), giving the frames a loop of ``run_rcs_frame``
+    calls on ``default_rng(seed)`` gives.  With ``persistent_push_backlog``
+    collided push updates carry over and retry until delivered: the run is a
+    loop of ``_run_frame`` calls that carries the pending mask from frame to
+    frame, so its frames part from the ``run_rcs_frame`` loop's once an
+    update is pending (``test_persistent_backlog_pinned`` pins them).
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -438,16 +376,8 @@ def simulate_rcs(
         rows = []
         pending = np.zeros(population.n_push_devices, dtype=bool)
         for _ in range(n_frames):
-            fr, pending = _run_frame(reserved_ops, shared_ops, population, query, rng, False, pending)
-            rows.append(
-                (
-                    fr.matched_pull,
-                    fr.pull_succeeded_reserved,
-                    fr.pull_succeeded_shared,
-                    fr.push_attempted,
-                    fr.push_succeeded,
-                )
-            )
+            row, pending = _run_frame(reserved_ops, shared_ops, population, query, rng, pending)
+            rows.append(row)
         counts = np.array(rows, dtype=np.int64)
     else:
         counts = _independent_frames(reserved_ops, shared_ops, population, query, n_frames, rng)

@@ -1,6 +1,9 @@
 """Shared randomized-invariant checks used by the property and acceptance suites."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import NamedTuple
+
 import numpy as np
 
 from pushpull_mac import (
@@ -10,7 +13,7 @@ from pushpull_mac import (
     RcsPopulation,
     PushTrigger,
     SemanticQuery,
-    SlotKind,
+    mac_rcs,
     run_rcs_frame,
     schedule_pull,
     simulate_cff,
@@ -288,52 +291,74 @@ def random_rcs_case(rng: np.random.Generator):
     return config, population, query
 
 
-def _transmissions(outcomes) -> int:
-    return sum(o.count for o in outcomes)
+class ContentionRound(NamedTuple):
+    n_slots: int
+    choices: np.ndarray  # one slot per contender, in contender order
+    counts: np.ndarray  # transmitters per slot
+    winner_mask: np.ndarray  # per contender
+
+
+@contextmanager
+def recorded_rcs_rounds():
+    """Within the block, record every ``mac_rcs.uniform_slot_contention``
+    round in call order; yields the list the rounds are appended to."""
+    rounds = []
+    original = mac_rcs.uniform_slot_contention
+
+    def recording(n_contenders, n_slots, rng):
+        result = original(n_contenders, n_slots, rng)
+        rounds.append(ContentionRound(n_slots, *result))
+        return result
+
+    mac_rcs.uniform_slot_contention = recording
+    try:
+        yield rounds
+    finally:
+        mac_rcs.uniform_slot_contention = original
 
 
 def check_rcs_frame(config, population, query, rng: np.random.Generator) -> None:
-    """One randomized RCS frame; asserts the transmit-once-per-portion count
-    identities and that push traffic never enters the reserved portion."""
-    fr = run_rcs_frame(config, population, query, rng, record_outcomes=True)
-    n_pull = population.n_pull_devices
+    """One randomized RCS frame; asserts from its contention rounds that
+    exactly the matched pull devices transmit in the reserved portion (push
+    traffic never enters it), that the shared round holds the stragglers,
+    then the pushing devices, and that the frame's counts are the winners in
+    each round and slice."""
+    with recorded_rcs_rounds() as rounds:
+        fr = run_rcs_frame(config, population, query, rng)
     reserved_ops = config.pull_slot_budget
     shared_ops = config.push_slot_budget
 
     assert 0 <= fr.pull_succeeded <= fr.matched_pull
     assert 0 <= fr.push_succeeded <= fr.push_attempted
-    assert fr.pull_succeeded_reserved + fr.pull_succeeded_shared == fr.pull_succeeded
     assert fr.retrieval_success == (fr.pull_succeeded == fr.matched_pull)
 
-    if reserved_ops > 0:
-        # every matched device transmits exactly once here and nothing else does;
-        # the count identity also rules out any device transmitting twice
-        assert _transmissions(fr.reserved_outcomes) == fr.matched_pull
-        for o in fr.reserved_outcomes:
-            if o.kind is SlotKind.SUCCESS:
-                assert o.winner < n_pull, "push id won a reserved slot"
-        stragglers = fr.matched_pull - fr.pull_succeeded_reserved
+    if reserved_ops > 0 and fr.matched_pull:
+        reserved = rounds.pop(0)
+        assert reserved.n_slots == reserved_ops
+        # every matched device transmits exactly once here and nothing else does
+        assert reserved.counts.sum() == len(reserved.choices) == fr.matched_pull, "push entered the reserved round"
+        assert np.count_nonzero(reserved.winner_mask) == fr.pull_succeeded_reserved
     else:
-        assert fr.reserved_outcomes == ()
         assert fr.pull_succeeded_reserved == 0
-        stragglers = fr.matched_pull
+    stragglers = fr.matched_pull - fr.pull_succeeded_reserved
 
-    if shared_ops > 0:
-        assert _transmissions(fr.shared_outcomes) == stragglers + fr.push_attempted
-        winners = [o.winner for o in fr.shared_outcomes if o.kind is SlotKind.SUCCESS]
-        assert len(winners) == len(set(winners))
-        assert sum(1 for w in winners if w >= n_pull) == fr.push_succeeded
-        assert sum(1 for w in winners if w < n_pull) == fr.pull_succeeded_shared
+    if shared_ops > 0 and stragglers + fr.push_attempted:
+        shared = rounds.pop(0)
+        assert shared.n_slots == shared_ops
+        assert shared.counts.sum() == len(shared.choices) == stragglers + fr.push_attempted
+        assert np.count_nonzero(shared.winner_mask[:stragglers]) == fr.pull_succeeded_shared
+        assert np.count_nonzero(shared.winner_mask[stragglers:]) == fr.push_succeeded
     else:
         assert fr.push_succeeded == 0
         assert fr.pull_succeeded_shared == 0
+    assert not rounds, "contention round outside the two portions"
 
 
 def check_rcs_run(config, population, query, n_frames: int, seed: int) -> None:
     """``simulate_rcs`` replays the generator's raw output in blocks of frames;
     its frames must equal a loop of ``run_rcs_frame`` calls on the same seed."""
     rng = np.random.default_rng(seed)
-    expected = [run_rcs_frame(config, population, query, rng, record_outcomes=False) for _ in range(n_frames)]
+    expected = [run_rcs_frame(config, population, query, rng) for _ in range(n_frames)]
     res = simulate_rcs(config, population, query, n_frames, seed)
     assert len(res.frames) == n_frames
     for g, (got, want) in enumerate(zip(res.frames, expected)):

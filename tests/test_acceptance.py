@@ -15,7 +15,6 @@ from pushpull_mac import (
     PushTrigger,
     RcsPopulation,
     SemanticQuery,
-    capacity_frontier,
     max_class_rate,
     run_experiment,
     simulate_cff,
@@ -41,65 +40,59 @@ def _report(criterion: str, passed: bool, detail: str = "") -> None:
     assert passed, f"criterion {criterion}: {detail}"
 
 
+# configs/cff_frontier.json without its output path
+FRONTIER_CONFIG = {
+    "protocol": "cff",
+    "experiment": "capacity",
+    "frame": {"slots_per_frame": 100, "frame_duration_ms": 10.0, "pull_packet_slots": 5, "push_packet_slots": 1},
+    "alphas": [round(0.1 * i, 1) for i in range(1, 10)],
+    "latency_targets_ms": [20.0, 30.0, 50.0],
+    "capacity": {"target_reliability": 0.99, "rate_tolerance_pps": 50.0, "rate_upper_bound_pps": 10_000.0},
+    "horizon_frames": 2000,
+    "replications": 20,
+    "master_seed": 1,
+}
+
+
 def test_criterion_1_capacity_frontier_qualitative():
-    """Fig.-3-style frontier: monotone in alpha, dominated by larger L,
-    bounded by the pull service ceiling; finishes inside 10 minutes."""
-    alphas = [round(0.1 * i, 1) for i in range(1, 10)]
-    latencies_ms = (20.0, 30.0, 50.0)
-    tol = 50.0
-    base = FrameConfig(alpha=0.5, **PAPER_FRAME)
+    """Fig.-3-style frontier, as the harness (and ``pushpull-mac capacity``)
+    writes it: monotone in alpha, dominated by larger L, bounded by the pull
+    service ceiling; finishes inside 10 minutes."""
+    alphas = FRONTIER_CONFIG["alphas"]
+    tol = FRONTIER_CONFIG["capacity"]["rate_tolerance_pps"]
     start = time.monotonic()
-    frontier = {}
-    for l_ms in latencies_ms:
-        spec = CapacitySpec(
-            target_latency=l_ms * 1e-3,
-            rate_tolerance=tol,
-            rate_upper_bound=10_000.0,
-            horizon_frames=2000,
-            replications=20,
-        )
-        t0 = time.monotonic()
-        points = capacity_frontier(base, alphas, spec, master_seed=1)
-        frontier[l_ms] = points
-        pulls = " ".join(f"{p.max_pull_rate:7.1f}" for p in points)
-        pushes = " ".join(f"{p.max_push_rate:7.1f}" for p in points)
-        print(f"  L={l_ms:4.0f}ms  ({time.monotonic() - t0:5.1f}s)  pull: {pulls}")
-        print(f"  {'':14} push: {pushes}")
+    rows = run_experiment(validate_config(FRONTIER_CONFIG), workers=1).rows
     elapsed = time.monotonic() - start
 
-    problems = []
-    for l_ms, points in frontier.items():
-        if any(p.error for p in points):
-            problems.append(f"L={l_ms}: point errors {[p.error for p in points if p.error]}")
+    problems = [f"alpha={r['alpha']} L={r['L_ms']}: point error {r['error']}" for r in rows if r["error"]]
+    # rates[metric, L] lists the capacities in alpha order, as the rows come
+    rates = {}
+    for r in rows:
+        rates.setdefault((r["metric_name"], float(r["L_ms"])), []).append(float(r["metric_value"] or "nan"))
+    assert all(len(v) == len(alphas) for v in rates.values())
+    for l_ms in FRONTIER_CONFIG["latency_targets_ms"]:
+        pulls, pushes = rates["max_pull_rate_pps", l_ms], rates["max_push_rate_pps", l_ms]
+        print(f"  L={l_ms:4.0f}ms  pull: " + " ".join(f"{x:7.1f}" for x in pulls))
+        print(f"  {'':8} push: " + " ".join(f"{x:7.1f}" for x in pushes))
         # (a) monotone within one rate tolerance
-        for prev, cur in zip(points, points[1:]):
-            if cur.max_pull_rate < prev.max_pull_rate - tol:
-                problems.append(
-                    f"L={l_ms}: pull capacity drops {prev.max_pull_rate:.0f}->{cur.max_pull_rate:.0f} "
-                    f"at alpha={cur.alpha}"
-                )
-            if cur.max_push_rate > prev.max_push_rate + tol:
-                problems.append(
-                    f"L={l_ms}: push capacity rises {prev.max_push_rate:.0f}->{cur.max_push_rate:.0f} "
-                    f"at alpha={cur.alpha}"
-                )
+        for i in range(1, len(alphas)):
+            if pulls[i] < pulls[i - 1] - tol:
+                problems.append(f"L={l_ms}: pull capacity drops {pulls[i - 1]:.0f}->{pulls[i]:.0f} at alpha={alphas[i]}")
+            if pushes[i] > pushes[i - 1] + tol:
+                problems.append(f"L={l_ms}: push capacity rises {pushes[i - 1]:.0f}->{pushes[i]:.0f} at alpha={alphas[i]}")
         # (c) hard service bound for pull
-        for p in points:
-            if p.max_pull_rate > p.alpha * 2000.0 + 1e-9:
-                problems.append(f"L={l_ms}: pull capacity {p.max_pull_rate:.1f} > {p.alpha * 2000:.1f}")
+        for alpha, pull in zip(alphas, pulls):
+            if pull > alpha * 2000.0 + 1e-9:
+                problems.append(f"L={l_ms}: pull capacity {pull:.1f} > {alpha * 2000:.1f}")
     # (b) pointwise dominance of larger latency budgets
     for lo_l, hi_l in ((20.0, 30.0), (30.0, 50.0)):
-        for p_lo, p_hi in zip(frontier[lo_l], frontier[hi_l]):
-            if p_hi.max_pull_rate < p_lo.max_pull_rate - tol:
-                problems.append(
-                    f"pull dominance broken at alpha={p_lo.alpha}: "
-                    f"L={hi_l} gives {p_hi.max_pull_rate:.0f} < L={lo_l} {p_lo.max_pull_rate:.0f}"
-                )
-            if p_hi.max_push_rate < p_lo.max_push_rate - tol:
-                problems.append(
-                    f"push dominance broken at alpha={p_lo.alpha}: "
-                    f"L={hi_l} gives {p_hi.max_push_rate:.0f} < L={lo_l} {p_lo.max_push_rate:.0f}"
-                )
+        for klass in ("pull", "push"):
+            metric = f"max_{klass}_rate_pps"
+            for alpha, lo, hi in zip(alphas, rates[metric, lo_l], rates[metric, hi_l]):
+                if hi < lo - tol:
+                    problems.append(
+                        f"{klass} dominance broken at alpha={alpha}: L={hi_l} gives {hi:.0f} < L={lo_l} {lo:.0f}"
+                    )
     if elapsed > 600.0:
         problems.append(f"runtime {elapsed:.0f}s exceeds 600s")
     _report(

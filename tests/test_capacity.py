@@ -6,12 +6,13 @@ from pushpull_mac import (
     CapacitySpec,
     FrameConfig,
     PacketClass,
-    capacity_frontier,
     max_class_rate,
     max_rate,
+    run_experiment,
+    validate_config,
 )
 from pushpull_mac.capacity import make_cff_rate_evaluator, service_ceiling
-import pushpull_mac.capacity as capacity_mod
+import pushpull_mac.harness as harness
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
@@ -114,28 +115,44 @@ class TestMaxClassRate:
         assert evaluate(0.0) == 1.0
 
 
+def frontier_rows(alphas, rate_tolerance_pps, horizon_frames):
+    """Rows of a paper-frame capacity experiment, the frontier ``pushpull-mac
+    capacity`` writes."""
+    data = {
+        "protocol": "cff",
+        "experiment": "capacity",
+        "frame": {"slots_per_frame": 100, "frame_duration_ms": 10.0, "pull_packet_slots": 5, "push_packet_slots": 1},
+        "alphas": alphas,
+        "latency_targets_ms": [20.0],
+        "capacity": {"rate_tolerance_pps": rate_tolerance_pps, "rate_upper_bound_pps": 2000.0},
+        "horizon_frames": horizon_frames,
+        "replications": 1,
+        "master_seed": 2,
+    }
+    return run_experiment(validate_config(data)).rows
+
+
 class TestCapacityFrontier:
     def test_degenerate_endpoints(self):
-        cfg = FrameConfig(100, 0.01, 5, 1, alpha=0.5)
-        s = spec(rate_tolerance=100.0, rate_upper_bound=2000.0, horizon_frames=60, replications=1)
-        points = capacity_frontier(cfg, [0.0, 0.5, 1.0], s, master_seed=2)
-        assert [p.alpha for p in points] == [0.0, 0.5, 1.0]
-        assert points[0].max_pull_rate == 0.0 and points[0].pull.unreachable
-        assert points[2].max_push_rate == 0.0 and points[2].push.unreachable
-        assert points[1].error is None
+        rows = frontier_rows([0.0, 0.5, 1.0], 100.0, 60)
+        rate = {(r["alpha"], r["metric_name"]): float(r["metric_value"]) for r in rows}
+        assert [r["alpha"] for r in rows] == ["0.0", "0.0", "0.5", "0.5", "1.0", "1.0"]
+        assert rate["0.0", "max_pull_rate_pps"] == 0.0
+        assert rate["1.0", "max_push_rate_pps"] == 0.0
+        assert rate["0.5", "max_pull_rate_pps"] > 0.0
+        assert not any(r["error"] for r in rows)
 
     def test_per_point_errors_do_not_abort(self, monkeypatch):
-        cfg = FrameConfig(100, 0.01, 5, 1, alpha=0.5)
-        original = capacity_mod.max_class_rate
+        original = harness.max_class_rate
 
         def flaky(config, klass, sp, master_seed=0):
             if config.alpha == 0.5:
                 raise RuntimeError("boom")
             return original(config, klass, sp, master_seed)
 
-        monkeypatch.setattr(capacity_mod, "max_class_rate", flaky)
-        s = spec(rate_tolerance=200.0, rate_upper_bound=2000.0, horizon_frames=30, replications=1)
-        points = capacity_mod.capacity_frontier(cfg, [0.0, 0.5, 1.0], s, master_seed=2)
-        assert points[1].error is not None and "boom" in points[1].error
-        assert math.isnan(points[1].max_pull_rate)
-        assert points[0].error is None and points[2].error is None
+        monkeypatch.setattr(harness, "max_class_rate", flaky)
+        rows = frontier_rows([0.0, 0.5, 1.0], 200.0, 30)
+        bad = [r for r in rows if r["error"]]
+        assert [r["alpha"] for r in bad] == ["0.5", "0.5"]
+        assert all("boom" in r["error"] and r["metric_value"] == "" for r in bad)
+        assert all(r["metric_value"] != "" for r in rows if r["alpha"] != "0.5")

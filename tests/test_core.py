@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pushpull_mac import FrameConfig, PacketClass, SlotKind, SlotOutcome, simulate_cff
-from pushpull_mac.mac_rcs import _outcomes
+from pushpull_mac import FrameConfig, PacketClass, simulate_cff
 
 
 def paper_config(alpha: float, **kw) -> FrameConfig:
@@ -84,56 +83,6 @@ class TestFrameConfigValidation:
 
     def test_slot_duration(self):
         assert paper_config(0.5).slot_duration == pytest.approx(1e-4)
-
-
-def resolve(ids):
-    """Outcome of one slot that every id in ``ids`` transmits in."""
-    choices = np.zeros(len(ids), dtype=np.int64)
-    return _outcomes(choices, np.bincount(choices, minlength=1), ids)[0]
-
-
-class TestResolveSlot:
-    def test_idle(self):
-        assert resolve([]) == SlotOutcome.idle()
-
-    def test_success(self):
-        out = resolve([7])
-        assert out.kind is SlotKind.SUCCESS
-        assert out.winner == 7
-        assert out.count == 1
-
-    def test_collision(self):
-        out = resolve([3, 9])
-        assert out.kind is SlotKind.COLLISION
-        assert out.count == 2
-        assert out.winner is None
-
-    def test_pure_and_order_invariant(self):
-        ids = [5, 1, 9, 3]
-        a = resolve(ids)
-        b = resolve(list(reversed(ids)))
-        c = resolve(ids)
-        assert a == b == c
-        # per-slot results of a whole round do not depend on contender order
-        choices = np.array([0, 2, 2, 1], dtype=np.int64)
-        counts = np.bincount(choices, minlength=4)
-        order = [3, 1, 0, 2]
-        forward = _outcomes(choices, counts, ids)
-        permuted = _outcomes(choices[order], counts, [ids[i] for i in order])
-        assert forward == permuted
-        assert [o.kind for o in forward] == [
-            SlotKind.SUCCESS, SlotKind.SUCCESS, SlotKind.COLLISION, SlotKind.IDLE,
-        ]
-
-
-class TestSlotOutcome:
-    def test_invalid_shapes(self):
-        with pytest.raises(ValueError):
-            SlotOutcome(SlotKind.COLLISION, count=1)
-        with pytest.raises(ValueError):
-            SlotOutcome(SlotKind.SUCCESS, winner=None, count=1)
-        with pytest.raises(ValueError):
-            SlotOutcome(SlotKind.IDLE, winner=3)
 
 
 class TestPacket:

@@ -7,13 +7,12 @@ from pushpull_mac import (
     PushTrigger,
     RcsPopulation,
     SemanticQuery,
-    SlotKind,
     run_rcs_frame,
     simulate_rcs,
 )
 from pushpull_mac.mac_rcs import _independent_frames
 
-from _invariants import generator_emitting
+from _invariants import generator_emitting, recorded_rcs_rounds
 
 ALL = SemanticQuery(0.0, 1.0)
 NONE = SemanticQuery(2.0, 3.0)
@@ -38,19 +37,23 @@ class TestRunRcsFrame:
     def test_alpha_one_blocks_push(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            fr = run_rcs_frame(config(20, 1.0), population(2, 10, 0.0), ALL, rng)
+            with recorded_rcs_rounds() as rounds:
+                fr = run_rcs_frame(config(20, 1.0), population(2, 10, 0.0), ALL, rng)
             assert fr.push_attempted == 10
             assert fr.push_succeeded == 0
-            assert fr.shared_outcomes == ()
+            assert [r.n_slots for r in rounds] == [20]  # the reserved round only
 
     def test_reserved_transmissions_match_query(self):
         rng = np.random.default_rng(2)
-        fr = run_rcs_frame(config(30, 1.0), population(12, 6, 0.5), ALL, rng)
+        with recorded_rcs_rounds() as rounds:
+            fr = run_rcs_frame(config(30, 1.0), population(12, 6, 0.5), ALL, rng)
         assert fr.matched_pull == 12
-        assert sum(o.count for o in fr.reserved_outcomes) == 12
-        for o in fr.reserved_outcomes:
-            if o.kind is SlotKind.SUCCESS:
-                assert o.winner < 12
+        assert fr.push_attempted > 0
+        # the 12 matched devices and none of the pushing ones transmit
+        (reserved,) = rounds
+        assert reserved.n_slots == 30
+        assert len(reserved.choices) == reserved.counts.sum() == 12
+        assert np.count_nonzero(reserved.winner_mask) == fr.pull_succeeded_reserved
 
     def test_two_matched_one_slot_always_collide(self):
         rng = np.random.default_rng(3)
@@ -65,14 +68,15 @@ class TestRunRcsFrame:
         wins = 0
         frames = 30_000
         for _ in range(frames):
-            fr = run_rcs_frame(config(2, 1.0), population(2, 0), ALL, rng, record_outcomes=False)
+            fr = run_rcs_frame(config(2, 1.0), population(2, 0), ALL, rng)
             wins += fr.retrieval_success
         assert wins / frames == pytest.approx(0.5, abs=0.015)
 
     def test_zero_reserved_budget_goes_to_shared(self):
         rng = np.random.default_rng(5)
-        fr = run_rcs_frame(config(10, 0.0), population(1, 0), ALL, rng)
-        assert fr.reserved_outcomes == ()
+        with recorded_rcs_rounds() as rounds:
+            fr = run_rcs_frame(config(10, 0.0), population(1, 0), ALL, rng)
+        assert [r.n_slots for r in rounds] == [10]  # the shared round only
         assert fr.pull_succeeded_reserved == 0
         assert fr.pull_succeeded_shared == 1  # lone contender in 10 shared slots
 
@@ -80,9 +84,12 @@ class TestRunRcsFrame:
         # 2 matched devices, 1 reserved slot: both collide there, then both
         # retry among the shared slots
         rng = np.random.default_rng(6)
-        fr = run_rcs_frame(config(10, 0.1), population(2, 0), ALL, rng)
+        with recorded_rcs_rounds() as rounds:
+            fr = run_rcs_frame(config(10, 0.1), population(2, 0), ALL, rng)
         assert fr.pull_succeeded_reserved == 0
-        assert sum(o.count for o in fr.shared_outcomes) == 2
+        reserved, shared = rounds
+        assert reserved.counts.tolist() == [2]
+        assert (shared.n_slots, shared.counts.sum()) == (9, 2)
 
     def test_packet_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal pull/push packet sizes"):
@@ -93,8 +100,10 @@ class TestRunRcsFrame:
     def test_multislot_packets_shrink_opportunities(self):
         # S=10, alpha=0.5, 2-slot packets: 2 reserved and 2 shared opportunities
         rng = np.random.default_rng(7)
-        fr = run_rcs_frame(config(10, 0.5, k=2), population(6, 0), ALL, rng)
-        assert len(fr.reserved_outcomes) == 2
+        with recorded_rcs_rounds() as rounds:
+            run_rcs_frame(config(10, 0.5, k=2), population(6, 0), ALL, rng)
+        assert rounds[0].n_slots == 2
+        assert [len(r.counts) for r in rounds] == [2] * len(rounds)
 
     def test_fixed_observations(self):
         pop = RcsPopulation(
@@ -224,10 +233,7 @@ class TestRejectedDraws:
         first = probe.integers(0, bound, size=1, dtype=np.int64)
         assert first[0] == ((low if low == self.ACCEPTED else high) * bound) >> 32
         rng = generator_emitting(word, 3)
-        expected = [run_rcs_frame(cfg, pop, ALL, rng, record_outcomes=False) for _ in range(50)]
+        expected = [run_rcs_frame(cfg, pop, ALL, rng) for _ in range(50)]
         assert expected[0].push_attempted == 0
         counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, generator_emitting(word, 3))
-        assert counts.tolist() == [
-            [f.matched_pull, f.pull_succeeded_reserved, f.pull_succeeded_shared, f.push_attempted, f.push_succeeded]
-            for f in expected
-        ]
+        assert counts.tolist() == [list(f) for f in expected]
