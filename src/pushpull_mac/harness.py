@@ -25,11 +25,13 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .capacity import CapacitySpec, max_class_rate
 from .core import FrameConfig, PacketClass
 from .mac_cff import simulate_cff
-from .mac_rcs import simulate_rcs, RcsPopulation
+from .mac_rcs import FrameLog, RcsPopulation, RcsResult, simulate_rcs
 from .metrics import merge_records, reliability_within
 from .traffic import SEED_LIMIT, ObservationModel, PushTrigger, SemanticQuery, derive_seed
 
@@ -408,14 +410,13 @@ def _cff_capacity_point(job: _PointJob) -> List[Dict[str, str]]:
 def _rcs_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
     cfg = job.config
     frame = cfg.frame_config(job.alpha, job.slots_per_frame)
-    records = []
-    for r in range(cfg.replications):
-        res = simulate_rcs(
-            frame, cfg.population(), SemanticQuery(*cfg.query), cfg.n_frames, derive_seed(job.seed, r)
-        )
-        records.append(res.record)
-    merged = merge_records(records)
-    return _metric_rows(job, [merged.retrieval_accuracy, merged.push_success_rate])
+    runs = [
+        simulate_rcs(frame, cfg.population(), SemanticQuery(*cfg.query), cfg.n_frames, derive_seed(job.seed, r))
+        for r in range(cfg.replications)
+    ]
+    # replications pool by concatenating their frame counts
+    pooled = RcsResult(FrameLog(np.concatenate([run.frames.counts for run in runs])))
+    return _metric_rows(job, [pooled.retrieval_accuracy, pooled.push_success_prob])
 
 
 # experiment kind -> (point function, the metric names its rows carry in order)

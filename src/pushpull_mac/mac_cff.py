@@ -320,7 +320,8 @@ def simulate_cff(
     """Run ``horizon_frames`` CFF frames and return the metrics record.
 
     Packets arriving during warm-up frames are simulated but not measured.
-    Anything undelivered at the horizon counts as failed (latency +inf).
+    The record holds the measured packets' latencies in slots; anything
+    undelivered at the horizon counts as a miss.
     ``push_retransmit=False`` drops collided push packets after their single
     attempt (slotted-ALOHA test mode).  ``on_delivery(klass, arrival_slots,
     delivery_slots)`` sees every delivery, warm-up included, once per
@@ -345,7 +346,7 @@ def simulate_cff(
     push_start_off = config.data_start_slot + config.pull_slot_budget
     measured_from_slot = warmup_frames * S
 
-    record = MetricsRecord()
+    record = MetricsRecord(slot_dur)
 
     # Canonical draw order: both per-frame count batches up front, then per
     # frame: push contention, pull arrival offsets, push arrival offsets.
@@ -382,7 +383,7 @@ def simulate_cff(
     pend = np.empty(0, dtype=np.int64)  # pending push packets, ascending
     # a push packet is delivered at most once: its delivery slot, or -1
     delivered_at = np.full(cum_push[-1], -1, dtype=np.int64)
-    dropped = []  # without retransmission: (frame, measured packets dropped) per round
+    dropped = 0  # measured packets dropped after their single attempt (no retransmission)
     arrived_frames = horizon_frames  # frames whose arrivals joined the queues
 
     def before(g: int, f: int) -> int:
@@ -409,10 +410,9 @@ def simulate_cff(
             win = np.bincount(choice)[choice] == 1
             # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
             delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
-            if push_retransmit:
-                pend = pend[~win]
-            else:
-                dropped.append((f, int(np.count_nonzero(pend[~win] >= n_warm))))
+            pend = pend[~win]
+            if not push_retransmit:
+                dropped += int(np.count_nonzero(pend >= n_warm))
                 pend = pend[:0]
 
         # certified abort: count packets that became provably late this frame
@@ -438,7 +438,7 @@ def simulate_cff(
     pull_arrivals, push_arrivals = _arrival_slots(
         stream.close(), pull_counts[:arrived_frames], push_counts[:arrived_frames], S
     )
-    _deliver_push(record, delivered_at, push_arrivals, n_warm, S, slot_dur, on_delivery, dropped, push_retransmit)
+    _deliver_push(record, delivered_at, push_arrivals, n_warm, S, on_delivery)
 
     # pull sub-frames: contention-free FIFO service, closed form over the
     # frames that ran (an aborted frame's pull sub-frame ran before the abort)
@@ -454,15 +454,14 @@ def simulate_cff(
         )
         n_served = delivery_slots.size
         served = pull_arrivals[:n_served]
-        lats = (delivery_slots + 1 - served) * slot_dur
-        record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
+        record.add(PacketClass.PULL, (delivery_slots + 1 - served)[served >= measured_from_slot])
         if on_delivery is not None and n_served:
             _report_subframes(on_delivery, PacketClass.PULL, served, delivery_slots, S)
 
     _close_run(
         record,
         int(np.count_nonzero(pull_arrivals[n_served:] >= measured_from_slot)),
-        int(np.count_nonzero(pend >= n_warm)),
+        int(np.count_nonzero(pend >= n_warm)) + dropped,
         pull_counts,
         push_counts,
         arrived_frames=arrived_frames,
@@ -490,30 +489,16 @@ def _deliver_push(
     push_arrivals: np.ndarray,
     n_warm: int,
     S: int,
-    slot_dur: float,
     on_delivery: Optional[DeliveryCallback],
-    dropped: List[Tuple[int, int]],
-    push_retransmit: bool,
 ) -> None:
     """Record the push deliveries in the order the rounds made them: by
     frame, then in pending order (ascending packet index).  Packets from
-    index ``n_warm`` on are measured; ``dropped`` lists each round's measured
-    drops when collided packets are not retransmitted."""
+    index ``n_warm`` on are measured."""
     won = np.flatnonzero(delivered_at >= 0)
     won = won[np.argsort(delivered_at[won] // S, kind="stable")]
     delivery_slots = delivered_at[won]
     won_arrival = push_arrivals[won]
-    lats = (delivery_slots + 1 - won_arrival) * slot_dur
-    measured = won >= n_warm
-    if push_retransmit:
-        record.extend_deliveries(PacketClass.PUSH, lats[measured])
-    else:
-        # each round's drops follow its deliveries in the sample list
-        frames = delivery_slots // S
-        for f, n_dropped in dropped:
-            a, b = frames.searchsorted(f), frames.searchsorted(f, "right")
-            record.extend_deliveries(PacketClass.PUSH, lats[a:b][measured[a:b]])
-            record.add_failures(PacketClass.PUSH, n_dropped)
+    record.add(PacketClass.PUSH, (delivery_slots + 1 - won_arrival)[won >= n_warm])
     if on_delivery is not None and won.size:
         _report_subframes(on_delivery, PacketClass.PUSH, won_arrival, delivery_slots, S)
 
@@ -535,14 +520,13 @@ def _close_run(
     warmup_frames: int,
 ) -> None:
     """Close a run at the horizon or an abort: count the measured arrivals,
-    and as a miss every measured packet still queued or pending (``pull_left``,
-    ``push_left``) and every arrival of the frames from ``arrived_frames`` on
-    (never simulated), keeping arrived == delivered + failed exact.  At the
-    horizon the future slices are empty."""
+    and as a miss every measured packet still queued, pending or dropped
+    (``pull_left``, ``push_left``) and every arrival of the frames from
+    ``arrived_frames`` on (never simulated), keeping arrived == delivered +
+    failed exact.  At the horizon the future slices are empty."""
     start = max(arrived_frames, warmup_frames)
     for klass, left, counts in (
         (PacketClass.PULL, pull_left, pull_counts),
         (PacketClass.PUSH, push_left, push_counts),
     ):
-        record.add_arrivals(klass, int(counts[warmup_frames:].sum()))
-        record.add_failures(klass, left + int(counts[start:].sum()))
+        record.add(klass, failed=left + int(counts[start:].sum()), arrived=int(counts[warmup_frames:].sum()))

@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import FrameConfig
 from .mac_cff import uniform_slot_contention
-from .metrics import MetricsRecord
 from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
 from .traffic import ObservationModel, PushTrigger, SemanticQuery
 
@@ -161,15 +160,25 @@ class FrameLog(Sequence):
         return FrameResult(*(int(x) for x in self.counts[index]))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RcsResult:
-    """Aggregate of an RCS run; ``push_success_prob`` is None when no push was
-    ever attempted."""
+    """An RCS run (or replications pooled by concatenating their counts): its
+    frames, and the two estimates read from their counts."""
 
-    retrieval_accuracy: float
-    push_success_prob: Optional[float]
     frames: FrameLog
-    record: MetricsRecord
+
+    @property
+    def retrieval_accuracy(self) -> float:
+        """Fraction of frames in which every matching device was received."""
+        matched, reserved, shared = self.frames.counts[:, :3].T
+        return int(np.count_nonzero(reserved + shared == matched)) / len(self.frames)
+
+    @property
+    def push_success_prob(self) -> Optional[float]:
+        """Push successes over attempts, pooled across frames; None when no
+        push was ever attempted."""
+        attempted, succeeded = self.frames.counts[:, 3:].sum(axis=0).tolist()
+        return succeeded / attempted if attempted else None
 
 
 _FRAMES_PER_BLOCK = 128
@@ -381,16 +390,4 @@ def simulate_rcs(
         counts = np.array(rows, dtype=np.int64)
     else:
         counts = _independent_frames(reserved_ops, shared_ops, population, query, n_frames, rng)
-    matched, reserved, shared, attempted, succeeded = counts.T
-    record = MetricsRecord(
-        rcs_frames=n_frames,
-        rcs_retrieval_successes=int(np.count_nonzero(reserved + shared == matched)),
-        rcs_push_attempts=int(attempted.sum()),
-        rcs_push_successes=int(succeeded.sum()),
-    )
-    return RcsResult(
-        retrieval_accuracy=record.rcs_retrieval_successes / record.rcs_frames,
-        push_success_prob=record.push_success_rate,
-        frames=FrameLog(counts),
-        record=record,
-    )
+    return RcsResult(FrameLog(counts))

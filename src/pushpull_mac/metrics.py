@@ -1,15 +1,17 @@
-"""Latency, reliability and accuracy accounting.
+"""Latency and reliability accounting for CFF runs, in slot units.
 
-A :class:`MetricsRecord` holds one latency sample per *arrived* packet once a
-run is finalized (undelivered packets carry +inf), so reliability is a plain
-fraction of samples.  Records merge associatively for replication
-aggregation.
+A :class:`MetricsRecord` keeps, per traffic class, the measured arrivals, the
+measured misses (packets never delivered) and an int64 array of delivered
+latencies in slots.  Delivered is the array's length, so ``delivered +
+failed == arrived`` checks a run's conservation.  Latencies become seconds
+only where they are compared with a target (:func:`reliability_within`) or
+listed (:meth:`MetricsRecord.latencies`).  Records of equal slot duration
+merge class by class for replication aggregation.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -17,96 +19,64 @@ from .core import PacketClass
 
 __all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within", "empirical_quantile"]
 
+_NO_SLOTS = np.empty(0, dtype=np.int64)
+
 
 class EmptySampleError(ValueError):
     """Raised when a statistic is requested over zero samples."""
 
 
-@dataclass(slots=True)
 class MetricsRecord:
-    """Per-class counters and latency samples, plus per-frame RCS counters."""
+    """Per-class arrivals, misses and delivered latencies (slots) of CFF runs
+    with one slot duration (seconds)."""
 
-    pull_latencies: List[float] = field(default_factory=list)
-    push_latencies: List[float] = field(default_factory=list)
-    pull_arrived: int = 0
-    pull_delivered: int = 0
-    pull_failed: int = 0
-    push_arrived: int = 0
-    push_delivered: int = 0
-    push_failed: int = 0
-    rcs_frames: int = 0
-    rcs_retrieval_successes: int = 0
-    rcs_push_attempts: int = 0
-    rcs_push_successes: int = 0
+    __slots__ = ("slot_duration", "_slots", "_arrived", "_failed")
 
-    def latencies(self, klass: PacketClass) -> List[float]:
-        return self.pull_latencies if klass is PacketClass.PULL else self.push_latencies
+    def __init__(self, slot_duration: float) -> None:
+        self.slot_duration = slot_duration
+        self._slots = dict.fromkeys(PacketClass, _NO_SLOTS)
+        self._arrived = dict.fromkeys(PacketClass, 0)
+        self._failed = dict.fromkeys(PacketClass, 0)
+
+    def add(self, klass: PacketClass, latency_slots=(), failed: int = 0, arrived: int = 0) -> None:
+        """Append delivered latencies (slots) and count misses and arrivals."""
+        if len(latency_slots):
+            self._slots[klass] = np.concatenate((self._slots[klass], np.asarray(latency_slots, dtype=np.int64)))
+        self._failed[klass] += failed
+        self._arrived[klass] += arrived
+
+    def latency_slots(self, klass: PacketClass) -> np.ndarray:
+        return self._slots[klass]
 
     def arrived(self, klass: PacketClass) -> int:
-        return self.pull_arrived if klass is PacketClass.PULL else self.push_arrived
+        return self._arrived[klass]
 
     def delivered(self, klass: PacketClass) -> int:
-        return self.pull_delivered if klass is PacketClass.PULL else self.push_delivered
+        return len(self._slots[klass])
 
     def failed(self, klass: PacketClass) -> int:
-        return self.pull_failed if klass is PacketClass.PULL else self.push_failed
+        return self._failed[klass]
 
-    def add_arrivals(self, klass: PacketClass, n: int = 1) -> None:
-        if klass is PacketClass.PULL:
-            self.pull_arrived += n
-        else:
-            self.push_arrived += n
-
-    def extend_deliveries(self, klass: PacketClass, latencies: np.ndarray) -> None:
-        lats = np.asarray(latencies, dtype=np.float64).tolist()
-        if klass is PacketClass.PULL:
-            self.pull_delivered += len(lats)
-            self.pull_latencies.extend(lats)
-        else:
-            self.push_delivered += len(lats)
-            self.push_latencies.extend(lats)
-
-    def add_failures(self, klass: PacketClass, n: int = 1) -> None:
-        """Record ``n`` packets that will never be delivered (latency +inf)."""
-        if klass is PacketClass.PULL:
-            self.pull_failed += n
-            self.pull_latencies.extend([math.inf] * n)
-        else:
-            self.push_failed += n
-            self.push_latencies.extend([math.inf] * n)
-
-    # -- RCS counters ------------------------------------------------------
-    @property
-    def retrieval_accuracy(self) -> Optional[float]:
-        if self.rcs_frames == 0:
-            return None
-        return self.rcs_retrieval_successes / self.rcs_frames
-
-    @property
-    def push_success_rate(self) -> Optional[float]:
-        if self.rcs_push_attempts == 0:
-            return None
-        return self.rcs_push_successes / self.rcs_push_attempts
+    def latencies(self, klass: PacketClass) -> List[float]:
+        """Delivered latencies in seconds, then one +inf per miss."""
+        return (self._slots[klass] * self.slot_duration).tolist() + [math.inf] * self._failed[klass]
 
     def merge(self, other: "MetricsRecord") -> None:
-        """Fold ``other`` into this record (counters add, samples concatenate)."""
-        self.pull_latencies.extend(other.pull_latencies)
-        self.push_latencies.extend(other.push_latencies)
-        self.pull_arrived += other.pull_arrived
-        self.pull_delivered += other.pull_delivered
-        self.pull_failed += other.pull_failed
-        self.push_arrived += other.push_arrived
-        self.push_delivered += other.push_delivered
-        self.push_failed += other.push_failed
-        self.rcs_frames += other.rcs_frames
-        self.rcs_retrieval_successes += other.rcs_retrieval_successes
-        self.rcs_push_attempts += other.rcs_push_attempts
-        self.rcs_push_successes += other.rcs_push_successes
+        """Fold ``other`` into this record, class by class."""
+        if other.slot_duration != self.slot_duration:
+            raise ValueError(
+                f"cannot merge records of slot durations {self.slot_duration} and {other.slot_duration}"
+            )
+        for klass in PacketClass:
+            self.add(klass, other._slots[klass], other._failed[klass], other._arrived[klass])
 
 
 def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:
     """Merge records in the given (replication-index) order."""
-    merged = MetricsRecord()
+    records = list(records)
+    if not records:
+        raise ValueError("merge_records needs at least one record: the merged record takes its slot duration")
+    merged = MetricsRecord(records[0].slot_duration)
     for rec in records:
         merged.merge(rec)
     return merged
@@ -115,15 +85,16 @@ def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:
 def reliability_within(record: MetricsRecord, klass: PacketClass, latency_target: float) -> float:
     """Fraction of arrived packets of ``klass`` delivered within ``latency_target`` seconds.
 
-    Packets still in flight at the horizon count against the target (they have
-    no finite sample yet but sit in the arrival denominator).
+    A latency of k slots meets the target iff the float64 product
+    ``k * slot_duration <= latency_target``; on the paper frame 300 * 1e-4
+    exceeds 0.03, so a 300-slot delivery is late at 30 ms.  Misses sit in
+    the arrival denominator.
     """
     arrived = record.arrived(klass)
     if arrived == 0:
         raise EmptySampleError(f"no {klass.value} arrivals recorded")
-    samples = record.latencies(klass)
-    met = sum(1 for lat in samples if lat <= latency_target)
-    return met / arrived
+    met = np.count_nonzero(record.latency_slots(klass) * record.slot_duration <= latency_target)
+    return int(met) / arrived
 
 
 def empirical_quantile(samples: Sequence[float], p: float) -> float:

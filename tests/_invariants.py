@@ -51,9 +51,10 @@ def generator_emitting(word: int, position: int, high: int = _HIGH) -> np.random
 
 
 def check_cff_matches_reference(config: FrameConfig, pull_rate, push_rate, horizon_frames, seed, **kw) -> None:
-    """``simulate_cff`` and ``reference_cff_run`` give equal records (latency
-    lists in order) and equal ``on_delivery`` calls.  ``seed`` may be a
-    ``Generator`` factory, called once per run, for crafted states."""
+    """``simulate_cff`` and ``reference_cff_run`` give equal records (per
+    class: latency slots in order, arrivals and misses) and equal
+    ``on_delivery`` calls.  ``seed`` may be a ``Generator`` factory, called
+    once per run, for crafted states."""
     runs = []
     for run in (reference_cff_run, simulate_cff):
         log = []
@@ -61,8 +62,11 @@ def check_cff_matches_reference(config: FrameConfig, pull_rate, push_rate, horiz
         record = run(config, pull_rate, push_rate, horizon_frames, rng, on_delivery=lambda *d: log.append(d), **kw)
         runs.append((record, log))
     (want, want_log), (got, got_log) = runs
-    for name in MetricsRecord.__slots__:
-        assert getattr(got, name) == getattr(want, name), f"{name} differs"
+    assert got.slot_duration == want.slot_duration
+    for klass in PacketClass:
+        assert got.latency_slots(klass).tolist() == want.latency_slots(klass).tolist(), f"{klass} latencies differ"
+        assert got.arrived(klass) == want.arrived(klass), f"{klass} arrivals differ"
+        assert got.failed(klass) == want.failed(klass), f"{klass} misses differ"
     assert len(got_log) == len(want_log), "on_delivery call count differs"
     for (k1, a1, d1), (k2, a2, d2) in zip(got_log, want_log):
         assert k1 is k2 and a1.tolist() == a2.tolist() and d1.tolist() == d2.tolist(), "on_delivery calls differ"
@@ -92,7 +96,7 @@ def reference_cff_run(
     push_stride = config.push_packet_slots
     push_start_off = config.data_start_slot + config.pull_slot_budget
     measured_from_slot = warmup_frames * S
-    record = MetricsRecord()
+    record = MetricsRecord(slot_dur)
 
     # draw order: both per-frame count batches, then per frame: push
     # contention, pull arrival offsets, push arrival offsets
@@ -130,15 +134,15 @@ def reference_cff_run(
             if winner_mask.any():
                 won_arrival = pend_arrival[winner_mask]
                 delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)
-                lats = (delivery_slots + 1 - won_arrival) * slot_dur
-                record.extend_deliveries(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
+                lats = delivery_slots + 1 - won_arrival
+                record.add(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
                 if on_delivery is not None:
                     on_delivery(PacketClass.PUSH, won_arrival, delivery_slots)
             if push_retransmit:
                 pend_arrival = pend_arrival[~winner_mask]
             else:
                 lost = int(np.count_nonzero(pend_arrival[~winner_mask] >= measured_from_slot))
-                record.add_failures(PacketClass.PUSH, lost)
+                record.add(PacketClass.PUSH, failed=lost)
                 pend_arrival = pend_arrival[:0]
         if push_abort is not None and pend_arrival.size:
             lo = max(f * S - late_slots + 1, measured_from_slot)
@@ -165,8 +169,8 @@ def reference_cff_run(
         )
         n_served = delivery_slots.size
         served = pull_arrivals[:n_served]
-        lats = (delivery_slots + 1 - served) * slot_dur
-        record.extend_deliveries(PacketClass.PULL, lats[served >= measured_from_slot])
+        lats = delivery_slots + 1 - served
+        record.add(PacketClass.PULL, lats[served >= measured_from_slot])
         if on_delivery is not None and n_served:
             cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
             for arrival, delivery in zip(np.split(served, cuts), np.split(delivery_slots, cuts)):
@@ -179,8 +183,8 @@ def reference_cff_run(
         (PacketClass.PULL, pull_arrivals[n_served:], pull_counts),
         (PacketClass.PUSH, pend_arrival, push_counts),
     ):
-        record.add_arrivals(klass, int(counts[warmup_frames:].sum()))
-        record.add_failures(klass, int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum()))
+        missed = int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum())
+        record.add(klass, failed=missed, arrived=int(counts[warmup_frames:].sum()))
     return record
 
 
@@ -223,13 +227,13 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         on_delivery=lambda *d: deliveries.append(d),
     )
 
-    # exact conservation per class (no warm-up)
-    assert record.pull_arrived == record.pull_delivered + record.pull_failed
-    assert record.push_arrived == record.push_delivered + record.push_failed
-    assert len(record.pull_latencies) == record.pull_arrived
-    assert len(record.push_latencies) == record.push_arrived
-    assert sum(a.size for k, a, _ in deliveries if k is PacketClass.PULL) == record.pull_delivered
-    assert sum(a.size for k, a, _ in deliveries if k is PacketClass.PUSH) == record.push_delivered
+    # exact conservation per class (no warm-up); the recorded latencies are
+    # the delivery callbacks' own, in order
+    for klass in PacketClass:
+        assert record.arrived(klass) == record.delivered(klass) + record.failed(klass)
+        assert len(record.latencies(klass)) == record.arrived(klass)
+        lats = [d + 1 - a for k, a, d in deliveries if k is klass]
+        assert record.latency_slots(klass).tolist() == (np.concatenate(lats).tolist() if lats else [])
 
     pull_budget = config.pull_slot_budget
     data_start = config.data_start_slot
@@ -363,6 +367,6 @@ def check_rcs_run(config, population, query, n_frames: int, seed: int) -> None:
     assert len(res.frames) == n_frames
     for g, (got, want) in enumerate(zip(res.frames, expected)):
         assert got == want, f"frame {g}: {got} != {want}"
-    assert res.record.rcs_retrieval_successes == sum(f.retrieval_success for f in expected)
-    assert res.record.rcs_push_attempts == sum(f.push_attempted for f in expected)
-    assert res.record.rcs_push_successes == sum(f.push_succeeded for f in expected)
+    assert res.retrieval_accuracy == sum(f.retrieval_success for f in expected) / n_frames
+    attempts = sum(f.push_attempted for f in expected)
+    assert res.push_success_prob == (sum(f.push_succeeded for f in expected) / attempts if attempts else None)

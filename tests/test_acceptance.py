@@ -153,9 +153,9 @@ def test_criterion_3_slotted_aloha_oracle():
         cfg = FrameConfig(alpha=0.0, **PAPER_FRAME)
         rate = g * 100 / cfg.frame_duration  # per-slot load G over 100 push slots
         rec = simulate_cff(cfg, 0.0, rate, frames, seed=33, push_retransmit=False)
-        assert rec.push_arrived >= 100_000
-        p = rec.push_delivered / rec.push_arrived
-        details.append(f"G={g}: {p:.4f} vs e^-G={math.exp(-g):.4f} (n={rec.push_arrived})")
+        assert rec.arrived(PUSH) >= 100_000
+        p = rec.delivered(PUSH) / rec.arrived(PUSH)
+        details.append(f"G={g}: {p:.4f} vs e^-G={math.exp(-g):.4f} (n={rec.arrived(PUSH)})")
         if abs(p - math.exp(-g)) > 0.01:
             problems.append(details[-1])
     _report("3 (slotted-ALOHA oracle)", not problems, "; ".join(problems or details))
@@ -177,7 +177,7 @@ def test_criterion_4_small_instance_enumeration():
     # same enumeration through the RCS reserved portion (2 matched, 2 reserved slots)
     pop2 = RcsPopulation(2, 0, PushTrigger(1.0))
     res2 = simulate_rcs(FrameConfig(2, 0.01, 1, 1, 1.0), pop2, SemanticQuery(0.0, 1.0), frames, seed=45)
-    rcs_device_rate = res2.record.rcs_retrieval_successes / frames  # both-or-neither
+    rcs_device_rate = res2.retrieval_accuracy  # both-or-neither
     res1 = simulate_rcs(FrameConfig(1, 0.01, 1, 1, 1.0), pop2, SemanticQuery(0.0, 1.0), frames, seed=46)
 
     problems = []
@@ -263,10 +263,10 @@ def test_criterion_7_degenerate_endpoints():
         problems.append("alpha=1 leaves push slots")
 
     rec0 = simulate_cff(cff0, pull_rate=800, push_rate=0, horizon_frames=100, seed=7)
-    if rec0.pull_delivered != 0 or rec0.pull_failed != rec0.pull_arrived:
+    if rec0.delivered(PULL) != 0 or rec0.failed(PULL) != rec0.arrived(PULL):
         problems.append("alpha=0 delivered pull traffic")
     rec1 = simulate_cff(cff1, pull_rate=0, push_rate=800, horizon_frames=100, seed=7)
-    if rec1.push_delivered != 0:
+    if rec1.delivered(PUSH) != 0:
         problems.append("alpha=1 delivered push traffic")
 
     spec = CapacitySpec(
@@ -283,7 +283,7 @@ def test_criterion_7_degenerate_endpoints():
     res = simulate_rcs(
         FrameConfig(50, 0.01, 1, 1, 1.0), RCS_POPULATION, RCS_QUERY, 5000, seed=8
     )
-    if res.record.rcs_push_attempts == 0 or res.record.rcs_push_successes != 0:
+    if not any(f.push_attempted for f in res.frames) or any(f.push_succeeded for f in res.frames):
         problems.append("RCS alpha=1 allowed push successes")
     if res.push_success_prob != 0.0:
         problems.append(f"RCS alpha=1 push probability {res.push_success_prob}")

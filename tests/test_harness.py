@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -514,3 +515,41 @@ class TestRunExperiment:
         seeds = [j.seed for j in jobs]
         assert len(set(seeds)) == len(seeds)
         assert seeds == [_point_seed(9, i) for i in range(len(jobs))]
+
+
+# Sweeps whose points pool three replications: the CFF rows read records
+# merged by ``merge_records``, the RCS rows frame counts pooled across runs.
+# The CSV digests were recorded before the record kept latencies in slots
+# and RCS results were read from frame counts; both changes keep them.
+REPLICATED_SWEEPS = {
+    "cff": (
+        cff_simulate_cfg(
+            alphas=[0.2, 0.5, 0.8],
+            latency_targets_ms=[20.0, 30.0, 50.0],
+            traffic={"pull_rate_pps": 500.0, "push_rate_pps": 800.0},
+            horizon_frames=1000,
+            replications=3,
+            master_seed=1,
+        ),
+        "a3d167455a4b10fc4acf6d34dc5c1f78a6866b6eac6cc33f4193e654510f2349",
+    ),
+    "rcs": (
+        rcs_cfg(
+            frame={"slots_per_frame": 50, "frame_duration_ms": 10.0, "pull_packet_slots": 1, "push_packet_slots": 1},
+            alphas=[0.0, 0.4, 1.0],
+            population={"n_pull_devices": 12, "n_push_devices": 40, "query": [0.25, 0.75], "push_threshold": 0.5},
+            n_frames=2000,
+            replications=3,
+            master_seed=1,
+        ),
+        "552b3affe1338e0141bf5e3075ca8bed1545bee2f01f03e669a124be98c1c0b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(REPLICATED_SWEEPS))
+def test_replicated_sweep_pinned(protocol, tmp_path):
+    data, digest = REPLICATED_SWEEPS[protocol]
+    out = tmp_path / f"{protocol}.csv"
+    run_experiment(validate_config(data), out=str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

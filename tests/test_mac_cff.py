@@ -116,8 +116,8 @@ class TestContendPush:
         # a frame without push opportunities delivers no push packet; all
         # of them are still pending, hence failed, at the horizon
         rec = simulate_cff(paper_config(1.0), 0, 2000, 30, seed=6)
-        assert rec.push_arrived > 0
-        assert rec.push_failed == rec.push_arrived
+        assert rec.arrived(PUSH) > 0
+        assert rec.failed(PUSH) == rec.arrived(PUSH)
         assert delivery_log(paper_config(1.0), 0, 2000, 30, seed=6)[PUSH] == []
 
     def test_two_contenders_two_slots_half_succeed(self):
@@ -149,15 +149,15 @@ class TestSimulateCff:
 
     def test_alpha_zero_starves_pull(self):
         rec = simulate_cff(paper_config(0.0), pull_rate=500, push_rate=0, horizon_frames=50, seed=2)
-        assert rec.pull_arrived > 0
-        assert rec.pull_delivered == 0
-        assert rec.pull_failed == rec.pull_arrived
+        assert rec.arrived(PULL) > 0
+        assert rec.delivered(PULL) == 0
+        assert rec.failed(PULL) == rec.arrived(PULL)
         assert reliability_within(rec, PULL, 1e9) == 0.0
 
     def test_alpha_one_starves_push(self):
         rec = simulate_cff(paper_config(1.0), pull_rate=0, push_rate=500, horizon_frames=50, seed=2)
-        assert rec.push_arrived > 0
-        assert rec.push_delivered == 0
+        assert rec.arrived(PUSH) > 0
+        assert rec.delivered(PUSH) == 0
 
     def test_sparse_pull_served_next_frame_within_two_frames(self):
         cfg = paper_config(0.5)
@@ -166,51 +166,50 @@ class TestSimulateCff:
             cfg, pull_rate=100, push_rate=0, horizon_frames=400, seed=5,
             on_delivery=lambda *d: log.append(d),
         )
-        assert rec.pull_delivered > 0
+        assert rec.delivered(PULL) > 0
         # light load: every packet is scheduled in the frame after arrival,
         # inside the first capacity blocks, so latency <= 2 frames
         for klass, arrival, delivery in log:
             assert klass is PULL
             assert (delivery // 100 == arrival // 100 + 1).all()
-        finite = [l for l in rec.pull_latencies if math.isfinite(l)]
-        assert max(finite) <= 2 * cfg.frame_duration + 1e-12
+        assert rec.latency_slots(PULL).max() <= 2 * cfg.slots_per_frame
 
     def test_conservation_under_overload(self):
         for rates in ((3000, 0), (0, 15000), (1500, 4000)):
             rec = simulate_cff(paper_config(0.4), *rates, horizon_frames=80, seed=9)
-            assert rec.pull_arrived == rec.pull_delivered + rec.pull_failed
-            assert rec.push_arrived == rec.push_delivered + rec.push_failed
+            for klass in (PULL, PUSH):
+                assert rec.arrived(klass) == rec.delivered(klass) + rec.failed(klass)
 
     def test_deterministic(self):
         a = simulate_cff(paper_config(0.3), 400, 900, 120, seed=77)
         b = simulate_cff(paper_config(0.3), 400, 900, 120, seed=77)
-        assert a.pull_latencies == b.pull_latencies
-        assert a.push_latencies == b.push_latencies
+        assert a.latencies(PULL) == b.latencies(PULL)
+        assert a.latencies(PUSH) == b.latencies(PUSH)
         c = simulate_cff(paper_config(0.3), 400, 900, 120, seed=78)
-        assert c.push_latencies != b.push_latencies
+        assert c.latencies(PUSH) != b.latencies(PUSH)
 
     def test_slotted_aloha_success_probability(self):
         # no retransmissions, alpha=0: per-slot load G = rate * frame / slots
         cfg = paper_config(0.0)
         rate = 10_000.0  # G = 1.0
         rec = simulate_cff(cfg, 0, rate, horizon_frames=300, seed=13, push_retransmit=False)
-        p_success = rec.push_delivered / rec.push_arrived
+        p_success = rec.delivered(PUSH) / rec.arrived(PUSH)
         assert p_success == pytest.approx(math.exp(-1.0), abs=0.02)
 
     def test_warmup_excluded_from_measurement(self):
         cfg = paper_config(0.5)
         full = simulate_cff(cfg, 300, 300, 100, seed=3)
         trimmed = simulate_cff(cfg, 300, 300, 100, seed=3, warmup_frames=50)
-        assert trimmed.pull_arrived < full.pull_arrived
-        assert trimmed.pull_arrived == trimmed.pull_delivered + trimmed.pull_failed
+        assert trimmed.arrived(PULL) < full.arrived(PULL)
+        assert trimmed.arrived(PULL) == trimmed.delivered(PULL) + trimmed.failed(PULL)
 
     def test_abort_is_equivalent_when_target_met(self):
         cfg = paper_config(0.3)
         rule = PushAbortRule(latency_target=0.05, target_reliability=0.99)
         plain = simulate_cff(cfg, 0, 300, 200, seed=21)
         aborted = simulate_cff(cfg, 0, 300, 200, seed=21, push_abort=rule)
-        assert plain.push_latencies == aborted.push_latencies
-        assert plain.push_arrived == aborted.push_arrived
+        assert plain.latencies(PUSH) == aborted.latencies(PUSH)
+        assert plain.arrived(PUSH) == aborted.arrived(PUSH)
 
     def test_abort_certifies_miss(self):
         cfg = paper_config(0.3)
@@ -221,7 +220,7 @@ class TestSimulateCff:
         rel_fast = reliability_within(fast, PUSH, 0.02)
         assert rel_full < 0.99
         assert rel_fast <= rel_full
-        assert fast.push_arrived == fast.push_delivered + fast.push_failed
+        assert fast.arrived(PUSH) == fast.delivered(PUSH) + fast.failed(PUSH)
 
     def test_push_deliveries_only_in_push_subframe(self):
         cfg = paper_config(0.6)
@@ -242,15 +241,17 @@ class TestSimulateCff:
         lo = simulate_cff(paper_config(0.4), seed=55, **rates)
         hi = simulate_cff(paper_config(0.6), seed=55, **rates)
         for p in (0.5, 0.9):
-            assert empirical_quantile(hi.pull_latencies, p) <= empirical_quantile(lo.pull_latencies, p) + slack
-            assert empirical_quantile(hi.push_latencies, p) >= empirical_quantile(lo.push_latencies, p) - slack
+            assert empirical_quantile(hi.latencies(PULL), p) <= empirical_quantile(lo.latencies(PULL), p) + slack
+            assert empirical_quantile(hi.latencies(PUSH), p) >= empirical_quantile(lo.latencies(PUSH), p) - slack
 
 
 # Exact outputs of nine runs, recorded before the pull FIFO was served in
 # closed form and the offset draws were batched; both changes must keep the
 # random stream and every record byte-identical.  Counts are (pull arrived,
 # delivered, failed, push arrived, delivered, failed); the digest covers both
-# latency lists in order.
+# classes' ``latencies`` (seconds in delivery order, then +inf per miss).
+# The no_retransmit digest was re-recorded with each class's misses moved
+# after its deliveries, when the record stopped storing +inf samples.
 PINNED = {
     "pull_only": (
         (paper_config(0.5), 3000, 0, 120, 11, {}),
@@ -270,7 +271,7 @@ PINNED = {
     "no_retransmit": (
         (paper_config(0.3), 500, 6000, 100, 13, dict(push_retransmit=False)),
         (481, 474, 7, 5982, 2507, 3475),
-        "fd2a884476bb91c6b63b77a6bd06d72a5fdc16ed6f5db5f307cbfb48c398c815",
+        "7b4bf418189c0f6996bb4b3e49428d75e0311896c1d71648ec0d2eeb3f2d9db8",
     ),
     "warmup": (
         (paper_config(0.5), 800, 900, 150, 3, dict(warmup_frames=40)),
@@ -308,13 +309,10 @@ PINNED = {
 def test_pinned_output(case):
     (cfg, pull_rate, push_rate, horizon, seed, kw), counts, digest = PINNED[case]
     rec = simulate_cff(cfg, pull_rate, push_rate, horizon, seed, **kw)
-    assert (
-        rec.pull_arrived, rec.pull_delivered, rec.pull_failed,
-        rec.push_arrived, rec.push_delivered, rec.push_failed,
-    ) == counts
+    assert tuple(f(k) for k in (PULL, PUSH) for f in (rec.arrived, rec.delivered, rec.failed)) == counts
     h = hashlib.sha256()
-    for lats in (rec.pull_latencies, rec.push_latencies):
-        h.update(np.asarray(lats, dtype=np.float64).tobytes())
+    for klass in (PULL, PUSH):
+        h.update(np.asarray(rec.latencies(klass), dtype=np.float64).tobytes())
     assert h.hexdigest() == digest
 
 

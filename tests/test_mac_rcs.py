@@ -1,3 +1,6 @@
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from pushpull_mac import (
     run_rcs_frame,
     simulate_rcs,
 )
-from pushpull_mac.mac_rcs import _independent_frames
+from pushpull_mac.mac_rcs import FrameLog, RcsResult, _independent_frames
 
 from _invariants import generator_emitting, recorded_rcs_rounds
 
@@ -24,6 +27,14 @@ def config(s, alpha, k=1):
 
 def population(n_pull, n_push, threshold=0.5):
     return RcsPopulation(n_pull, n_push, PushTrigger(threshold))
+
+
+def push_attempts(res):
+    return sum(f.push_attempted for f in res.frames)
+
+
+def push_successes(res):
+    return sum(f.push_succeeded for f in res.frames)
 
 
 class TestRunRcsFrame:
@@ -126,7 +137,7 @@ class TestSimulateRcs:
     def test_no_push_attempts_reported_absent(self):
         res = simulate_rcs(config(10, 0.5), population(3, 5, threshold=1.0), ALL, 500, seed=1)
         assert res.push_success_prob is None
-        assert res.record.rcs_push_attempts == 0
+        assert push_attempts(res) == 0
 
     def test_estimates_match_frame_results(self):
         res = simulate_rcs(config(25, 0.4), population(6, 10), ALL, 2000, seed=3)
@@ -136,7 +147,7 @@ class TestSimulateRcs:
         att = sum(f.push_attempted for f in res.frames)
         suc = sum(f.push_succeeded for f in res.frames)
         assert res.push_success_prob == pytest.approx(suc / att)
-        assert res.record.rcs_frames == 2000
+        assert len(res.frames) == 2000
 
     def test_deterministic(self):
         a = simulate_rcs(config(25, 0.4), population(6, 10), ALL, 1000, seed=9)
@@ -160,14 +171,14 @@ class TestSimulateRcs:
         cfg = config(12, 0.8)  # 9 reserved, 3 shared slots
         default = simulate_rcs(cfg, pop, q, 4000, seed=13)
         persistent = simulate_rcs(cfg, pop, q, 4000, seed=13, persistent_push_backlog=True)
-        assert persistent.record.rcs_push_attempts > default.record.rcs_push_attempts
+        assert push_attempts(persistent) > push_attempts(default)
         # per frame a device attempts at most once
         assert all(f.push_attempted <= 5 for f in persistent.frames)
         # with ample shared slots and no contention the modes coincide
         quiet = population(0, 3, threshold=0.5)
         a = simulate_rcs(config(30, 0.0), quiet, q, 2000, seed=14)
         b = simulate_rcs(config(30, 0.0), quiet, q, 2000, seed=14, persistent_push_backlog=True)
-        assert a.record.rcs_push_successes <= b.record.rcs_push_successes
+        assert push_successes(a) <= push_successes(b)
 
     def test_persistent_backlog_pinned(self):
         # exact values: both modes run one frame kernel, and a change in the
@@ -181,12 +192,12 @@ class TestSimulateRcs:
             res = simulate_rcs(config(25, alpha), pop, q, 2000, seed=7, persistent_push_backlog=True)
             assert res.retrieval_accuracy == accuracy
             assert res.push_success_prob == push_prob
-            assert res.record.rcs_push_attempts == attempts
+            assert push_attempts(res) == attempts
 
     def test_persistent_backlog_blocked_at_alpha_one(self):
         pop = population(2, 4, threshold=0.0)
         res = simulate_rcs(config(10, 1.0), pop, ALL, 50, seed=15, persistent_push_backlog=True)
-        assert res.record.rcs_push_successes == 0
+        assert push_successes(res) == 0
         # every device goes pending after the first frame and stays there
         assert all(f.push_attempted == 4 for f in res.frames)
 
@@ -199,6 +210,130 @@ class TestSimulateRcs:
             accs_2n.append(simulate_rcs(cfg, pop, ALL, 600, seed=10_000 + seed).retrieval_accuracy)
         ratio = np.var(accs_n) / np.var(accs_2n)
         assert 1.4 <= ratio <= 2.9
+
+
+class TestRcsResult:
+    def test_estimators_read_from_frame_counts(self):
+        # (matched, reserved wins, shared wins, push attempts, push successes)
+        two = RcsResult(FrameLog(np.array([[2, 1, 1, 3, 1], [1, 0, 0, 1, 0]], dtype=np.int64)))
+        assert two.retrieval_accuracy == 0.5
+        assert two.push_success_prob == 0.25
+        silent = RcsResult(FrameLog(np.array([[0, 0, 0, 0, 0]], dtype=np.int64)))
+        assert silent.retrieval_accuracy == 1.0
+        assert silent.push_success_prob is None
+
+    def test_pooled_replications_weigh_frames_and_attempts(self):
+        # pooling concatenates frame counts: the estimates are totals over
+        # totals, not means of per-run estimates
+        runs = [simulate_rcs(config(25, 0.4), population(6, 10), ALL, n, seed=n) for n in (300, 900)]
+        pooled = RcsResult(FrameLog(np.concatenate([r.frames.counts for r in runs])))
+        assert len(pooled.frames) == 1200
+        wins = sum(f.retrieval_success for r in runs for f in r.frames)
+        assert pooled.retrieval_accuracy == wins / 1200
+        assert pooled.push_success_prob == sum(map(push_successes, runs)) / sum(map(push_attempts, runs))
+
+
+def _binomial(n, p):
+    """P(K = k) for K ~ Bin(n, p), k = 0..n."""
+    return [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _stragglers(m, r):
+    """P(X = x), x = 0..m, where X counts the balls that do not land alone
+    when m balls fall uniformly into r slots (the occupancy law; Kolchin et
+    al., Random Allocations, 1978), by a walk over (empty, singleton) slot
+    counts.  Without slots every ball is a straggler."""
+    if r == 0:
+        return [0.0] * m + [1.0]
+    states = {(r, 0): 1.0}
+    for _ in range(m):
+        after = defaultdict(float)
+        for (empty, alone), pr in states.items():
+            crowded = r - empty - alone
+            if empty:
+                after[empty - 1, alone + 1] += pr * empty / r
+            if alone:
+                after[empty, alone - 1] += pr * alone / r
+            if crowded:
+                after[empty, alone] += pr * crowded / r
+        states = after
+    law = [0.0] * (m + 1)
+    for (_, alone), pr in states.items():
+        law[m - alone] += pr
+    return law
+
+
+def _all_alone(tagged, others, slots):
+    """P(each of ``tagged`` balls lands alone) when ``tagged + others`` balls
+    fall uniformly into ``slots`` slots: falling(slots, tagged) *
+    (slots - tagged)**others / slots**(tagged + others)."""
+    if tagged == 0:
+        return 1.0
+    if slots < tagged:
+        return 0.0
+    return math.perm(slots, tagged) * (slots - tagged) ** others / slots ** (tagged + others)
+
+
+def rcs_exact(cfg, pop, query):
+    """(retrieval accuracy, pooled push success) of independent RCS frames
+    with one-slot packets.  M ~ Bin(n_pull, match probability) devices match
+    and contend in R reserved slots; the X stragglers retry among X + P
+    contenders in Sh shared slots, P ~ Bin(n_push, 1 - threshold).  A frame
+    retrieves iff every straggler lands alone; the pooled push success is
+    E[push successes] / E[P]."""
+    reserved, shared = cfg.pull_slot_budget, cfg.push_slot_budget
+    p_push = 1.0 - pop.trigger.threshold
+    accuracy = push_won = 0.0
+    for m, pm in enumerate(_binomial(pop.n_pull_devices, query.match_probability)):
+        for x, px in enumerate(_stragglers(m, reserved)):
+            for n_push, pp in enumerate(_binomial(pop.n_push_devices, p_push)):
+                w = pm * px * pp
+                accuracy += w * _all_alone(x, n_push, shared)
+                if n_push:
+                    push_won += w * n_push * _all_alone(1, x + n_push - 1, shared)
+    return accuracy, push_won / (pop.n_push_devices * p_push)
+
+
+def z_score(residuals):
+    """Mean over standard error of per-frame residuals whose exact mean is 0."""
+    sd = residuals.std(ddof=1)
+    if sd == 0:
+        return 0.0 if residuals.mean() == 0 else math.inf
+    return residuals.mean() * math.sqrt(len(residuals)) / sd
+
+
+class TestExactOracle:
+    """``simulate_rcs`` against the closed forms of ``rcs_exact`` on the
+    reference geometry (12 pull / 40 push devices, query [0.25, 0.75],
+    threshold 0.5).  The closed forms do not depend on the random stream,
+    so they hold whatever the draw order."""
+
+    POP = population(12, 40, threshold=0.5)
+    QUERY = SemanticQuery(0.25, 0.75)
+
+    def test_closed_form_reference_value(self):
+        accuracy, _ = rcs_exact(config(50, 0.4), self.POP, self.QUERY)
+        assert accuracy == pytest.approx(0.55634, abs=5e-6)
+
+    def test_occupancy_law_small_cases(self):
+        # two balls in two slots: both alone or both crowded, half the time each
+        assert _stragglers(2, 2) == pytest.approx([0.5, 0.0, 0.5])
+        # three balls in three slots: 6 of 27 placements are all-alone, 3 all-crowded
+        assert _stragglers(3, 3) == pytest.approx([6 / 27, 0.0, 18 / 27, 3 / 27])
+        for m, r in ((5, 7), (12, 20), (4, 1)):
+            assert sum(_stragglers(m, r)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s, alpha", [(25, 0.0), (50, 0.4), (75, 0.8), (50, 1.0)])
+    def test_simulation_matches_closed_form(self, s, alpha):
+        cfg = config(s, alpha)
+        accuracy, push_success = rcs_exact(cfg, self.POP, self.QUERY)
+        counts = simulate_rcs(cfg, self.POP, self.QUERY, 40_000, seed=2024).frames.counts
+        matched, reserved, shared, attempted, succeeded = counts.T
+        retrieved = (reserved + shared == matched).astype(np.float64)
+        assert abs(z_score(retrieved - accuracy)) <= 4
+        assert abs(z_score(succeeded - push_success * attempted)) <= 4
+        if alpha == 1.0:
+            assert push_success == 0.0 and not succeeded.any()
 
 
 class TestRejectedDraws:

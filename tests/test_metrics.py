@@ -5,6 +5,7 @@ import pytest
 
 from pushpull_mac import (
     EmptySampleError,
+    FrameConfig,
     MetricsRecord,
     PacketClass,
     empirical_quantile,
@@ -14,18 +15,19 @@ from pushpull_mac import (
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
+# the paper frame: 100 slots per 10 ms
+SLOT = FrameConfig(100, 0.01, 5, 1, 0.5).slot_duration
 
-def record_with(klass, latencies, failures=0, **counters):
-    rec = MetricsRecord(**counters)
-    rec.add_arrivals(klass, len(latencies) + failures)
-    rec.extend_deliveries(klass, latencies)
-    rec.add_failures(klass, failures)
+
+def record_with(klass, latency_slots, failures=0, slot_duration=SLOT):
+    rec = MetricsRecord(slot_duration)
+    rec.add(klass, latency_slots, failed=failures, arrived=len(latency_slots) + failures)
     return rec
 
 
 class TestReliabilityWithin:
     def test_two_of_three_within_20ms(self):
-        rec = record_with(PULL, [0.005, 0.015, 0.025])
+        rec = record_with(PULL, [50, 150, 250])
         assert reliability_within(rec, PULL, 0.020) == pytest.approx(2 / 3)
 
     def test_all_failed_is_zero(self):
@@ -33,19 +35,47 @@ class TestReliabilityWithin:
         assert reliability_within(rec, PUSH, 1.0) == 0.0
 
     def test_deterministic_one_frame_latency(self):
-        rec = record_with(PULL, [0.01] * 10_000)
+        rec = record_with(PULL, [100] * 10_000)
         assert reliability_within(rec, PULL, 0.02) == 1.0
 
     def test_empty_sample_signalled(self):
         with pytest.raises(EmptySampleError):
-            reliability_within(MetricsRecord(), PULL, 0.02)
+            reliability_within(MetricsRecord(SLOT), PULL, 0.02)
 
     def test_in_flight_counts_against(self):
         # arrivals recorded but not yet resolved sit in the denominator
-        rec = MetricsRecord()
-        rec.add_arrivals(PULL, 4)
-        rec.extend_deliveries(PULL, [0.01])
+        rec = MetricsRecord(SLOT)
+        rec.add(PULL, arrived=4)
+        rec.add(PULL, [100])
         assert reliability_within(rec, PULL, 0.02) == pytest.approx(0.25)
+
+    def test_float_boundary_on_the_paper_frame(self):
+        # latencies are judged as the float64 product k * slot_duration, and
+        # 300 * 1e-4 == 0.030000000000000002 > 0.03: a packet delivered in
+        # exactly 30 ms counts as late at L = 30 ms.  The recorded digests
+        # depend on this rule; an exact slot budget would flip the first case.
+        assert 300 * SLOT == 0.030000000000000002
+        assert reliability_within(record_with(PULL, [300]), PULL, 0.030) == 0.0
+        assert reliability_within(record_with(PULL, [299]), PULL, 0.030) == 1.0
+
+
+class TestRecord:
+    def test_counts_and_latency_views(self):
+        rec = record_with(PUSH, [3, 1, 2], failures=2)
+        assert (rec.arrived(PUSH), rec.delivered(PUSH), rec.failed(PUSH)) == (5, 3, 2)
+        assert rec.latency_slots(PUSH).dtype == np.int64
+        assert rec.latency_slots(PUSH).tolist() == [3, 1, 2]
+        # seconds in delivery order, then one +inf per miss
+        assert rec.latencies(PUSH) == [3 * SLOT, 1 * SLOT, 2 * SLOT, math.inf, math.inf]
+        assert (rec.arrived(PULL), rec.delivered(PULL), rec.failed(PULL), rec.latencies(PULL)) == (0, 0, 0, [])
+
+    def test_adds_accumulate(self):
+        rec = MetricsRecord(SLOT)
+        rec.add(PULL, [4])
+        rec.add(PULL, failed=1)
+        rec.add(PULL, np.array([7, 8]), arrived=4)
+        assert rec.latency_slots(PULL).tolist() == [4, 7, 8]
+        assert (rec.arrived(PULL), rec.delivered(PULL), rec.failed(PULL)) == (4, 3, 1)
 
 
 class TestEmpiricalQuantile:
@@ -93,65 +123,53 @@ class TestConsistency:
         for _ in range(100):
             n_ok = int(rng.integers(1, 60))
             n_fail = int(rng.integers(0, 10))
-            lats = list(rng.uniform(0.001, 0.1, size=n_ok))
-            rec = record_with(PULL, lats, failures=n_fail)
+            rec = record_with(PULL, rng.integers(10, 1000, size=n_ok), failures=n_fail)
             target = float(rng.uniform(0.05, 1.0))
             latency = float(rng.uniform(0.001, 0.12))
             rel = reliability_within(rec, PULL, latency)
-            q = empirical_quantile(rec.pull_latencies, target)
+            q = empirical_quantile(rec.latencies(PULL), target)
             assert (rel >= target) == (q <= latency)
 
 
 class TestMerge:
     def make(self, seed):
         rng = np.random.default_rng(seed)
-        # plus one RCS frame: retrieval succeeded, 2 of 3 push attempts succeeded
-        rec = record_with(
-            PULL,
-            list(rng.uniform(0.001, 0.1, size=5)),
-            failures=int(rng.integers(0, 3)),
-            rcs_frames=1,
-            rcs_retrieval_successes=1,
-            rcs_push_attempts=3,
-            rcs_push_successes=2,
-        )
-        rec.add_arrivals(PUSH, 2)
-        rec.extend_deliveries(PUSH, [0.02])
-        rec.add_failures(PUSH, 1)
+        rec = record_with(PULL, rng.integers(10, 1000, size=5), failures=int(rng.integers(0, 3)))
+        rec.add(PUSH, [200], failed=1, arrived=2)
         return rec
 
     def test_counters_add(self):
         a, b = self.make(1), self.make(2)
         merged = merge_records([a, b])
-        assert merged.pull_arrived == a.pull_arrived + b.pull_arrived
-        assert merged.push_failed == a.push_failed + b.push_failed
-        assert merged.rcs_push_attempts == 6
-        assert merged.pull_latencies == a.pull_latencies + b.pull_latencies
+        for klass in PacketClass:
+            assert merged.arrived(klass) == a.arrived(klass) + b.arrived(klass)
+            assert merged.failed(klass) == a.failed(klass) + b.failed(klass)
+            assert merged.latency_slots(klass).tolist() == (
+                a.latency_slots(klass).tolist() + b.latency_slots(klass).tolist()
+            )
+        assert merged.slot_duration == SLOT
+        # the inputs are left as they were
+        assert a.delivered(PULL) == 5
 
     def test_associative_counters(self):
         a, b, c = self.make(1), self.make(2), self.make(3)
         left = merge_records([merge_records([a, b]), c])
         right = merge_records([a, merge_records([b, c])])
-        for attr in (
-            "pull_arrived",
-            "pull_delivered",
-            "pull_failed",
-            "push_arrived",
-            "push_delivered",
-            "push_failed",
-            "rcs_frames",
-            "rcs_retrieval_successes",
-            "rcs_push_attempts",
-            "rcs_push_successes",
-        ):
-            assert getattr(left, attr) == getattr(right, attr)
-        assert left.pull_latencies == right.pull_latencies
+        for klass in PacketClass:
+            assert left.arrived(klass) == right.arrived(klass)
+            assert left.failed(klass) == right.failed(klass)
+            assert left.latencies(klass) == right.latencies(klass)
 
-    def test_rcs_estimators(self):
-        rec = MetricsRecord()
-        assert rec.retrieval_accuracy is None
-        assert rec.push_success_rate is None
-        # two frames: one retrieval success, 4 push attempts with 1 success
-        rec = MetricsRecord(rcs_frames=2, rcs_retrieval_successes=1, rcs_push_attempts=4, rcs_push_successes=1)
-        assert rec.retrieval_accuracy == pytest.approx(0.5)
-        assert rec.push_success_rate == pytest.approx(0.25)
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            merge_records([])
+        with pytest.raises(ValueError, match="at least one record"):
+            merge_records(iter(()))
+
+    def test_different_slot_durations_rejected(self):
+        a = record_with(PULL, [10])
+        b = record_with(PULL, [10], slot_duration=SLOT / 2)
+        with pytest.raises(ValueError, match="slot durations"):
+            merge_records([a, b])
+        with pytest.raises(ValueError, match="slot durations"):
+            a.merge(b)
