@@ -16,21 +16,30 @@ them).  With no doubles left to draw, numpy's buffered high half is simply
 the next half, so these draws are consecutive 32-bit halves of the raw PCG64
 output.  ``simulate_cff`` fetches that output a window at a time and replays
 numpy's bounded-integer rule on it (:mod:`.rawdraw`), so a seed gives the
-records of the per-draw ``Generator`` calls.  If numpy changes that rule,
-the pinned outputs in the tests fail instead of the output changing
-silently.
+records of the per-draw ``Generator`` calls.  Every draw is taken, and its
+half checked against the rejection rule, since that fixes where the next
+draw starts; only the values a round needs are computed (see below).  If
+numpy changes that rule, the pinned outputs in the tests fail instead of the
+output changing silently.
 
 Packets are global arrival-slot indices held in int64 arrays.  Only push
 contention rounds run frame by frame: the pending push packets are ascending
 indices into the run's push arrivals (arrival slots never decrease with the
 index), a round is one ``bincount`` over a slice of draws computed ahead
 (for a window's worth of short rounds, or for one long round), and offset
-draws are only stepped over.  Capacity probes above
-the service ceiling back up to ~1e5 contenders per frame, far past what a
-per-object loop sustains.  At the end of the run the offsets are sorted and
-lifted to arrival slots in bulk, latencies and ``on_delivery`` calls are
-built from the rounds' winners, and the pull FIFO, which draws no
-randomness, is served in closed form (:func:`schedule_pull`).
+draws are only stepped over.  Capacity probes above the service ceiling
+back up to ~1e5 contenders per frame, far past what a per-object loop
+sustains.  Such a collapsed backlog redraws every frame and almost never
+wins: a round of more than ``_PREFIX_PER_SLOT`` x K contenders (K =
+``push_tx_capacity`` >= 2) first computes only that many of its draws, and
+if they already put two in every slot, no slot can end with exactly one, so
+the round has no winner, exactly.  It computes nothing more: its other
+halves are only rejection-checked to find where it ends, and the pending
+packets stay as they are.  Any other round is computed in full.  At the end
+of the run the offsets are sorted and lifted to arrival slots in bulk,
+latencies and ``on_delivery`` calls are built from the rounds' winners, and
+the pull FIFO, which draws no randomness, is served in closed form
+(:func:`schedule_pull`).
 """
 from __future__ import annotations
 
@@ -59,6 +68,12 @@ DeliveryCallback = Callable[[PacketClass, np.ndarray, np.ndarray], None]
 
 # raw 64-bit outputs fetched at a time; a take longer than that fetches what it needs
 _WINDOW_WORDS = 4096
+
+# draws per slot in the prefix that certifies a long round winnerless (see
+# above); a winnerless round of K slots still fails the check, and is
+# computed in full, when some slot holds fewer than two of them: probability
+# about 17 * K * exp(-16) (4e-5 at K = 20)
+_PREFIX_PER_SLOT = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,15 +153,18 @@ class _HalfStream:
     fetched about ``_WINDOW_WORDS`` outputs at a time.
 
     ``contend(n)`` takes a round's n draws below the push capacity and
-    returns them.  ``skip(n)`` takes n arrival-offset draws below S without
-    computing them; their values are read when the window is dropped, and
-    ``close()`` returns every one taken, in stream order.
-    ``count_below(n)`` counts the last n offsets taken that come from a half
-    below ``cut_half``.  A take always lies in one window: a window that
-    falls short is replaced by its unused tail plus fresh output.  The push
-    draws and their rejections are computed for a round's halves, or a
-    window's worth ahead when rounds are short; the offset rejections and
-    counts from the window's first offset take to its end.  The window and
+    returns them; ``take(n)`` takes them without computing them and returns
+    their span, from which ``draws`` computes the first m.  ``skip(n)``
+    takes n arrival-offset draws below S without computing them; their
+    values are read when the window is dropped, and ``close()`` returns
+    every one taken, in stream order.  ``count_below(n)`` counts the last n
+    offsets taken that come from a half below ``cut_half``.  A take always
+    lies in one window: a window that falls short is replaced by its unused
+    tail plus fresh output.  The push rejections are computed for a round's
+    halves, or a window's worth ahead when rounds are short, and the push
+    draws over the same halves once a ``contend`` reads them; the offset
+    rejections and counts from the window's first offset take to its end.
+    The window and
     the push draws live in buffers kept for the run (grown when short):
     allocating new ones per refill, up to every frame when rounds are long,
     fragmented the heap and cost about 1 MiB of peak memory on cff_mixed.
@@ -163,9 +181,10 @@ class _HalfStream:
         self.halves = halves_of(self.words)
         self.size = 0  # halves in the window
         self.h = 0  # next unused half
-        self.push_from = self.push_to = -1  # halves the push table covers, once built
+        self.push_to = -1  # end of the halves the push table covers, once built
+        self.choice_from = -1  # where the push draws start (they run to push_to), once computed
         self.slot_from = -1  # where the slot table starts (it runs to the window's end), once built
-        self.choice = np.empty(0, dtype=np.int64)  # choice[i - push_from]: the draw below push_ops from half i
+        self.choice = np.empty(0, dtype=np.int64)  # choice[i - choice_from]: the draw below push_ops from half i
         self.rejected_push: List[int] = []
         self.rejected_slot: List[int] = []
         self.below = array("i")  # below[i - slot_from]: halves from slot_from to i below cut_half
@@ -187,20 +206,18 @@ class _HalfStream:
         self.h -= 2 * keep
         self.halves = halves_of(self.words)
         self.size = len(self.halves)
-        self.push_from = self.push_to = self.slot_from = -1
+        self.push_to = self.slot_from = -1
 
     def _push_table(self, end: int) -> Tuple[List[int], int]:
         """Rejections below push_ops and the end of the halves the table
         covers, which include [h, end): a round's own halves, or a window's
-        worth when rounds are short."""
+        worth when rounds are short.  The draws themselves are computed by
+        the first ``contend`` that reads the table."""
         if end > self.push_to:
             h = self.h
-            self.push_from = h
             self.push_to = min(self.size, max(end, h + 2 * _WINDOW_WORDS))
-            part = self.halves[h : self.push_to]
-            self.draw_buffer = _room(self.draw_buffer, len(part))
-            self.choice = bounded(part, self.push_ops, self.draw_buffer[: len(part)])
-            self.rejected_push = [h + i for i in rejected(part, self.push_ops)]
+            self.choice_from = -1
+            self.rejected_push = [h + i for i in rejected(self.halves[h : self.push_to], self.push_ops)]
         return self.rejected_push, self.push_to
 
     def _slot_table(self, end: int) -> Tuple[List[int], int]:
@@ -240,10 +257,32 @@ class _HalfStream:
         if end > self.push_to or self.rejected_push:
             h, end = self._take(n, self._push_table)
         self.h = end
-        choice = self.choice[h - self.push_from : end - self.push_from]
+        if self.choice_from < 0:
+            self.choice_from = h
+            part = self.halves[h : self.push_to]
+            self.draw_buffer = _room(self.draw_buffer, len(part))
+            self.choice = bounded(part, self.push_ops, self.draw_buffer[: len(part)])
+        choice = self.choice[h - self.choice_from : end - self.choice_from]
         if end - h > n:
             choice = np.delete(choice, [i - h for i in self.rejected_push if h <= i < end])
         return choice
+
+    def take(self, n: int) -> Tuple[int, int, List[int]]:
+        """Take a round's ``n`` draws below the push capacity (>= 2) without
+        computing them: the halves [start, end) they come from and the
+        rejected halves among them, for ``draws``."""
+        start, end = self._take(n, self._push_table)
+        rej = self.rejected_push
+        return start, end, rej[bisect_left(rej, start) : bisect_left(rej, end)] if rej else []
+
+    def draws(self, start: int, rej: List[int], m: int) -> np.ndarray:
+        """The first ``m`` draws of the span ``take`` returned as (start, _,
+        rej); valid until the next take."""
+        end = span_end(start, m, rej) if rej else start + m
+        part = self.halves[start:end]
+        if rej:
+            part = np.delete(part, [i - start for i in rej if i < end])
+        return bounded(part, self.push_ops)
 
     def skip(self, n: int) -> None:
         """Take ``n`` arrival-offset draws."""
@@ -406,11 +445,18 @@ def simulate_cff(
 
         # push sub-frame: framed-ALOHA contention among everything pending
         if push_ops:
-            choice = stream.contend(pend.size)
-            win = np.bincount(choice)[choice] == 1
-            # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
-            delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
-            pend = pend[~win]
+            if push_ops > 1 and pend.size > _PREFIX_PER_SLOT * push_ops:
+                start, _, rej = stream.take(pend.size)
+                prefix = stream.draws(start, rej, _PREFIX_PER_SLOT * push_ops)
+                certified = np.bincount(prefix, minlength=push_ops).min() >= 2
+                choice = None if certified else stream.draws(start, rej, pend.size)
+            else:
+                choice = stream.contend(pend.size)
+            if choice is not None:  # else a certified round without a winner
+                win = np.bincount(choice)[choice] == 1
+                # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
+                delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
+                pend = pend[~win]
             if not push_retransmit:
                 dropped += int(np.count_nonzero(pend >= n_warm))
                 pend = pend[:0]

@@ -41,7 +41,10 @@ def bounded(halves: np.ndarray, bound: int, out: Optional[np.ndarray] = None) ->
 def rejected(halves: np.ndarray, bound: int) -> List[int]:
     """Sorted indices of the halves a draw below ``bound`` rejects."""
     low = halves * np.uint32(bound)  # wraps: the low 32 product bits
-    return np.flatnonzero(low < np.uint32(2**32 % bound)).tolist()
+    threshold = np.uint32(2**32 % bound)
+    if not low.size or low.min() >= threshold:  # the common case: nothing rejected
+        return []
+    return np.flatnonzero(low < threshold).tolist()
 
 
 def span_end(start: int, need: int, rejected: List[int]) -> int:

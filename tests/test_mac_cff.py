@@ -245,6 +245,30 @@ class TestSimulateCff:
             assert empirical_quantile(hi.latencies(PUSH), p) >= empirical_quantile(lo.latencies(PUSH), p) - slack
 
 
+class TestExactOracle:
+    """Push without retransmission against its closed form.  Frame f's
+    arrivals, Poisson with mean mu = rate * frame_duration, are the only
+    contenders of frame f+1, so each of the K push slots holds an
+    independent Poisson(mu / K) count and delivers with probability
+    q = (mu / K) exp(-mu / K): a packet succeeds with probability
+    K q / mu = exp(-mu / K).  The deliveries of the H - 1 rounds are
+    Bin((H - 1) K, q), whatever the draw order."""
+
+    FRAMES = 20_000
+
+    @pytest.mark.parametrize("rate", [1000.0, 3000.0, 5000.0])
+    def test_push_success_matches_closed_form(self, rate):
+        cfg = paper_config(0.5)
+        k = cfg.push_tx_capacity
+        assert k == 50
+        load = rate * cfg.frame_duration / k
+        q = load * math.exp(-load)
+        rec = simulate_cff(cfg, 0, rate, self.FRAMES, seed=2024, push_retransmit=False)
+        trials = (self.FRAMES - 1) * k
+        z = (rec.delivered(PUSH) - trials * q) / math.sqrt(trials * q * (1 - q))
+        assert abs(z) <= 4
+
+
 # Exact outputs of nine runs, recorded before the pull FIFO was served in
 # closed form and the offset draws were batched; both changes must keep the
 # random stream and every record byte-identical.  Counts are (pull arrived,
@@ -370,14 +394,14 @@ class TestRejectedDraws:
             assert stream.count_below(n) == np.count_nonzero(last[-n:] < cut)
 
     @staticmethod
-    def _layout(rng, horizon):
+    def _layout(rng, horizon, rates=(200.0, 300.0)):
         """Words the count draws take, and the halves of the first offset
         take and of the first contention round after them."""
         config = TestRejectedDraws.CONFIG
         start = rng.bit_generator.state["state"]["state"]
         counts = [
             sample_frame_arrival_counts(PoissonArrivals(rate, config.slot_duration), 50, horizon, rng)
-            for rate in (200.0, 300.0)
+            for rate in rates
         ]
         after = rng.bit_generator.state["state"]["state"]
         probe = np.random.PCG64(0)
@@ -409,3 +433,149 @@ class TestRejectedDraws:
             check_cff_matches_reference(
                 self.CONFIG, 200.0, 300.0, horizon, lambda: generator_emitting(word, position, high), **kw
             )
+
+
+class _RoundSpy:
+    """Counts the contention rounds ``simulate_cff`` makes (the reference
+    loop does not use the stream), their draws and the longest, and the
+    rounds that went through the certified take."""
+
+    def __init__(self, monkeypatch):
+        self.rounds = self.draws = self.longest = self.certifiable = 0
+        take, contend = mac_cff._HalfStream.take, mac_cff._HalfStream.contend
+
+        def count(n):
+            self.rounds += 1
+            self.draws += n
+            self.longest = max(self.longest, n)
+
+        def spy_take(stream, n):
+            count(n)
+            self.certifiable += 1
+            return take(stream, n)
+
+        def spy_contend(stream, n):
+            count(n)
+            return contend(stream, n)
+
+        monkeypatch.setattr(mac_cff._HalfStream, "take", spy_take)
+        monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
+
+
+class TestCertifiedRounds:
+    """A round of more than 16 K contenders (K = push_tx_capacity >= 2)
+    computes only its first 16 K draws; when they put two in every slot,
+    the round has no winner, and the rest of its draws are taken (rejection
+    rule included) but never computed.  Records and the stream must stay
+    those of the per-draw Generator calls, wherever a rejected half falls."""
+
+    REJECTED, ACCEPTED = TestRejectedDraws.REJECTED, TestRejectedDraws.ACCEPTED
+    CONFIG = TestRejectedDraws.CONFIG  # S = 50, K = 25: rounds of more than 400 are certifiable
+    PREFIX = mac_cff._PREFIX_PER_SLOT * 25
+    # offsets, a certifiable round, offsets, a short round; with nothing
+    # rejected: halves 0-2, 3-453 (its prefix 3-402), 454-458, 459-462
+    TAKES = ((50, 3), (25, 451), (50, 5), (25, 4))
+
+    @pytest.mark.parametrize(
+        "window, position, low, high, n_rejected",
+        [
+            (4096, 50, REJECTED, ACCEPTED, 1),  # half 100, in the prefix
+            (4096, 201, REJECTED, REJECTED, 2),  # halves 402-403: the prefix's last half and the next
+            (4096, 215, ACCEPTED, REJECTED, 1),  # half 431, never computed
+            (225, 215, REJECTED, REJECTED, 2),  # the first window ends at half 454: two skips push the round past it
+            (1, 2, ACCEPTED, REJECTED, 1),  # half 5 ends the first window; the round goes on in fresh output
+        ],
+    )
+    def test_stream_matches_numpy(self, monkeypatch, window, position, low, high, n_rejected):
+        monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", window)
+        word = (high << 32) | low
+        numpy_rng = generator_emitting(word, position)
+        expected = [numpy_rng.integers(0, bound, size=n, dtype=np.int64).tolist() for bound, n in self.TAKES]
+        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
+        stream.skip(3)
+        start, end, rej = stream.take(451)
+        assert len(rej) == n_rejected and end - start == 451 + n_rejected
+        assert stream.draws(start, rej, self.PREFIX).tolist() == expected[1][: self.PREFIX]
+        assert stream.draws(start, rej, 451).tolist() == expected[1]
+        stream.skip(5)
+        assert stream.contend(4).tolist() == expected[3]
+        assert stream.close().tolist() == expected[0] + expected[2]
+
+    @pytest.mark.parametrize("window", [4096, 1])
+    @pytest.mark.parametrize("part", ["prefix", "rest"])
+    def test_runs_match_numpy(self, monkeypatch, part, window):
+        # about 500 push arrivals a frame: the first round already has more
+        # than 400 contenders; search high state halves until an output whose
+        # halves are both rejected lands in its prefix (or past it)
+        monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", window)
+        word = (self.REJECTED << 32) | self.REJECTED
+        rates, position, horizon = (200.0, 50_000.0), 450 if part == "prefix" else 600, 4
+        for i in range(4000):
+            high = (0x9E3779B97F4A7C18 + i * 0x2545F4914F6CDD1D) % 2**64
+            words, _, (lo, hi) = TestRejectedDraws._layout(generator_emitting(word, position, high), horizon, rates)
+            lo, hi = (lo, lo + self.PREFIX) if part == "prefix" else (lo + self.PREFIX, hi)
+            if words <= position and lo <= 2 * position and 2 * position + 1 < hi:
+                break
+        else:
+            raise AssertionError(f"no state puts the rejected output in the round's {part}")
+        spy = _RoundSpy(monkeypatch)
+        for kw in ({}, dict(push_abort=PushAbortRule(0.01, 0.9)), dict(push_retransmit=False)):
+            check_cff_matches_reference(
+                self.CONFIG, *rates, horizon, lambda: generator_emitting(word, position, high), **kw
+            )
+        assert spy.certifiable
+
+    def test_rounds_that_fail_the_check_are_computed(self, monkeypatch):
+        # with a prefix of 6 draws a slot, the check fails for almost half of
+        # the long rounds; they are computed in full from the same span
+        monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", 6)
+        full = []  # per draws call: is it a whole round?
+        draws = mac_cff._HalfStream.draws
+
+        def spy(stream, start, rej, m):
+            full.append(m > 6 * 25)
+            return draws(stream, start, rej, m)
+
+        monkeypatch.setattr(mac_cff._HalfStream, "draws", spy)
+        for kw in ({}, dict(push_abort=PushAbortRule(0.05, 0.5))):
+            check_cff_matches_reference(self.CONFIG, 200.0, 1500.0, 80, 11, **kw)
+        assert 0 < full.count(True) < full.count(False) - full.count(True)
+
+    def test_bound_one_rounds_consume_nothing(self, monkeypatch):
+        cfg = FrameConfig(12, 0.01, 2, 5, 0.5)  # push_tx_capacity 1
+        assert cfg.push_tx_capacity == 1
+        spy = _RoundSpy(monkeypatch)
+        check_cff_matches_reference(cfg, 500.0, 3000.0, 40, 5)
+        assert spy.longest > mac_cff._PREFIX_PER_SLOT and not spy.certifiable
+
+    def test_single_attempt_rounds(self, monkeypatch):
+        spy = _RoundSpy(monkeypatch)
+        check_cff_matches_reference(self.CONFIG, 200.0, 50_000.0, 30, 8, push_retransmit=False)
+        assert spy.certifiable >= 25
+
+    def test_abort_after_collapse(self, monkeypatch):
+        horizon = 40
+        spy = _RoundSpy(monkeypatch)
+        check_cff_matches_reference(
+            self.CONFIG, 200.0, 6000.0, horizon, 9, push_abort=PushAbortRule(0.03, 0.5), warmup_frames=2
+        )
+        # the backlog passed 400 contenders, then the run stopped early
+        assert spy.certifiable and spy.rounds < horizon - 1
+
+    def test_certified_rounds_skip_most_slot_values(self, monkeypatch):
+        # without the certified branch every contention draw is computed
+        # (more, when a window's worth is computed ahead)
+        (cfg, pull_rate, push_rate, horizon, seed, kw), counts, _ = PINNED["mixed_overload"]
+        computed = 0
+        bounded = mac_cff.bounded
+
+        def counting(halves, bound, out=None):
+            nonlocal computed
+            computed += len(halves) if bound == cfg.push_tx_capacity else 0
+            return bounded(halves, bound, out)
+
+        monkeypatch.setattr(mac_cff, "bounded", counting)
+        spy = _RoundSpy(monkeypatch)
+        rec = simulate_cff(cfg, pull_rate, push_rate, horizon, seed, **kw)
+        assert rec.delivered(PUSH) == counts[4]
+        assert spy.certifiable and computed < spy.draws / 2

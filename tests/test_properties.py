@@ -79,12 +79,16 @@ def _edge_cff_config(rng: np.random.Generator) -> FrameConfig:
     ][int(rng.integers(0, 6))]
 
 
-def test_cff_runs_match_reference():
+def test_cff_runs_match_reference(monkeypatch):
     # simulate_cff replays the generator's raw output; a loop of Generator
     # calls must give the same records and delivery callbacks.  Heavy push
-    # loads back up to rounds longer than one raw window.
+    # loads back up to rounds longer than one raw window, and past the
+    # 16 K contenders from which a round may be certified without a winner.
     rng = np.random.default_rng(1616)
     window_halves = 2 * mac_cff._WINDOW_WORDS
+    certifiable = []  # contenders of the rounds of the current run that took the certified branch
+    take = mac_cff._HalfStream.take
+    monkeypatch.setattr(mac_cff._HalfStream, "take", lambda stream, n: certifiable.append(n) or take(stream, n))
     for i in range(N_CFF_RUNS):
         config = _edge_cff_config(rng) if rng.random() < 0.35 else random_cff_config(rng)
         slot_rate = config.slots_per_frame / config.frame_duration
@@ -103,6 +107,7 @@ def test_cff_runs_match_reference():
             target = float(rng.uniform(0.05, 6)) * config.frame_duration
             kw["push_abort"] = PushAbortRule(target, float(rng.choice([0.5, 0.9, 0.99, 1.0])))
         seed = int(rng.integers(0, 2**32))
+        certifiable.clear()
         try:
             check_cff_matches_reference(config, pull_rate, push_rate, horizon, seed, **kw)
         except AssertionError as exc:
@@ -110,3 +115,5 @@ def test_cff_runs_match_reference():
                 f"run #{i} differs from the Generator loop: {config}, rates {pull_rate}/{push_rate}, "
                 f"{horizon} frames, seed {seed}, {kw}"
             ) from exc
+        if i % 10 == 9 and not kw.keys() & {"push_abort", "push_retransmit"}:
+            assert max(certifiable, default=0) > 10_000, f"deep backlog #{i} stayed short"
