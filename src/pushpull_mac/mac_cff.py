@@ -30,16 +30,16 @@ index), a round is one ``bincount`` over a slice of draws computed ahead
 draws are only stepped over.  Capacity probes above the service ceiling
 back up to ~1e5 contenders per frame, far past what a per-object loop
 sustains.  Such a collapsed backlog redraws every frame and almost never
-wins: a round of more than ``_PREFIX_PER_SLOT`` x K contenders (K =
-``push_tx_capacity`` >= 2) first computes only that many of its draws, and
-if they already put two in every slot, no slot can end with exactly one, so
-the round has no winner, exactly.  It computes nothing more: its other
-halves are only rejection-checked to find where it ends, and the pending
-packets stay as they are.  Any other round is computed in full.  At the end
-of the run the offsets are sorted and lifted to arrival slots in bulk,
-latencies and ``on_delivery`` calls are built from the rounds' winners, and
-the pull FIFO, which draws no randomness, is served in closed form
-(:func:`schedule_pull`).
+wins: of a round of more than ``_PREFIX_PER_SLOT`` x K contenders (K =
+``push_tx_capacity`` >= 2), ``_HalfStream.contend`` first computes only that
+many draws, and if they already put two in every slot, no slot can end with
+exactly one, so the round has no winner, exactly.  It computes nothing more:
+its other halves are only rejection-checked to find where it ends, and the
+pending packets stay as they are.  Any other round is computed in full.  At
+the end of the run the offsets are sorted and lifted to arrival slots in
+bulk, latencies and ``on_delivery`` calls are built from the rounds'
+winners, and the pull FIFO, which draws no randomness, is served in closed
+form (:func:`schedule_pull`).
 """
 from __future__ import annotations
 
@@ -153,21 +153,20 @@ class _HalfStream:
     fetched about ``_WINDOW_WORDS`` outputs at a time.
 
     ``contend(n)`` takes a round's n draws below the push capacity and
-    returns them; ``take(n)`` takes them without computing them and returns
-    their span, from which ``draws`` computes the first m.  ``skip(n)``
-    takes n arrival-offset draws below S without computing them; their
-    values are read when the window is dropped, and ``close()`` returns
-    every one taken, in stream order.  ``count_below(n)`` counts the last n
-    offsets taken that come from a half below ``cut_half``.  A take always
-    lies in one window: a window that falls short is replaced by its unused
-    tail plus fresh output.  The push rejections are computed for a round's
-    halves, or a window's worth ahead when rounds are short, and the push
-    draws over the same halves once a ``contend`` reads them; the offset
-    rejections and counts from the window's first offset take to its end.
-    The window and
-    the push draws live in buffers kept for the run (grown when short):
-    allocating new ones per refill, up to every frame when rounds are long,
-    fragmented the heap and cost about 1 MiB of peak memory on cff_mixed.
+    returns them, or None for a round it certifies winnerless (see the module
+    docstring).  ``skip(n)`` takes n arrival-offset draws below S without
+    computing them; their values are read when the window is dropped, and
+    ``close()`` returns every one taken, in stream order.
+    ``count_below(n)`` counts the last n offsets taken that come from a half
+    below ``cut_half``.  A take always lies in one window: a window that
+    falls short is replaced by its unused tail plus fresh output.  The push
+    rejections are computed for a round's halves, or a window's worth ahead
+    when rounds are short, and the push draws over the same halves once a
+    round needs them; the offset rejections and counts from the window's
+    first offset take to its end.  The window lives in one buffer kept for
+    the run (grown when short): a fresh one per refill, up to every frame
+    when rounds are long, fragments the heap and cost about 0.7 MiB of peak
+    memory on cff_mixed (40.8 and 41.0 MiB against 40.2).
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int, cut_half: int) -> None:
@@ -175,8 +174,8 @@ class _HalfStream:
         self.n_slots = n_slots
         self.push_ops = push_ops
         self.cut_half = cut_half
+        self.prefix = _PREFIX_PER_SLOT * push_ops  # longer rounds are checked for a certified no-winner
         self.buffer = np.empty(0, dtype=np.uint64)  # holds the window's words at its front
-        self.draw_buffer = np.empty(0, dtype=np.uint64)  # holds the push draws
         self.words = self.buffer
         self.halves = halves_of(self.words)
         self.size = 0  # halves in the window
@@ -199,7 +198,8 @@ class _HalfStream:
         tail = self.words[keep:]
         fresh = self.bit_generator.random_raw(_WINDOW_WORDS + (short + 1) // 2)
         n = len(tail) + len(fresh)
-        self.buffer = _room(self.buffer, n)
+        if len(self.buffer) < n:
+            self.buffer = np.empty(max(n, 2 * len(self.buffer)), dtype=np.uint64)
         self.buffer[: len(tail)] = tail  # may overlap the tail; numpy copies safely
         self.buffer[len(tail) : n] = fresh
         self.words = self.buffer[:n]
@@ -248,8 +248,11 @@ class _HalfStream:
                 h, self.h = self.h, end
                 return h, end
 
-    def contend(self, n: int) -> np.ndarray:
-        """A contention round's ``n`` slot choices (int64)."""
+    def contend(self, n: int) -> Optional[np.ndarray]:
+        """A contention round's ``n`` slot choices (int64), or None for a
+        round of more than ``_PREFIX_PER_SLOT`` x K contenders whose first
+        that many draws already put two in every slot: it has no winner, and
+        its other draws are taken but never computed."""
         if self.push_ops == 1:  # a bound-1 draw is 0 and consumes nothing
             return np.zeros(n, dtype=np.int64)
         h = self.h
@@ -257,32 +260,22 @@ class _HalfStream:
         if end > self.push_to or self.rejected_push:
             h, end = self._take(n, self._push_table)
         self.h = end
+        rej = []  # the span's rejected halves, counted from h
+        if end - h > n:
+            first = bisect_left(self.rejected_push, h)
+            rej = [i - h for i in self.rejected_push[first : first + end - h - n]]
+        if n > self.prefix:
+            stop = span_end(0, self.prefix, rej) if rej else self.prefix
+            part = self.halves[h : h + stop]
+            if rej and rej[0] < stop:
+                part = np.delete(part, rej[: bisect_left(rej, stop)])
+            if np.bincount(bounded(part, self.push_ops), minlength=self.push_ops).min() >= 2:
+                return None
         if self.choice_from < 0:
             self.choice_from = h
-            part = self.halves[h : self.push_to]
-            self.draw_buffer = _room(self.draw_buffer, len(part))
-            self.choice = bounded(part, self.push_ops, self.draw_buffer[: len(part)])
+            self.choice = bounded(self.halves[h : self.push_to], self.push_ops)
         choice = self.choice[h - self.choice_from : end - self.choice_from]
-        if end - h > n:
-            choice = np.delete(choice, [i - h for i in self.rejected_push if h <= i < end])
-        return choice
-
-    def take(self, n: int) -> Tuple[int, int, List[int]]:
-        """Take a round's ``n`` draws below the push capacity (>= 2) without
-        computing them: the halves [start, end) they come from and the
-        rejected halves among them, for ``draws``."""
-        start, end = self._take(n, self._push_table)
-        rej = self.rejected_push
-        return start, end, rej[bisect_left(rej, start) : bisect_left(rej, end)] if rej else []
-
-    def draws(self, start: int, rej: List[int], m: int) -> np.ndarray:
-        """The first ``m`` draws of the span ``take`` returned as (start, _,
-        rej); valid until the next take."""
-        end = span_end(start, m, rej) if rej else start + m
-        part = self.halves[start:end]
-        if rej:
-            part = np.delete(part, [i - start for i in rej if i < end])
-        return bounded(part, self.push_ops)
+        return np.delete(choice, rej) if rej else choice
 
     def skip(self, n: int) -> None:
         """Take ``n`` arrival-offset draws."""
@@ -333,15 +326,10 @@ class _HalfStream:
             return np.zeros(self.n_offsets, dtype=np.int64)
         self._read_spans()
         offsets = np.concatenate(self.read) if self.read else np.empty(0, dtype=np.int64)
-        self.buffer = self.draw_buffer = self.words = self.halves = self.choice = None
+        self.buffer = self.words = self.halves = self.choice = None
         self.below = array("i")
         self.read = []
         return offsets
-
-
-def _room(buffer: np.ndarray, n: int) -> np.ndarray:
-    """``buffer``, or an empty one twice as long if it holds fewer than ``n`` values."""
-    return buffer if len(buffer) >= n else np.empty(max(n, 2 * len(buffer)), dtype=buffer.dtype)
 
 
 def simulate_cff(
@@ -431,27 +419,9 @@ def simulate_cff(
 
     f = 0
     while f < horizon_frames:
-        if not pend.size:
-            # nothing contends or turns late until push packets arrive: take
-            # the offsets of every frame up to the next one with push arrivals
-            j = bisect_left(push_frames, f)
-            g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
-            stream.skip(cum_offsets[g] - cum_offsets[f])
-            if cut and j < len(push_frames):
-                below[g - 1] = stream.count_below(push_per_frame[g - 1])
-            pend = np.arange(cum_push[f], cum_push[g])
-            f = g
-            continue
-
         # push sub-frame: framed-ALOHA contention among everything pending
-        if push_ops:
-            if push_ops > 1 and pend.size > _PREFIX_PER_SLOT * push_ops:
-                start, _, rej = stream.take(pend.size)
-                prefix = stream.draws(start, rej, _PREFIX_PER_SLOT * push_ops)
-                certified = np.bincount(prefix, minlength=push_ops).min() >= 2
-                choice = None if certified else stream.draws(start, rej, pend.size)
-            else:
-                choice = stream.contend(pend.size)
+        if push_ops and pend.size:
+            choice = stream.contend(pend.size)
             if choice is not None:  # else a certified round without a winner
                 win = np.bincount(choice)[choice] == 1
                 # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
@@ -473,18 +443,28 @@ def simulate_cff(
                     break
 
         # arrivals during frame f join the queues after its sub-frames, so they
-        # are eligible from frame f+1
-        stream.skip(cum_offsets[f + 1] - cum_offsets[f])
-        if push_per_frame[f]:
+        # are eligible from frame f+1; with nothing pending, nothing contends
+        # or turns late until push packets arrive, so the offsets of every
+        # frame up to the next one with push arrivals are taken at once
+        g = f + 1
+        if not pend.size:
+            j = bisect_left(push_frames, f)
+            g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
+        stream.skip(cum_offsets[g] - cum_offsets[f])
+        if push_per_frame[g - 1]:
             if cut:
-                below[f] = stream.count_below(push_per_frame[f])
-            pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + 1])))
-        f += 1
+                below[g - 1] = stream.count_below(push_per_frame[g - 1])
+            pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[g])))
+        f = g
 
     pull_arrivals, push_arrivals = _arrival_slots(
         stream.close(), pull_counts[:arrived_frames], push_counts[:arrived_frames], S
     )
-    _deliver_push(record, delivered_at, push_arrivals, n_warm, S, on_delivery)
+    # push deliveries in the order the rounds made them: by frame, then in
+    # pending order (ascending packet index)
+    won = np.flatnonzero(delivered_at >= 0)
+    won = won[np.argsort(delivered_at[won] // S, kind="stable")]
+    _deliver(record, PacketClass.PUSH, push_arrivals[won], delivered_at[won], measured_from_slot, S, on_delivery)
 
     # pull sub-frames: contention-free FIFO service, closed form over the
     # frames that ran (an aborted frame's pull sub-frame ran before the abort)
@@ -499,10 +479,7 @@ def simulate_cff(
             config.pull_packet_slots,
         )
         n_served = delivery_slots.size
-        served = pull_arrivals[:n_served]
-        record.add(PacketClass.PULL, (delivery_slots + 1 - served)[served >= measured_from_slot])
-        if on_delivery is not None and n_served:
-            _report_subframes(on_delivery, PacketClass.PULL, served, delivery_slots, S)
+        _deliver(record, PacketClass.PULL, pull_arrivals[:n_served], delivery_slots, measured_from_slot, S, on_delivery)
 
     _close_run(
         record,
@@ -529,31 +506,23 @@ def _arrival_slots(
     return slots[~is_push], slots[is_push]
 
 
-def _deliver_push(
+def _deliver(
     record: MetricsRecord,
-    delivered_at: np.ndarray,
-    push_arrivals: np.ndarray,
-    n_warm: int,
+    klass: PacketClass,
+    arrivals: np.ndarray,
+    deliveries: np.ndarray,
+    measured_from_slot: int,
     S: int,
     on_delivery: Optional[DeliveryCallback],
 ) -> None:
-    """Record the push deliveries in the order the rounds made them: by
-    frame, then in pending order (ascending packet index).  Packets from
-    index ``n_warm`` on are measured."""
-    won = np.flatnonzero(delivered_at >= 0)
-    won = won[np.argsort(delivered_at[won] // S, kind="stable")]
-    delivery_slots = delivered_at[won]
-    won_arrival = push_arrivals[won]
-    record.add(PacketClass.PUSH, (delivery_slots + 1 - won_arrival)[won >= n_warm])
-    if on_delivery is not None and won.size:
-        _report_subframes(on_delivery, PacketClass.PUSH, won_arrival, delivery_slots, S)
-
-
-def _report_subframes(on_delivery: DeliveryCallback, klass: PacketClass, arrivals, deliveries, S: int) -> None:
-    """One ``on_delivery`` call per delivering sub-frame, for deliveries in frame order."""
-    cuts = np.flatnonzero(np.diff(deliveries // S)) + 1
-    for arrival, delivery in zip(np.split(arrivals, cuts), np.split(deliveries, cuts)):
-        on_delivery(klass, arrival, delivery)
+    """Record deliveries made in frame order (packets that arrived from slot
+    ``measured_from_slot`` on are measured), with one ``on_delivery`` call per
+    delivering sub-frame."""
+    record.add(klass, (deliveries + 1 - arrivals)[arrivals >= measured_from_slot])
+    if on_delivery is not None and deliveries.size:
+        cuts = np.flatnonzero(np.diff(deliveries // S)) + 1
+        for arrival, delivery in zip(np.split(arrivals, cuts), np.split(deliveries, cuts)):
+            on_delivery(klass, arrival, delivery)
 
 
 def _close_run(

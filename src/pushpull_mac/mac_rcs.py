@@ -66,15 +66,14 @@ class FrameResult(NamedTuple):
         return self.pull_succeeded == self.matched_pull
 
 
-def _contention_slots(config: FrameConfig) -> Tuple[int, int, int]:
-    """(packet size, reserved opportunities, shared opportunities) for RCS."""
+def _contention_slots(config: FrameConfig) -> Tuple[int, int]:
+    """(reserved opportunities, shared opportunities) for RCS."""
     if config.pull_packet_slots != config.push_packet_slots:
         raise ValueError(
             "RCS shared contention requires equal pull/push packet sizes, "
             f"got {config.pull_packet_slots} and {config.push_packet_slots}"
         )
-    k = config.pull_packet_slots
-    return k, config.pull_slot_budget // k, config.push_slot_budget // k
+    return config.pull_tx_capacity, config.push_tx_capacity
 
 
 def run_rcs_frame(
@@ -90,7 +89,7 @@ def run_rcs_frame(
     ones retry once alongside the frame's pushing devices in the shared slots.
     Inter- and intra-class collisions are both plain losses.
     """
-    _, reserved_ops, shared_ops = _contention_slots(config)
+    reserved_ops, shared_ops = _contention_slots(config)
     return _run_frame(reserved_ops, shared_ops, population, query, rng)[0]
 
 
@@ -380,7 +379,7 @@ def simulate_rcs(
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     rng = np.random.default_rng(seed)
-    _, reserved_ops, shared_ops = _contention_slots(config)  # hoisted: loop invariant
+    reserved_ops, shared_ops = _contention_slots(config)  # hoisted: loop invariant
     if persistent_push_backlog:
         rows = []
         pending = np.zeros(population.n_push_devices, dtype=bool)

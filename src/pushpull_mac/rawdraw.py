@@ -16,7 +16,7 @@ the tests fail instead of the output changing silently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -30,10 +30,9 @@ def halves_of(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")
 
 
-def bounded(halves: np.ndarray, bound: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The draw below ``bound`` each half gives if accepted, as int64; ``out``
-    is an optional uint64 array of the same length to compute it in."""
-    product = np.multiply(halves, bound, dtype=np.uint64, out=out)
+def bounded(halves: np.ndarray, bound: int) -> np.ndarray:
+    """The draw below ``bound`` each half gives if accepted, as int64."""
+    product = np.multiply(halves, bound, dtype=np.uint64)
     product >>= np.uint64(32)
     return product.view(np.int64)  # values < 2**32: the same bits
 

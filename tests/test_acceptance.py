@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The two sweep criteria
-carry their stated runtime budgets and are the slow part of the suite.
+carry their stated runtime budgets and are the slow part of the suite; they
+are marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 import math
 import time
 
 import numpy as np
+import pytest
 
 from pushpull_mac import (
     CapacitySpec,
@@ -54,6 +56,7 @@ FRONTIER_CONFIG = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_1_capacity_frontier_qualitative():
     """Fig.-3-style frontier, as the harness (and ``pushpull-mac capacity``)
     writes it: monotone in alpha, dominated by larger L, bounded by the pull
@@ -102,6 +105,7 @@ def test_criterion_1_capacity_frontier_qualitative():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_rcs_sweep_qualitative():
     """Fig.-4-style RCS sweep: accuracy nondecreasing and push success
     nonincreasing in alpha, both improving with S; inside 2 minutes."""

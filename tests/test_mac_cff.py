@@ -9,6 +9,7 @@ from pushpull_mac import (
     PacketClass,
     PoissonArrivals,
     mac_cff,
+    rawdraw,
     schedule_pull,
     simulate_cff,
     uniform_slot_contention,
@@ -437,29 +438,24 @@ class TestRejectedDraws:
 
 class _RoundSpy:
     """Counts the contention rounds ``simulate_cff`` makes (the reference
-    loop does not use the stream), their draws and the longest, and the
-    rounds that went through the certified take."""
+    loop does not use the stream), their draws and the longest, the rounds
+    long enough to be certified (more than 16 K contenders, K >= 2) and the
+    rounds ``contend`` certified winnerless."""
 
     def __init__(self, monkeypatch):
-        self.rounds = self.draws = self.longest = self.certifiable = 0
-        take, contend = mac_cff._HalfStream.take, mac_cff._HalfStream.contend
+        self.rounds = self.draws = self.longest = self.certifiable = self.certified = 0
+        contend = mac_cff._HalfStream.contend
 
-        def count(n):
+        def spy(stream, n):
             self.rounds += 1
             self.draws += n
             self.longest = max(self.longest, n)
+            self.certifiable += stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops
+            choice = contend(stream, n)
+            self.certified += choice is None
+            return choice
 
-        def spy_take(stream, n):
-            count(n)
-            self.certifiable += 1
-            return take(stream, n)
-
-        def spy_contend(stream, n):
-            count(n)
-            return contend(stream, n)
-
-        monkeypatch.setattr(mac_cff._HalfStream, "take", spy_take)
-        monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
+        monkeypatch.setattr(mac_cff._HalfStream, "contend", spy)
 
 
 class TestCertifiedRounds:
@@ -491,15 +487,40 @@ class TestCertifiedRounds:
         word = (high << 32) | low
         numpy_rng = generator_emitting(word, position)
         expected = [numpy_rng.integers(0, bound, size=n, dtype=np.int64).tolist() for bound, n in self.TAKES]
-        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
-        stream.skip(3)
-        start, end, rej = stream.take(451)
-        assert len(rej) == n_rejected and end - start == 451 + n_rejected
-        assert stream.draws(start, rej, self.PREFIX).tolist() == expected[1][: self.PREFIX]
-        assert stream.draws(start, rej, 451).tolist() == expected[1]
-        stream.skip(5)
-        assert stream.contend(4).tolist() == expected[3]
-        assert stream.close().tolist() == expected[0] + expected[2]
+        halves = rawdraw.halves_of(generator_emitting(word, position).bit_generator.random_raw(300))
+        assert len(rawdraw.rejected(halves[3 : 454 + n_rejected], 25)) == n_rejected  # all in the round
+        computed = []  # the push draws the stream computes
+        bounded = mac_cff.bounded
+
+        def spy(halves, bound):
+            draws = bounded(halves, bound)
+            if bound == 25:
+                computed.append(draws)
+            return draws
+
+        monkeypatch.setattr(mac_cff, "bounded", spy)
+        # with a prefix of one draw a slot the check always fails, so the
+        # round is computed in full
+        for per_slot in (mac_cff._PREFIX_PER_SLOT, 1):
+            monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", per_slot)
+            computed.clear()
+            stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
+            stream.skip(3)
+            choice = stream.contend(451)
+            # the round's check reads numpy's first per_slot * 25 draws, and
+            # no winner is certified exactly when they put two in every slot
+            prefix = expected[1][: per_slot * 25]
+            assert computed[0].tolist() == prefix
+            certified = np.bincount(prefix, minlength=25).min() >= 2
+            assert certified == (per_slot > 1)
+            if certified:
+                assert choice is None and len(computed) == 1
+            else:
+                assert choice.tolist() == expected[1]
+            # the round ended where numpy's did: the draws after it are numpy's
+            stream.skip(5)
+            assert stream.contend(4).tolist() == expected[3]
+            assert stream.close().tolist() == expected[0] + expected[2]
 
     @pytest.mark.parametrize("window", [4096, 1])
     @pytest.mark.parametrize("part", ["prefix", "rest"])
@@ -523,35 +544,28 @@ class TestCertifiedRounds:
             check_cff_matches_reference(
                 self.CONFIG, *rates, horizon, lambda: generator_emitting(word, position, high), **kw
             )
-        assert spy.certifiable
+        assert spy.certified
 
     def test_rounds_that_fail_the_check_are_computed(self, monkeypatch):
         # with a prefix of 6 draws a slot, the check fails for almost half of
         # the long rounds; they are computed in full from the same span
         monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", 6)
-        full = []  # per draws call: is it a whole round?
-        draws = mac_cff._HalfStream.draws
-
-        def spy(stream, start, rej, m):
-            full.append(m > 6 * 25)
-            return draws(stream, start, rej, m)
-
-        monkeypatch.setattr(mac_cff._HalfStream, "draws", spy)
+        spy = _RoundSpy(monkeypatch)
         for kw in ({}, dict(push_abort=PushAbortRule(0.05, 0.5))):
             check_cff_matches_reference(self.CONFIG, 200.0, 1500.0, 80, 11, **kw)
-        assert 0 < full.count(True) < full.count(False) - full.count(True)
+        assert 0 < spy.certifiable - spy.certified < spy.certified
 
     def test_bound_one_rounds_consume_nothing(self, monkeypatch):
         cfg = FrameConfig(12, 0.01, 2, 5, 0.5)  # push_tx_capacity 1
         assert cfg.push_tx_capacity == 1
         spy = _RoundSpy(monkeypatch)
         check_cff_matches_reference(cfg, 500.0, 3000.0, 40, 5)
-        assert spy.longest > mac_cff._PREFIX_PER_SLOT and not spy.certifiable
+        assert spy.longest > mac_cff._PREFIX_PER_SLOT and not spy.certified
 
     def test_single_attempt_rounds(self, monkeypatch):
         spy = _RoundSpy(monkeypatch)
         check_cff_matches_reference(self.CONFIG, 200.0, 50_000.0, 30, 8, push_retransmit=False)
-        assert spy.certifiable >= 25
+        assert spy.certified >= 25
 
     def test_abort_after_collapse(self, monkeypatch):
         horizon = 40
@@ -560,7 +574,7 @@ class TestCertifiedRounds:
             self.CONFIG, 200.0, 6000.0, horizon, 9, push_abort=PushAbortRule(0.03, 0.5), warmup_frames=2
         )
         # the backlog passed 400 contenders, then the run stopped early
-        assert spy.certifiable and spy.rounds < horizon - 1
+        assert spy.certified and spy.rounds < horizon - 1
 
     def test_certified_rounds_skip_most_slot_values(self, monkeypatch):
         # without the certified branch every contention draw is computed
@@ -569,13 +583,13 @@ class TestCertifiedRounds:
         computed = 0
         bounded = mac_cff.bounded
 
-        def counting(halves, bound, out=None):
+        def counting(halves, bound):
             nonlocal computed
             computed += len(halves) if bound == cfg.push_tx_capacity else 0
-            return bounded(halves, bound, out)
+            return bounded(halves, bound)
 
         monkeypatch.setattr(mac_cff, "bounded", counting)
         spy = _RoundSpy(monkeypatch)
         rec = simulate_cff(cfg, pull_rate, push_rate, horizon, seed, **kw)
         assert rec.delivered(PUSH) == counts[4]
-        assert spy.certifiable and computed < spy.draws / 2
+        assert spy.certified and computed < spy.draws / 2

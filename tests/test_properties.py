@@ -86,9 +86,16 @@ def test_cff_runs_match_reference(monkeypatch):
     # 16 K contenders from which a round may be certified without a winner.
     rng = np.random.default_rng(1616)
     window_halves = 2 * mac_cff._WINDOW_WORDS
-    certifiable = []  # contenders of the rounds of the current run that took the certified branch
-    take = mac_cff._HalfStream.take
-    monkeypatch.setattr(mac_cff._HalfStream, "take", lambda stream, n: certifiable.append(n) or take(stream, n))
+    certified = []  # per certifiable round (n > 16 K, K >= 2) of the current run: did contend certify it?
+    contend = mac_cff._HalfStream.contend
+
+    def spy(stream, n):
+        choice = contend(stream, n)
+        if stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops:
+            certified.append(choice is None)
+        return choice
+
+    monkeypatch.setattr(mac_cff._HalfStream, "contend", spy)
     for i in range(N_CFF_RUNS):
         config = _edge_cff_config(rng) if rng.random() < 0.35 else random_cff_config(rng)
         slot_rate = config.slots_per_frame / config.frame_duration
@@ -107,7 +114,7 @@ def test_cff_runs_match_reference(monkeypatch):
             target = float(rng.uniform(0.05, 6)) * config.frame_duration
             kw["push_abort"] = PushAbortRule(target, float(rng.choice([0.5, 0.9, 0.99, 1.0])))
         seed = int(rng.integers(0, 2**32))
-        certifiable.clear()
+        certified.clear()
         try:
             check_cff_matches_reference(config, pull_rate, push_rate, horizon, seed, **kw)
         except AssertionError as exc:
@@ -116,4 +123,4 @@ def test_cff_runs_match_reference(monkeypatch):
                 f"{horizon} frames, seed {seed}, {kw}"
             ) from exc
         if i % 10 == 9 and not kw.keys() & {"push_abort", "push_retransmit"}:
-            assert max(certifiable, default=0) > 10_000, f"deep backlog #{i} stayed short"
+            assert any(certified), f"deep backlog #{i} had no certified round"
