@@ -90,9 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     try:
         result = run_experiment(config, out=args.out, workers=workers, log=log)
-    except ConfigError as exc:
-        print(f"pushpull-mac: config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"pushpull-mac: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -297,6 +297,8 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error: {p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config read error: {p}: {exc}") from exc
     return validate_config(data)
 
 

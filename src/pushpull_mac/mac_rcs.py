@@ -5,8 +5,8 @@ together.
 Queries are per-frame: devices that fail both the reserved attempt and the
 single shared retry do not carry over (the next frame is a fresh query).
 
-``run_rcs_frame`` simulates one frame with one numpy call per draw.
-``simulate_rcs`` with independent frames runs whole blocks of frames from
+``run_rcs_frame`` simulates one frame with one numpy call per draw; tests
+keep it as the reference.  ``simulate_rcs`` runs whole blocks of frames from
 the generator's raw 64-bit output instead (``_independent_frames``): it
 replays numpy's own sampling rules on that output, so a seed gives the same
 frames, draw for draw, as a loop of ``run_rcs_frame`` calls.
@@ -90,32 +90,10 @@ def run_rcs_frame(
     Inter- and intra-class collisions are both plain losses.
     """
     reserved_ops, shared_ops = _contention_slots(config)
-    return _run_frame(reserved_ops, shared_ops, population, query, rng)[0]
-
-
-def _run_frame(
-    reserved_ops: int,
-    shared_ops: int,
-    population: RcsPopulation,
-    query: SemanticQuery,
-    rng: np.random.Generator,
-    pending: Optional[np.ndarray] = None,
-) -> Tuple[FrameResult, Optional[np.ndarray]]:
-    """One RCS frame; returns its counts and the next ``pending`` mask.
-
-    ``pending`` (persistent-backlog mode) marks push devices whose update
-    collided earlier: they re-attempt this frame and their fresh trigger draw
-    is discarded.  Both modes make the same draws in the same order, so they
-    differ only in which devices enter the shared contention.  Without
-    ``pending`` the returned mask is None.
-    """
     # canonical draw order: observations, push triggers, reserved, shared
     observations = population.observations.sample(population.n_pull_devices, rng)
     n_matched = int(np.count_nonzero(query.match_mask(observations)))
-    push_mask = population.trigger.push_mask(population.n_push_devices, rng)
-    if pending is not None:
-        push_mask |= pending
-    n_pushing = int(np.count_nonzero(push_mask))
+    n_pushing = int(np.count_nonzero(population.trigger.push_mask(population.n_push_devices, rng)))
 
     n_res_won = 0
     if reserved_ops > 0 and n_matched:
@@ -127,14 +105,9 @@ def _run_frame(
         winner_mask = uniform_slot_contention(n_stragglers + n_pushing, shared_ops, rng)[2]
         # the frame's stragglers come first, then its pushing devices
         pull_shared_succeeded = int(np.count_nonzero(winner_mask[:n_stragglers]))
-        push_won = winner_mask[n_stragglers:]
-        push_succeeded = int(np.count_nonzero(push_won))
-        if pending is not None:
-            # delivered updates leave the backlog; collided ones stay pending
-            push_mask[np.flatnonzero(push_mask)[push_won]] = False
+        push_succeeded = int(np.count_nonzero(winner_mask[n_stragglers:]))
 
-    result = FrameResult(n_matched, n_res_won, pull_shared_succeeded, n_pushing, push_succeeded)
-    return result, (push_mask if pending is not None else None)
+    return FrameResult(n_matched, n_res_won, pull_shared_succeeded, n_pushing, push_succeeded)
 
 
 class FrameLog(Sequence):
@@ -210,9 +183,9 @@ def _independent_frames(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """``n_frames`` independent RCS frames as ``FrameLog`` counts, the same
-    frames a loop of ``_run_frame`` calls on ``rng`` gives.
+    frames a loop of ``run_rcs_frame`` calls on ``rng`` gives.
 
-    Every draw ``_run_frame`` makes comes from PCG64's 64-bit outputs:
+    Every draw ``run_rcs_frame`` makes comes from PCG64's 64-bit outputs:
     ``random`` turns one output into a double ((x >> 11) * 2**-53), and
     ``integers`` below 2**32 takes 32-bit halves, low half first, keeping the
     unused high half in the generator for the next 32-bit draw, whatever
@@ -360,33 +333,18 @@ def simulate_rcs(
     query: SemanticQuery,
     n_frames: int,
     seed: int,
-    *,
-    persistent_push_backlog: bool = False,
 ) -> RcsResult:
-    """Run ``n_frames`` RCS frames.
+    """Run ``n_frames`` independent RCS frames.
 
     Retrieval accuracy is the fraction of frames in which every matching
     device was received (vacuously successful with zero matches); push success
-    probability pools attempts across frames.  Frames are independent by
-    default (failed devices abandon at the frame end) and run in blocks
-    (``_independent_frames``), giving the frames a loop of ``run_rcs_frame``
-    calls on ``default_rng(seed)`` gives.  With ``persistent_push_backlog``
-    collided push updates carry over and retry until delivered: the run is a
-    loop of ``_run_frame`` calls that carries the pending mask from frame to
-    frame, so its frames part from the ``run_rcs_frame`` loop's once an
-    update is pending (``test_persistent_backlog_pinned`` pins them).
+    probability pools attempts across frames.  Failed devices abandon at the
+    frame end, so the frames run in blocks (``_independent_frames``), giving
+    the frames a loop of ``run_rcs_frame`` calls on ``default_rng(seed)``
+    gives.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    rng = np.random.default_rng(seed)
-    reserved_ops, shared_ops = _contention_slots(config)  # hoisted: loop invariant
-    if persistent_push_backlog:
-        rows = []
-        pending = np.zeros(population.n_push_devices, dtype=bool)
-        for _ in range(n_frames):
-            row, pending = _run_frame(reserved_ops, shared_ops, population, query, rng, pending)
-            rows.append(row)
-        counts = np.array(rows, dtype=np.int64)
-    else:
-        counts = _independent_frames(reserved_ops, shared_ops, population, query, n_frames, rng)
+    reserved_ops, shared_ops = _contention_slots(config)
+    counts = _independent_frames(reserved_ops, shared_ops, population, query, n_frames, np.random.default_rng(seed))
     return RcsResult(FrameLog(counts))

@@ -125,6 +125,14 @@ class TestErrorPaths:
         p.write_text("{not json")
         assert main(["cff", "--config", str(p)]) == 1
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(json.dumps(cff_single()).encode("utf-16"))  # starts with ff fe
+        assert main(["sweep", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pushpull-mac: config error:")
+        assert "Traceback" not in err
+
     def test_invalid_config_values(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, cff_single(alphas=[2.0]))
         assert main(["cff", "--config", cfg]) == 1

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -339,6 +340,12 @@ class TestLoadConfig:
         p = tmp_path / "bad.json"
         p.write_text('{"protocol": "cff",\n  broken\n}')
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(p)
+
+    def test_not_utf8_names_the_path(self, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(json.dumps(cff_simulate_cfg()).encode("utf-16"))
+        with pytest.raises(ConfigError, match=f"config read error: {re.escape(str(p))}: .*can't decode"):
             load_config(p)
 
     def test_loads_valid_file(self, tmp_path):

@@ -247,18 +247,19 @@ class TestSimulateCff:
 
 
 class TestExactOracle:
-    """Push without retransmission against its closed form.  Frame f's
-    arrivals, Poisson with mean mu = rate * frame_duration, are the only
-    contenders of frame f+1, so each of the K push slots holds an
-    independent Poisson(mu / K) count and delivers with probability
-    q = (mu / K) exp(-mu / K): a packet succeeds with probability
-    K q / mu = exp(-mu / K).  The deliveries of the H - 1 rounds are
-    Bin((H - 1) K, q), whatever the draw order."""
+    """Both classes against closed forms that hold whatever the draw order,
+    with mu = rate * frame_duration the mean arrivals per frame."""
 
     FRAMES = 20_000
 
     @pytest.mark.parametrize("rate", [1000.0, 3000.0, 5000.0])
     def test_push_success_matches_closed_form(self, rate):
+        """Push without retransmission: frame f's arrivals, Poisson with
+        mean mu, are the only contenders of frame f+1, so each of the K push
+        slots holds an independent Poisson(mu / K) count and delivers with
+        probability q = (mu / K) exp(-mu / K): a packet succeeds with
+        probability K q / mu = exp(-mu / K).  The deliveries of the H - 1
+        rounds are Bin((H - 1) K, q)."""
         cfg = paper_config(0.5)
         k = cfg.push_tx_capacity
         assert k == 50
@@ -267,6 +268,36 @@ class TestExactOracle:
         rec = simulate_cff(cfg, 0, rate, self.FRAMES, seed=2024, push_retransmit=False)
         trials = (self.FRAMES - 1) * k
         z = (rec.delivered(PUSH) - trials * q) / math.sqrt(trials * q * (1 - q))
+        assert abs(z) <= 4
+
+    @pytest.mark.parametrize(
+        "cfg, rate",
+        [
+            (paper_config(0.6), 100.0),
+            (FrameConfig(50, 0.01, 2, 1, 0.8), 300.0),
+            (FrameConfig(100, 0.01, 5, 1, 0.5, overhead_slots=10), 50.0),
+        ],
+    )
+    def test_pull_latency_matches_closed_form(self, cfg, rate):
+        """Below the ceiling frame f's N ~ Poisson(mu) pull arrivals are all
+        served in frame f+1, in arrival order: the one at offset u in
+        position b has latency S - u + d + (b + 1) P slots.  With u uniform
+        on the frame and E[sum of b] = mu**2 / 2, the packet-mean latency is
+        m = (S + 1) / 2 + d + P (1 + mu / 2).  Frames are independent, so the
+        per-frame sums of latency - m over the packets have mean 0."""
+        S, P, d = cfg.slots_per_frame, cfg.pull_packet_slots, cfg.data_start_slot
+        mu = rate * cfg.frame_duration
+        overflow = 1 - sum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(cfg.pull_tx_capacity + 1))
+        assert overflow <= 1e-8
+        m = (S + 1) / 2 + d + P * (1 + mu / 2)
+        log = delivery_log(cfg, rate, 0, self.FRAMES, seed=5)
+        arrival = np.concatenate([a for a, _ in log[PULL]])
+        delivery = np.concatenate([dl for _, dl in log[PULL]])
+        frame = arrival // S
+        assert (delivery // S == frame + 1).all()
+        n = self.FRAMES - 1  # the last frame's arrivals are never served
+        residual = np.bincount(frame, delivery + 1 - arrival, minlength=n) - m * np.bincount(frame, minlength=n)
+        z = residual.mean() * math.sqrt(n) / residual.std(ddof=1)
         assert abs(z) <= 4
 
 

@@ -163,44 +163,6 @@ class TestSimulateRcs:
         assert r50.retrieval_accuracy >= r25.retrieval_accuracy - 0.02
         assert r50.push_success_prob >= r25.push_success_prob - 0.02
 
-    def test_persistent_backlog_retries_until_delivered(self):
-        # crowded shared portion: collided updates linger and retry, so the
-        # persistent mode logs more attempts than the per-frame default
-        pop = population(10, 5, threshold=0.9)
-        q = ALL
-        cfg = config(12, 0.8)  # 9 reserved, 3 shared slots
-        default = simulate_rcs(cfg, pop, q, 4000, seed=13)
-        persistent = simulate_rcs(cfg, pop, q, 4000, seed=13, persistent_push_backlog=True)
-        assert push_attempts(persistent) > push_attempts(default)
-        # per frame a device attempts at most once
-        assert all(f.push_attempted <= 5 for f in persistent.frames)
-        # with ample shared slots and no contention the modes coincide
-        quiet = population(0, 3, threshold=0.5)
-        a = simulate_rcs(config(30, 0.0), quiet, q, 2000, seed=14)
-        b = simulate_rcs(config(30, 0.0), quiet, q, 2000, seed=14, persistent_push_backlog=True)
-        assert push_successes(a) <= push_successes(b)
-
-    def test_persistent_backlog_pinned(self):
-        # exact values: both modes run one frame kernel, and a change in the
-        # persistent mode's draw order or backlog update moves them
-        pop = population(12, 40)
-        q = SemanticQuery(0.25, 0.75)
-        for alpha, accuracy, push_prob, attempts in (
-            (0.4, 0.21, 0.06898859559886492, 74708),
-            (0.0, 0.002, 0.2115317555376988, 65957),
-        ):
-            res = simulate_rcs(config(25, alpha), pop, q, 2000, seed=7, persistent_push_backlog=True)
-            assert res.retrieval_accuracy == accuracy
-            assert res.push_success_prob == push_prob
-            assert push_attempts(res) == attempts
-
-    def test_persistent_backlog_blocked_at_alpha_one(self):
-        pop = population(2, 4, threshold=0.0)
-        res = simulate_rcs(config(10, 1.0), pop, ALL, 50, seed=15, persistent_push_backlog=True)
-        assert push_successes(res) == 0
-        # every device goes pending after the first frame and stays there
-        assert all(f.push_attempted == 4 for f in res.frames)
-
     def test_variance_halves_when_frames_double(self):
         pop = population(6, 10)
         cfg = config(25, 0.4)
