@@ -8,6 +8,7 @@ silently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Tuple
 
@@ -45,14 +46,14 @@ class CapacitySpec:
     target_reliability: float = 0.99
 
     def __post_init__(self) -> None:
-        if not (self.target_latency > 0):
-            raise ValueError("target_latency must be positive")
+        if not 0 < self.target_latency < math.inf:
+            raise ValueError("target_latency must be positive and finite")
         if not 0.0 < self.target_reliability <= 1.0:
             raise ValueError("target_reliability must be in (0,1]")
         if not (self.rate_tolerance > 0):
             raise ValueError("rate_tolerance must be positive")
-        if not (self.rate_upper_bound > 0):
-            raise ValueError("rate_upper_bound must be positive")
+        if not 0 < self.rate_upper_bound < math.inf:
+            raise ValueError("rate_upper_bound must be positive and finite")
         if self.horizon_frames < 1:
             raise ValueError("horizon_frames must be >= 1")
         if self.replications < 1:
@@ -65,33 +66,40 @@ class MaxRateResult:
 
     ``rate`` is the highest probed rate that met the target (the lower bracket
     end); ``unreachable`` marks searches where no probed rate passed.
+    ``probes`` lists (rate, reliability, complete) in probe order.  A probe
+    that is not complete stopped once it could no longer pass: its
+    reliability is the bound that stopped it, below the target, not a full
+    mean.
     """
 
     rate: float
     unreachable: bool
     monotonicity_violated: bool
-    probes: Tuple[Tuple[float, float], ...]  # (rate, reliability) in probe order
+    probes: Tuple[Tuple[float, float, bool], ...]
 
 
-def max_rate(evaluate: Callable[[float], float], spec: CapacitySpec) -> MaxRateResult:
+def max_rate(evaluate: Callable[[float], Tuple[float, bool]], spec: CapacitySpec) -> MaxRateResult:
     """Bisection on [0, rate_upper_bound] down to a rate_tolerance bracket.
 
-    At most ceil(log2(upper/tolerance)) evaluations; the upper bound itself is
-    never probed (capacities at the bound are reported as just under it).
+    ``evaluate(rate)`` returns (reliability, complete), as
+    :func:`make_cff_rate_evaluator` does.  At most ceil(log2(upper/tolerance))
+    evaluations; the upper bound itself is never probed (capacities at the
+    bound are reported as just under it).  The monotonicity guard compares
+    complete probes only.
     """
     lo, hi = 0.0, spec.rate_upper_bound
-    probes: List[Tuple[float, float]] = []
+    probes: List[Tuple[float, float, bool]] = []
     passed_any = False
     while hi - lo > spec.rate_tolerance:
         mid = 0.5 * (lo + hi)
-        rel = float(evaluate(mid))
-        probes.append((mid, rel))
+        rel, complete = evaluate(mid)
+        probes.append((mid, float(rel), bool(complete)))
         if rel >= spec.target_reliability:
             lo = mid
             passed_any = True
         else:
             hi = mid
-    by_rate = sorted(probes)
+    by_rate = sorted((rate, rel) for rate, rel, complete in probes if complete)
     violated = any(
         by_rate[i + 1][1] > by_rate[i][1] + NOISE_MARGIN for i in range(len(by_rate) - 1)
     )
@@ -108,38 +116,54 @@ def make_cff_rate_evaluator(
     klass: PacketClass,
     spec: CapacitySpec,
     master_seed: int,
-) -> Callable[[float], float]:
-    """Rate -> reliability for one CFF traffic class, the other class silent.
+) -> Callable[[float], Tuple[float, bool]]:
+    """Rate -> (reliability, complete) for one CFF traffic class, the other
+    class silent.
 
-    Reliability is the mean over replications of per-run reliability (not
-    pooled packets); a run with no measured arrivals counts as 1.0 (vacuous).
-    Replication seeds are master XOR index, shared across probed rates.
+    Reliability is the mean over the R replications of per-run reliability
+    (not pooled packets); a run with no measured arrivals counts as 1.0
+    (vacuous).  Replication seeds are master XOR index, shared across probed
+    rates.
 
-    Push probes carry a :class:`PushAbortRule` so far-above-capacity runs stop
-    as soon as missing the target is certain.  An aborted run's reliability is
-    understated but stays below the target, so that run's own pass/fail is
-    exact.  With ``replications > 1`` the understated value lowers the probe
-    mean, so a probe whose other runs pass could in principle flip from pass
-    to fail; the abort is certified per run, not per probe.
+    A probe stops as soon as it can no longer pass.  After each run the mean
+    is bounded by scoring every run not yet made 1.0, with the same
+    left-to-right float ``sum(...) / R`` as the full mean.  Float addition
+    and division round monotonically and no run scores above 1.0, so once
+    that bound is below the target t, the full mean is too: the probe
+    returns the bound with ``complete`` False.  A probe that is not stopped
+    returns its full mean with ``complete`` True.
+
+    Push runs carry a :class:`PushAbortRule`, which stops a run once missing
+    its target is certain (the record then understates reliability).  Run
+    j's target is what it must score for the probe to pass,
+    R·t − (Σ done + R − j − 1), less a slack of 1e-9·R² (far above the
+    rounding of these R-term sums, about R²·2⁻⁵³), and never below t.  At t
+    it is the plain per-run abort; above t an abort certifies that the
+    probe fails, and the bound then stops it.  So stops change no pass/fail
+    and no complete probe's value.
+    The per-run abort at t is certified per run, not per probe: its
+    understated value lowers the mean, so with R > 1 a probe whose other
+    runs pass could in principle flip from pass to fail.  That is kept, so
+    that capacities stay as they were, until the search is re-recorded.
     """
     warmup = int(spec.horizon_frames * WARMUP_FRACTION)
-    abort = (
-        PushAbortRule(spec.target_latency, spec.target_reliability)
-        if klass is PacketClass.PUSH
-        else None
-    )
+    R, t = spec.replications, spec.target_reliability
+    slack = 1e-9 * R * R
 
-    def evaluate(rate: float) -> float:
-        rels = []
-        for r in range(spec.replications):
-            seed = derive_seed(master_seed, r)
-            pull_rate, push_rate = (rate, 0.0) if klass is PacketClass.PULL else (0.0, rate)
+    def evaluate(rate: float) -> Tuple[float, bool]:
+        pull_rate, push_rate = (rate, 0.0) if klass is PacketClass.PULL else (0.0, rate)
+        rels: List[float] = []
+        for j in range(R):
+            target, abort = t, None
+            if klass is PacketClass.PUSH:
+                target = max(t, R * t - (sum(rels) + (R - j - 1)) - slack)
+                abort = PushAbortRule(spec.target_latency, target)
             rec = simulate_cff(
                 config,
                 pull_rate,
                 push_rate,
                 spec.horizon_frames,
-                seed,
+                derive_seed(master_seed, j),
                 warmup_frames=warmup,
                 push_abort=abort,
             )
@@ -147,7 +171,12 @@ def make_cff_rate_evaluator(
                 rels.append(1.0)
             else:
                 rels.append(reliability_within(rec, klass, spec.target_latency))
-        return sum(rels) / len(rels)
+            bound = sum(rels + [1.0] * (R - j - 1)) / R
+            # after the last run the bound is the full mean, exact unless
+            # that run's target was raised above t
+            if bound < t and (j + 1 < R or target > t):
+                return bound, False
+        return bound, True
 
     return evaluate
 

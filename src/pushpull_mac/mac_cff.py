@@ -86,15 +86,18 @@ class PushAbortRule:
     cannot reach the target, so the run may stop.  The returned record then
     understates reliability (remaining arrivals count as misses) but the
     pass/fail comparison against the target is exact, and the run stays
-    deterministic.
+    deterministic.  A run that does not stop gives the same record as
+    without the rule.  The capacity evaluator raises a run's target above
+    the probe's when that run alone must score more for the probe to pass;
+    a stop then certifies that the probe fails.
     """
 
     latency_target: float  # seconds
     target_reliability: float
 
     def __post_init__(self) -> None:
-        if not (self.latency_target > 0):
-            raise ValueError("latency_target must be positive")
+        if not 0 < self.latency_target < math.inf:
+            raise ValueError("latency_target must be positive and finite")
         if not 0.0 < self.target_reliability <= 1.0:
             raise ValueError("target_reliability must be in (0,1]")
 

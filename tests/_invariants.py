@@ -20,9 +20,11 @@ from pushpull_mac import (
     simulate_rcs,
     uniform_slot_contention,
 )
+from pushpull_mac.capacity import WARMUP_FRACTION, CapacitySpec
 from pushpull_mac.core import stable_floor
-from pushpull_mac.metrics import MetricsRecord
-from pushpull_mac.traffic import sample_arrival_offsets, sample_frame_arrival_counts
+from pushpull_mac.mac_cff import PushAbortRule
+from pushpull_mac.metrics import MetricsRecord, reliability_within
+from pushpull_mac.traffic import derive_seed, sample_arrival_offsets, sample_frame_arrival_counts
 
 
 _MASK64 = (1 << 64) - 1
@@ -186,6 +188,34 @@ def reference_cff_run(
         missed = int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum())
         record.add(klass, failed=missed, arrived=int(counts[warmup_frames:].sum()))
     return record
+
+
+def reference_rate_evaluator(config: FrameConfig, klass: PacketClass, spec: CapacitySpec, master_seed: int):
+    """Rate -> reliability of a capacity probe without probe-level stops:
+    every replication runs, push runs with the per-run abort at the probe's
+    own target, and the result is the plain mean.  A complete probe of
+    ``make_cff_rate_evaluator`` must return the same float, and a stopped
+    one must fail exactly when this one does."""
+    warmup = int(spec.horizon_frames * WARMUP_FRACTION)
+    abort = PushAbortRule(spec.target_latency, spec.target_reliability) if klass is PacketClass.PUSH else None
+
+    def evaluate(rate: float) -> float:
+        pull_rate, push_rate = (rate, 0.0) if klass is PacketClass.PULL else (0.0, rate)
+        rels = []
+        for r in range(spec.replications):
+            rec = simulate_cff(
+                config,
+                pull_rate,
+                push_rate,
+                spec.horizon_frames,
+                derive_seed(master_seed, r),
+                warmup_frames=warmup,
+                push_abort=abort,
+            )
+            rels.append(1.0 if rec.arrived(klass) == 0 else reliability_within(rec, klass, spec.target_latency))
+        return sum(rels) / len(rels)
+
+    return evaluate
 
 
 def random_cff_config(rng: np.random.Generator) -> FrameConfig:

@@ -12,6 +12,7 @@ from pushpull_mac import (
     validate_config,
 )
 from pushpull_mac.capacity import make_cff_rate_evaluator, service_ceiling
+import pushpull_mac.capacity as capacity
 import pushpull_mac.harness as harness
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
@@ -31,25 +32,25 @@ def spec(**kw):
 
 class TestMaxRate:
     def test_step_function_bracketed(self):
-        res = max_rate(lambda r: 1.0 if r <= 1000 else 0.0, spec())
+        res = max_rate(lambda r: (1.0 if r <= 1000 else 0.0, True), spec())
         assert 990 <= res.rate <= 1000
         assert not res.unreachable
         assert len(res.probes) <= math.ceil(math.log2(2000 / 10))
 
     def test_always_failing_flags_unreachable(self):
-        res = max_rate(lambda r: 0.0, spec())
+        res = max_rate(lambda r: (0.0, True), spec())
         assert res.rate == 0.0
         assert res.unreachable
 
     def test_always_passing_approaches_upper_bound(self):
-        res = max_rate(lambda r: 1.0, spec())
+        res = max_rate(lambda r: (1.0, True), spec())
         assert res.rate >= 2000 - 2 * 10
         assert res.rate < 2000
         assert not res.unreachable
 
     def test_evaluation_budget(self):
         calls = []
-        max_rate(lambda r: (calls.append(r), 1.0 if r <= 700 else 0.0)[1], spec())
+        max_rate(lambda r: (calls.append(r), (1.0 if r <= 700 else 0.0, True))[1], spec())
         assert len(calls) == math.ceil(math.log2(2000 / 10))
 
     def test_nonmonotone_reliability_flagged(self):
@@ -57,14 +58,26 @@ class TestMaxRate:
         # higher rates; the probed values rise along sorted rates
         def evaluate(r):
             if r <= 900:
-                return 1.0
-            return 0.2 if r < 995 else 0.8
+                return 1.0, True
+            return (0.2 if r < 995 else 0.8), True
 
         res = max_rate(evaluate, spec())
         assert res.monotonicity_violated
 
+    def test_stopped_probes_not_compared(self):
+        # the same dip, read from probes that stopped early: their values
+        # are bounds, not means, so the guard skips them
+        def evaluate(r):
+            if r <= 900:
+                return 1.0, True
+            return (0.2, False) if r < 995 else (0.8, True)
+
+        res = max_rate(evaluate, spec())
+        assert not res.monotonicity_violated
+        assert [complete for _, _, complete in res.probes].count(False) > 0
+
     def test_monotone_not_flagged(self):
-        res = max_rate(lambda r: max(0.0, 1.0 - r / 1500), spec(target_reliability=0.5))
+        res = max_rate(lambda r: (max(0.0, 1.0 - r / 1500), True), spec(target_reliability=0.5))
         assert not res.monotonicity_violated
 
     def test_spec_validation(self):
@@ -78,6 +91,11 @@ class TestMaxRate:
             spec(replications=0)
         with pytest.raises(ValueError):
             spec(target_latency=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                spec(target_latency=bad)
+            with pytest.raises(ValueError):
+                spec(rate_upper_bound=bad)
 
 
 class TestServiceCeiling:
@@ -107,12 +125,50 @@ class TestMaxClassRate:
         assert not res.unreachable
         # direct confirmation that the ceiling rate itself is infeasible
         evaluate = make_cff_rate_evaluator(cfg, PULL, s, master_seed=7)
-        assert evaluate(2000.0) < 0.99
+        rel, _ = evaluate(2000.0)
+        assert rel < 0.99
 
     def test_vacuous_at_tiny_rate(self):
         cfg = FrameConfig(100, 0.01, 5, 1, alpha=0.5)
         evaluate = make_cff_rate_evaluator(cfg, PULL, spec(horizon_frames=50), master_seed=3)
-        assert evaluate(0.0) == 1.0
+        assert evaluate(0.0) == (1.0, True)
+
+
+class TestProbeStops:
+    """A probe simulates only the runs that decide it."""
+
+    @staticmethod
+    def probe(monkeypatch, cfg, klass, rate, replications):
+        runs = []
+        original = capacity.simulate_cff
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "simulate_cff", counted)
+        s = spec(horizon_frames=200, replications=replications)
+        rel, complete = make_cff_rate_evaluator(cfg, klass, s, master_seed=5)(rate)
+        return rel, complete, len(runs)
+
+    def test_pull_probe_at_the_ceiling_stops_after_one_run(self, monkeypatch):
+        cfg = FrameConfig(100, 0.01, 5, 1, alpha=1.0)
+        rel, complete, runs = self.probe(monkeypatch, cfg, PULL, service_ceiling(cfg, PULL), 3)
+        assert (runs, complete) == (1, False)
+        assert rel < 0.99
+
+    def test_push_probe_far_above_capacity_stops_after_one_run(self, monkeypatch):
+        cfg = FrameConfig(100, 0.01, 5, 1, alpha=0.3)
+        rel, complete, runs = self.probe(monkeypatch, cfg, PUSH, 8000.0, 5)
+        assert (runs, complete) == (1, False)
+        assert rel < 0.99
+
+    @pytest.mark.parametrize("klass, rate, replications", [(PULL, 200.0, 3), (PUSH, 20.0, 5)])
+    def test_passing_probe_makes_every_run(self, monkeypatch, klass, rate, replications):
+        cfg = FrameConfig(100, 0.01, 5, 1, alpha=0.5)
+        rel, complete, runs = self.probe(monkeypatch, cfg, klass, rate, replications)
+        assert (runs, complete) == (replications, True)
+        assert rel >= 0.99
 
 
 def frontier_rows(alphas, rate_tolerance_pps, horizon_frames):

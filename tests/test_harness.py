@@ -525,10 +525,23 @@ class TestRunExperiment:
 
 
 # Sweeps whose points pool three replications: the CFF rows read records
-# merged by ``merge_records``, the RCS rows frame counts pooled across runs.
+# merged by ``merge_records``, the RCS rows frame counts pooled across runs,
+# and the capacity rows a bisection whose probes average three runs.
 # The CSV digests were recorded before the record kept latencies in slots
-# and RCS results were read from frame counts; both changes keep them.
+# and RCS results were read from frame counts, and the capacity digest
+# before a probe could stop early; all of these changes keep them.
 REPLICATED_SWEEPS = {
+    "capacity": (
+        dict(
+            capacity_cfg(),
+            alphas=[0.2, 0.5, 0.8],
+            latency_targets_ms=[20.0, 50.0],
+            horizon_frames=200,
+            replications=3,
+            master_seed=1,
+        ),
+        "696888d5b36a5f6535721f9913bce1ac81f9203131e806773a7c3d6630ce43ad",
+    ),
     "cff": (
         cff_simulate_cfg(
             alphas=[0.2, 0.5, 0.8],

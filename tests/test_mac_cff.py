@@ -223,6 +223,14 @@ class TestSimulateCff:
         assert rel_fast <= rel_full
         assert fast.arrived(PUSH) == fast.delivered(PUSH) + fast.failed(PUSH)
 
+    def test_abort_rule_validation(self):
+        for bad in (0.0, -0.01, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PushAbortRule(latency_target=bad, target_reliability=0.99)
+        for bad in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                PushAbortRule(latency_target=0.02, target_reliability=bad)
+
     def test_push_deliveries_only_in_push_subframe(self):
         cfg = paper_config(0.6)
         log = delivery_log(cfg, 0, 2000, 60, seed=31)

@@ -1,8 +1,11 @@
 """Randomized invariant sweep: conservation, collision-freedom, FIFO order and
 portion purity over >= 10^3 generated configurations."""
+from dataclasses import replace
+
 import numpy as np
 
-from pushpull_mac import FrameConfig, ObservationModel, RcsPopulation, mac_cff, mac_rcs
+from pushpull_mac import CapacitySpec, FrameConfig, ObservationModel, PacketClass, RcsPopulation, capacity, mac_cff, mac_rcs
+from pushpull_mac.capacity import make_cff_rate_evaluator, max_class_rate, max_rate, service_ceiling
 from pushpull_mac.mac_cff import PushAbortRule
 
 from _invariants import (
@@ -12,12 +15,18 @@ from _invariants import (
     check_rcs_run,
     random_cff_config,
     random_rcs_case,
+    reference_rate_evaluator,
 )
 
 N_CFF_CONFIGS = 600
 N_RCS_FRAMES = 500
 N_RCS_RUNS = 60
 N_CFF_RUNS = 120
+N_CAPACITY_SEARCHES = 40
+
+# a 20-slot, 10 ms frame: latency targets below and above one frame
+CAPACITY_FRAME = (20, 0.01, 2, 1)
+CAPACITY_TARGETS = (0.006, 0.025)
 
 
 def test_cff_invariants_randomized():
@@ -124,3 +133,75 @@ def test_cff_runs_match_reference(monkeypatch):
             ) from exc
         if i % 10 == 9 and not kw.keys() & {"push_abort", "push_retransmit"}:
             assert any(certified), f"deep backlog #{i} had no certified round"
+
+
+def _capacity_spec(config, klass, target_latency, replications, target_reliability=0.99):
+    """A search below the class's service ceiling, six probes deep."""
+    ceiling = service_ceiling(config, klass)
+    return CapacitySpec(
+        target_latency=target_latency,
+        rate_tolerance=ceiling / 64,
+        rate_upper_bound=ceiling,
+        horizon_frames=120,
+        replications=replications,
+        target_reliability=target_reliability,
+    )
+
+
+def test_capacity_probes_match_reference(monkeypatch):
+    # a bisection driven by the reference probes rates on both sides of the
+    # capacity; at each one, a complete probe must return the reference's
+    # float, and a stopped one must fail where the reference fails
+    rng = np.random.default_rng(3232)
+    seen = {True: 0, False: 0}
+    raised = []  # per push run: was its abort target raised above the probe's?
+    simulate = capacity.simulate_cff
+
+    def spy(*args, push_abort=None, **kwargs):
+        if push_abort is not None:
+            # a run may abort above the probe's target, never below it
+            assert push_abort.target_reliability >= target
+            raised.append(push_abort.target_reliability > target)
+        return simulate(*args, push_abort=push_abort, **kwargs)
+
+    monkeypatch.setattr(capacity, "simulate_cff", spy)
+    for i in range(N_CAPACITY_SEARCHES):
+        klass = (PacketClass.PULL, PacketClass.PUSH)[i % 2]
+        config = FrameConfig(*CAPACITY_FRAME, alpha=float(rng.choice([0.3, 0.5, 0.7])))
+        replications = int(rng.choice([1, 2, 3, 5]))
+        target = float(rng.choice([0.5, 0.9, 0.99]))
+        spec = _capacity_spec(config, klass, float(rng.choice(CAPACITY_TARGETS)), replications, target)
+        seed = int(rng.integers(0, 2**32))
+        want = reference_rate_evaluator(config, klass, spec, seed)
+        got = make_cff_rate_evaluator(config, klass, spec, seed)
+
+        def both(rate):
+            ref = want(rate)
+            rel, complete = got(rate)
+            case = f"search #{i}: {klass.value} at {rate} pps, {spec}, seed {seed}"
+            if complete:
+                assert rel == ref, case
+            else:
+                assert rel < target and ref < target, case
+            seen[complete] += 1
+            return ref, True
+
+        max_rate(both, spec)
+    assert min(seen.values()) > 0 and any(raised), (seen, sum(raised))
+
+
+def test_capacity_search_matches_reference():
+    # 1.5 and 4 frames: the grid has reachable and unreachable searches
+    unreachable = set()
+    for alpha in (0.2, 0.5, 0.8):
+        config = FrameConfig(*CAPACITY_FRAME, alpha=alpha)
+        for target_latency in (0.015, 0.04):
+            for klass in PacketClass:
+                spec = _capacity_spec(config, klass, target_latency, 3)
+                # max_class_rate caps the bound at the service ceiling itself
+                got = max_class_rate(config, klass, replace(spec, rate_upper_bound=1e6), master_seed=11)
+                want_evaluate = reference_rate_evaluator(config, klass, spec, 11)
+                want = max_rate(lambda r: (want_evaluate(r), True), spec)
+                assert (got.rate, got.unreachable) == (want.rate, want.unreachable), (alpha, target_latency, klass)
+                unreachable.add(got.unreachable)
+    assert unreachable == {True, False}
