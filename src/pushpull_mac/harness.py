@@ -18,7 +18,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import repeat
@@ -496,8 +495,11 @@ def run_experiment(
             if log:
                 log(f"point {job.index + 1}/{len(jobs)} done (alpha={job.alpha})")
     else:
-        # a fork-started pool starts all its workers at once; more than one
-        # per point would only idle
+        # imported here: it costs every start about 14 ms, and one worker
+        # needs no pool; a fork-started pool starts all its workers at once,
+        # so more than one per point would only idle
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             for index, rows in pool.map(_run_point, jobs):
                 results.append((index, rows))

@@ -30,16 +30,23 @@ index), a round is one ``bincount`` over a slice of draws computed ahead
 draws are only stepped over.  Capacity probes above the service ceiling
 back up to ~1e5 contenders per frame, far past what a per-object loop
 sustains.  Such a collapsed backlog redraws every frame and almost never
-wins: of a round of more than ``_PREFIX_PER_SLOT`` x K contenders (K =
-``push_tx_capacity`` >= 2), ``_HalfStream.contend`` first computes only that
-many draws, and if they already put two in every slot, no slot can end with
-exactly one, so the round has no winner, exactly.  It computes nothing more:
-its other halves are only rejection-checked to find where it ends, and the
-pending packets stay as they are.  Any other round is computed in full.  At
-the end of the run the offsets are sorted and lifted to arrival slots in
-bulk, latencies and ``on_delivery`` calls are built from the rounds'
-winners, and the pull FIFO, which draws no randomness, is served in closed
-form (:func:`schedule_pull`).
+wins: if the first ``_PREFIX_PER_SLOT`` x K draws of a round (K =
+``push_tx_capacity`` >= 2) already put two in every slot, no slot can end
+with exactly one, so the round has no winner, exactly.  A winnerless round
+leaves the pending packets as they are, so the next frame's round size is
+known: the pending ones plus the frame's arrivals.  Once more than 16 x K
+packets are pending, ``_HalfStream.take_winnerless`` takes a stretch of
+frames in one step: it fetches their halves at once, rejection-checks them,
+certifies every round's prefix with one ``bincount`` and computes nothing
+more of the rounds.  The frame loop runs the abort check over the
+stretch's frames and joins their arrivals to the backlog at once.  The
+first frame that fails (its prefix leaves a slot with fewer than two, a half
+of its round or offsets is rejected, or the abort fires there) ends the
+stretch and runs frame by frame, its round computed in full.  At the end of
+the run the offsets are sorted and lifted to arrival slots in bulk,
+latencies and ``on_delivery`` calls are built from the rounds' winners, and
+the pull FIFO, which draws no randomness, is served in closed form
+(:func:`schedule_pull`).
 """
 from __future__ import annotations
 
@@ -70,9 +77,9 @@ DeliveryCallback = Callable[[PacketClass, np.ndarray, np.ndarray], None]
 _WINDOW_WORDS = 4096
 
 # draws per slot in the prefix that certifies a long round winnerless (see
-# above); a winnerless round of K slots still fails the check, and is
-# computed in full, when some slot holds fewer than two of them: probability
-# about 17 * K * exp(-16) (4e-5 at K = 20)
+# above); a winnerless round of K slots still fails the check, and runs frame
+# by frame, when some slot holds fewer than two of them: probability about
+# 17 * K * exp(-16) (4e-5 at K = 20)
 _PREFIX_PER_SLOT = 16
 
 
@@ -156,8 +163,11 @@ class _HalfStream:
     fetched about ``_WINDOW_WORDS`` outputs at a time.
 
     ``contend(n)`` takes a round's n draws below the push capacity and
-    returns them, or None for a round it certifies winnerless (see the module
-    docstring).  ``skip(n)`` takes n arrival-offset draws below S without
+    returns them.  ``take_winnerless`` takes whole frames whose rounds it
+    certifies winnerless (see the module docstring), fetching at most
+    ``budget`` halves for them unless the first frame needs more; of those
+    rounds it computes only the prefixes, and it computes the frames' offsets
+    at once.  ``skip(n)`` takes n arrival-offset draws below S without
     computing them; their values are read when the window is dropped, and
     ``close()`` returns every one taken, in stream order.
     ``count_below(n)`` counts the last n offsets taken that come from a half
@@ -177,7 +187,8 @@ class _HalfStream:
         self.n_slots = n_slots
         self.push_ops = push_ops
         self.cut_half = cut_half
-        self.prefix = _PREFIX_PER_SLOT * push_ops  # longer rounds are checked for a certified no-winner
+        self.prefix = _PREFIX_PER_SLOT * push_ops  # a longer backlog is taken in stretches
+        self.budget = 16 * _WINDOW_WORDS  # halves a stretch of winnerless frames fetches at most (2**16)
         self.buffer = np.empty(0, dtype=np.uint64)  # holds the window's words at its front
         self.words = self.buffer
         self.halves = halves_of(self.words)
@@ -251,11 +262,8 @@ class _HalfStream:
                 h, self.h = self.h, end
                 return h, end
 
-    def contend(self, n: int) -> Optional[np.ndarray]:
-        """A contention round's ``n`` slot choices (int64), or None for a
-        round of more than ``_PREFIX_PER_SLOT`` x K contenders whose first
-        that many draws already put two in every slot: it has no winner, and
-        its other draws are taken but never computed."""
+    def contend(self, n: int) -> np.ndarray:
+        """A contention round's ``n`` slot choices (int64)."""
         if self.push_ops == 1:  # a bound-1 draw is 0 and consumes nothing
             return np.zeros(n, dtype=np.int64)
         h = self.h
@@ -263,22 +271,72 @@ class _HalfStream:
         if end > self.push_to or self.rejected_push:
             h, end = self._take(n, self._push_table)
         self.h = end
-        rej = []  # the span's rejected halves, counted from h
-        if end - h > n:
-            first = bisect_left(self.rejected_push, h)
-            rej = [i - h for i in self.rejected_push[first : first + end - h - n]]
-        if n > self.prefix:
-            stop = span_end(0, self.prefix, rej) if rej else self.prefix
-            part = self.halves[h : h + stop]
-            if rej and rej[0] < stop:
-                part = np.delete(part, rej[: bisect_left(rej, stop)])
-            if np.bincount(bounded(part, self.push_ops), minlength=self.push_ops).min() >= 2:
-                return None
         if self.choice_from < 0:
             self.choice_from = h
             self.choice = bounded(self.halves[h : self.push_to], self.push_ops)
         choice = self.choice[h - self.choice_from : end - self.choice_from]
-        return np.delete(choice, rej) if rej else choice
+        if end - h > n:  # drop the span's rejected halves
+            first = bisect_left(self.rejected_push, h)
+            choice = np.delete(choice, [i - h for i in self.rejected_push[first : first + end - h - n]])
+        return choice
+
+    def take_winnerless(
+        self,
+        rounds: np.ndarray,
+        offsets: np.ndarray,
+        push: np.ndarray,
+        until: Optional[Callable[[np.ndarray], int]] = None,
+    ) -> int:
+        """Take whole frames in bulk, from the first, while each one's
+        contention round is certified winnerless (see the module docstring);
+        returns how many.
+
+        Candidate frame j draws a round of ``rounds[j]`` choices, then
+        ``offsets[j]`` arrival offsets, the last ``push[j]`` of them push
+        ones.  The frames that fit ``budget`` halves (at least one) are
+        fetched at once.  The first frame that fails ends the stretch
+        untaken: a round of at most ``prefix`` draws, a prefix that leaves a
+        slot with fewer than two, or a half of its round or offsets that the
+        rejection rule drops.  ``until(below)``, given the push offsets below
+        ``cut_half`` of each frame before that, says how many of them to
+        take.
+        """
+        sizes = rounds + offsets
+        ends = np.cumsum(sizes)
+        m = max(1, int(ends.searchsorted(self.budget, "right")))
+        ends, rounds, offsets, push = ends[:m], rounds[:m], offsets[:m], push[:m]
+        need = int(ends[-1])
+        if self.h + need > self.size:
+            self._refill(self.h + need - self.size)
+        halves = self.halves[self.h : self.h + need]
+        starts = ends - sizes[:m]
+        short = np.flatnonzero(rounds <= self.prefix)
+        ok = int(short[0]) if short.size else m
+        rej = rejected(halves, self.push_ops)
+        if rej:  # only those inside a round count here
+            frame = ends.searchsorted(rej, "right")
+            hit = frame[np.asarray(rej) < starts[frame] + rounds[frame]]
+            ok = min(ok, int(hit[0])) if hit.size else ok
+        o_ends = np.cumsum(offsets)
+        drawn = halves[np.arange(int(o_ends[-1])) + np.repeat(starts + rounds - o_ends + offsets, offsets)]
+        rej = rejected(drawn, self.n_slots)
+        ok = min(ok, int(o_ends.searchsorted(rej[0], "right"))) if rej else ok
+        if ok:  # one bincount over frame * K + choice certifies every prefix
+            K = self.push_ops
+            choice = bounded(halves[(starts[:ok, None] + np.arange(self.prefix)).ravel()], K)
+            choice = choice + np.repeat(np.arange(0, ok * K, K), self.prefix)
+            fails = np.flatnonzero(np.bincount(choice, minlength=ok * K).reshape(ok, K).min(axis=1) < 2)
+            ok = int(fails[0]) if fails.size else ok
+        if ok and until is not None:
+            counted = np.zeros(int(o_ends[ok - 1]) + 1, dtype=np.int64)
+            np.cumsum(drawn[: int(o_ends[ok - 1])] < self.cut_half, out=counted[1:])
+            ok = until(counted[o_ends[:ok]] - counted[o_ends[:ok] - push[:ok]])
+        if ok:
+            self.h += int(ends[ok - 1])
+            self._read_spans()
+            self.read.append(bounded(drawn[: int(o_ends[ok - 1])], self.n_slots))
+            self.n_offsets += int(o_ends[ok - 1])
+        return ok
 
     def skip(self, n: int) -> None:
         """Take ``n`` arrival-offset draws."""
@@ -420,16 +478,60 @@ def simulate_cff(
         """Push packets pending at frame f that arrived before frame g's cut."""
         return 0 if g < 0 else cum_push[f] if g >= f else cum_push[g] + below[g]
 
+    def frames_before_abort(below_new: np.ndarray) -> int:
+        """The abort check of winnerless frames from f, whose ``below``
+        counts are ``below_new``: how many pass it before one fires.  The
+        pending packets at frame F are pend and the arrivals of frames f to
+        F-1.  Records the frames' ``below`` (if the check fires, the run
+        ends there) and adds the passed frames' late packets."""
+        nonlocal late_cum
+        below[f : f + len(below_new)] = below_new.tolist()
+        for F in range(f, f + len(below_new)):
+            lo = max(before(F - back, F), n_warm)
+            hi = before(F + 1 - back, F)
+            if hi > lo:
+                late = int(pend.searchsorted(hi) - pend.searchsorted(lo))
+                late += max(min(hi, cum_push[F]) - max(lo, cum_push[f]), 0)  # joined since f
+                if late_cum + late > late_budget:
+                    return F - f
+                late_cum += late
+        return len(below_new)
+
+    until = frames_before_abort if push_abort is not None and push_retransmit and back else None
+    stretch_above = stream.prefix if push_ops >= 2 else math.inf  # pending packets
+    cp = co = None  # cum_push and cum_offsets as arrays, once a stretch is tried
     f = 0
     while f < horizon_frames:
+        # a collapsed backlog: take the frames from f in bulk while their
+        # rounds are certified winnerless; the pending packets only gain the
+        # frames' arrivals, so every round's size is known up front
+        if pend.size > stretch_above:
+            if cp is None:
+                cp, co = np.array(cum_push), np.array(cum_offsets)
+            stop = min(horizon_frames, f + stream.budget // stream.prefix + 1)
+            if push_retransmit:
+                rounds = cp[f:stop] + (pend.size - cum_push[f])
+            else:
+                rounds = np.concatenate(([pend.size], push_counts[f : stop - 1]))
+            offsets = co[f + 1 : stop + 1] - co[f:stop]
+            taken = stream.take_winnerless(rounds, offsets, push_counts[f:stop], until)
+            if taken:
+                if push_retransmit:
+                    pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + taken])))
+                else:
+                    dropped += int(np.count_nonzero(pend >= n_warm))
+                    dropped += max(cum_push[f + taken - 1] - max(cum_push[f], n_warm), 0)
+                    pend = np.arange(cum_push[f + taken - 1], cum_push[f + taken])
+                f += taken
+                continue
+
         # push sub-frame: framed-ALOHA contention among everything pending
         if push_ops and pend.size:
             choice = stream.contend(pend.size)
-            if choice is not None:  # else a certified round without a winner
-                win = np.bincount(choice)[choice] == 1
-                # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
-                delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
-                pend = pend[~win]
+            win = np.bincount(choice)[choice] == 1
+            # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
+            delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
+            pend = pend[~win]
             if not push_retransmit:
                 dropped += int(np.count_nonzero(pend >= n_warm))
                 pend = pend[:0]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -469,13 +470,22 @@ class TestRunExperiment:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = validate_config(rcs_cfg())
         a, b = tmp_path / "w1.csv", tmp_path / "w500.csv"
         run_experiment(cfg, out=str(a), workers=1)
         run_experiment(cfg, out=str(b), workers=500)
         assert sizes == [len(enumerate_points(cfg))] == [4]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_import_loads_no_process_pool(self):
+        # the pool module costs every start about 14 ms; only workers > 1 needs it
+        script = "import sys, pushpull_mac\nprint('concurrent.futures.process' in sys.modules)\n"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out == "False\n"
 
     def test_seed_changes_bytes(self, tmp_path):
         a = run_experiment(validate_config(rcs_cfg()), out=str(tmp_path / "a.csv"))

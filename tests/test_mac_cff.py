@@ -434,9 +434,8 @@ class TestRejectedDraws:
             assert stream.count_below(n) == np.count_nonzero(last[-n:] < cut)
 
     @staticmethod
-    def _layout(rng, horizon, rates=(200.0, 300.0)):
-        """Words the count draws take, and the halves of the first offset
-        take and of the first contention round after them."""
+    def _counts(rng, horizon, rates):
+        """Words the count draws take, and the pull and push counts."""
         config = TestRejectedDraws.CONFIG
         start = rng.bit_generator.state["state"]["state"]
         counts = [
@@ -449,7 +448,13 @@ class TestRejectedDraws:
         state["state"]["state"] = start
         probe.state = state
         words = next(k for k in range(1, 1000) if probe.advance(1).state["state"]["state"] == after)
-        pull, push = counts
+        return words, *counts
+
+    @staticmethod
+    def _layout(rng, horizon, rates=(200.0, 300.0)):
+        """Words the count draws take, and the halves of the first offset
+        take and of the first contention round after them."""
+        words, pull, push = TestRejectedDraws._counts(rng, horizon, rates)
         first = int(np.flatnonzero(push)[0])  # frames before it have no push arrival
         offsets = int(pull[: first + 1].sum() + push[: first + 1].sum())
         return words, (2 * words, 2 * words + offsets), (2 * words + offsets, 2 * words + offsets + int(push[first]))
@@ -477,48 +482,79 @@ class TestRejectedDraws:
 
 class _RoundSpy:
     """Counts the contention rounds ``simulate_cff`` makes (the reference
-    loop does not use the stream), their draws and the longest, the rounds
-    long enough to be certified (more than 16 K contenders, K >= 2) and the
-    rounds ``contend`` certified winnerless."""
+    loop does not use the stream): the rounds ``contend`` draws and the
+    frames ``take_winnerless`` takes in bulk, each one a round certified
+    winnerless.  Also their draws and the longest, the rounds long enough to
+    be certified (more than 16 K contenders, K >= 2), the certified rounds,
+    the stretches of more than one frame, and the stretches an abort ended
+    after at least one frame."""
 
     def __init__(self, monkeypatch):
         self.rounds = self.draws = self.longest = self.certifiable = self.certified = 0
-        contend = mac_cff._HalfStream.contend
+        self.stretches = self.aborted = 0
+        contend, take = mac_cff._HalfStream.contend, mac_cff._HalfStream.take_winnerless
 
-        def spy(stream, n):
-            self.rounds += 1
-            self.draws += n
-            self.longest = max(self.longest, n)
-            self.certifiable += stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops
-            choice = contend(stream, n)
-            self.certified += choice is None
-            return choice
+        def count(sizes, certifiable):
+            self.rounds += len(sizes)
+            self.draws += sum(sizes)
+            self.longest = max([self.longest, *sizes])
+            self.certifiable += certifiable
 
-        monkeypatch.setattr(mac_cff._HalfStream, "contend", spy)
+        def spy_contend(stream, n):
+            count([n], stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops)
+            return contend(stream, n)
+
+        def spy_take(stream, rounds, offsets, push, until=None):
+            passed = []  # frames the abort check was given
+
+            def spy_until(below):
+                passed.append(len(below))
+                return until(below)
+
+            taken = take(stream, rounds, offsets, push, spy_until if until else None)
+            count(rounds[:taken].tolist(), taken)
+            self.certified += taken
+            self.stretches += taken > 1
+            self.aborted += bool(passed) and 0 < taken < passed[0]
+            return taken
+
+        monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
+        monkeypatch.setattr(mac_cff._HalfStream, "take_winnerless", spy_take)
 
 
 class TestCertifiedRounds:
-    """A round of more than 16 K contenders (K = push_tx_capacity >= 2)
-    computes only its first 16 K draws; when they put two in every slot,
-    the round has no winner, and the rest of its draws are taken (rejection
-    rule included) but never computed.  Records and the stream must stay
-    those of the per-draw Generator calls, wherever a rejected half falls."""
+    """Once the pending push packets outnumber 16 K (K = push_tx_capacity >=
+    2), ``simulate_cff`` takes frames in bulk while each round computes to
+    no winner from its first 16 K draws alone: they put two in every slot.
+    The rest of such a round is only checked against the rejection rule,
+    and a frame with a rejected half in its round or offsets is left to the
+    per-frame path.  Records and the stream must stay those of the per-draw
+    Generator calls, wherever a rejected half falls."""
 
     REJECTED, ACCEPTED = TestRejectedDraws.REJECTED, TestRejectedDraws.ACCEPTED
     CONFIG = TestRejectedDraws.CONFIG  # S = 50, K = 25: rounds of more than 400 are certifiable
     PREFIX = mac_cff._PREFIX_PER_SLOT * 25
-    # offsets, a certifiable round, offsets, a short round; with nothing
-    # rejected: halves 0-2, 3-453 (its prefix 3-402), 454-458, 459-462
-    TAKES = ((50, 3), (25, 451), (50, 5), (25, 4))
+    # offsets, two frames of a certifiable round and offsets, a short round;
+    # with nothing rejected: halves 0-2, then 3-453 (its prefix 3-402) and
+    # 454-458, then 459-909 (its prefix 459-858) and 910-914, then 915-918
+    TAKES = ((50, 3), (25, 451), (50, 5), (25, 451), (50, 5), (25, 4))
 
     @pytest.mark.parametrize(
         "window, position, low, high, n_rejected",
         [
-            (4096, 50, REJECTED, ACCEPTED, 1),  # half 100, in the prefix
+            (4096, 50, ACCEPTED, ACCEPTED, 0),  # nothing rejected
+            (4096, 50, REJECTED, ACCEPTED, 1),  # half 100, in the first round's prefix
             (4096, 201, REJECTED, REJECTED, 2),  # halves 402-403: the prefix's last half and the next
-            (4096, 215, ACCEPTED, REJECTED, 1),  # half 431, never computed
-            (225, 215, REJECTED, REJECTED, 2),  # the first window ends at half 454: two skips push the round past it
+            (4096, 215, ACCEPTED, REJECTED, 1),  # half 431, in the first round's rest
+            (4096, 228, REJECTED, ACCEPTED, 1),  # half 456, in the first frame's offsets
+            (4096, 250, REJECTED, ACCEPTED, 1),  # half 500, in the second round's prefix
+            (4096, 440, ACCEPTED, REJECTED, 1),  # half 881, in the second round's rest
+            (4096, 456, ACCEPTED, REJECTED, 1),  # half 913, in the second frame's offsets
+            (225, 215, REJECTED, REJECTED, 2),  # the first window ends at half 450, past two skips
             (1, 2, ACCEPTED, REJECTED, 1),  # half 5 ends the first window; the round goes on in fresh output
+            (1, 250, REJECTED, ACCEPTED, 1),  # a budget of 16 halves: one frame a take
+            (29, 229, REJECTED, ACCEPTED, 1),  # a budget of 464 halves: half 458 ends the last frame in it
+            (29, 229, ACCEPTED, REJECTED, 1),  # half 459 begins the first frame past it
         ],
     )
     def test_stream_matches_numpy(self, monkeypatch, window, position, low, high, n_rejected):
@@ -526,9 +562,13 @@ class TestCertifiedRounds:
         word = (high << 32) | low
         numpy_rng = generator_emitting(word, position)
         expected = [numpy_rng.integers(0, bound, size=n, dtype=np.int64).tolist() for bound, n in self.TAKES]
-        halves = rawdraw.halves_of(generator_emitting(word, position).bit_generator.random_raw(300))
-        assert len(rawdraw.rejected(halves[3 : 454 + n_rejected], 25)) == n_rejected  # all in the round
-        computed = []  # the push draws the stream computes
+        # the frames before the first one with a rejected half are taken
+        halves = rawdraw.halves_of(generator_emitting(word, position).bit_generator.random_raw(500))
+        spans = [(3, 454, 25), (454, 459, 50), (459, 910, 25), (910, 915, 50)]
+        rejected = [len(rawdraw.rejected(halves[a:b], bound)) for a, b, bound in spans]
+        assert sum(rejected) == n_rejected  # all in the two frames
+        frames = next((k // 2 for k, n in enumerate(rejected) if n), 2)
+        computed = []  # the push draws the stretch computes
         bounded = mac_cff.bounded
 
         def spy(halves, bound):
@@ -537,29 +577,92 @@ class TestCertifiedRounds:
                 computed.append(draws)
             return draws
 
-        monkeypatch.setattr(mac_cff, "bounded", spy)
-        # with a prefix of one draw a slot the check always fails, so the
+        rounds, offsets = np.array([451, 451]), np.array([5, 5])
+        # with a prefix of one draw a slot the check always fails, so every
         # round is computed in full
         for per_slot in (mac_cff._PREFIX_PER_SLOT, 1):
             monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", per_slot)
-            computed.clear()
             stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
             stream.skip(3)
-            choice = stream.contend(451)
-            # the round's check reads numpy's first per_slot * 25 draws, and
-            # no winner is certified exactly when they put two in every slot
-            prefix = expected[1][: per_slot * 25]
-            assert computed[0].tolist() == prefix
-            certified = np.bincount(prefix, minlength=25).min() >= 2
-            assert certified == (per_slot > 1)
-            if certified:
-                assert choice is None and len(computed) == 1
-            else:
-                assert choice.tolist() == expected[1]
-            # the round ended where numpy's did: the draws after it are numpy's
-            stream.skip(5)
-            assert stream.contend(4).tolist() == expected[3]
-            assert stream.close().tolist() == expected[0] + expected[2]
+            computed.clear()
+            monkeypatch.setattr(mac_cff, "bounded", spy)
+            taken = 0
+            while taken < 2:  # as the frame loop does: a take that stops short hands a frame over
+                more = stream.take_winnerless(rounds[taken:], offsets[taken:], offsets[taken:])
+                if not more:
+                    break
+                taken += more
+            monkeypatch.setattr(mac_cff, "bounded", bounded)
+            assert taken == (frames if per_slot > 1 else 0)
+            # only prefixes were computed, numpy's first per_slot * 25 draws
+            # of consecutive rounds, at least for every frame taken
+            prefixes = [expected[1][: per_slot * 25], expected[3][: per_slot * 25]]
+            got = np.concatenate(computed).tolist() if computed else []
+            assert got == sum(prefixes[: len(got) // (per_slot * 25)], []) and len(got) >= taken * per_slot * 25
+            # the frames left are drawn one by one, ending where numpy's did
+            for j in range(taken, 2):
+                assert stream.contend(451).tolist() == expected[1 + 2 * j]
+                stream.skip(5)
+            assert stream.contend(4).tolist() == expected[5]
+            assert stream.close().tolist() == expected[0] + expected[2] + expected[4]
+
+    @staticmethod
+    def _frames(rng, horizon, rates):
+        """Words the count draws take, and from frame 1 on, if every round is
+        winnerless and nothing is rejected, the halves each frame takes:
+        (round start, round end, offsets end)."""
+        words, pull, push = TestRejectedDraws._counts(rng, horizon, rates)
+        assert push[0]  # frame 0 takes its offsets alone
+        at, pending, frames = 2 * words + int(pull[0] + push[0]), 0, []
+        for j in range(1, horizon):
+            pending += int(push[j - 1])
+            frames.append((at, at + pending, at + pending + int(pull[j] + push[j])))
+            at = frames[-1][2]
+        return words, frames
+
+    @pytest.mark.parametrize("part", ["prefix", "rest", "offsets", "last_in_budget", "past_budget"])
+    def test_stretches_match_numpy(self, monkeypatch, part):
+        # about 500 push arrivals a frame: from frame 1 on every round is
+        # certifiable, and the frames are taken in bulk; search high state
+        # halves until an output whose halves are both rejected lands in
+        # frame 3 (a later frame of the stretch), then compare whole runs
+        word = (self.REJECTED << 32) | self.REJECTED
+        rates, horizon = (200.0, 50_000.0), 9
+        # frame 3 takes about halves 3000-4600 for its round, then 500 for its offsets
+        position = {"prefix": 1600, "rest": 1900, "offsets": 2430, "last_in_budget": 2430, "past_budget": 1600}[part]
+        for i in range(4000):
+            high = (0x9E3779B97F4A7C18 + i * 0x2545F4914F6CDD1D) % 2**64
+            words, frames = self._frames(generator_emitting(word, position, high), horizon, rates)
+            start, end, done = frames[2]
+            lo, hi = {
+                "prefix": (start, start + self.PREFIX),
+                "rest": (start + self.PREFIX, end),
+                "offsets": (end, done),
+                "last_in_budget": (end, done),
+                "past_budget": (start, start + self.PREFIX),
+            }[part]
+            if words <= position and lo <= 2 * position and 2 * position + 1 < hi:
+                break
+        else:
+            raise AssertionError(f"no state puts the rejected output in frame 3's {part}")
+        if part.endswith("budget"):
+            # a stretch from frame 1 fits frames 1-3 or 1-2 in its budget of 16 windows
+            last = frames[2 if part == "last_in_budget" else 1][2]
+            monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", -(-(last - frames[0][0]) // 16))
+        spy = _RoundSpy(monkeypatch)
+        for kw in (
+            {},
+            dict(push_abort=PushAbortRule(0.05, 0.2)),  # runs to the horizon
+            dict(push_abort=PushAbortRule(0.01, 0.85)),  # stops in frame 2, inside the first stretch
+            dict(push_abort=PushAbortRule(0.01, 0.5)),  # targets of one frame and less
+            dict(push_abort=PushAbortRule(0.005, 0.5)),
+            dict(push_abort=PushAbortRule(0.02, 0.6)),
+            dict(push_retransmit=False),
+        ):
+            check_cff_matches_reference(
+                self.CONFIG, *rates, horizon, lambda: generator_emitting(word, position, high), **kw
+            )
+        assert spy.stretches and spy.aborted
 
     @pytest.mark.parametrize("window", [4096, 1])
     @pytest.mark.parametrize("part", ["prefix", "rest"])
@@ -587,7 +690,7 @@ class TestCertifiedRounds:
 
     def test_rounds_that_fail_the_check_are_computed(self, monkeypatch):
         # with a prefix of 6 draws a slot, the check fails for almost half of
-        # the long rounds; they are computed in full from the same span
+        # the long rounds; the per-frame path computes them in full
         monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", 6)
         spy = _RoundSpy(monkeypatch)
         for kw in ({}, dict(push_abort=PushAbortRule(0.05, 0.5))):
@@ -616,8 +719,8 @@ class TestCertifiedRounds:
         assert spy.certified and spy.rounds < horizon - 1
 
     def test_certified_rounds_skip_most_slot_values(self, monkeypatch):
-        # without the certified branch every contention draw is computed
-        # (more, when a window's worth is computed ahead)
+        # without the stretches every contention draw is computed (more,
+        # when a window's worth is computed ahead)
         (cfg, pull_rate, push_rate, horizon, seed, kw), counts, _ = PINNED["mixed_overload"]
         computed = 0
         bounded = mac_cff.bounded

@@ -1,0 +1,44 @@
+"""The paired-run summary of tools/perf_pairs.py (no benchmark run)."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "perf_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("perf_pairs", _PATH)
+perf_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_pairs)
+
+
+def test_summary_reads_medians_quartiles_and_pairs():
+    parent = [0.140, 0.136, 0.138, 0.137, 0.139]
+    change = [0.106, 0.108, 0.139, 0.105, 0.107]  # pair 3 reads higher
+    line = perf_pairs.summarise("wall_s", parent, change)
+    assert line == (
+        "wall_s 0.1380 [0.1365, 0.1395] -> 0.1070 [0.1055, 0.1235] s "
+        "(-22.5 %, change lower in 4/5, gap 0.0310, parent IQR 0.0030)"
+    )
+
+
+def test_summary_of_one_pair_and_unknown_unit():
+    line = perf_pairs.summarise("other", [2.0], [2.5])
+    assert line == (
+        "other 2.0000 [2.0000, 2.0000] -> 2.5000 [2.5000, 2.5000] "
+        "(+25.0 %, change lower in 0/1, gap 0.5000, parent IQR 0.0000)"
+    )
+
+
+def test_pairs_must_be_positive():
+    with pytest.raises(SystemExit):
+        perf_pairs.main(["a", "b", "--pairs", "0"])
+
+
+def test_result_line_gives_metric_values():
+    stdout = (
+        "wall_s 0.1 s\n"
+        '{"correct": true, "attempted": 3, "failed": 0, "metrics": '
+        '{"wall_s": {"value": 0.1, "unit": "s"}, "peak_rss_mb": {"value": 38.5, "unit": "MiB"}}}\n'
+    )
+    assert perf_pairs.parse_result(stdout, "here") == {"wall_s": 0.1, "peak_rss_mb": 38.5}
+    with pytest.raises(SystemExit, match="here: correct=True failed=1"):
+        perf_pairs.parse_result(stdout.replace('"failed": 0', '"failed": 1'), "here")

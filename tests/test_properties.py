@@ -92,19 +92,27 @@ def test_cff_runs_match_reference(monkeypatch):
     # simulate_cff replays the generator's raw output; a loop of Generator
     # calls must give the same records and delivery callbacks.  Heavy push
     # loads back up to rounds longer than one raw window, and past the
-    # 16 K contenders from which a round may be certified without a winner.
+    # 16 K contenders from which frames are taken in bulk while their rounds
+    # are certified winnerless.
     rng = np.random.default_rng(1616)
     window_halves = 2 * mac_cff._WINDOW_WORDS
-    certified = []  # per certifiable round (n > 16 K, K >= 2) of the current run: did contend certify it?
-    contend = mac_cff._HalfStream.contend
+    certified = []  # per certifiable round (n > 16 K, K >= 2) of the current run: was it certified?
+    stretches = []  # frames of each bulk take of the current run
+    contend, take = mac_cff._HalfStream.contend, mac_cff._HalfStream.take_winnerless
 
-    def spy(stream, n):
-        choice = contend(stream, n)
+    def spy_contend(stream, n):
         if stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops:
-            certified.append(choice is None)
-        return choice
+            certified.append(False)
+        return contend(stream, n)
 
-    monkeypatch.setattr(mac_cff._HalfStream, "contend", spy)
+    def spy_take(stream, *args):
+        taken = take(stream, *args)
+        certified.extend([True] * taken)
+        stretches.append(taken)
+        return taken
+
+    monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
+    monkeypatch.setattr(mac_cff._HalfStream, "take_winnerless", spy_take)
     for i in range(N_CFF_RUNS):
         config = _edge_cff_config(rng) if rng.random() < 0.35 else random_cff_config(rng)
         slot_rate = config.slots_per_frame / config.frame_duration
@@ -124,6 +132,7 @@ def test_cff_runs_match_reference(monkeypatch):
             kw["push_abort"] = PushAbortRule(target, float(rng.choice([0.5, 0.9, 0.99, 1.0])))
         seed = int(rng.integers(0, 2**32))
         certified.clear()
+        stretches.clear()
         try:
             check_cff_matches_reference(config, pull_rate, push_rate, horizon, seed, **kw)
         except AssertionError as exc:
@@ -133,6 +142,7 @@ def test_cff_runs_match_reference(monkeypatch):
             ) from exc
         if i % 10 == 9 and not kw.keys() & {"push_abort", "push_retransmit"}:
             assert any(certified), f"deep backlog #{i} had no certified round"
+            assert max(stretches) > 1, f"deep backlog #{i} took no frames in bulk"
 
 
 def _capacity_spec(config, klass, target_latency, replications, target_reliability=0.99):

@@ -1,0 +1,90 @@
+"""Alternating parent/change runs of the benchmark, summarised per metric.
+
+    python3 tools/perf_pairs.py PARENT_ROOT CHANGE_ROOT --workloads cff_mixed,rcs_grid --pairs 6 --seconds 20
+
+PARENT_ROOT and CHANGE_ROOT are two checkouts of the repository.  Each pair
+runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` once
+in each root, with that root's own benchmark and package, the parent first in
+even pairs and the change first in odd ones, so a slow spell of the host
+falls on both sides.  Each run writes only its root's ``.perfbench_out/``.
+For every workload and end-to-end metric it prints the parent's and the
+change's median [q1, q3], the relative change of the medians, in how many
+pairs the change read lower, and the gap of the medians against the
+parent's quartile distance.  A run that is not ``correct`` or has failed
+points is reported and stops the tool.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
+
+UNITS = {"wall_s": " s", "setup_s": " s", "peak_rss_mb": " MiB"}
+
+
+def parse_result(stdout: str, where: str) -> Dict[str, float]:
+    """The metric values of a benchmark run's last stdout line."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{where}: correct={result['correct']} failed={result['failed']}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+    """One benchmark run in ``root``; its end-to-end metrics."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    return parse_result(out, f"{root} {workload}")
+
+
+def quartiles(values: Sequence[float]) -> List[float]:
+    """q1, median, q3 (numpy-free, as perfbench/run.py computes them)."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return [q1, median, q3]
+
+
+def summarise(metric: str, parent: Sequence[float], change: Sequence[float]) -> str:
+    """One metric over paired runs: ``parent[i]`` and ``change[i]`` ran in pair i."""
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    rel = 100.0 * (cm - pm) / pm if pm else float("nan")
+    return (
+        f"{metric} {pm:.4f} [{p1:.4f}, {p3:.4f}] -> {cm:.4f} [{c1:.4f}, {c3:.4f}]{UNITS.get(metric, '')} "
+        f"({rel:+.1f} %, change lower in {lower}/{len(parent)}, gap {abs(cm - pm):.4f}, parent IQR {p3 - p1:.4f})"
+    )
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_root", type=Path)
+    ap.add_argument("change_root", type=Path)
+    ap.add_argument("--workloads", default="cff_frontier,rcs_grid,cff_mixed", help="comma-separated names")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
+    for workload in args.workloads.split(","):
+        runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_once(roots[side], workload, args.seed, args.seconds))
+            pair = {side: runs[side][-1] for side in runs}
+            print(f"{workload} pair {i + 1}/{args.pairs}: {json.dumps(pair, sort_keys=True)}", file=sys.stderr)
+        print(f"{workload} ({args.pairs} pairs)")
+        for metric in UNITS:
+            print("  " + summarise(metric, [r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]]))
+
+
+if __name__ == "__main__":
+    main()
