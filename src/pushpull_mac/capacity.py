@@ -50,8 +50,8 @@ class CapacitySpec:
             raise ValueError("target_latency must be positive and finite")
         if not 0.0 < self.target_reliability <= 1.0:
             raise ValueError("target_reliability must be in (0,1]")
-        if not (self.rate_tolerance > 0):
-            raise ValueError("rate_tolerance must be positive")
+        if not 0 < self.rate_tolerance < math.inf:
+            raise ValueError("rate_tolerance must be positive and finite")
         if not 0 < self.rate_upper_bound < math.inf:
             raise ValueError("rate_upper_bound must be positive and finite")
         if self.horizon_frames < 1:

@@ -30,9 +30,9 @@ from . import __version__
 from .capacity import CapacitySpec, max_class_rate
 from .core import FrameConfig, PacketClass
 from .mac_cff import simulate_cff
-from .mac_rcs import FrameLog, RcsPopulation, RcsResult, simulate_rcs
+from .mac_rcs import RcsPopulation, RcsResult, simulate_rcs
 from .metrics import merge_records, reliability_within
-from .traffic import SEED_LIMIT, ObservationModel, PushTrigger, SemanticQuery, derive_seed
+from .traffic import SEED_LIMIT, PushTrigger, SemanticQuery, derive_seed
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "run_experiment", "RunResult"]
 
@@ -217,7 +217,6 @@ class ExperimentConfig:
             n_pull_devices=self.n_pull_devices,
             n_push_devices=self.n_push_devices,
             trigger=PushTrigger(self.push_threshold),
-            observations=ObservationModel(),
         )
 
     def to_dict(self) -> dict:
@@ -416,7 +415,7 @@ def _rcs_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
         for r in range(cfg.replications)
     ]
     # replications pool by concatenating their frame counts
-    pooled = RcsResult(FrameLog(np.concatenate([run.frames.counts for run in runs])))
+    pooled = RcsResult(np.concatenate([run.frames for run in runs]))
     return _metric_rows(job, [pooled.retrieval_accuracy, pooled.push_success_prob])
 
 

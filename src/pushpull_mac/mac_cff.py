@@ -61,7 +61,7 @@ import numpy as np
 from .core import FrameConfig, PacketClass, stable_floor
 from .metrics import MetricsRecord
 from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
-from .traffic import PoissonArrivals, sample_frame_arrival_counts, sort_arrival_offsets
+from .traffic import sort_arrival_offsets
 
 # ``sample_arrival_offsets`` is the per-draw form of the offset draws replayed
 # here; it stays importable from this module, where the benchmark tracer
@@ -419,8 +419,9 @@ def simulate_cff(
     """
     if horizon_frames < 1:
         raise ValueError(f"horizon_frames must be >= 1, got {horizon_frames}")
-    if pull_rate < 0 or push_rate < 0:
-        raise ValueError("rates must be >= 0")
+    for rate in (pull_rate, push_rate):
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"rates must be finite and >= 0, got {rate}")
     if not 0 <= warmup_frames < horizon_frames:
         raise ValueError(f"warmup_frames must be in [0, {horizon_frames}), got {warmup_frames}")
     S = config.slots_per_frame
@@ -436,10 +437,15 @@ def simulate_cff(
 
     record = MetricsRecord(slot_dur)
 
-    # Canonical draw order: both per-frame count batches up front, then per
-    # frame: push contention, pull arrival offsets, push arrival offsets.
-    pull_counts = sample_frame_arrival_counts(PoissonArrivals(pull_rate, slot_dur), S, horizon_frames, rng)
-    push_counts = sample_frame_arrival_counts(PoissonArrivals(push_rate, slot_dur), S, horizon_frames, rng)
+    # Canonical draw order: both per-frame Poisson count batches up front (a
+    # zero rate draws nothing), then per frame: push contention, pull arrival
+    # offsets, push arrival offsets.
+    pull_counts, push_counts = (
+        rng.poisson(rate * slot_dur * S, size=horizon_frames).astype(np.int64)
+        if rate
+        else np.zeros(horizon_frames, dtype=np.int64)
+        for rate in (pull_rate, push_rate)
+    )
     push_per_frame = push_counts.tolist()
     cum_offsets = [0] + np.cumsum(pull_counts + push_counts).tolist()
     # push packets are numbered in arrival order: packet i arrives in frame g

@@ -5,32 +5,40 @@ together.
 Queries are per-frame: devices that fail both the reserved attempt and the
 single shared retry do not carry over (the next frame is a fresh query).
 
-``run_rcs_frame`` simulates one frame with one numpy call per draw; tests
-keep it as the reference.  ``simulate_rcs`` runs whole blocks of frames from
-the generator's raw 64-bit output instead (``_independent_frames``): it
-replays numpy's own sampling rules on that output, so a seed gives the same
-frames, draw for draw, as a loop of ``run_rcs_frame`` calls.
+Per frame, in this draw order: every pull device's observation (one double,
+uniform on [0, 1)) is tested against the query, every push device's drawn
+value against the push trigger, then the matching pull devices contend in
+the reserved slots, and the unsuccessful ones retry once alongside the
+pushing devices in the shared slots (one slot draw per contender, as
+``mac_cff.uniform_slot_contention`` makes it).  ``simulate_rcs`` runs whole
+blocks of frames from the generator's raw 64-bit output
+(``_independent_frames``): it replays numpy's own sampling rules on that
+output, so a seed gives the frames that one numpy call per draw gives, draw
+for draw.
 """
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import FrameConfig
-from .mac_cff import uniform_slot_contention
 from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
-from .traffic import ObservationModel, PushTrigger, SemanticQuery
+from .traffic import PushTrigger, SemanticQuery
 
-__all__ = ["RcsPopulation", "FrameResult", "FrameLog", "RcsResult", "run_rcs_frame", "simulate_rcs"]
+# the per-draw form of the contention rounds replayed here; it stays
+# importable from this module, where the benchmark tracer
+# (perfbench/tracer.py) looks it up
+from .mac_cff import uniform_slot_contention  # noqa: F401
+
+__all__ = ["RcsPopulation", "RcsResult", "simulate_rcs"]
 
 
 @dataclass(frozen=True, slots=True)
 class RcsPopulation:
-    """Disjoint pull- and push-enabled device sets with their data models.
+    """Disjoint pull- and push-enabled device sets and the push trigger.
 
     Device ids: pull devices are 0..n_pull-1, push devices follow.
     """
@@ -38,32 +46,10 @@ class RcsPopulation:
     n_pull_devices: int
     n_push_devices: int
     trigger: PushTrigger
-    observations: ObservationModel = ObservationModel()
 
     def __post_init__(self) -> None:
         if self.n_pull_devices < 0 or self.n_push_devices < 0:
             raise ValueError("device counts must be >= 0")
-
-
-class FrameResult(NamedTuple):
-    """One frame's counts, the row ``FrameLog`` stores: query-matching pull
-    devices, pull successes in the reserved and in the shared portion, push
-    attempts and push successes.  A frame retrieves successfully iff every
-    query-matching device got its response through."""
-
-    matched_pull: int
-    pull_succeeded_reserved: int
-    pull_succeeded_shared: int
-    push_attempted: int
-    push_succeeded: int
-
-    @property
-    def pull_succeeded(self) -> int:
-        return self.pull_succeeded_reserved + self.pull_succeeded_shared
-
-    @property
-    def retrieval_success(self) -> bool:
-        return self.pull_succeeded == self.matched_pull
 
 
 def _contention_slots(config: FrameConfig) -> Tuple[int, int]:
@@ -76,80 +62,29 @@ def _contention_slots(config: FrameConfig) -> Tuple[int, int]:
     return config.pull_tx_capacity, config.push_tx_capacity
 
 
-def run_rcs_frame(
-    config: FrameConfig,
-    population: RcsPopulation,
-    query: SemanticQuery,
-    rng: np.random.Generator,
-) -> FrameResult:
-    """Simulate one RCS frame.
-
-    Observations are drawn fresh, query-matching pull devices contend in the
-    reserved slots (skipped if that budget is zero), then the unsuccessful
-    ones retry once alongside the frame's pushing devices in the shared slots.
-    Inter- and intra-class collisions are both plain losses.
-    """
-    reserved_ops, shared_ops = _contention_slots(config)
-    # canonical draw order: observations, push triggers, reserved, shared
-    observations = population.observations.sample(population.n_pull_devices, rng)
-    n_matched = int(np.count_nonzero(query.match_mask(observations)))
-    n_pushing = int(np.count_nonzero(population.trigger.push_mask(population.n_push_devices, rng)))
-
-    n_res_won = 0
-    if reserved_ops > 0 and n_matched:
-        n_res_won = int(np.count_nonzero(uniform_slot_contention(n_matched, reserved_ops, rng)[2]))
-    n_stragglers = n_matched - n_res_won
-
-    pull_shared_succeeded = push_succeeded = 0
-    if shared_ops > 0 and n_stragglers + n_pushing:
-        winner_mask = uniform_slot_contention(n_stragglers + n_pushing, shared_ops, rng)[2]
-        # the frame's stragglers come first, then its pushing devices
-        pull_shared_succeeded = int(np.count_nonzero(winner_mask[:n_stragglers]))
-        push_succeeded = int(np.count_nonzero(winner_mask[n_stragglers:]))
-
-    return FrameResult(n_matched, n_res_won, pull_shared_succeeded, n_pushing, push_succeeded)
-
-
-class FrameLog(Sequence):
-    """Per-frame counts of a run, read back as ``FrameResult`` rows.
-
-    Row ``i`` holds frame ``i``'s (matched, reserved pull successes, shared
-    pull successes, push attempts, push successes); results are built on
-    access, so a long run stores five integers per frame.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: np.ndarray) -> None:
-        self.counts = counts
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return FrameResult(*(int(x) for x in self.counts[index]))
-
-
 @dataclass(frozen=True, slots=True)
 class RcsResult:
-    """An RCS run (or replications pooled by concatenating their counts): its
-    frames, and the two estimates read from their counts."""
+    """An RCS run (or replications pooled by concatenating their counts).
 
-    frames: FrameLog
+    ``frames`` is an (n_frames, 5) int64 array; row ``i`` holds frame ``i``'s
+    query-matching pull devices, pull successes in the reserved and in the
+    shared portion, push attempts and push successes.  A frame retrieves
+    successfully iff every query-matching device got its response through.
+    """
+
+    frames: np.ndarray
 
     @property
     def retrieval_accuracy(self) -> float:
         """Fraction of frames in which every matching device was received."""
-        matched, reserved, shared = self.frames.counts[:, :3].T
+        matched, reserved, shared = self.frames[:, :3].T
         return int(np.count_nonzero(reserved + shared == matched)) / len(self.frames)
 
     @property
     def push_success_prob(self) -> Optional[float]:
         """Push successes over attempts, pooled across frames; None when no
         push was ever attempted."""
-        attempted, succeeded = self.frames.counts[:, 3:].sum(axis=0).tolist()
+        attempted, succeeded = self.frames[:, 3:].sum(axis=0).tolist()
         return succeeded / attempted if attempted else None
 
 
@@ -182,12 +117,12 @@ def _independent_frames(
     n_frames: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """``n_frames`` independent RCS frames as ``FrameLog`` counts, the same
-    frames a loop of ``run_rcs_frame`` calls on ``rng`` gives.
+    """``n_frames`` independent RCS frames as ``RcsResult.frames`` counts, the
+    same frames one numpy call per draw on ``rng`` gives.
 
-    Every draw ``run_rcs_frame`` makes comes from PCG64's 64-bit outputs:
-    ``random`` turns one output into a double ((x >> 11) * 2**-53), and
-    ``integers`` below 2**32 takes 32-bit halves, low half first, keeping the
+    Every draw of a frame comes from PCG64's 64-bit outputs: ``random``
+    turns one output into a double ((x >> 11) * 2**-53), and ``integers``
+    below 2**32 takes 32-bit halves, low half first, keeping the
     unused high half in the generator for the next 32-bit draw, whatever
     doubles come between.  A block of frames is therefore one ``random_raw``
     call: each output's double and both halves' bounded draws are computed
@@ -200,11 +135,7 @@ def _independent_frames(
     n_pull, n_push = population.n_pull_devices, population.n_push_devices
     if max(reserved_ops, shared_ops) >= MAX_BOUND:
         raise ValueError("contention rounds need fewer than 2**32 slots")
-    fixed_matches = None
-    if population.observations.fixed is not None:  # no observation draws
-        fixed_matches = int(np.count_nonzero(query.match_mask(population.observations.sample(n_pull, rng))))
-    n_obs = n_pull if fixed_matches is None else 0
-    n_dbl = n_obs + n_push  # doubles at a frame's start
+    n_dbl = n_pull + n_push  # doubles at a frame's start
     # words a frame can take without rejections: its doubles, then at most
     # n_pull reserved and n_pull + n_push shared 32-bit draws
     worst = n_dbl + (2 * n_pull + n_push + 1) // 2
@@ -225,11 +156,8 @@ def _independent_frames(
             lead -= 2 * keep
         doubles = (words >> np.uint64(11)) * 2.0**-53
         n_starts = len(words) - n_dbl + 1
-        if fixed_matches is None:
-            matched_at = _window_counts(query.match_mask(doubles), 0, n_obs, n_starts)
-        else:
-            matched_at = array("i", [fixed_matches]) * n_starts
-        pushing_at = _window_counts(population.trigger.fires(doubles), n_obs, n_push, n_starts)
+        matched_at = _window_counts(query.match_mask(doubles), 0, n_pull, n_starts)
+        pushing_at = _window_counts(population.trigger.fires(doubles), n_pull, n_push, n_starts)
         del doubles
         halves = halves_of(words)
         if reserved_ops >= 2:
@@ -340,11 +268,10 @@ def simulate_rcs(
     device was received (vacuously successful with zero matches); push success
     probability pools attempts across frames.  Failed devices abandon at the
     frame end, so the frames run in blocks (``_independent_frames``), giving
-    the frames a loop of ``run_rcs_frame`` calls on ``default_rng(seed)``
-    gives.
+    the frames that one numpy call per draw on ``default_rng(seed)`` gives.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     reserved_ops, shared_ops = _contention_slots(config)
     counts = _independent_frames(reserved_ops, shared_ops, population, query, n_frames, np.random.default_rng(seed))
-    return RcsResult(FrameLog(counts))
+    return RcsResult(counts)

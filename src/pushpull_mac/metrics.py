@@ -2,22 +2,24 @@
 
 A :class:`MetricsRecord` keeps, per traffic class, the measured arrivals, the
 measured misses (packets never delivered) and an int64 array of delivered
-latencies in slots.  Delivered is the array's length, so ``delivered +
-failed == arrived`` checks a run's conservation.  Latencies become seconds
-only where they are compared with a target (:func:`reliability_within`) or
-listed (:meth:`MetricsRecord.latencies`).  Records of equal slot duration
-merge class by class for replication aggregation.
+latencies in slots.  The delivered count is the array's length, so
+``len(latency_slots) + failed == arrived`` checks a run's conservation.
+Latencies become seconds only where they are compared with a target
+(:func:`reliability_within`) or listed with one +inf per miss
+(:meth:`MetricsRecord.latencies`, which the benchmark tracer counts).
+Records of equal slot duration merge class by class for replication
+aggregation.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
 from .core import PacketClass
 
-__all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within", "empirical_quantile"]
+__all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within"]
 
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
@@ -50,9 +52,6 @@ class MetricsRecord:
 
     def arrived(self, klass: PacketClass) -> int:
         return self._arrived[klass]
-
-    def delivered(self, klass: PacketClass) -> int:
-        return len(self._slots[klass])
 
     def failed(self, klass: PacketClass) -> int:
         return self._failed[klass]
@@ -95,20 +94,3 @@ def reliability_within(record: MetricsRecord, klass: PacketClass, latency_target
         raise EmptySampleError(f"no {klass.value} arrivals recorded")
     met = np.count_nonzero(record.latency_slots(klass) * record.slot_duration <= latency_target)
     return int(met) / arrived
-
-
-def empirical_quantile(samples: Sequence[float], p: float) -> float:
-    """Order-statistic quantile: smallest value v with at least p of samples <= v.
-
-    1-based index ceil(p*n) in the ascending sort; no interpolation.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p out of (0,1]: {p}")
-    n = len(samples)
-    if n == 0:
-        raise EmptySampleError("empirical_quantile over empty samples")
-    ordered = sorted(samples)
-    # guard against float product landing just above an exact integer
-    idx = math.ceil(p * n - 1e-9)
-    idx = min(max(idx, 1), n)
-    return ordered[idx - 1]

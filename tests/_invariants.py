@@ -1,20 +1,23 @@
-"""Shared randomized-invariant checks used by the property and acceptance suites."""
+"""Shared test helpers: the per-draw references that the array kernels
+replay (``reference_cff_run``, ``run_rcs_frame``), the randomized-invariant
+checks of the property and acceptance suites, and small statistics."""
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from pushpull_mac import (
+    EmptySampleError,
     FrameConfig,
     PacketClass,
-    PoissonArrivals,
     RcsPopulation,
     PushTrigger,
     SemanticQuery,
+    mac_cff,
     mac_rcs,
-    run_rcs_frame,
     schedule_pull,
     simulate_cff,
     simulate_rcs,
@@ -24,7 +27,7 @@ from pushpull_mac.capacity import WARMUP_FRACTION, CapacitySpec
 from pushpull_mac.core import stable_floor
 from pushpull_mac.mac_cff import PushAbortRule
 from pushpull_mac.metrics import MetricsRecord, reliability_within
-from pushpull_mac.traffic import derive_seed, sample_arrival_offsets, sample_frame_arrival_counts
+from pushpull_mac.traffic import derive_seed, sample_arrival_offsets
 
 
 _MASK64 = (1 << 64) - 1
@@ -36,8 +39,9 @@ def generator_emitting(word: int, position: int, high: int = _HIGH) -> np.random
 
     PCG64 steps its 128-bit state, then outputs rotr64(high ^ low, high >> 58);
     any high half with low = rotl64(word, rotation) ^ high yields ``word``.
-    The default high half makes outputs 0-2 doubles <= 0.5 for the words the
-    RCS tests use; other high halves give other outputs before ``position``.
+    The default high half makes the three outputs before ``word`` doubles
+    <= 0.5 for the words the RCS tests use; other high halves give other
+    outputs before ``position``.
     """
     rot = high >> 58
     low = ((word << rot) | (word >> (64 - rot))) & _MASK64 ^ high
@@ -50,6 +54,38 @@ def generator_emitting(word: int, position: int, high: int = _HIGH) -> np.random
     check.state = bit_generator.state
     assert int(check.random_raw(position + 1)[-1]) == word
     return np.random.Generator(bit_generator)
+
+
+def frame_arrival_counts(rate: float, config: FrameConfig, n_frames: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-frame Poisson arrival counts of one class, as ``simulate_cff``
+    draws them: one ``poisson`` draw of mean ``rate * slot_duration * S`` per
+    frame, and no draw at all for a zero rate."""
+    if not rate:
+        return np.zeros(n_frames, dtype=np.int64)
+    mean = rate * config.slot_duration * config.slots_per_frame
+    return rng.poisson(mean, size=n_frames).astype(np.int64)
+
+
+def empirical_quantile(samples: Sequence[float], p: float) -> float:
+    """Order-statistic quantile: smallest value v with at least p of samples <= v.
+
+    1-based index ceil(p*n) in the ascending sort; no interpolation.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p out of (0,1]: {p}")
+    n = len(samples)
+    if n == 0:
+        raise EmptySampleError("empirical_quantile over empty samples")
+    ordered = sorted(samples)
+    # guard against float product landing just above an exact integer
+    idx = math.ceil(p * n - 1e-9)
+    idx = min(max(idx, 1), n)
+    return ordered[idx - 1]
+
+
+def match_probability(query: SemanticQuery) -> float:
+    """A device's chance to match ``query``: observations are uniform on [0, 1)."""
+    return max(0.0, min(query.hi, 1.0) - max(query.lo, 0.0))
 
 
 def check_cff_matches_reference(config: FrameConfig, pull_rate, push_rate, horizon_frames, seed, **kw) -> None:
@@ -102,8 +138,8 @@ def reference_cff_run(
 
     # draw order: both per-frame count batches, then per frame: push
     # contention, pull arrival offsets, push arrival offsets
-    pull_counts = sample_frame_arrival_counts(PoissonArrivals(pull_rate, slot_dur), S, horizon_frames, rng)
-    push_counts = sample_frame_arrival_counts(PoissonArrivals(push_rate, slot_dur), S, horizon_frames, rng)
+    pull_counts = frame_arrival_counts(pull_rate, config, horizon_frames, rng)
+    push_counts = frame_arrival_counts(push_rate, config, horizon_frames, rng)
 
     late_slots, late_budget, late_cum = 0, np.inf, 0
     if push_abort is not None:
@@ -260,7 +296,7 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     # exact conservation per class (no warm-up); the recorded latencies are
     # the delivery callbacks' own, in order
     for klass in PacketClass:
-        assert record.arrived(klass) == record.delivered(klass) + record.failed(klass)
+        assert record.arrived(klass) == len(record.latency_slots(klass)) + record.failed(klass)
         assert len(record.latencies(klass)) == record.arrived(klass)
         lats = [d + 1 - a for k, a, d in deliveries if k is klass]
         assert record.latency_slots(klass).tolist() == (np.concatenate(lats).tolist() if lats else [])
@@ -301,9 +337,7 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
     # pull work conservation: every frame serves min(eligible backlog, capacity).
     # The per-frame counts are the run's first draw; frame g's arrivals are
     # eligible from frame g+1.
-    pull_counts = sample_frame_arrival_counts(
-        PoissonArrivals(pull_rate, config.slot_duration), s, horizon, np.random.default_rng(seed)
-    )
+    pull_counts = frame_arrival_counts(pull_rate, config, horizon, np.random.default_rng(seed))
     backlog = 0
     for g in range(horizon):
         backlog += int(pull_counts[g - 1]) if g else 0
@@ -325,6 +359,56 @@ def random_rcs_case(rng: np.random.Generator):
     return config, population, query
 
 
+class RcsFrame(NamedTuple):
+    """One RCS frame's counts, in the column order of ``RcsResult.frames``."""
+
+    matched_pull: int
+    pull_succeeded_reserved: int
+    pull_succeeded_shared: int
+    push_attempted: int
+    push_succeeded: int
+
+    @property
+    def pull_succeeded(self) -> int:
+        return self.pull_succeeded_reserved + self.pull_succeeded_shared
+
+    @property
+    def retrieval_success(self) -> bool:
+        return self.pull_succeeded == self.matched_pull
+
+
+def run_rcs_frame(
+    config: FrameConfig, population: RcsPopulation, query: SemanticQuery, rng: np.random.Generator
+) -> RcsFrame:
+    """One RCS frame with one numpy call per draw: the per-draw reference
+    that ``simulate_rcs`` replays on raw generator output.
+
+    Observations are drawn fresh, query-matching pull devices contend in the
+    reserved slots (skipped if that budget is zero), then the unsuccessful
+    ones retry once alongside the frame's pushing devices in the shared slots.
+    Inter- and intra-class collisions are both plain losses.  Rounds are made
+    by ``mac_cff.uniform_slot_contention``, looked up at each call.
+    """
+    reserved_ops, shared_ops = mac_rcs._contention_slots(config)
+    # canonical draw order: observations, push triggers, reserved, shared
+    n_matched = int(np.count_nonzero(query.match_mask(rng.random(population.n_pull_devices))))
+    n_pushing = int(np.count_nonzero(population.trigger.fires(rng.random(population.n_push_devices))))
+
+    n_res_won = 0
+    if reserved_ops > 0 and n_matched:
+        n_res_won = int(np.count_nonzero(mac_cff.uniform_slot_contention(n_matched, reserved_ops, rng)[2]))
+    n_stragglers = n_matched - n_res_won
+
+    pull_shared_succeeded = push_succeeded = 0
+    if shared_ops > 0 and n_stragglers + n_pushing:
+        winner_mask = mac_cff.uniform_slot_contention(n_stragglers + n_pushing, shared_ops, rng)[2]
+        # the frame's stragglers come first, then its pushing devices
+        pull_shared_succeeded = int(np.count_nonzero(winner_mask[:n_stragglers]))
+        push_succeeded = int(np.count_nonzero(winner_mask[n_stragglers:]))
+
+    return RcsFrame(n_matched, n_res_won, pull_shared_succeeded, n_pushing, push_succeeded)
+
+
 class ContentionRound(NamedTuple):
     n_slots: int
     choices: np.ndarray  # one slot per contender, in contender order
@@ -334,21 +418,22 @@ class ContentionRound(NamedTuple):
 
 @contextmanager
 def recorded_rcs_rounds():
-    """Within the block, record every ``mac_rcs.uniform_slot_contention``
-    round in call order; yields the list the rounds are appended to."""
+    """Within the block, record every round ``run_rcs_frame`` draws (every
+    ``mac_cff.uniform_slot_contention`` call) in call order; yields the list
+    the rounds are appended to."""
     rounds = []
-    original = mac_rcs.uniform_slot_contention
+    original = mac_cff.uniform_slot_contention
 
     def recording(n_contenders, n_slots, rng):
         result = original(n_contenders, n_slots, rng)
         rounds.append(ContentionRound(n_slots, *result))
         return result
 
-    mac_rcs.uniform_slot_contention = recording
+    mac_cff.uniform_slot_contention = recording
     try:
         yield rounds
     finally:
-        mac_rcs.uniform_slot_contention = original
+        mac_cff.uniform_slot_contention = original
 
 
 def check_rcs_frame(config, population, query, rng: np.random.Generator) -> None:
@@ -394,9 +479,9 @@ def check_rcs_run(config, population, query, n_frames: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
     expected = [run_rcs_frame(config, population, query, rng) for _ in range(n_frames)]
     res = simulate_rcs(config, population, query, n_frames, seed)
-    assert len(res.frames) == n_frames
-    for g, (got, want) in enumerate(zip(res.frames, expected)):
-        assert got == want, f"frame {g}: {got} != {want}"
+    assert res.frames.shape == (n_frames, 5) and res.frames.dtype == np.int64
+    for g, (got, want) in enumerate(zip(res.frames.tolist(), expected)):
+        assert got == list(want), f"frame {g}: {got} != {want}"
     assert res.retrieval_accuracy == sum(f.retrieval_success for f in expected) / n_frames
     attempts = sum(f.push_attempted for f in expected)
     assert res.push_success_prob == (sum(f.push_succeeded for f in expected) / attempts if attempts else None)

@@ -158,7 +158,7 @@ def test_criterion_3_slotted_aloha_oracle():
         rate = g * 100 / cfg.frame_duration  # per-slot load G over 100 push slots
         rec = simulate_cff(cfg, 0.0, rate, frames, seed=33, push_retransmit=False)
         assert rec.arrived(PUSH) >= 100_000
-        p = rec.delivered(PUSH) / rec.arrived(PUSH)
+        p = len(rec.latency_slots(PUSH)) / rec.arrived(PUSH)
         details.append(f"G={g}: {p:.4f} vs e^-G={math.exp(-g):.4f} (n={rec.arrived(PUSH)})")
         if abs(p - math.exp(-g)) > 0.01:
             problems.append(details[-1])
@@ -267,10 +267,10 @@ def test_criterion_7_degenerate_endpoints():
         problems.append("alpha=1 leaves push slots")
 
     rec0 = simulate_cff(cff0, pull_rate=800, push_rate=0, horizon_frames=100, seed=7)
-    if rec0.delivered(PULL) != 0 or rec0.failed(PULL) != rec0.arrived(PULL):
+    if len(rec0.latency_slots(PULL)) != 0 or rec0.failed(PULL) != rec0.arrived(PULL):
         problems.append("alpha=0 delivered pull traffic")
     rec1 = simulate_cff(cff1, pull_rate=0, push_rate=800, horizon_frames=100, seed=7)
-    if rec1.delivered(PUSH) != 0:
+    if len(rec1.latency_slots(PUSH)) != 0:
         problems.append("alpha=1 delivered push traffic")
 
     spec = CapacitySpec(
@@ -287,7 +287,8 @@ def test_criterion_7_degenerate_endpoints():
     res = simulate_rcs(
         FrameConfig(50, 0.01, 1, 1, 1.0), RCS_POPULATION, RCS_QUERY, 5000, seed=8
     )
-    if not any(f.push_attempted for f in res.frames) or any(f.push_succeeded for f in res.frames):
+    attempted, succeeded = res.frames[:, 3:].T
+    if not attempted.any() or succeeded.any():
         problems.append("RCS alpha=1 allowed push successes")
     if res.push_success_prob != 0.0:
         problems.append(f"RCS alpha=1 push probability {res.push_success_prob}")

@@ -96,6 +96,8 @@ class TestMaxRate:
                 spec(target_latency=bad)
             with pytest.raises(ValueError):
                 spec(rate_upper_bound=bad)
+            with pytest.raises(ValueError):
+                spec(rate_tolerance=bad)
 
 
 class TestServiceCeiling:

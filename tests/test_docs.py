@@ -32,7 +32,14 @@ def test_library_surface_names_resolve():
     assert [name for name in names if not resolves(name)] == []
 
 
+def test_library_surface_names_every_export():
+    # a test-only export cannot come back unnoticed: it would need a line here
+    names = set(library_surface_names())
+    assert [name for name in pushpull_mac.__all__ if name != "__version__" and name not in names] == []
+
+
 def test_unresolvable_names_are_caught():
     assert not resolves("RcsResult.record")
     assert not resolves("MetricsRecord.extend_deliveries")
-    assert resolves("pushpull_mac") and resolves("mac_rcs.FrameLog")
+    assert not resolves("mac_rcs.FrameLog")
+    assert resolves("pushpull_mac") and resolves("mac_rcs.RcsResult")

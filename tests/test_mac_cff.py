@@ -7,7 +7,6 @@ import pytest
 from pushpull_mac import (
     FrameConfig,
     PacketClass,
-    PoissonArrivals,
     mac_cff,
     rawdraw,
     schedule_pull,
@@ -16,9 +15,7 @@ from pushpull_mac import (
 )
 from pushpull_mac.mac_cff import PushAbortRule
 from pushpull_mac.metrics import reliability_within
-from pushpull_mac.traffic import sample_frame_arrival_counts
-
-from _invariants import check_cff_matches_reference, generator_emitting
+from _invariants import check_cff_matches_reference, empirical_quantile, frame_arrival_counts, generator_emitting
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
@@ -151,14 +148,14 @@ class TestSimulateCff:
     def test_alpha_zero_starves_pull(self):
         rec = simulate_cff(paper_config(0.0), pull_rate=500, push_rate=0, horizon_frames=50, seed=2)
         assert rec.arrived(PULL) > 0
-        assert rec.delivered(PULL) == 0
+        assert len(rec.latency_slots(PULL)) == 0
         assert rec.failed(PULL) == rec.arrived(PULL)
         assert reliability_within(rec, PULL, 1e9) == 0.0
 
     def test_alpha_one_starves_push(self):
         rec = simulate_cff(paper_config(1.0), pull_rate=0, push_rate=500, horizon_frames=50, seed=2)
         assert rec.arrived(PUSH) > 0
-        assert rec.delivered(PUSH) == 0
+        assert len(rec.latency_slots(PUSH)) == 0
 
     def test_sparse_pull_served_next_frame_within_two_frames(self):
         cfg = paper_config(0.5)
@@ -167,7 +164,7 @@ class TestSimulateCff:
             cfg, pull_rate=100, push_rate=0, horizon_frames=400, seed=5,
             on_delivery=lambda *d: log.append(d),
         )
-        assert rec.delivered(PULL) > 0
+        assert len(rec.latency_slots(PULL)) > 0
         # light load: every packet is scheduled in the frame after arrival,
         # inside the first capacity blocks, so latency <= 2 frames
         for klass, arrival, delivery in log:
@@ -179,7 +176,7 @@ class TestSimulateCff:
         for rates in ((3000, 0), (0, 15000), (1500, 4000)):
             rec = simulate_cff(paper_config(0.4), *rates, horizon_frames=80, seed=9)
             for klass in (PULL, PUSH):
-                assert rec.arrived(klass) == rec.delivered(klass) + rec.failed(klass)
+                assert rec.arrived(klass) == len(rec.latency_slots(klass)) + rec.failed(klass)
 
     def test_deterministic(self):
         a = simulate_cff(paper_config(0.3), 400, 900, 120, seed=77)
@@ -194,7 +191,7 @@ class TestSimulateCff:
         cfg = paper_config(0.0)
         rate = 10_000.0  # G = 1.0
         rec = simulate_cff(cfg, 0, rate, horizon_frames=300, seed=13, push_retransmit=False)
-        p_success = rec.delivered(PUSH) / rec.arrived(PUSH)
+        p_success = len(rec.latency_slots(PUSH)) / rec.arrived(PUSH)
         assert p_success == pytest.approx(math.exp(-1.0), abs=0.02)
 
     def test_warmup_excluded_from_measurement(self):
@@ -202,7 +199,7 @@ class TestSimulateCff:
         full = simulate_cff(cfg, 300, 300, 100, seed=3)
         trimmed = simulate_cff(cfg, 300, 300, 100, seed=3, warmup_frames=50)
         assert trimmed.arrived(PULL) < full.arrived(PULL)
-        assert trimmed.arrived(PULL) == trimmed.delivered(PULL) + trimmed.failed(PULL)
+        assert trimmed.arrived(PULL) == len(trimmed.latency_slots(PULL)) + trimmed.failed(PULL)
 
     def test_abort_is_equivalent_when_target_met(self):
         cfg = paper_config(0.3)
@@ -221,7 +218,7 @@ class TestSimulateCff:
         rel_fast = reliability_within(fast, PUSH, 0.02)
         assert rel_full < 0.99
         assert rel_fast <= rel_full
-        assert fast.arrived(PUSH) == fast.delivered(PUSH) + fast.failed(PUSH)
+        assert fast.arrived(PUSH) == len(fast.latency_slots(PUSH)) + fast.failed(PUSH)
 
     def test_abort_rule_validation(self):
         for bad in (0.0, -0.01, math.inf, math.nan):
@@ -243,8 +240,6 @@ class TestSimulateCff:
     def test_latency_quantiles_monotone_in_alpha(self):
         # at fixed rates, more pull slots cannot worsen pull latency and
         # cannot improve push latency (Monte Carlo slack of one slot)
-        from pushpull_mac import empirical_quantile
-
         slack = 2e-3
         rates = dict(pull_rate=700, push_rate=900, horizon_frames=600)
         lo = simulate_cff(paper_config(0.4), seed=55, **rates)
@@ -275,7 +270,7 @@ class TestExactOracle:
         q = load * math.exp(-load)
         rec = simulate_cff(cfg, 0, rate, self.FRAMES, seed=2024, push_retransmit=False)
         trials = (self.FRAMES - 1) * k
-        z = (rec.delivered(PUSH) - trials * q) / math.sqrt(trials * q * (1 - q))
+        z = (len(rec.latency_slots(PUSH)) - trials * q) / math.sqrt(trials * q * (1 - q))
         assert abs(z) <= 4
 
     @pytest.mark.parametrize(
@@ -373,7 +368,8 @@ PINNED = {
 def test_pinned_output(case):
     (cfg, pull_rate, push_rate, horizon, seed, kw), counts, digest = PINNED[case]
     rec = simulate_cff(cfg, pull_rate, push_rate, horizon, seed, **kw)
-    assert tuple(f(k) for k in (PULL, PUSH) for f in (rec.arrived, rec.delivered, rec.failed)) == counts
+    got = tuple(n for k in (PULL, PUSH) for n in (rec.arrived(k), len(rec.latency_slots(k)), rec.failed(k)))
+    assert got == counts
     h = hashlib.sha256()
     for klass in (PULL, PUSH):
         h.update(np.asarray(rec.latencies(klass), dtype=np.float64).tobytes())
@@ -438,10 +434,7 @@ class TestRejectedDraws:
         """Words the count draws take, and the pull and push counts."""
         config = TestRejectedDraws.CONFIG
         start = rng.bit_generator.state["state"]["state"]
-        counts = [
-            sample_frame_arrival_counts(PoissonArrivals(rate, config.slot_duration), 50, horizon, rng)
-            for rate in rates
-        ]
+        counts = [frame_arrival_counts(rate, config, horizon, rng) for rate in rates]
         after = rng.bit_generator.state["state"]["state"]
         probe = np.random.PCG64(0)
         state = probe.state
@@ -733,5 +726,5 @@ class TestCertifiedRounds:
         monkeypatch.setattr(mac_cff, "bounded", counting)
         spy = _RoundSpy(monkeypatch)
         rec = simulate_cff(cfg, pull_rate, push_rate, horizon, seed, **kw)
-        assert rec.delivered(PUSH) == counts[4]
+        assert len(rec.latency_slots(PUSH)) == counts[4]
         assert spy.certified and computed < spy.draws / 2

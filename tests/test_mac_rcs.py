@@ -4,18 +4,10 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from pushpull_mac import (
-    FrameConfig,
-    ObservationModel,
-    PushTrigger,
-    RcsPopulation,
-    SemanticQuery,
-    run_rcs_frame,
-    simulate_rcs,
-)
-from pushpull_mac.mac_rcs import FrameLog, RcsResult, _independent_frames
+from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, simulate_rcs
+from pushpull_mac.mac_rcs import _independent_frames
 
-from _invariants import generator_emitting, recorded_rcs_rounds
+from _invariants import RcsFrame, generator_emitting, match_probability, recorded_rcs_rounds, run_rcs_frame
 
 ALL = SemanticQuery(0.0, 1.0)
 NONE = SemanticQuery(2.0, 3.0)
@@ -30,11 +22,15 @@ def population(n_pull, n_push, threshold=0.5):
 
 
 def push_attempts(res):
-    return sum(f.push_attempted for f in res.frames)
+    return int(res.frames[:, 3].sum())
 
 
 def push_successes(res):
-    return sum(f.push_succeeded for f in res.frames)
+    return int(res.frames[:, 4].sum())
+
+
+def frame_rows(res):
+    return [RcsFrame(*row) for row in res.frames.tolist()]
 
 
 class TestRunRcsFrame:
@@ -116,13 +112,18 @@ class TestRunRcsFrame:
         assert rounds[0].n_slots == 2
         assert [len(r.counts) for r in rounds] == [2] * len(rounds)
 
-    def test_fixed_observations(self):
-        pop = RcsPopulation(
-            3, 0, PushTrigger(1.0), observations=ObservationModel(fixed=(0.1, 0.5, 0.9))
-        )
-        fr = run_rcs_frame(config(20, 1.0), pop, SemanticQuery(0.4, 0.6), np.random.default_rng(8))
-        assert fr.matched_pull == 1
-        assert fr.pull_succeeded == 1
+    def test_matches_are_the_observations_in_the_query(self):
+        # the frame's first draws are one observation per pull device
+        query = SemanticQuery(0.4, 0.6)
+        observations = np.random.default_rng(8).random(40)
+        matching = int(np.count_nonzero(query.match_mask(observations)))
+        assert 0 < matching < 40
+        fr = run_rcs_frame(config(20, 1.0), population(40, 0), query, np.random.default_rng(8))
+        assert fr.matched_pull == matching
+        # a lone match gets through
+        lone = next(n for n in range(1, 40) if np.count_nonzero(query.match_mask(observations[:n])) == 1)
+        fr = run_rcs_frame(config(20, 1.0), population(lone, 0), query, np.random.default_rng(8))
+        assert fr.matched_pull == fr.pull_succeeded == 1
 
 
 class TestSimulateRcs:
@@ -141,19 +142,18 @@ class TestSimulateRcs:
 
     def test_estimates_match_frame_results(self):
         res = simulate_rcs(config(25, 0.4), population(6, 10), ALL, 2000, seed=3)
-        assert res.retrieval_accuracy == pytest.approx(
-            sum(f.retrieval_success for f in res.frames) / len(res.frames)
-        )
-        att = sum(f.push_attempted for f in res.frames)
-        suc = sum(f.push_succeeded for f in res.frames)
+        frames = frame_rows(res)
+        assert res.retrieval_accuracy == pytest.approx(sum(f.retrieval_success for f in frames) / len(frames))
+        att = sum(f.push_attempted for f in frames)
+        suc = sum(f.push_succeeded for f in frames)
         assert res.push_success_prob == pytest.approx(suc / att)
-        assert len(res.frames) == 2000
+        assert res.frames.shape == (2000, 5) and res.frames.dtype == np.int64
 
     def test_deterministic(self):
         a = simulate_rcs(config(25, 0.4), population(6, 10), ALL, 1000, seed=9)
         b = simulate_rcs(config(25, 0.4), population(6, 10), ALL, 1000, seed=9)
         assert a.retrieval_accuracy == b.retrieval_accuracy
-        assert [f.pull_succeeded for f in a.frames] == [f.pull_succeeded for f in b.frames]
+        assert a.frames.tolist() == b.frames.tolist()
 
     def test_more_slots_help_both_metrics(self):
         pop = population(12, 40)
@@ -177,10 +177,10 @@ class TestSimulateRcs:
 class TestRcsResult:
     def test_estimators_read_from_frame_counts(self):
         # (matched, reserved wins, shared wins, push attempts, push successes)
-        two = RcsResult(FrameLog(np.array([[2, 1, 1, 3, 1], [1, 0, 0, 1, 0]], dtype=np.int64)))
+        two = RcsResult(np.array([[2, 1, 1, 3, 1], [1, 0, 0, 1, 0]], dtype=np.int64))
         assert two.retrieval_accuracy == 0.5
         assert two.push_success_prob == 0.25
-        silent = RcsResult(FrameLog(np.array([[0, 0, 0, 0, 0]], dtype=np.int64)))
+        silent = RcsResult(np.array([[0, 0, 0, 0, 0]], dtype=np.int64))
         assert silent.retrieval_accuracy == 1.0
         assert silent.push_success_prob is None
 
@@ -188,9 +188,9 @@ class TestRcsResult:
         # pooling concatenates frame counts: the estimates are totals over
         # totals, not means of per-run estimates
         runs = [simulate_rcs(config(25, 0.4), population(6, 10), ALL, n, seed=n) for n in (300, 900)]
-        pooled = RcsResult(FrameLog(np.concatenate([r.frames.counts for r in runs])))
+        pooled = RcsResult(np.concatenate([r.frames for r in runs]))
         assert len(pooled.frames) == 1200
-        wins = sum(f.retrieval_success for r in runs for f in r.frames)
+        wins = sum(f.retrieval_success for r in runs for f in frame_rows(r))
         assert pooled.retrieval_accuracy == wins / 1200
         assert pooled.push_success_prob == sum(map(push_successes, runs)) / sum(map(push_attempts, runs))
 
@@ -246,7 +246,7 @@ def rcs_exact(cfg, pop, query):
     reserved, shared = cfg.pull_slot_budget, cfg.push_slot_budget
     p_push = 1.0 - pop.trigger.threshold
     accuracy = push_won = 0.0
-    for m, pm in enumerate(_binomial(pop.n_pull_devices, query.match_probability)):
+    for m, pm in enumerate(_binomial(pop.n_pull_devices, match_probability(query))):
         for x, px in enumerate(_stragglers(m, reserved)):
             for n_push, pp in enumerate(_binomial(pop.n_push_devices, p_push)):
                 w = pm * px * pp
@@ -289,7 +289,7 @@ class TestExactOracle:
     def test_simulation_matches_closed_form(self, s, alpha):
         cfg = config(s, alpha)
         accuracy, push_success = rcs_exact(cfg, self.POP, self.QUERY)
-        counts = simulate_rcs(cfg, self.POP, self.QUERY, 40_000, seed=2024).frames.counts
+        counts = simulate_rcs(cfg, self.POP, self.QUERY, 40_000, seed=2024).frames
         matched, reserved, shared, attempted, succeeded = counts.T
         retrieved = (reserved + shared == matched).astype(np.float64)
         assert abs(z_score(retrieved - accuracy)) <= 4
@@ -316,21 +316,22 @@ class TestRejectedDraws:
         ],
     )
     def test_matches_numpy(self, alpha, low, high):
-        # one fixed match and three push devices: frame 0 draws three doubles
-        # (none pushes), then one 32-bit draw from output 3, plus one if
-        # that half is rejected; a skipped or extra half shifts every later
-        # frame's draws, which the push contention then shows
+        # one pull device, which matches ALL, and three push devices: frame 0
+        # draws four doubles (outputs 1-3 are <= 0.5, so none pushes), then
+        # one 32-bit draw from output 4, plus one if that half is rejected; a
+        # skipped or extra half shifts every later frame's draws, which the
+        # push contention then shows
         cfg = config(50, alpha)
         assert (cfg.pull_slot_budget, cfg.push_slot_budget) == ((25, 25) if alpha else (0, 50))
         bound = 25 if alpha else 50  # 2**32 % 50 == 46 rejects REJECTED too
-        pop = RcsPopulation(1, 3, PushTrigger(0.5), ObservationModel((0.5,)))
+        pop = population(1, 3)
         word = (high << 32) | low
-        probe = generator_emitting(word, 3)
-        probe.random(3)
+        probe = generator_emitting(word, 4)
+        assert (probe.random(4)[1:] <= 0.5).all()
         first = probe.integers(0, bound, size=1, dtype=np.int64)
         assert first[0] == ((low if low == self.ACCEPTED else high) * bound) >> 32
-        rng = generator_emitting(word, 3)
+        rng = generator_emitting(word, 4)
         expected = [run_rcs_frame(cfg, pop, ALL, rng) for _ in range(50)]
-        assert expected[0].push_attempted == 0
-        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, generator_emitting(word, 3))
+        assert (expected[0].matched_pull, expected[0].push_attempted) == (1, 0)
+        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, generator_emitting(word, 4))
         assert counts.tolist() == [list(f) for f in expected]

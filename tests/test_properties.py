@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pushpull_mac import CapacitySpec, FrameConfig, ObservationModel, PacketClass, RcsPopulation, capacity, mac_cff, mac_rcs
+from pushpull_mac import CapacitySpec, FrameConfig, PacketClass, capacity, mac_cff, mac_rcs
 from pushpull_mac.capacity import make_cff_rate_evaluator, max_class_rate, max_rate, service_ceiling
 from pushpull_mac.mac_cff import PushAbortRule
 
@@ -53,17 +53,11 @@ def test_rcs_invariants_randomized():
 
 
 def test_rcs_runs_match_frame_loop():
-    # run lengths around the kernel's block size cross block ends, and some
-    # populations pin their observations, so those frames draw no doubles
+    # run lengths around the kernel's block size cross block ends
     rng = np.random.default_rng(8096)
     block = mac_rcs._FRAMES_PER_BLOCK
     for i in range(N_RCS_RUNS):
         config, population, query = random_rcs_case(rng)
-        if rng.random() < 0.2:
-            fixed = tuple(float(x) for x in rng.random(population.n_pull_devices))
-            population = RcsPopulation(
-                population.n_pull_devices, population.n_push_devices, population.trigger, ObservationModel(fixed)
-            )
         n_frames = int(rng.choice([1, 2, block - 1, block, block + 1, 2 * block + 1, int(rng.integers(3, 700))]))
         seed = int(rng.integers(0, 2**32))
         try:

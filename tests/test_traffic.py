@@ -4,54 +4,85 @@ import numpy as np
 import pytest
 
 from pushpull_mac import (
-    ObservationModel,
-    PoissonArrivals,
+    FrameConfig,
+    PacketClass,
     PushTrigger,
+    RcsPopulation,
     SemanticQuery,
     derive_seed,
+    simulate_cff,
+    simulate_rcs,
 )
-from pushpull_mac.traffic import sample_arrival_offsets, sample_frame_arrival_counts
+from pushpull_mac.traffic import sample_arrival_offsets
+
+from _invariants import match_probability
+
+PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
+
+# 0.1 ms slots; alpha 1 serves pull traffic only, so push arrivals never contend
+ONE_SLOT = FrameConfig(1, 1e-4, 1, 1, 1.0)
+HUNDRED_SLOTS = FrameConfig(100, 1e-2, 1, 1, 1.0)
+
+# RCS frames whose counts show the observation and trigger draws
+RCS_FRAME = FrameConfig(20, 0.01, 1, 1, 0.5)
+ALL = SemanticQuery(0.0, 1.0)
+
+
+def pull_devices(n, query, n_frames, seed):
+    """Per-frame counts of ``n`` pull devices whose observation matches ``query``."""
+    return simulate_rcs(RCS_FRAME, RcsPopulation(n, 0, PushTrigger(1.0)), query, n_frames, seed).frames[:, 0]
+
+
+def push_devices(n, threshold, n_frames, seed):
+    """Per-frame counts of ``n`` push devices whose drawn value fires the trigger."""
+    return simulate_rcs(RCS_FRAME, RcsPopulation(0, n, PushTrigger(threshold)), ALL, n_frames, seed).frames[:, 3]
 
 
 class TestPoissonArrivals:
+    """The per-frame Poisson arrival counts ``simulate_cff`` draws first."""
+
     def test_zero_rate_never_arrives(self):
-        proc = PoissonArrivals(rate=0.0, slot_duration=1e-4)
-        rng = np.random.default_rng(0)
-        counts = sample_frame_arrival_counts(proc, n_slots=1, n_frames=1000, rng=rng)
-        assert counts.dtype == np.int64 and counts.shape == (1000,)
-        assert not counts.any()
+        rec = simulate_cff(ONE_SLOT, 0.0, 0.0, 1000, seed=0)
+        assert rec.arrived(PULL) == rec.arrived(PUSH) == 0
+        # a zero pull rate draws nothing: the push counts are the first draw
+        rec = simulate_cff(HUNDRED_SLOTS, 0.0, 500.0, 200, seed=3)
+        assert rec.arrived(PULL) == 0
+        assert rec.arrived(PUSH) == np.random.default_rng(3).poisson(500.0 * 1e-4 * 100, size=200).sum() > 0
 
     def test_slot_mean_matches_rate(self):
         # rate 1e5 pkt/s on 0.1 ms slots: mean 10 per slot
-        proc = PoissonArrivals(rate=1e5, slot_duration=1e-4)
-        rng = np.random.default_rng(7)
         n = 100_000
-        counts = sample_frame_arrival_counts(proc, n_slots=1, n_frames=n, rng=rng)
-        assert counts.sum() / n == pytest.approx(10.0, abs=0.05)
+        rec = simulate_cff(ONE_SLOT, 1e5, 0.0, n, seed=7)
+        assert rec.arrived(PULL) / n == pytest.approx(10.0, abs=0.05)
 
     def test_batched_counts_mean_over_million_slots(self):
-        proc = PoissonArrivals(rate=1e5, slot_duration=1e-4)
-        rng = np.random.default_rng(11)
-        counts = sample_frame_arrival_counts(proc, n_slots=100, n_frames=10_000, rng=rng)
-        assert counts.sum() / 1_000_000 == pytest.approx(10.0, abs=0.05)
+        # one count per 100-slot frame: rate 1e4 pkt/s, mean 1 per slot
+        rec = simulate_cff(HUNDRED_SLOTS, 1e4, 0.0, 10_000, seed=11)
+        assert rec.arrived(PULL) / 1_000_000 == pytest.approx(1.0, abs=0.005)
 
     def test_deterministic_given_seed(self):
-        proc = PoissonArrivals(rate=5000.0, slot_duration=1e-4)
-        rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-        s1 = sample_frame_arrival_counts(proc, 100, 200, rng1)
-        s2 = sample_frame_arrival_counts(proc, 100, 200, rng2)
-        assert s1.tolist() == s2.tolist()
+        a = simulate_cff(HUNDRED_SLOTS, 5000.0, 3000.0, 200, seed=42)
+        b = simulate_cff(HUNDRED_SLOTS, 5000.0, 3000.0, 200, seed=42)
+        for klass in PacketClass:
+            assert a.latency_slots(klass).tolist() == b.latency_slots(klass).tolist()
+            assert (a.arrived(klass), a.failed(klass)) == (b.arrived(klass), b.failed(klass))
+        # the pull counts are drawn first, then the push counts
+        rng = np.random.default_rng(42)
+        assert a.arrived(PULL) == rng.poisson(5000.0 * 1e-4 * 100, size=200).sum()
+        assert a.arrived(PUSH) == rng.poisson(3000.0 * 1e-4 * 100, size=200).sum()
 
     def test_validation(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                simulate_cff(ONE_SLOT, bad, 1.0, 10, seed=0)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                simulate_cff(ONE_SLOT, 1.0, bad, 10, seed=0)
         with pytest.raises(ValueError):
-            PoissonArrivals(rate=-1.0, slot_duration=1e-4)
+            FrameConfig(10, 0.0, 1, 1, 0.5)
         with pytest.raises(ValueError):
-            PoissonArrivals(rate=1.0, slot_duration=0.0)
-        proc = PoissonArrivals(rate=1.0, slot_duration=1e-4)
+            FrameConfig(0, 0.01, 1, 1, 0.5)
         with pytest.raises(ValueError):
-            sample_frame_arrival_counts(proc, 0, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_frame_arrival_counts(proc, 10, 0, np.random.default_rng(0))
+            simulate_cff(ONE_SLOT, 1.0, 1.0, 0, seed=0)
 
     def test_offsets_sorted_in_range(self):
         rng = np.random.default_rng(5)
@@ -95,26 +126,25 @@ class TestSemanticQuery:
             SemanticQuery(math.nan, 0.5)
 
     def test_match_probability(self):
-        assert SemanticQuery(0.2, 0.7).match_probability == pytest.approx(0.5)
-        assert SemanticQuery(-1.0, 2.0).match_probability == pytest.approx(1.0)
-        assert SemanticQuery(1.5, 2.0).match_probability == 0.0
+        assert match_probability(SemanticQuery(0.2, 0.7)) == pytest.approx(0.5)
+        assert match_probability(SemanticQuery(-1.0, 2.0)) == pytest.approx(1.0)
+        assert match_probability(SemanticQuery(1.5, 2.0)) == 0.0
+        # the fraction of pull devices an RCS frame finds matching
+        for lo, hi in ((0.2, 0.7), (-1.0, 2.0), (1.5, 2.0)):
+            query = SemanticQuery(lo, hi)
+            matched = pull_devices(50, query, 400, seed=13)
+            assert matched.mean() / 50 == pytest.approx(match_probability(query), abs=0.01)
 
 
 class TestPushTrigger:
     def test_threshold_one_never_pushes(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            assert not PushTrigger(1.0).push_mask(10, rng).any()
+        assert not push_devices(10, 1.0, 200, seed=0).any()
 
     def test_threshold_zero_always_pushes(self):
-        rng = np.random.default_rng(0)
-        assert PushTrigger(0.0).push_mask(10, rng).all()
+        assert (push_devices(10, 0.0, 200, seed=0) == 10).all()
 
     def test_inclusion_rate(self):
-        rng = np.random.default_rng(31)
-        included = 0
-        for _ in range(1000):
-            included += int(np.count_nonzero(PushTrigger(0.9).push_mask(100, rng)))
+        included = push_devices(100, 0.9, 1000, seed=31).sum()
         assert included / 100_000 == pytest.approx(0.1, abs=0.005)
 
     def test_validation(self):
@@ -123,38 +153,34 @@ class TestPushTrigger:
         with pytest.raises(ValueError):
             PushTrigger(-0.01)
         with pytest.raises(ValueError):
-            PushTrigger(0.5).push_mask(-1, np.random.default_rng(0))
+            RcsPopulation(0, -1, PushTrigger(0.5))
 
 
 class TestObservationModel:
-    def test_default_uniform(self):
-        rng = np.random.default_rng(0)
-        obs = ObservationModel().sample(1000, rng)
-        assert obs.shape == (1000,)
-        assert (obs >= 0).all() and (obs <= 1).all()
+    """Pull devices' observations: one uniform draw on [0, 1) per device and
+    frame, seen through the per-frame matched counts of ``simulate_rcs``."""
 
-    def test_fixed_values(self):
-        model = ObservationModel(fixed=(0.1, 0.9))
-        assert model.sample(2, np.random.default_rng(0)).tolist() == [0.1, 0.9]
-        with pytest.raises(ValueError):
-            model.sample(3, np.random.default_rng(0))
+    def test_default_uniform(self):
+        # every observation lies in [0, 1], and a quarter of them in each quarter
+        assert (pull_devices(1000, ALL, 20, seed=0) == 1000).all()
+        for lo, hi in ((0.0, 0.25), (0.25, 0.5), (0.75, 1.0)):
+            matched = pull_devices(1000, SemanticQuery(lo, hi), 40, seed=1)
+            assert matched.sum() / 40_000 == pytest.approx(0.25, abs=0.01)
 
     def test_resampled_each_call(self):
-        rng = np.random.default_rng(9)
-        model = ObservationModel()
-        assert not np.array_equal(model.sample(10, rng), model.sample(10, rng))
+        matched = pull_devices(10, SemanticQuery(0.0, 0.5), 50, seed=9)
+        assert len(set(matched.tolist())) > 1
 
     def test_independence_across_frames_and_devices(self):
-        rng = np.random.default_rng(17)
-        model = ObservationModel()
-        draws = np.array([model.sample(2, rng) for _ in range(20_000)])
-        # frame-to-frame autocorrelation per device, and cross-device correlation
-        for series_a, series_b in (
-            (draws[:-1, 0], draws[1:, 0]),
-            (draws[:, 0], draws[:, 1]),
-        ):
-            corr = np.corrcoef(series_a, series_b)[0, 1]
-            assert abs(corr) < 0.02
+        # two devices matching with probability 1/2 each: the per-frame count
+        # has variance 1/2 + 2 cov, so cov / (1/4) is the cross-device
+        # correlation; the count's frame-to-frame autocorrelation shows a
+        # device's own
+        matched = pull_devices(2, SemanticQuery(0.0, 0.5), 20_000, seed=17).astype(np.float64)
+        cross = (matched.var() - 0.5) / 0.5
+        serial = np.corrcoef(matched[:-1], matched[1:])[0, 1]
+        assert abs(cross) < 0.02
+        assert abs(serial) < 0.02
 
 
 class TestDeriveSeed:
@@ -176,7 +202,6 @@ class TestDeriveSeed:
             derive_seed(5 + 2**64, 0)
 
     def test_determinism_of_generators(self):
-        t = PushTrigger(0.5)
-        a = t.push_mask(50, np.random.default_rng(derive_seed(7, 3)))
-        b = t.push_mask(50, np.random.default_rng(derive_seed(7, 3)))
+        a = push_devices(50, 0.5, 20, seed=derive_seed(7, 3))
+        b = push_devices(50, 0.5, 20, seed=derive_seed(7, 3))
         assert a.tolist() == b.tolist()
