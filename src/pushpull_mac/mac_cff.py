@@ -38,10 +38,10 @@ known: the pending ones plus the frame's arrivals.  Once more than 16 x K
 packets are pending, ``_HalfStream.take_winnerless`` takes a stretch of
 frames in one step: it fetches their halves at once, rejection-checks them,
 certifies every round's prefix with one ``bincount`` and computes nothing
-more of the rounds.  The frame loop runs the abort check over the
-stretch's frames and joins their arrivals to the backlog at once.  The
-first frame that fails (its prefix leaves a slot with fewer than two, a half
-of its round or offsets is rejected, or the abort fires there) ends the
+more of the rounds.  The frame loop offers it the frames before the first
+one where the abort would fire, and joins the taken frames' arrivals to the
+backlog at once.  The first frame that fails (its prefix leaves a slot with
+fewer than two, or a half of its round or offsets is rejected) ends the
 stretch and runs frame by frame, its round computed in full.  At the end of
 the run the offsets are sorted and lifted to arrival slots in bulk,
 latencies and ``on_delivery`` calls are built from the rounds' winners, and
@@ -51,7 +51,6 @@ the pull FIFO, which draws no randomness, is served in closed form
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -87,16 +86,21 @@ _PREFIX_PER_SLOT = 16
 class PushAbortRule:
     """Certified early exit for capacity probes.
 
-    Once the count of push packets that are provably late (their deadline
-    passed while still pending) exceeds the run's miss budget
-    (1 - target_reliability) x total measured arrivals, the final reliability
-    cannot reach the target, so the run may stop.  The returned record then
-    understates reliability (remaining arrivals count as misses) but the
-    pass/fail comparison against the target is exact, and the run stays
-    deterministic.  A run that does not stop gives the same record as
-    without the rule.  The capacity evaluator raises a run's target above
-    the probe's when that run alone must score more for the probe to pass;
-    a stop then certifies that the probe fails.
+    Lateness is judged per arrival frame, from arrival counts alone.  A push
+    packet of frame g still pending after frame f's round is delivered at
+    slot (f+1) x S or later, so its latency is at least (f - g) x S + 2
+    slots.  For a target of L slots every packet of frame g is therefore
+    late from frame g + lag on, lag = max(1, ceil((L - 1) / S)), and the rule
+    counts frame g's packets still pending after that frame's round.  This
+    lags a per-slot deadline by at most one frame.  Once the count exceeds
+    the run's miss budget (1 - target_reliability) x total measured
+    arrivals, the final reliability cannot reach the target, so the run may
+    stop.  The returned record then understates reliability (remaining
+    arrivals count as misses) but the pass/fail comparison against the
+    target is exact, and the run stays deterministic.  A run that does not
+    stop gives the same record as without the rule.  The capacity evaluator
+    raises a run's target above the probe's when that run alone must score
+    more for the probe to pass; a stop then certifies that the probe fails.
     """
 
     latency_target: float  # seconds
@@ -169,24 +173,22 @@ class _HalfStream:
     rounds it computes only the prefixes, and it computes the frames' offsets
     at once.  ``skip(n)`` takes n arrival-offset draws below S without
     computing them; their values are read when the window is dropped, and
-    ``close()`` returns every one taken, in stream order.
-    ``count_below(n)`` counts the last n offsets taken that come from a half
-    below ``cut_half``.  A take always lies in one window: a window that
-    falls short is replaced by its unused tail plus fresh output.  The push
-    rejections are computed for a round's halves, or a window's worth ahead
-    when rounds are short, and the push draws over the same halves once a
-    round needs them; the offset rejections and counts from the window's
-    first offset take to its end.  The window lives in one buffer kept for
-    the run (grown when short): a fresh one per refill, up to every frame
-    when rounds are long, fragments the heap and cost about 0.7 MiB of peak
-    memory on cff_mixed (40.8 and 41.0 MiB against 40.2).
+    ``close()`` returns every one taken, in stream order.  A take always lies
+    in one window: a window that falls short is replaced by its unused tail
+    plus fresh output.  The push rejections are computed for a round's
+    halves, or a window's worth ahead when rounds are short, and the push
+    draws over the same halves once a round needs them; the offset
+    rejections from the window's first offset take to its end.  The window
+    lives in one buffer kept for the run (grown when short): a fresh one per
+    refill, up to every frame when rounds are long, fragments the heap and
+    cost about 0.7 MiB of peak memory on cff_mixed (40.8 and 41.0 MiB
+    against 40.2).
     """
 
-    def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int, cut_half: int) -> None:
+    def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int) -> None:
         self.bit_generator = bit_generator
         self.n_slots = n_slots
         self.push_ops = push_ops
-        self.cut_half = cut_half
         self.prefix = _PREFIX_PER_SLOT * push_ops  # a longer backlog is taken in stretches
         self.budget = 16 * _WINDOW_WORDS  # halves a stretch of winnerless frames fetches at most (2**16)
         self.buffer = np.empty(0, dtype=np.uint64)  # holds the window's words at its front
@@ -200,7 +202,6 @@ class _HalfStream:
         self.choice = np.empty(0, dtype=np.int64)  # choice[i - choice_from]: the draw below push_ops from half i
         self.rejected_push: List[int] = []
         self.rejected_slot: List[int] = []
-        self.below = array("i")  # below[i - slot_from]: halves from slot_from to i below cut_half
         self.spans: List[int] = []  # offset takes in this window: start, end, start, end, ...
         self.read: List[np.ndarray] = []  # offset draws of dropped windows
         self.n_offsets = 0
@@ -235,17 +236,10 @@ class _HalfStream:
         return self.rejected_push, self.push_to
 
     def _slot_table(self, end: int) -> Tuple[List[int], int]:
-        """Rejections below S, and the counts below ``cut_half``, from the
-        window's first offset take to its end."""
+        """Rejections below S from the window's first offset take to its end."""
         if self.slot_from < 0:
             self.slot_from = self.h
-            rest = self.halves[self.h :]
-            self.rejected_slot = [self.h + i for i in rejected(rest, self.n_slots)]
-            if self.cut_half:
-                below = np.zeros(len(rest) + 1, dtype=np.int32)
-                np.cumsum(rest < self.cut_half, out=below[1:])
-                self.below = array("i")
-                self.below.frombytes(below.tobytes())
+            self.rejected_slot = [self.h + i for i in rejected(self.halves[self.h :], self.n_slots)]
         return self.rejected_slot, self.size
 
     def _take(self, n: int, table: Callable[[int], Tuple[List[int], int]]) -> Tuple[int, int]:
@@ -280,31 +274,22 @@ class _HalfStream:
             choice = np.delete(choice, [i - h for i in self.rejected_push[first : first + end - h - n]])
         return choice
 
-    def take_winnerless(
-        self,
-        rounds: np.ndarray,
-        offsets: np.ndarray,
-        push: np.ndarray,
-        until: Optional[Callable[[np.ndarray], int]] = None,
-    ) -> int:
+    def take_winnerless(self, rounds: np.ndarray, offsets: np.ndarray) -> int:
         """Take whole frames in bulk, from the first, while each one's
         contention round is certified winnerless (see the module docstring);
         returns how many.
 
         Candidate frame j draws a round of ``rounds[j]`` choices, then
-        ``offsets[j]`` arrival offsets, the last ``push[j]`` of them push
-        ones.  The frames that fit ``budget`` halves (at least one) are
-        fetched at once.  The first frame that fails ends the stretch
-        untaken: a round of at most ``prefix`` draws, a prefix that leaves a
-        slot with fewer than two, or a half of its round or offsets that the
-        rejection rule drops.  ``until(below)``, given the push offsets below
-        ``cut_half`` of each frame before that, says how many of them to
-        take.
+        ``offsets[j]`` arrival offsets.  The frames that fit ``budget``
+        halves (at least one) are fetched at once.  The first frame that
+        fails ends the stretch untaken: a round of at most ``prefix`` draws,
+        a prefix that leaves a slot with fewer than two, or a half of its
+        round or offsets that the rejection rule drops.
         """
         sizes = rounds + offsets
         ends = np.cumsum(sizes)
         m = max(1, int(ends.searchsorted(self.budget, "right")))
-        ends, rounds, offsets, push = ends[:m], rounds[:m], offsets[:m], push[:m]
+        ends, rounds, offsets = ends[:m], rounds[:m], offsets[:m]
         need = int(ends[-1])
         if self.h + need > self.size:
             self._refill(self.h + need - self.size)
@@ -327,10 +312,6 @@ class _HalfStream:
             choice = choice + np.repeat(np.arange(0, ok * K, K), self.prefix)
             fails = np.flatnonzero(np.bincount(choice, minlength=ok * K).reshape(ok, K).min(axis=1) < 2)
             ok = int(fails[0]) if fails.size else ok
-        if ok and until is not None:
-            counted = np.zeros(int(o_ends[ok - 1]) + 1, dtype=np.int64)
-            np.cumsum(drawn[: int(o_ends[ok - 1])] < self.cut_half, out=counted[1:])
-            ok = until(counted[o_ends[:ok]] - counted[o_ends[:ok] - push[:ok]])
         if ok:
             self.h += int(ends[ok - 1])
             self._read_spans()
@@ -351,21 +332,6 @@ class _HalfStream:
                 self.spans[-1] = end
             else:
                 self.spans += (h, end)
-
-    def count_below(self, n: int) -> int:
-        """How many of the last ``n`` offsets taken come from a half below ``cut_half``."""
-        end = self.h
-        start = end - n
-        rej = self.rejected_slot
-        below = self.below
-        base = self.slot_from
-        if not rej or bisect_left(rej, start) == bisect_left(rej, end):
-            return below[end - base] - below[start - base]
-        while end - start - (bisect_left(rej, end) - bisect_left(rej, start)) < n:
-            start -= 1
-        dropped = rej[bisect_left(rej, start) : bisect_left(rej, end)]
-        dropped_below = sum(int(self.halves[i] < self.cut_half) for i in dropped)
-        return below[end - base] - below[start - base] - dropped_below
 
     def _read_spans(self) -> None:
         """Compute the offset draws taken in this window."""
@@ -388,7 +354,6 @@ class _HalfStream:
         self._read_spans()
         offsets = np.concatenate(self.read) if self.read else np.empty(0, dtype=np.int64)
         self.buffer = self.words = self.halves = self.choice = None
-        self.below = array("i")
         self.read = []
         return offsets
 
@@ -456,54 +421,26 @@ def simulate_cff(
 
     # Certified-abort bookkeeping.  With counts batched, the run's total
     # measured arrivals (and hence its miss budget) are known exactly.  A
-    # packet is late at frame f if its arrival slot lies in
-    # [f*S - late_slots + 1, (f+1)*S - late_slots] (latency <= target  <=>
-    # delivery_slot - arrival_slot + 1 <= late_slots).  These windows tile
-    # the slot line at offset `cut` of frame f - back, so with below[g] the
-    # push arrivals of frame g before its cut, a window is an index range.
+    # push packet of frame g still pending after frame f's round is delivered
+    # at slot (f+1)*S or later, so its latency is at least (f-g)*S + 2 slots:
+    # every packet of frame g is late from frame g + lag on.  After frame f's
+    # round the newly late packets are the pending ones of frame f - lag, an
+    # index range of pend.
     late_cum = 0
     late_budget = math.inf
-    back = cut = cut_half = 0
-    below = [0] * horizon_frames
+    lag = 1
     if push_abort is not None:
         late_slots = stable_floor(push_abort.latency_target / slot_dur)
         late_budget = (1.0 - push_abort.target_reliability) * (cum_push[-1] - n_warm)
-        back = -((1 - late_slots) // S)
-        cut = (1 - late_slots) % S
-        # an offset drawn from half x is below cut iff x < ceil(cut * 2**32 / S)
-        cut_half = -(-cut * 2**32 // S)
+        lag = max(1, -(-(late_slots - 1) // S))
 
-    stream = _HalfStream(rng.bit_generator, S, push_ops, cut_half)
+    stream = _HalfStream(rng.bit_generator, S, push_ops)
     pend = np.empty(0, dtype=np.int64)  # pending push packets, ascending
     # a push packet is delivered at most once: its delivery slot, or -1
     delivered_at = np.full(cum_push[-1], -1, dtype=np.int64)
     dropped = 0  # measured packets dropped after their single attempt (no retransmission)
     arrived_frames = horizon_frames  # frames whose arrivals joined the queues
 
-    def before(g: int, f: int) -> int:
-        """Push packets pending at frame f that arrived before frame g's cut."""
-        return 0 if g < 0 else cum_push[f] if g >= f else cum_push[g] + below[g]
-
-    def frames_before_abort(below_new: np.ndarray) -> int:
-        """The abort check of winnerless frames from f, whose ``below``
-        counts are ``below_new``: how many pass it before one fires.  The
-        pending packets at frame F are pend and the arrivals of frames f to
-        F-1.  Records the frames' ``below`` (if the check fires, the run
-        ends there) and adds the passed frames' late packets."""
-        nonlocal late_cum
-        below[f : f + len(below_new)] = below_new.tolist()
-        for F in range(f, f + len(below_new)):
-            lo = max(before(F - back, F), n_warm)
-            hi = before(F + 1 - back, F)
-            if hi > lo:
-                late = int(pend.searchsorted(hi) - pend.searchsorted(lo))
-                late += max(min(hi, cum_push[F]) - max(lo, cum_push[f]), 0)  # joined since f
-                if late_cum + late > late_budget:
-                    return F - f
-                late_cum += late
-        return len(below_new)
-
-    until = frames_before_abort if push_abort is not None and push_retransmit and back else None
     stretch_above = stream.prefix if push_ops >= 2 else math.inf  # pending packets
     cp = co = None  # cum_push and cum_offsets as arrays, once a stretch is tried
     f = 0
@@ -515,12 +452,24 @@ def simulate_cff(
             if cp is None:
                 cp, co = np.array(cum_push), np.array(cum_offsets)
             stop = min(horizon_frames, f + stream.budget // stream.prefix + 1)
+            late = None
+            if push_abort is not None and push_retransmit:
+                # the abort check of each candidate frame F counts the packets
+                # of frame F - lag in pend or joined since f; the candidates
+                # end before the first frame where it fires
+                g = np.arange(f, stop) - lag
+                lo = np.maximum(cp[np.maximum(g, 0)], n_warm)
+                hi = np.maximum(cp[np.maximum(g + 1, 0)], lo)
+                joined = np.maximum(hi - np.maximum(lo, cum_push[f]), 0)
+                late = np.cumsum(pend.searchsorted(hi) - pend.searchsorted(lo) + joined)
+                fires = np.flatnonzero(late_cum + late > late_budget)
+                stop = f + int(fires[0]) if fires.size else stop
             if push_retransmit:
                 rounds = cp[f:stop] + (pend.size - cum_push[f])
             else:
                 rounds = np.concatenate(([pend.size], push_counts[f : stop - 1]))
             offsets = co[f + 1 : stop + 1] - co[f:stop]
-            taken = stream.take_winnerless(rounds, offsets, push_counts[f:stop], until)
+            taken = stream.take_winnerless(rounds, offsets) if stop > f else 0
             if taken:
                 if push_retransmit:
                     pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + taken])))
@@ -528,6 +477,8 @@ def simulate_cff(
                     dropped += int(np.count_nonzero(pend >= n_warm))
                     dropped += max(cum_push[f + taken - 1] - max(cum_push[f], n_warm), 0)
                     pend = np.arange(cum_push[f + taken - 1], cum_push[f + taken])
+                if late is not None:
+                    late_cum += int(late[taken - 1])
                 f += taken
                 continue
 
@@ -542,11 +493,11 @@ def simulate_cff(
                 dropped += int(np.count_nonzero(pend >= n_warm))
                 pend = pend[:0]
 
-        # certified abort: count packets that became provably late this frame
-        # (the windows are disjoint across frames, so nothing double-counts)
-        if push_abort is not None and pend.size:
-            lo = max(before(f - back, f), n_warm)
-            hi = before(f + 1 - back, f)
+        # certified abort: count the pending packets that turned late this
+        # frame (each frame's packets turn late once, so nothing double-counts)
+        if push_abort is not None and pend.size and f >= lag:
+            lo = max(cum_push[f - lag], n_warm)
+            hi = cum_push[f - lag + 1]
             if hi > lo:
                 late_cum += int(pend.searchsorted(hi) - pend.searchsorted(lo))
                 if late_cum > late_budget:
@@ -563,8 +514,6 @@ def simulate_cff(
             g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
         stream.skip(cum_offsets[g] - cum_offsets[f])
         if push_per_frame[g - 1]:
-            if cut:
-                below[g - 1] = stream.count_below(push_per_frame[g - 1])
             pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[g])))
         f = g
 

@@ -183,9 +183,15 @@ def reference_cff_run(
                 record.add(PacketClass.PUSH, failed=lost)
                 pend_arrival = pend_arrival[:0]
         if push_abort is not None and pend_arrival.size:
-            lo = max(f * S - late_slots + 1, measured_from_slot)
-            hi = (f + 1) * S - late_slots
-            late_cum += int(np.count_nonzero((pend_arrival >= lo) & (pend_arrival <= hi)))
+            # a packet of frame g pending now is delivered from slot (f+1)*S
+            # on, a latency of at least (f-g)*S + 2; count each the first
+            # time that bound passes the target (a packet of an earlier
+            # frame than f-1 was pending at frame f-1's check too)
+            age = f - pend_arrival // S
+            late_now = age * S + 2 > late_slots
+            late_before = (age >= 2) & ((age - 1) * S + 2 > late_slots)
+            late = late_now & ~late_before & (pend_arrival >= measured_from_slot)
+            late_cum += int(np.count_nonzero(late))
             if late_cum > late_budget:
                 arrived_frames = f
                 break

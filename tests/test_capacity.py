@@ -98,6 +98,14 @@ class TestMaxRate:
                 spec(rate_upper_bound=bad)
             with pytest.raises(ValueError):
                 spec(rate_tolerance=bad)
+        # a bracket already within tolerance would probe nothing, which
+        # reads as an unreachable class; the bound may come from the ceiling
+        for bound in (10.0, 5.0):
+            with pytest.raises(ValueError, match="rate_tolerance"):
+                max_rate(lambda r: (1.0, True), spec(rate_upper_bound=bound))
+        half = FrameConfig(100, 0.01, 5, 1, alpha=0.5)  # pull ceiling 1000 pps
+        with pytest.raises(ValueError, match="rate_tolerance"):
+            max_class_rate(half, PULL, spec(rate_tolerance=2000.0, rate_upper_bound=1e6, horizon_frames=50), 1)
 
 
 class TestServiceCeiling:

@@ -220,6 +220,17 @@ class TestSimulateCff:
         assert rel_fast <= rel_full
         assert fast.arrived(PUSH) == len(fast.latency_slots(PUSH)) + fast.failed(PUSH)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_abort_fires_for_targets_of_a_frame_or_less(self, seed):
+        # no push packet meets these targets, so each aborted run must stop
+        # within its first frames (about 20k deliveries in the full run)
+        cfg = paper_config(0.5)
+        full = simulate_cff(cfg, 0, 1000, 2000, seed)
+        for target in (0.0005, 0.001, 0.002, 0.005):
+            assert reliability_within(full, PUSH, target) == 0.0
+            fast = simulate_cff(cfg, 0, 1000, 2000, seed, push_abort=PushAbortRule(target, 0.99))
+            assert len(fast.latency_slots(PUSH)) < 1500, target
+
     def test_abort_rule_validation(self):
         for bad in (0.0, -0.01, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -407,27 +418,12 @@ class TestRejectedDraws:
         word = (high << 32) | low
         numpy_rng = generator_emitting(word, position)
         expected = [numpy_rng.integers(0, bound, size=n, dtype=np.int64).tolist() for bound, n in self.TAKES]
-        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
+        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25)
         rounds = [stream.contend(n).tolist() if bound == 25 else stream.skip(n) for bound, n in self.TAKES]
         offsets = iter(stream.close().tolist())
         got = [r if bound == 25 else [next(offsets) for _ in range(n)] for r, (bound, n) in zip(rounds, self.TAKES)]
         assert got == expected
         assert next(offsets, None) is None
-
-    @pytest.mark.parametrize("low, high", [(REJECTED, ACCEPTED), (ACCEPTED, REJECTED), (REJECTED, REJECTED)])
-    def test_count_below_skips_rejected(self, low, high):
-        # the abort counts a frame's push offsets below a cut from the halves
-        # that end its take; output 8 (halves 16-17) ends the fifth take
-        word, cut = (high << 32) | low, 3
-        numpy_rng = generator_emitting(word, 8)
-        for bound, n in self.TAKES[:4]:
-            numpy_rng.integers(0, bound, size=n)
-        last = numpy_rng.integers(0, 50, size=self.TAKES[4][1], dtype=np.int64)
-        stream = mac_cff._HalfStream(generator_emitting(word, 8).bit_generator, 50, 25, -(-cut * 2**32 // 50))
-        for bound, n in self.TAKES[:5]:
-            stream.contend(n) if bound == 25 else stream.skip(n)
-        for n in range(1, len(last) + 1):
-            assert stream.count_below(n) == np.count_nonzero(last[-n:] < cut)
 
     @staticmethod
     def _counts(rng, horizon, rates):
@@ -478,13 +474,15 @@ class _RoundSpy:
     loop does not use the stream): the rounds ``contend`` draws and the
     frames ``take_winnerless`` takes in bulk, each one a round certified
     winnerless.  Also their draws and the longest, the rounds long enough to
-    be certified (more than 16 K contenders, K >= 2), the certified rounds,
-    the stretches of more than one frame, and the stretches an abort ended
-    after at least one frame."""
+    be certified (more than 16 K contenders, K >= 2), the certified rounds
+    and the stretches of more than one frame.  ``calls`` logs every call in
+    order: None for a ``contend``, (frames offered, frames taken) for a
+    ``take_winnerless``."""
 
     def __init__(self, monkeypatch):
         self.rounds = self.draws = self.longest = self.certifiable = self.certified = 0
-        self.stretches = self.aborted = 0
+        self.stretches = 0
+        self.calls = []
         contend, take = mac_cff._HalfStream.contend, mac_cff._HalfStream.take_winnerless
 
         def count(sizes, certifiable):
@@ -495,20 +493,15 @@ class _RoundSpy:
 
         def spy_contend(stream, n):
             count([n], stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops)
+            self.calls.append(None)
             return contend(stream, n)
 
-        def spy_take(stream, rounds, offsets, push, until=None):
-            passed = []  # frames the abort check was given
-
-            def spy_until(below):
-                passed.append(len(below))
-                return until(below)
-
-            taken = take(stream, rounds, offsets, push, spy_until if until else None)
+        def spy_take(stream, rounds, offsets):
+            taken = take(stream, rounds, offsets)
             count(rounds[:taken].tolist(), taken)
             self.certified += taken
             self.stretches += taken > 1
-            self.aborted += bool(passed) and 0 < taken < passed[0]
+            self.calls.append((len(rounds), taken))
             return taken
 
         monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
@@ -575,13 +568,13 @@ class TestCertifiedRounds:
         # round is computed in full
         for per_slot in (mac_cff._PREFIX_PER_SLOT, 1):
             monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", per_slot)
-            stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 0)
+            stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25)
             stream.skip(3)
             computed.clear()
             monkeypatch.setattr(mac_cff, "bounded", spy)
             taken = 0
             while taken < 2:  # as the frame loop does: a take that stops short hands a frame over
-                more = stream.take_winnerless(rounds[taken:], offsets[taken:], offsets[taken:])
+                more = stream.take_winnerless(rounds[taken:], offsets[taken:])
                 if not more:
                     break
                 taken += more
@@ -643,19 +636,28 @@ class TestCertifiedRounds:
             last = frames[2 if part == "last_in_budget" else 1][2]
             monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", -(-(last - frames[0][0]) // 16))
         spy = _RoundSpy(monkeypatch)
+        aborted = 0  # runs an abort stopped right after a stretch
         for kw in (
             {},
             dict(push_abort=PushAbortRule(0.05, 0.2)),  # runs to the horizon
-            dict(push_abort=PushAbortRule(0.01, 0.85)),  # stops in frame 2, inside the first stretch
+            dict(push_abort=PushAbortRule(0.01, 0.85)),  # stops in frame 2, after a stretch of frame 1
             dict(push_abort=PushAbortRule(0.01, 0.5)),  # targets of one frame and less
             dict(push_abort=PushAbortRule(0.005, 0.5)),
             dict(push_abort=PushAbortRule(0.02, 0.6)),
             dict(push_retransmit=False),
         ):
+            start = len(spy.calls)
             check_cff_matches_reference(
                 self.CONFIG, *rates, horizon, lambda: generator_emitting(word, position, high), **kw
             )
-        assert spy.stretches and spy.aborted
+            # every frame from 1 on has a round, so a run with fewer stopped
+            # early; the frame loop offers a stretch only the frames before
+            # the one where the abort fires, which then runs its own round
+            calls = spy.calls[start:]
+            frames = sum(1 if call is None else call[1] for call in calls)
+            stretch, last = calls[-2:]
+            aborted += frames < horizon - 1 and stretch is not None and stretch[0] == stretch[1] and last is None
+        assert spy.stretches and aborted
 
     @pytest.mark.parametrize("window", [4096, 1])
     @pytest.mark.parametrize("part", ["prefix", "rest"])

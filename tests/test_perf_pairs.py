@@ -10,22 +10,42 @@ perf_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(perf_pairs)
 
 
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}
+
+
 def test_summary_reads_medians_quartiles_and_pairs():
     parent = [0.140, 0.136, 0.138, 0.137, 0.139]
     change = [0.106, 0.108, 0.139, 0.105, 0.107]  # pair 3 reads higher
-    line = perf_pairs.summarise("wall_s", parent, change)
+    line = perf_pairs.summarise(WALL, parent, change)
     assert line == (
         "wall_s 0.1380 [0.1365, 0.1395] -> 0.1070 [0.1055, 0.1235] s "
-        "(-22.5 %, change lower in 4/5, gap 0.0310, parent IQR 0.0030)"
+        "(-22.5 %, change lower in 4/5, gap 0.0310, parent IQR 0.0030, bound 20 %: within bound)"
     )
 
 
-def test_summary_of_one_pair_and_unknown_unit():
-    line = perf_pairs.summarise("other", [2.0], [2.5])
+def test_summary_of_one_pair():
+    other = {"name": "other", "unit": "MiB", "better": "lower", "bound": 0.1}
+    line = perf_pairs.summarise(other, [2.0], [2.5])
     assert line == (
-        "other 2.0000 [2.0000, 2.0000] -> 2.5000 [2.5000, 2.5000] "
-        "(+25.0 %, change lower in 0/1, gap 0.5000, parent IQR 0.0000)"
+        "other 2.0000 [2.0000, 2.0000] -> 2.5000 [2.5000, 2.5000] MiB "
+        "(+25.0 %, change lower in 0/1, gap 0.5000, parent IQR 0.0000, bound 10 %: worse than bound)"
     )
+
+
+def test_verdict_against_the_bound():
+    parent = [1.0, 1.0, 1.0, 1.0]
+    assert perf_pairs.verdict(WALL, parent, [1.1, 1.1, 1.1, 1.1]) == "within bound"
+    assert perf_pairs.verdict(WALL, parent, [1.3, 1.3, 1.3, 1.3]) == "worse than bound"
+    higher = dict(WALL, better="higher")
+    assert perf_pairs.verdict(higher, parent, [0.9, 0.9, 0.9, 0.9]) == "within bound"
+    assert perf_pairs.verdict(higher, parent, [0.7, 0.7, 0.7, 0.7]) == "worse than bound"
+    # a parent IQR of 0.8 is wider than 20 % of its median 1.0
+    spread = [0.5, 0.9, 1.1, 1.5]
+    assert perf_pairs.verdict(WALL, spread, [0.8, 1.0, 1.0, 1.2]) == "unresolved"
+    assert perf_pairs.verdict(WALL, spread, [2.0, 2.0, 2.0, 2.0]) == "unresolved"
+    # unless every change run beats every parent run
+    assert perf_pairs.verdict(WALL, spread, [0.2, 0.3, 0.3, 0.4]) == "within bound"
+    assert perf_pairs.verdict(higher, spread, [1.6, 1.7, 1.7, 1.8]) == "within bound"
 
 
 def test_pairs_must_be_positive():

@@ -7,6 +7,7 @@ import numpy as np
 from pushpull_mac import CapacitySpec, FrameConfig, PacketClass, capacity, mac_cff, mac_rcs
 from pushpull_mac.capacity import make_cff_rate_evaluator, max_class_rate, max_rate, service_ceiling
 from pushpull_mac.mac_cff import PushAbortRule
+from pushpull_mac.metrics import reliability_within
 
 from _invariants import (
     check_cff_matches_reference,
@@ -22,6 +23,7 @@ N_CFF_CONFIGS = 600
 N_RCS_FRAMES = 500
 N_RCS_RUNS = 60
 N_CFF_RUNS = 120
+N_ABORT_RUNS = 300
 N_CAPACITY_SEARCHES = 40
 
 # a 20-slot, 10 ms frame: latency targets below and above one frame
@@ -137,6 +139,37 @@ def test_cff_runs_match_reference(monkeypatch):
         if i % 10 == 9 and not kw.keys() & {"push_abort", "push_retransmit"}:
             assert any(certified), f"deep backlog #{i} had no certified round"
             assert max(stretches) > 1, f"deep backlog #{i} took no frames in bulk"
+
+
+def test_push_abort_is_certified():
+    # a run with the abort either keeps the plain run's exact record, or
+    # stops where the plain run misses the target, reading no more than it
+    rng = np.random.default_rng(6464)
+    short_aborts = 0  # aborted runs whose target is one frame or less
+    for i in range(N_ABORT_RUNS):
+        config = random_cff_config(rng)
+        slot_rate = config.slots_per_frame / config.frame_duration
+        pull_rate = float(rng.uniform(0, slot_rate / config.pull_packet_slots)) * (rng.random() < 0.5)
+        push_rate = float(rng.uniform(0, slot_rate / config.push_packet_slots))
+        horizon = int(rng.integers(2, 120))
+        warmup = int(rng.integers(0, horizon)) if rng.random() < 0.3 else 0
+        frames = float(rng.uniform(0.05, 6))
+        target = float(rng.choice([0.5, 0.9, 0.99, 1.0]))
+        rule = PushAbortRule(frames * config.frame_duration, target)
+        seed = int(rng.integers(0, 2**32))
+        plain = mac_cff.simulate_cff(config, pull_rate, push_rate, horizon, seed, warmup_frames=warmup)
+        run = mac_cff.simulate_cff(config, pull_rate, push_rate, horizon, seed, warmup_frames=warmup, push_abort=rule)
+        case = f"run #{i}: {config}, rates {pull_rate}/{push_rate}, {horizon} frames, warm-up {warmup}, {rule}, seed {seed}"
+        same = all(
+            run.latency_slots(k).tolist() == plain.latency_slots(k).tolist()
+            and (run.arrived(k), run.failed(k)) == (plain.arrived(k), plain.failed(k))
+            for k in PacketClass
+        )
+        if not same:
+            full = reliability_within(plain, PacketClass.PUSH, rule.latency_target)
+            assert full < target and reliability_within(run, PacketClass.PUSH, rule.latency_target) <= full, case
+            short_aborts += frames <= 1
+    assert short_aborts > 0
 
 
 def _capacity_spec(config, klass, target_latency, replications, target_reliability=0.99):

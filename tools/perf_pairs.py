@@ -7,11 +7,15 @@ runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` once
 in each root, with that root's own benchmark and package, the parent first in
 even pairs and the change first in odd ones, so a slow spell of the host
 falls on both sides.  Each run writes only its root's ``.perfbench_out/``.
-For every workload and end-to-end metric it prints the parent's and the
-change's median [q1, q3], the relative change of the medians, in how many
-pairs the change read lower, and the gap of the medians against the
-parent's quartile distance.  A run that is not ``correct`` or has failed
-points is reported and stops the tool.
+For every workload and end-to-end metric of the change's BENCHMARK.json it
+prints the parent's and the change's median [q1, q3], the relative change of
+the medians, in how many pairs the change read lower, the gap of the medians
+against the parent's quartile distance, and a verdict against the metric's
+``bound``, a fraction of the parent's median: ``within bound`` or ``worse
+than bound`` by the medians, or ``unresolved`` when the parent's quartile
+distance is wider than the bound and not every change run beats every parent
+run.  A run that is not ``correct`` or has failed points is reported and
+stops the tool.
 """
 from __future__ import annotations
 
@@ -21,9 +25,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-UNITS = {"wall_s": " s", "setup_s": " s", "peak_rss_mb": " MiB"}
+from typing import Any, Dict, List, Optional, Sequence
 
 
 def parse_result(stdout: str, where: str) -> Dict[str, float]:
@@ -50,15 +52,31 @@ def quartiles(values: Sequence[float]) -> List[float]:
     return [q1, median, q3]
 
 
-def summarise(metric: str, parent: Sequence[float], change: Sequence[float]) -> str:
-    """One metric over paired runs: ``parent[i]`` and ``change[i]`` ran in pair i."""
+def verdict(metric: Dict[str, Any], parent: Sequence[float], change: Sequence[float]) -> str:
+    """The change against the metric's ``bound``, a fraction of the parent's median."""
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    allowed = metric["bound"] * abs(pm)
+    if metric["better"] == "lower":
+        worse, beats_all = cm - pm, max(change) < min(parent)
+    else:
+        worse, beats_all = pm - cm, min(change) > max(parent)
+    if p3 - p1 > allowed and not beats_all:
+        return "unresolved"
+    return "worse than bound" if worse > allowed else "within bound"
+
+
+def summarise(metric: Dict[str, Any], parent: Sequence[float], change: Sequence[float]) -> str:
+    """One BENCHMARK.json end-to-end metric over paired runs: ``parent[i]``
+    and ``change[i]`` ran in pair i."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     lower = sum(c < p for p, c in zip(parent, change))
     rel = 100.0 * (cm - pm) / pm if pm else float("nan")
     return (
-        f"{metric} {pm:.4f} [{p1:.4f}, {p3:.4f}] -> {cm:.4f} [{c1:.4f}, {c3:.4f}]{UNITS.get(metric, '')} "
-        f"({rel:+.1f} %, change lower in {lower}/{len(parent)}, gap {abs(cm - pm):.4f}, parent IQR {p3 - p1:.4f})"
+        f"{metric['name']} {pm:.4f} [{p1:.4f}, {p3:.4f}] -> {cm:.4f} [{c1:.4f}, {c3:.4f}] {metric['unit']} "
+        f"({rel:+.1f} %, change lower in {lower}/{len(parent)}, gap {abs(cm - pm):.4f}, parent IQR {p3 - p1:.4f}, "
+        f"bound {100.0 * metric['bound']:g} %: {verdict(metric, parent, change)})"
     )
 
 
@@ -74,6 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
+    metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     for workload in args.workloads.split(","):
         runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -82,8 +101,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             pair = {side: runs[side][-1] for side in runs}
             print(f"{workload} pair {i + 1}/{args.pairs}: {json.dumps(pair, sort_keys=True)}", file=sys.stderr)
         print(f"{workload} ({args.pairs} pairs)")
-        for metric in UNITS:
-            print("  " + summarise(metric, [r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]]))
+        for metric in metrics:
+            name = metric["name"]
+            print("  " + summarise(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]))
 
 
 if __name__ == "__main__":
