@@ -74,7 +74,10 @@ def _int(value, path: str, minimum: int, limit: Optional[int] = None) -> int:
 def _float(value, path: str, minimum: Optional[float] = None, strict: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if minimum is not None and (out < minimum or (strict and out == minimum)):
@@ -297,6 +300,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config read error: {p}: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config parse error: {p}: {exc}") from exc
     return validate_config(data)
 
 

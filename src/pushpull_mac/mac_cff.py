@@ -34,15 +34,16 @@ wins: if the first ``_PREFIX_PER_SLOT`` x K draws of a round (K =
 ``push_tx_capacity`` >= 2) already put two in every slot, no slot can end
 with exactly one, so the round has no winner, exactly.  A winnerless round
 leaves the pending packets as they are, so the next frame's round size is
-known: the pending ones plus the frame's arrivals.  Once more than 16 x K
-packets are pending, ``_HalfStream.take_winnerless`` takes a stretch of
-frames in one step: it fetches their halves at once, rejection-checks them,
-certifies every round's prefix with one ``bincount`` and computes nothing
-more of the rounds.  The frame loop offers it the frames before the first
-one where the abort would fire, and joins the taken frames' arrivals to the
-backlog at once.  The first frame that fails (its prefix leaves a slot with
-fewer than two, or a half of its round or offsets is rejected) ends the
-stretch and runs frame by frame, its round computed in full.  At the end of
+known: the pending ones plus the frame's arrivals.  In a run that
+retransmits and has no abort rule, once more than 16 x K packets are
+pending, ``_HalfStream.take_winnerless`` takes a stretch of frames in one
+step: it fetches their halves at once, rejection-checks them, certifies
+every round's prefix with one ``bincount`` and computes nothing more of the
+rounds.  The frame loop joins the taken frames' arrivals to the backlog at
+once.  The first frame that fails (its prefix leaves a slot with fewer than
+two, or a half of its round or offsets is rejected) ends the stretch and
+runs frame by frame, its round computed in full.  Runs with an abort rule or
+without retransmission go frame by frame throughout.  At the end of
 the run the offsets are sorted and lifted to arrival slots in bulk,
 latencies and ``on_delivery`` calls are built from the rounds' winners, and
 the pull FIFO, which draws no randomness, is served in closed form
@@ -279,12 +280,12 @@ class _HalfStream:
         contention round is certified winnerless (see the module docstring);
         returns how many.
 
-        Candidate frame j draws a round of ``rounds[j]`` choices, then
-        ``offsets[j]`` arrival offsets.  The frames that fit ``budget``
-        halves (at least one) are fetched at once.  The first frame that
-        fails ends the stretch untaken: a round of at most ``prefix`` draws,
-        a prefix that leaves a slot with fewer than two, or a half of its
-        round or offsets that the rejection rule drops.
+        Candidate frame j draws a round of ``rounds[j]`` choices, more than
+        ``prefix`` of them, then ``offsets[j]`` arrival offsets.  The frames
+        that fit ``budget`` halves (at least one) are fetched at once.  The
+        first frame that fails ends the stretch untaken: a prefix that leaves
+        a slot with fewer than two, or a half of its round or offsets that
+        the rejection rule drops.
         """
         sizes = rounds + offsets
         ends = np.cumsum(sizes)
@@ -295,13 +296,12 @@ class _HalfStream:
             self._refill(self.h + need - self.size)
         halves = self.halves[self.h : self.h + need]
         starts = ends - sizes[:m]
-        short = np.flatnonzero(rounds <= self.prefix)
-        ok = int(short[0]) if short.size else m
+        ok = m
         rej = rejected(halves, self.push_ops)
         if rej:  # only those inside a round count here
             frame = ends.searchsorted(rej, "right")
             hit = frame[np.asarray(rej) < starts[frame] + rounds[frame]]
-            ok = min(ok, int(hit[0])) if hit.size else ok
+            ok = int(hit[0]) if hit.size else m
         o_ends = np.cumsum(offsets)
         drawn = halves[np.arange(int(o_ends[-1])) + np.repeat(starts + rounds - o_ends + offsets, offsets)]
         rej = rejected(drawn, self.n_slots)
@@ -441,7 +441,10 @@ def simulate_cff(
     dropped = 0  # measured packets dropped after their single attempt (no retransmission)
     arrived_frames = horizon_frames  # frames whose arrivals joined the queues
 
-    stretch_above = stream.prefix if push_ops >= 2 else math.inf  # pending packets
+    # pending packets above which frames are taken in stretches; runs with an
+    # abort or without retransmission go frame by frame, so that the abort
+    # and the single-attempt drops are counted in one place
+    stretch_above = stream.prefix if push_ops >= 2 and push_retransmit and push_abort is None else math.inf
     cp = co = None  # cum_push and cum_offsets as arrays, once a stretch is tried
     f = 0
     while f < horizon_frames:
@@ -452,33 +455,11 @@ def simulate_cff(
             if cp is None:
                 cp, co = np.array(cum_push), np.array(cum_offsets)
             stop = min(horizon_frames, f + stream.budget // stream.prefix + 1)
-            late = None
-            if push_abort is not None and push_retransmit:
-                # the abort check of each candidate frame F counts the packets
-                # of frame F - lag in pend or joined since f; the candidates
-                # end before the first frame where it fires
-                g = np.arange(f, stop) - lag
-                lo = np.maximum(cp[np.maximum(g, 0)], n_warm)
-                hi = np.maximum(cp[np.maximum(g + 1, 0)], lo)
-                joined = np.maximum(hi - np.maximum(lo, cum_push[f]), 0)
-                late = np.cumsum(pend.searchsorted(hi) - pend.searchsorted(lo) + joined)
-                fires = np.flatnonzero(late_cum + late > late_budget)
-                stop = f + int(fires[0]) if fires.size else stop
-            if push_retransmit:
-                rounds = cp[f:stop] + (pend.size - cum_push[f])
-            else:
-                rounds = np.concatenate(([pend.size], push_counts[f : stop - 1]))
+            rounds = cp[f:stop] + (pend.size - cum_push[f])
             offsets = co[f + 1 : stop + 1] - co[f:stop]
-            taken = stream.take_winnerless(rounds, offsets) if stop > f else 0
+            taken = stream.take_winnerless(rounds, offsets)
             if taken:
-                if push_retransmit:
-                    pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + taken])))
-                else:
-                    dropped += int(np.count_nonzero(pend >= n_warm))
-                    dropped += max(cum_push[f + taken - 1] - max(cum_push[f], n_warm), 0)
-                    pend = np.arange(cum_push[f + taken - 1], cum_push[f + taken])
-                if late is not None:
-                    late_cum += int(late[taken - 1])
+                pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + taken])))
                 f += taken
                 continue
 

@@ -260,6 +260,10 @@ SINGLE_FAULTS = [
     ("rcs", "n_frames", 0, "n_frames: must be >= 1, got 0"),
     ("rcs", "slots_per_frame_values", [], "slots_per_frame_values: expected a non-empty list"),
     ("rcs", "slots_per_frame_values", [25, 0], "slots_per_frame_values[1]: must be >= 1, got 0"),
+    pytest.param(  # past the float range; the id spares the 401 digits
+        "cff", "traffic.pull_rate_pps", 10**400, f"traffic.pull_rate_pps: must be finite, got {10**400}",
+        id="cff-traffic.pull_rate_pps-10**400",
+    ),
 ]
 
 
@@ -341,6 +345,12 @@ class TestLoadConfig:
         p = tmp_path / "bad.json"
         p.write_text('{"protocol": "cff",\n  broken\n}')
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(p)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(cff_simulate_cfg()).replace('"horizon_frames": 40', '"horizon_frames": ' + "1" * 5000))
+        with pytest.raises(ConfigError, match=f"config parse error: {re.escape(str(p))}: .*digits"):
             load_config(p)
 
     def test_not_utf8_names_the_path(self, tmp_path):

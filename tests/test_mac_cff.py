@@ -474,15 +474,12 @@ class _RoundSpy:
     loop does not use the stream): the rounds ``contend`` draws and the
     frames ``take_winnerless`` takes in bulk, each one a round certified
     winnerless.  Also their draws and the longest, the rounds long enough to
-    be certified (more than 16 K contenders, K >= 2), the certified rounds
-    and the stretches of more than one frame.  ``calls`` logs every call in
-    order: None for a ``contend``, (frames offered, frames taken) for a
-    ``take_winnerless``."""
+    be certified (more than 16 K contenders, K >= 2), the certified rounds,
+    the ``take_winnerless`` calls and the stretches of more than one frame."""
 
     def __init__(self, monkeypatch):
         self.rounds = self.draws = self.longest = self.certifiable = self.certified = 0
-        self.stretches = 0
-        self.calls = []
+        self.takes = self.stretches = 0
         contend, take = mac_cff._HalfStream.contend, mac_cff._HalfStream.take_winnerless
 
         def count(sizes, certifiable):
@@ -493,15 +490,14 @@ class _RoundSpy:
 
         def spy_contend(stream, n):
             count([n], stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops)
-            self.calls.append(None)
             return contend(stream, n)
 
         def spy_take(stream, rounds, offsets):
             taken = take(stream, rounds, offsets)
             count(rounds[:taken].tolist(), taken)
             self.certified += taken
+            self.takes += 1
             self.stretches += taken > 1
-            self.calls.append((len(rounds), taken))
             return taken
 
         monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
@@ -512,10 +508,11 @@ class TestCertifiedRounds:
     """Once the pending push packets outnumber 16 K (K = push_tx_capacity >=
     2), ``simulate_cff`` takes frames in bulk while each round computes to
     no winner from its first 16 K draws alone: they put two in every slot.
-    The rest of such a round is only checked against the rejection rule,
-    and a frame with a rejected half in its round or offsets is left to the
-    per-frame path.  Records and the stream must stay those of the per-draw
-    Generator calls, wherever a rejected half falls."""
+    Only runs that retransmit and have no abort rule do so.  The rest of
+    such a round is only checked against the rejection rule, and a frame
+    with a rejected half in its round or offsets is left to the per-frame
+    path.  Records and the stream must stay those of the per-draw Generator
+    calls, wherever a rejected half falls."""
 
     REJECTED, ACCEPTED = TestRejectedDraws.REJECTED, TestRejectedDraws.ACCEPTED
     CONFIG = TestRejectedDraws.CONFIG  # S = 50, K = 25: rounds of more than 400 are certifiable
@@ -636,28 +633,22 @@ class TestCertifiedRounds:
             last = frames[2 if part == "last_in_budget" else 1][2]
             monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", -(-(last - frames[0][0]) // 16))
         spy = _RoundSpy(monkeypatch)
-        aborted = 0  # runs an abort stopped right after a stretch
         for kw in (
             {},
             dict(push_abort=PushAbortRule(0.05, 0.2)),  # runs to the horizon
-            dict(push_abort=PushAbortRule(0.01, 0.85)),  # stops in frame 2, after a stretch of frame 1
+            dict(push_abort=PushAbortRule(0.01, 0.85)),  # stops in frame 2
             dict(push_abort=PushAbortRule(0.01, 0.5)),  # targets of one frame and less
             dict(push_abort=PushAbortRule(0.005, 0.5)),
             dict(push_abort=PushAbortRule(0.02, 0.6)),
             dict(push_retransmit=False),
         ):
-            start = len(spy.calls)
+            takes = spy.takes
             check_cff_matches_reference(
                 self.CONFIG, *rates, horizon, lambda: generator_emitting(word, position, high), **kw
             )
-            # every frame from 1 on has a round, so a run with fewer stopped
-            # early; the frame loop offers a stretch only the frames before
-            # the one where the abort fires, which then runs its own round
-            calls = spy.calls[start:]
-            frames = sum(1 if call is None else call[1] for call in calls)
-            stretch, last = calls[-2:]
-            aborted += frames < horizon - 1 and stretch is not None and stretch[0] == stretch[1] and last is None
-        assert spy.stretches and aborted
+            # runs with an abort or without retransmission go frame by frame
+            assert not kw or spy.takes == takes, kw
+        assert spy.stretches
 
     @pytest.mark.parametrize("window", [4096, 1])
     @pytest.mark.parametrize("part", ["prefix", "rest"])
@@ -688,9 +679,9 @@ class TestCertifiedRounds:
         # the long rounds; the per-frame path computes them in full
         monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", 6)
         spy = _RoundSpy(monkeypatch)
-        for kw in ({}, dict(push_abort=PushAbortRule(0.05, 0.5))):
-            check_cff_matches_reference(self.CONFIG, 200.0, 1500.0, 80, 11, **kw)
+        check_cff_matches_reference(self.CONFIG, 200.0, 1500.0, 80, 11)
         assert 0 < spy.certifiable - spy.certified < spy.certified
+        check_cff_matches_reference(self.CONFIG, 200.0, 1500.0, 80, 11, push_abort=PushAbortRule(0.05, 0.5))
 
     def test_bound_one_rounds_consume_nothing(self, monkeypatch):
         cfg = FrameConfig(12, 0.01, 2, 5, 0.5)  # push_tx_capacity 1
@@ -700,9 +691,11 @@ class TestCertifiedRounds:
         assert spy.longest > mac_cff._PREFIX_PER_SLOT and not spy.certified
 
     def test_single_attempt_rounds(self, monkeypatch):
+        # about 500 contenders a frame, each round computed in full: a run
+        # without retransmission takes no frame in bulk
         spy = _RoundSpy(monkeypatch)
         check_cff_matches_reference(self.CONFIG, 200.0, 50_000.0, 30, 8, push_retransmit=False)
-        assert spy.certified >= 25
+        assert spy.certifiable >= 25 and not spy.certified
 
     def test_abort_after_collapse(self, monkeypatch):
         horizon = 40
@@ -710,8 +703,9 @@ class TestCertifiedRounds:
         check_cff_matches_reference(
             self.CONFIG, 200.0, 6000.0, horizon, 9, push_abort=PushAbortRule(0.03, 0.5), warmup_frames=2
         )
-        # the backlog passed 400 contenders, then the run stopped early
-        assert spy.certified and spy.rounds < horizon - 1
+        # the backlog passed 400 contenders, then the run stopped early; a run
+        # with an abort takes no frame in bulk
+        assert spy.certifiable and not spy.certified and spy.rounds < horizon - 1
 
     def test_certified_rounds_skip_most_slot_values(self, monkeypatch):
         # without the stretches every contention draw is computed (more,

@@ -62,3 +62,32 @@ def test_result_line_gives_metric_values():
     assert perf_pairs.parse_result(stdout, "here") == {"wall_s": 0.1, "peak_rss_mb": 38.5}
     with pytest.raises(SystemExit, match="here: correct=True failed=1"):
         perf_pairs.parse_result(stdout.replace('"failed": 0', '"failed": 1'), "here")
+
+
+def _stub_root(tmp_path, body):
+    """A root whose perfbench/run.py is the script ``body``."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("import sys\n" + body)
+    return tmp_path
+
+
+def test_failed_run_reports_side_workload_exit_code_and_stderr(tmp_path):
+    body = "print('metrics follow')\nsys.stderr.write('early\\n' + 'Traceback: boom\\n')\nsys.exit(3)\n"
+    root = _stub_root(tmp_path, body)
+    with pytest.raises(SystemExit) as info:
+        perf_pairs.run_once("change", root, "cff_mixed", 1, 0.5)
+    assert str(info.value) == f"change cff_mixed ({root}): exit code 3; stderr tail:\n  early\n  Traceback: boom"
+    long = perf_pairs.failure("w", "x", "\n".join(map(str, range(30))))
+    assert long.splitlines()[1:] == [f"  {i}" for i in range(30 - perf_pairs.STDERR_TAIL, 30)]
+
+
+def test_malformed_last_line_is_reported(tmp_path):
+    root = _stub_root(tmp_path, "print('{\"correct\": true')\nsys.stderr.write('warned\\n')\n")
+    with pytest.raises(SystemExit) as info:
+        perf_pairs.run_once("parent", root, "rcs_grid", 1, 0.5)
+    assert str(info.value) == (
+        f"parent rcs_grid ({root}): malformed last line '{{\"correct\": true'; stderr tail:\n  warned"
+    )
+    for stdout in ("", '{"correct": true}', "[1, 2]"):  # no line, no metrics, not an object
+        with pytest.raises(SystemExit, match="here: malformed last line .*stderr tail:\n  \\(empty\\)"):
+            perf_pairs.parse_result(stdout, "here")

@@ -89,7 +89,7 @@ def test_cff_runs_match_reference(monkeypatch):
     # calls must give the same records and delivery callbacks.  Heavy push
     # loads back up to rounds longer than one raw window, and past the
     # 16 K contenders from which frames are taken in bulk while their rounds
-    # are certified winnerless.
+    # are certified winnerless (in runs that retransmit and have no abort).
     rng = np.random.default_rng(1616)
     window_halves = 2 * mac_cff._WINDOW_WORDS
     certified = []  # per certifiable round (n > 16 K, K >= 2) of the current run: was it certified?
@@ -136,7 +136,10 @@ def test_cff_runs_match_reference(monkeypatch):
                 f"run #{i} differs from the Generator loop: {config}, rates {pull_rate}/{push_rate}, "
                 f"{horizon} frames, seed {seed}, {kw}"
             ) from exc
-        if i % 10 == 9 and not kw.keys() & {"push_abort", "push_retransmit"}:
+        if kw.keys() & {"push_abort", "push_retransmit"}:
+            # runs with an abort or without retransmission go frame by frame
+            assert not stretches, f"run #{i} ({kw}) took a stretch"
+        elif i % 10 == 9:
             assert any(certified), f"deep backlog #{i} had no certified round"
             assert max(stretches) > 1, f"deep backlog #{i} took no frames in bulk"
 

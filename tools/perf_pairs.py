@@ -15,7 +15,8 @@ against the parent's quartile distance, and a verdict against the metric's
 than bound`` by the medians, or ``unresolved`` when the parent's quartile
 distance is wider than the bound and not every change run beats every parent
 run.  A run that is not ``correct`` or has failed points is reported and
-stops the tool.
+stops the tool; so is a run that exits non-zero or whose last stdout line is
+not a result, with its side, workload, exit code and the tail of its stderr.
 """
 from __future__ import annotations
 
@@ -28,20 +29,39 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 
-def parse_result(stdout: str, where: str) -> Dict[str, float]:
+# stderr lines a failed run's report quotes
+STDERR_TAIL = 20
+
+
+def failure(where: str, what: str, stderr: str) -> str:
+    """The report of a failed run: where, what went wrong, its stderr tail."""
+    tail = stderr.rstrip().splitlines()[-STDERR_TAIL:]
+    return "\n".join([f"{where}: {what}; stderr tail:", *(f"  {line}" for line in tail or ["(empty)"])])
+
+
+def parse_result(stdout: str, where: str, stderr: str = "") -> Dict[str, float]:
     """The metric values of a benchmark run's last stdout line."""
-    result = json.loads(stdout.strip().splitlines()[-1])
-    if not result["correct"] or result["failed"]:
-        raise SystemExit(f"{where}: correct={result['correct']} failed={result['failed']}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    last = (stdout.strip().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+        values = {name: metric["value"] for name, metric in result["metrics"].items()}
+        correct, failed = result["correct"], result["failed"]
+    except (ValueError, LookupError, TypeError, AttributeError):
+        raise SystemExit(failure(where, f"malformed last line {last!r}", stderr)) from None
+    if not correct or failed:
+        raise SystemExit(f"{where}: correct={correct} failed={failed}")
+    return values
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
-    """One benchmark run in ``root``; its end-to-end metrics."""
+def run_once(side: str, root: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+    """One benchmark run of ``side`` in ``root``; its end-to-end metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
-    return parse_result(out, f"{root} {workload}")
+    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    where = f"{side} {workload} ({root})"
+    if run.returncode:
+        raise SystemExit(failure(where, f"exit code {run.returncode}", run.stderr))
+    return parse_result(run.stdout, where, run.stderr)
 
 
 def quartiles(values: Sequence[float]) -> List[float]:
@@ -97,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(roots[side], workload, args.seed, args.seconds))
+                runs[side].append(run_once(side, roots[side], workload, args.seed, args.seconds))
             pair = {side: runs[side][-1] for side in runs}
             print(f"{workload} pair {i + 1}/{args.pairs}: {json.dumps(pair, sort_keys=True)}", file=sys.stderr)
         print(f"{workload} ({args.pairs} pairs)")
