@@ -32,6 +32,7 @@ from .core import FrameConfig, PacketClass
 from .mac_cff import simulate_cff
 from .mac_rcs import RcsPopulation, RcsResult, simulate_rcs
 from .metrics import merge_records, reliability_within
+from .rawdraw import MAX_BOUND
 from .traffic import SEED_LIMIT, PushTrigger, SemanticQuery, derive_seed
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "run_experiment", "RunResult"]
@@ -87,6 +88,7 @@ def _float(value, path: str, minimum: Optional[float] = None, strict: bool = Fal
 
 
 _positive_int = partial(_int, minimum=1)
+_slots = partial(_int, minimum=1, limit=MAX_BOUND)  # slot draws are replayed below 2**32 only
 _nonnegative_int = partial(_int, minimum=0)
 _positive = partial(_float, minimum=0.0, strict=True)
 _nonnegative = partial(_float, minimum=0.0)
@@ -145,7 +147,7 @@ _RCS = _KINDS[2:]
 _SCHEMA = (
     ("protocol", _kind_name, _REQUIRED, _KINDS),
     ("experiment", _kind_name, "simulate", _KINDS),
-    ("frame.slots_per_frame", _positive_int, _REQUIRED, _KINDS),
+    ("frame.slots_per_frame", _slots, _REQUIRED, _KINDS),
     ("frame.frame_duration_ms", _positive, _REQUIRED, _KINDS),
     ("frame.pull_packet_slots", _positive_int, _REQUIRED, _KINDS),
     ("frame.push_packet_slots", _positive_int, _REQUIRED, _KINDS),
@@ -166,7 +168,7 @@ _SCHEMA = (
     ("population.query", _interval, _REQUIRED, _RCS),
     ("population.push_threshold", _threshold, _REQUIRED, _RCS),
     ("n_frames", _positive_int, _REQUIRED, _RCS),
-    ("slots_per_frame_values", _list_of(_positive_int), lambda values: [values["slots_per_frame"]], _RCS),
+    ("slots_per_frame_values", _list_of(_slots), lambda values: [values["slots_per_frame"]], _RCS),
 )
 
 @dataclass(frozen=True, slots=True)

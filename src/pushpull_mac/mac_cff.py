@@ -22,32 +22,39 @@ draw starts; only the values a round needs are computed (see below).  If
 numpy changes that rule, the pinned outputs in the tests fail instead of the
 output changing silently.
 
+The framed-ALOHA rule (a slot chosen by exactly one contender succeeds) is
+written once, in :func:`contention_rounds`, for one round or many at once.
+Every array kernel calls it: the push rounds and the winnerless certificate
+here, the shared rounds of :mod:`.mac_rcs`, and the per-draw
+:func:`uniform_slot_contention`.  Its one scalar form is the RCS reserved
+round (see :mod:`.mac_rcs` for why it stays scalar).
+
 Packets are global arrival-slot indices held in int64 arrays.  Only push
 contention rounds run frame by frame: the pending push packets are ascending
 indices into the run's push arrivals (arrival slots never decrease with the
-index), a round is one ``bincount`` over a slice of draws computed ahead
-(for a window's worth of short rounds, or for one long round), and offset
-draws are only stepped over.  Capacity probes above the service ceiling
-back up to ~1e5 contenders per frame, far past what a per-object loop
-sustains.  Such a collapsed backlog redraws every frame and almost never
-wins: if the first ``_PREFIX_PER_SLOT`` x K draws of a round (K =
-``push_tx_capacity`` >= 2) already put two in every slot, no slot can end
-with exactly one, so the round has no winner, exactly.  A winnerless round
+index), a round is one :func:`contention_rounds` call over a slice of draws
+computed ahead (for a window's worth of short rounds, or for one long
+round), and offset draws are only stepped over.  Capacity probes above the
+service ceiling back up to ~1e5 contenders per frame, far past what a
+per-object loop sustains.  Such a collapsed backlog redraws every frame and
+almost never wins: if the first ``_PREFIX_PER_SLOT`` x K draws of a round
+(K = ``push_tx_capacity`` >= 2) already put two in every slot, no slot can
+end with exactly one, so the round has no winner, exactly.  A winnerless round
 leaves the pending packets as they are, so the next frame's round size is
 known: the pending ones plus the frame's arrivals.  In a run that
 retransmits and has no abort rule, once more than 16 x K packets are
 pending, ``_HalfStream.take_winnerless`` takes a stretch of frames in one
 step: it fetches their halves at once, rejection-checks them, certifies
-every round's prefix with one ``bincount`` and computes nothing more of the
-rounds.  The frame loop joins the taken frames' arrivals to the backlog at
-once.  The first frame that fails (its prefix leaves a slot with fewer than
-two, or a half of its round or offsets is rejected) ends the stretch and
-runs frame by frame, its round computed in full.  Runs with an abort rule or
-without retransmission go frame by frame throughout.  At the end of
-the run the offsets are sorted and lifted to arrival slots in bulk,
-latencies and ``on_delivery`` calls are built from the rounds' winners, and
-the pull FIFO, which draws no randomness, is served in closed form
-(:func:`schedule_pull`).
+every round's prefix from the counts of one :func:`contention_rounds` call
+over all the prefixes and computes nothing more of the rounds.  The frame
+loop joins the taken frames' arrivals to the backlog at once.  The first
+frame that fails (its prefix leaves a slot with fewer than two, or a half of
+its round or offsets is rejected) ends the stretch and runs frame by frame,
+its round computed in full.  Runs with an abort rule or without
+retransmission go frame by frame throughout.  At the end of the run the
+offsets are sorted and lifted to arrival slots in bulk, latencies and
+``on_delivery`` calls are built from the rounds' winners, and the pull FIFO,
+which draws no randomness, is served in closed form (:func:`schedule_pull`).
 """
 from __future__ import annotations
 
@@ -114,21 +121,45 @@ class PushAbortRule:
             raise ValueError("target_reliability must be in (0,1]")
 
 
+def contention_rounds(
+    choice: np.ndarray, n_slots: int, group: Optional[np.ndarray] = None, n_groups: int = 1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The framed-ALOHA rule: a slot chosen by exactly one contender is a
+    success (Schoute 1983).  Every array kernel decides its rounds here.
+
+    Contender i picks slot ``choice[i]`` (int64, below ``n_slots``) of round
+    ``group[i]`` (below ``n_groups``); without ``group`` all contenders share
+    one round.  Returns (per-contender win mask, counts).  Several rounds give
+    counts[r, s], the contenders of round r in slot s; one round gives
+    counts[s] up to the highest slot chosen (no slot above it holds any).
+    With one slot a lone contender wins; with none nobody does, nothing is
+    counted and only ``len(choice)`` is read.
+    """
+    if n_slots < 1:
+        counts = np.zeros(0 if group is None else (n_groups, 0), dtype=np.int64)
+        return np.zeros(len(choice), dtype=bool), counts
+    if group is None:
+        counts = np.bincount(choice)
+        return counts[choice] == 1, counts
+    key = group * n_slots + choice
+    counts = np.bincount(key, minlength=n_groups * n_slots)
+    return counts[key] == 1, counts.reshape(n_groups, n_slots)
+
+
 def uniform_slot_contention(
     n_contenders: int, n_slots: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Framed-ALOHA contention round.
+    """Framed-ALOHA contention round, drawn per call.
 
-    Every contender picks one of ``n_slots`` slots uniformly and independently;
-    a slot chosen by exactly one contender is a success.  Returns
-    (choices, per-slot counts, per-contender winner mask).
+    Every contender picks one of ``n_slots`` slots uniformly and independently
+    and :func:`contention_rounds` decides the round.  Returns (choices,
+    per-slot counts, per-contender winner mask).
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     choices = rng.integers(0, n_slots, size=n_contenders, dtype=np.int64)
-    counts = np.bincount(choices, minlength=n_slots)
-    winner_mask = counts[choices] == 1
-    return choices, counts, winner_mask
+    winner_mask, counts = contention_rounds(choices, n_slots)
+    return choices, np.concatenate((counts, np.zeros(n_slots - len(counts), dtype=np.int64))), winner_mask
 
 
 def schedule_pull(
@@ -306,11 +337,10 @@ class _HalfStream:
         drawn = halves[np.arange(int(o_ends[-1])) + np.repeat(starts + rounds - o_ends + offsets, offsets)]
         rej = rejected(drawn, self.n_slots)
         ok = min(ok, int(o_ends.searchsorted(rej[0], "right"))) if rej else ok
-        if ok:  # one bincount over frame * K + choice certifies every prefix
-            K = self.push_ops
-            choice = bounded(halves[(starts[:ok, None] + np.arange(self.prefix)).ravel()], K)
-            choice = choice + np.repeat(np.arange(0, ok * K, K), self.prefix)
-            fails = np.flatnonzero(np.bincount(choice, minlength=ok * K).reshape(ok, K).min(axis=1) < 2)
+        if ok:  # the prefixes' counts, all rounds at once, certify every round
+            choice = bounded(halves[(starts[:ok, None] + np.arange(self.prefix)).ravel()], self.push_ops)
+            _, counts = contention_rounds(choice, self.push_ops, np.arange(ok).repeat(self.prefix), ok)
+            fails = np.flatnonzero(counts.min(axis=1) < 2)
             ok = int(fails[0]) if fails.size else ok
         if ok:
             self.h += int(ends[ok - 1])
@@ -466,7 +496,7 @@ def simulate_cff(
         # push sub-frame: framed-ALOHA contention among everything pending
         if push_ops and pend.size:
             choice = stream.contend(pend.size)
-            win = np.bincount(choice)[choice] == 1
+            win, _ = contention_rounds(choice, push_ops)
             # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
             delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
             pend = pend[~win]

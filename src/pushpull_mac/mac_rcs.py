@@ -15,6 +15,16 @@ blocks of frames from the generator's raw 64-bit output
 (``_independent_frames``): it replays numpy's own sampling rules on that
 output, so a seed gives the frames that one numpy call per draw gives, draw
 for draw.
+
+Both rounds follow the framed-ALOHA rule, a slot chosen by exactly one
+contender succeeds, whose array form is ``mac_cff.contention_rounds``.  A
+block's shared rounds are one call of it, with any number of shared slots
+(none or one included).  The reserved round is the rule's one scalar form
+(a count of the choices seen once): its winners fix the shared round's
+size, so where the frame's draws end and the next frame's begin, and the
+walk must decide it frame by frame, on at most ``n_pull`` draws, where a
+numpy call costs more than the scalar count.  It stays scalar until the
+reserved draws are taken in bulk per block.
 """
 from __future__ import annotations
 
@@ -25,6 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import FrameConfig
+from .mac_cff import contention_rounds
 from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
 from .traffic import PushTrigger, SemanticQuery
 
@@ -129,8 +140,9 @@ def _independent_frames(
     for the whole block, and a scalar pass walks the frames, reading a
     frame's match and push counts at its start word and running its reserved
     round, whose winners fix the shared round's size and so where the next
-    frame starts.  The shared rounds then run together on one ``bincount``.
-    ``rng`` is left past the words drawn, so it is spent after the call.
+    frame starts.  The shared rounds then run together in one
+    ``contention_rounds`` call.  ``rng`` is left past the words drawn, so it
+    is spent after the call.
     """
     n_pull, n_push = population.n_pull_devices, population.n_push_devices
     if max(reserved_ops, shared_ops) >= MAX_BOUND:
@@ -175,23 +187,25 @@ def _independent_frames(
             ld = lead
             matched, pushing = matched_at[p], pushing_at[p]
             won = 0
-            if matched and reserved_ops >= 2:
-                need, drawn = matched, res_choice[:0]
-                if ld >= 0:
-                    if ld not in res_rejected:
-                        drawn = res_choice[ld : ld + 1]
-                        need -= 1
-                    ld = -1
-                if res_rejected:
-                    end = span_end(h, need, res_rejected)
-                    drawn += array("I", (c for i, c in enumerate(res_choice[h:end], h) if i not in res_rejected))
+            if matched and reserved_ops:
+                if reserved_ops == 1:  # a bound-1 draw is 0 and takes no half
+                    drawn = array("I", bytes(4 * matched))
                 else:
-                    end = h + need
-                    drawn += res_choice[h:end]
-                h = end
+                    need, drawn = matched, res_choice[:0]
+                    if ld >= 0:
+                        if ld not in res_rejected:
+                            drawn = res_choice[ld : ld + 1]
+                            need -= 1
+                        ld = -1
+                    if res_rejected:
+                        end = span_end(h, need, res_rejected)
+                        drawn += array("I", (c for i, c in enumerate(res_choice[h:end], h) if i not in res_rejected))
+                    else:
+                        end = h + need
+                        drawn += res_choice[h:end]
+                    h = end
+                # the framed-ALOHA rule in its one scalar form (module docstring)
                 won = list(map(drawn.count, drawn)).count(1)
-            elif matched and reserved_ops:  # one slot: a lone contender gets through
-                won = int(matched == 1)
             shared_lead = -1
             shared_start = h
             need = matched - won + pushing
@@ -223,8 +237,8 @@ def _independent_frames(
         matched = np.array(matched_l, dtype=np.int64)
         won = np.array(won_l, dtype=np.int64)
         pushing = np.array(pushing_l, dtype=np.int64)
-        stragglers = matched - won
-        contenders = stragglers + pushing
+        contenders = matched - won + pushing
+        frame_of = np.repeat(np.arange(k), contenders)
         if shared_ops >= 2:
             lead_a = np.array(lead_l, dtype=np.int64)
             start_a = np.array(start_l, dtype=np.int64)
@@ -233,24 +247,18 @@ def _independent_frames(
             # in front, then point that entry at the buffered half
             span = np.array(end_l, dtype=np.int64) - start_a + has_lead
             first_at = np.cumsum(span) - span
-            frame_of = np.repeat(np.arange(k), span)
-            idx = np.arange(len(frame_of)) + np.repeat(start_a - has_lead - first_at, span)
+            idx = np.arange(span.sum()) + np.repeat(start_a - has_lead - first_at, span)
             idx[first_at[has_lead]] = lead_a[has_lead]
             if sh_rejected:
-                accepted = np.isin(idx, sh_rejected, invert=True)
-                frame_of, idx = frame_of[accepted], idx[accepted]
-            key = frame_of * shared_ops + bounded(halves[idx], shared_ops)
-            win = np.bincount(key, minlength=k * shared_ops)[key] == 1
-            # the frame's stragglers come first, then its pushing devices
-            pull_win = np.arange(len(key)) < np.repeat(np.cumsum(contenders) - pushing, contenders)
-            shared_pull = np.bincount(frame_of[win & pull_win], minlength=k)
-            push_won = np.bincount(frame_of[win & ~pull_win], minlength=k)
-        elif shared_ops == 1:  # one slot: a lone contender gets through
-            alone = contenders == 1
-            shared_pull = (alone & (stragglers == 1)).astype(np.int64)
-            push_won = (alone & (pushing == 1)).astype(np.int64)
-        else:
-            shared_pull = push_won = np.zeros(k, dtype=np.int64)
+                idx = idx[np.isin(idx, sh_rejected, invert=True)]
+            choice = bounded(halves[idx], shared_ops)
+        else:  # a bound-1 draw is 0 and takes no half; with no slot nothing is drawn
+            choice = np.zeros(len(frame_of), dtype=np.int64)
+        win, _ = contention_rounds(choice, shared_ops, frame_of, k)
+        # the frame's stragglers come first, then its pushing devices
+        pull_win = np.arange(len(choice)) < np.repeat(np.cumsum(contenders) - pushing, contenders)
+        shared_pull = np.bincount(frame_of[win & pull_win], minlength=k)
+        push_won = np.bincount(frame_of[win & ~pull_win], minlength=k)
         counts[f0:f] = np.column_stack((matched, won, shared_pull, pushing, push_won))
     return counts
 

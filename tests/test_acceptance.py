@@ -21,10 +21,10 @@ from pushpull_mac import (
     run_experiment,
     simulate_cff,
     simulate_rcs,
-    uniform_slot_contention,
     validate_config,
 )
 from pushpull_mac.cli import main as cli_main
+from pushpull_mac.mac_cff import contention_rounds
 
 from _invariants import check_cff_run, check_rcs_frame, random_cff_config, random_rcs_case
 
@@ -169,14 +169,14 @@ def test_criterion_4_small_instance_enumeration():
     """2 contenders / 2 slots succeed half the time; 2 / 1 slot never."""
     frames = 100_000
     rng = np.random.default_rng(44)
-    wins = 0
-    for _ in range(frames):
-        wins += int(np.count_nonzero(uniform_slot_contention(2, 2, rng)[2]))
-    contend_rate = wins / (2 * frames)
+    # the rule the simulators run, one round of two contenders per frame, on
+    # the draws one ``integers(0, n_slots, size=2)`` call per frame makes
+    rounds = np.arange(frames).repeat(2)
+    win, _ = contention_rounds(rng.integers(0, 2, size=2 * frames), 2, rounds, frames)
+    contend_rate = int(np.count_nonzero(win)) / (2 * frames)
 
-    forced = 0
-    for _ in range(frames):
-        forced += int(np.count_nonzero(uniform_slot_contention(2, 1, rng)[2]))
+    win, _ = contention_rounds(rng.integers(0, 1, size=2 * frames), 1, rounds, frames)
+    forced = int(np.count_nonzero(win))
 
     # same enumeration through the RCS reserved portion (2 matched, 2 reserved slots)
     pop2 = RcsPopulation(2, 0, PushTrigger(1.0))

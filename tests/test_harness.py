@@ -264,6 +264,8 @@ SINGLE_FAULTS = [
         "cff", "traffic.pull_rate_pps", 10**400, f"traffic.pull_rate_pps: must be finite, got {10**400}",
         id="cff-traffic.pull_rate_pps-10**400",
     ),
+    ("cff", "frame.slots_per_frame", 2**32, "frame.slots_per_frame: must be < 4294967296, got 4294967296"),
+    ("rcs", "slots_per_frame_values", [50, 2**32], "slots_per_frame_values[1]: must be < 4294967296, got 4294967296"),
 ]
 
 

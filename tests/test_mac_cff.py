@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pushpull_mac import (
     simulate_cff,
     uniform_slot_contention,
 )
-from pushpull_mac.mac_cff import PushAbortRule
+from pushpull_mac.mac_cff import PushAbortRule, contention_rounds
 from pushpull_mac.metrics import reliability_within
 from _invariants import check_cff_matches_reference, empirical_quantile, frame_arrival_counts, generator_emitting
 
@@ -90,6 +91,33 @@ class TestSchedulePull:
             joining = rng.poisson(rng.uniform(0, 8), size=int(rng.integers(1, 30)))
             args = (int(rng.integers(0, 8)), 50, int(rng.integers(0, 10)), int(rng.integers(1, 5)))
             assert schedule_pull(joining, *args).tolist() == reference_schedule(joining.tolist(), *args)
+
+
+def reference_rounds(choice, n_slots, group, n_groups):
+    """The framed-ALOHA rule per round with a Counter: (win mask, counts[r][s])."""
+    per_round = [Counter() for _ in range(n_groups)]
+    for slot, r in zip(choice, group):
+        per_round[r][slot] += 1
+    win = [n_slots > 0 and per_round[r][slot] == 1 for slot, r in zip(choice, group)]
+    return win, [[seen[s] for s in range(n_slots)] for seen in per_round]
+
+
+class TestContentionRounds:
+    @pytest.mark.parametrize("n_slots", [0, 1, 2, 7, 50])
+    def test_matches_a_per_round_counter(self, n_slots):
+        rng = np.random.default_rng(n_slots)
+        for _ in range(40):
+            n_groups = int(rng.choice([1, 2, 9, 60]))
+            n = int(rng.integers(0, 4 * max(n_slots, 1) * n_groups + 2))
+            choice = rng.integers(0, max(n_slots, 1), size=n)  # no slot: only the length is read
+            group = rng.integers(0, n_groups, size=n)
+            win, counts = contention_rounds(choice, n_slots, group, n_groups)
+            assert (win.tolist(), counts.tolist()) == reference_rounds(choice, n_slots, group, n_groups)
+            # one round: the same rule, with counts up to the highest slot chosen
+            win, counts = contention_rounds(choice, n_slots)
+            ref_win, (ref_counts,) = reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)
+            assert win.tolist() == ref_win
+            assert counts.tolist() + [0] * (n_slots - len(counts)) == ref_counts
 
 
 class TestContendPush:

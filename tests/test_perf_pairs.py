@@ -1,5 +1,7 @@
 """The paired-run summary of tools/perf_pairs.py (no benchmark run)."""
 import importlib.util
+import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,58 @@ def test_malformed_last_line_is_reported(tmp_path):
     for stdout in ("", '{"correct": true}', "[1, 2]"):  # no line, no metrics, not an object
         with pytest.raises(SystemExit, match="here: malformed last line .*stderr tail:\n  \\(empty\\)"):
             perf_pairs.parse_result(stdout, "here")
+
+
+def test_gain_rule():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]  # IQR 0.025
+    gain = partial(perf_pairs.gain, WALL, parent)
+    assert gain([0.9] * 9 + [1.1]).startswith("gain holds: change better in 9/10 ")
+    assert gain([0.9] * 8 + [1.1] * 2).startswith("gain not shown: change better in 8/10 ")
+    # better in every pair, but the medians are closer than the parent's IQR
+    assert gain([p - 0.01 for p in parent]).startswith("gain not shown: change better in 10/10 ")
+    # ties count for neither side
+    assert gain(parent[:1] + [0.9] * 9).startswith("gain holds: change better in 9/10 ")
+    assert gain(parent[:2] + [0.9] * 8).startswith("gain not shown: change better in 8/10 ")
+    assert gain([0.9] * 10).endswith(
+        "(needs 9/10 of at least 10), median gap +0.1000 the better way against parent IQR 0.0250"
+    )
+    # fewer pairs than the rule needs show no gain
+    assert perf_pairs.gain(WALL, parent[:9], [0.5] * 9).startswith("gain not shown: change better in 9/9 ")
+    higher = partial(perf_pairs.gain, dict(WALL, better="higher"), parent)
+    assert higher([1.1] * 10).startswith("gain holds: change better in 10/10 ")
+    assert higher([0.9] * 10).startswith("gain not shown: change better in 0/10 ")
+
+
+def _results_root(path, values):
+    """A root whose perfbench/run.py prints, on its i-th run, a correct result
+    with ``values[name][i]`` for each metric, and whose BENCHMARK.json names
+    those metrics."""
+    path.mkdir()
+    body = (
+        "import json, pathlib\n"
+        "runs = pathlib.Path(__file__).with_name('runs')\n"
+        "i = int(runs.read_text()) if runs.exists() else 0\n"
+        "runs.write_text(str(i + 1))\n"
+        f"values = {values!r}\n"
+        "metrics = {name: {'value': v[i], 'unit': 's'} for name, v in values.items()}\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': metrics}))\n"
+    )
+    root = _stub_root(path, body)
+    rss = {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [WALL, rss]}))
+    return root
+
+
+def test_ten_pairs_by_default_with_a_gain_verdict_per_metric(tmp_path, capsys):
+    wall = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    parent = _results_root(tmp_path / "parent", {"wall_s": wall, "peak_rss_mb": [40.0] * 10})
+    change = _results_root(tmp_path / "change", {"wall_s": [0.8] * 9 + [1.2], "peak_rss_mb": [40.0] * 10})
+    perf_pairs.main([str(parent), str(change), "--workloads", "cff_mixed", "--seconds", "0.5"])
+    assert [(root / "perfbench" / "runs").read_text() for root in (parent, change)] == ["10", "10"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cff_mixed (10 pairs)"
+    assert lines[1].startswith("  wall_s 1.0000 [") and lines[1].endswith("bound 20 %: within bound)")
+    assert lines[2].startswith("    gain holds: change better in 9/10 ")
+    assert lines[3].startswith("  peak_rss_mb 40.0000 [")
+    assert lines[4].startswith("    gain not shown: change better in 0/10 ")
+    assert len(lines) == 5

@@ -1,6 +1,6 @@
 """Alternating parent/change runs of the benchmark, summarised per metric.
 
-    python3 tools/perf_pairs.py PARENT_ROOT CHANGE_ROOT --workloads cff_mixed,rcs_grid --pairs 6 --seconds 20
+    python3 tools/perf_pairs.py PARENT_ROOT CHANGE_ROOT --workloads cff_mixed,rcs_grid --pairs 10 --seconds 20
 
 PARENT_ROOT and CHANGE_ROOT are two checkouts of the repository.  Each pair
 runs ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` once
@@ -14,9 +14,13 @@ against the parent's quartile distance, and a verdict against the metric's
 ``bound``, a fraction of the parent's median: ``within bound`` or ``worse
 than bound`` by the medians, or ``unresolved`` when the parent's quartile
 distance is wider than the bound and not every change run beats every parent
-run.  A run that is not ``correct`` or has failed points is reported and
-stops the tool; so is a run that exits non-zero or whose last stdout line is
-not a result, with its side, workload, exit code and the tail of its stderr.
+run.  It also says whether a gain on the metric may be claimed: only when at
+least ``GAIN_PAIRS`` pairs ran, the change reads better in at least nine
+tenths of them (ties count for neither), and its median is better than the
+parent's by more than the parent's quartile distance.  A run that is not
+``correct`` or has failed points is reported and stops the tool; so is a run
+that exits non-zero or whose last stdout line is not a result, with its
+side, workload, exit code and the tail of its stderr.
 """
 from __future__ import annotations
 
@@ -31,6 +35,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 # stderr lines a failed run's report quotes
 STDERR_TAIL = 20
+
+# pairs a gain needs, and the default number of pairs run
+GAIN_PAIRS = 10
 
 
 def failure(where: str, what: str, stderr: str) -> str:
@@ -86,6 +93,21 @@ def verdict(metric: Dict[str, Any], parent: Sequence[float], change: Sequence[fl
     return "worse than bound" if worse > allowed else "within bound"
 
 
+def gain(metric: Dict[str, Any], parent: Sequence[float], change: Sequence[float]) -> str:
+    """Whether the pairs show a gain on the metric: at least ``GAIN_PAIRS``
+    pairs, the change better in at least nine tenths of them, and the medians
+    further apart, the change's way, than the parent's quartile distance."""
+    p1, pm, p3 = quartiles(parent)
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    better = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    gap = sign * (pm - quartiles(change)[1])
+    holds = len(parent) >= GAIN_PAIRS and 10 * better >= 9 * len(parent) and gap > p3 - p1
+    return (
+        f"gain {'holds' if holds else 'not shown'}: change better in {better}/{len(parent)} "
+        f"(needs 9/10 of at least {GAIN_PAIRS}), median gap {gap:+.4f} the better way against parent IQR {p3 - p1:.4f}"
+    )
+
+
 def summarise(metric: Dict[str, Any], parent: Sequence[float], change: Sequence[float]) -> str:
     """One BENCHMARK.json end-to-end metric over paired runs: ``parent[i]``
     and ``change[i]`` ran in pair i."""
@@ -105,7 +127,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     ap.add_argument("parent_root", type=Path)
     ap.add_argument("change_root", type=Path)
     ap.add_argument("--workloads", default="cff_frontier,rcs_grid,cff_mixed", help="comma-separated names")
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=GAIN_PAIRS)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
@@ -122,8 +144,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             print(f"{workload} pair {i + 1}/{args.pairs}: {json.dumps(pair, sort_keys=True)}", file=sys.stderr)
         print(f"{workload} ({args.pairs} pairs)")
         for metric in metrics:
-            name = metric["name"]
-            print("  " + summarise(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]))
+            parent, change = ([r[metric["name"]] for r in runs[side]] for side in ("parent", "change"))
+            print("  " + summarise(metric, parent, change))
+            print("    " + gain(metric, parent, change))
 
 
 if __name__ == "__main__":
