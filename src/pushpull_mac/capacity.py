@@ -54,6 +54,11 @@ class CapacitySpec:
             raise ValueError("rate_tolerance must be positive and finite")
         if not 0 < self.rate_upper_bound < math.inf:
             raise ValueError("rate_upper_bound must be positive and finite")
+        if self.rate_upper_bound <= self.rate_tolerance:
+            # the bracket would probe nothing and read as an unreachable class
+            raise ValueError(
+                f"rate_upper_bound {self.rate_upper_bound} must exceed rate_tolerance {self.rate_tolerance}"
+            )
         if self.horizon_frames < 1:
             raise ValueError("horizon_frames must be >= 1")
         if self.replications < 1:
@@ -85,11 +90,9 @@ def max_rate(evaluate: Callable[[float], Tuple[float, bool]], spec: CapacitySpec
     :func:`make_cff_rate_evaluator` does.  At most ceil(log2(upper/tolerance))
     evaluations; the upper bound itself is never probed (capacities at the
     bound are reported as just under it).  The monotonicity guard compares
-    complete probes only.  A bracket already within ``rate_tolerance`` would
-    probe nothing and read as unreachable, so it raises ``ValueError``.
+    complete probes only.  ``spec`` refuses a bracket already within
+    ``rate_tolerance``, which would probe nothing.
     """
-    if spec.rate_upper_bound <= spec.rate_tolerance:
-        raise ValueError(f"rate_upper_bound {spec.rate_upper_bound} must exceed rate_tolerance {spec.rate_tolerance}")
     lo, hi = 0.0, spec.rate_upper_bound
     probes: List[Tuple[float, float, bool]] = []
     passed_any = False
@@ -202,7 +205,7 @@ def max_class_rate(
     The ceiling is structural (a sub-frame cannot carry more packets than fit
     in it), so tightening the bracket never excludes a feasible rate; a zero
     ceiling short-circuits to an exact zero capacity, and a capped bracket
-    already within ``rate_tolerance`` raises ``ValueError`` (:func:`max_rate`).
+    already within ``rate_tolerance`` raises ``ValueError`` (:class:`CapacitySpec`).
     """
     ceiling = service_ceiling(config, klass)
     if ceiling == 0.0:

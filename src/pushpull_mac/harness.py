@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -30,7 +30,7 @@ from . import __version__
 from .capacity import CapacitySpec, max_class_rate
 from .core import FrameConfig, PacketClass
 from .mac_cff import simulate_cff
-from .mac_rcs import RcsPopulation, RcsResult, simulate_rcs
+from .mac_rcs import RcsPopulation, RcsResult, _contention_slots, simulate_rcs
 from .metrics import merge_records, reliability_within
 from .rawdraw import MAX_BOUND
 from .traffic import SEED_LIMIT, PushTrigger, SemanticQuery, derive_seed
@@ -132,76 +132,60 @@ def _output_path(value, path: str) -> Optional[str]:
 
 
 def _kind_name(value, path: str) -> str:
-    return value  # checked before the table is read: it picks the rows
+    return value  # checked before the keys are read: it picks them
 
 
 _REQUIRED = object()
 _KINDS = ("cff.simulate", "cff.capacity", "rcs.simulate")
 _CFF = _KINDS[:2]
+_CFF_SIMULATE = _KINDS[:1]
+_CFF_CAPACITY = _KINDS[1:2]
 _RCS = _KINDS[2:]
 
-# The one declaration of every config key: (dotted path, parser, default or
-# _REQUIRED, experiment kinds that take it).  A callable default is computed
-# from the values read before it.  validate_config reads keys in this order;
-# the ExperimentConfig field is the path's last component.
-_SCHEMA = (
-    ("protocol", _kind_name, _REQUIRED, _KINDS),
-    ("experiment", _kind_name, "simulate", _KINDS),
-    ("frame.slots_per_frame", _slots, _REQUIRED, _KINDS),
-    ("frame.frame_duration_ms", _positive, _REQUIRED, _KINDS),
-    ("frame.pull_packet_slots", _positive_int, _REQUIRED, _KINDS),
-    ("frame.push_packet_slots", _positive_int, _REQUIRED, _KINDS),
-    ("frame.overhead_slots_per_frame", _nonnegative_int, 0, _KINDS),
-    ("alphas", _list_of(_alpha), _REQUIRED, _KINDS),
-    ("replications", _positive_int, 1, _KINDS),
-    ("master_seed", partial(_int, minimum=0, limit=SEED_LIMIT), 0, _KINDS),
-    ("output", _output_path, None, _KINDS),
-    ("latency_targets_ms", _list_of(_positive), _REQUIRED, _CFF),
-    ("horizon_frames", _positive_int, _REQUIRED, _CFF),
-    ("traffic.pull_rate_pps", _nonnegative, _REQUIRED, ("cff.simulate",)),
-    ("traffic.push_rate_pps", _nonnegative, _REQUIRED, ("cff.simulate",)),
-    ("capacity.target_reliability", _reliability, 0.99, ("cff.capacity",)),
-    ("capacity.rate_tolerance_pps", _positive, 50.0, ("cff.capacity",)),
-    ("capacity.rate_upper_bound_pps", _positive, 10000.0, ("cff.capacity",)),
-    ("population.n_pull_devices", _nonnegative_int, _REQUIRED, _RCS),
-    ("population.n_push_devices", _nonnegative_int, _REQUIRED, _RCS),
-    ("population.query", _interval, _REQUIRED, _RCS),
-    ("population.push_threshold", _threshold, _REQUIRED, _RCS),
-    ("n_frames", _positive_int, _REQUIRED, _RCS),
-    ("slots_per_frame_values", _list_of(_slots), lambda values: [values["slots_per_frame"]], _RCS),
-)
+
+def _key(parse: Callable, default=_REQUIRED, kinds: Tuple[str, ...] = _KINDS, section: str = ""):
+    """Declare a config key as an ExperimentConfig field: its parser, its
+    default (or _REQUIRED; a callable default is computed from the values read
+    before it), the experiment kinds that take it and the JSON object it sits
+    in ("" for the root).  The key is the field's name."""
+    return field(metadata={"parse": parse, "default": default, "kinds": kinds, "section": section})
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Fully validated experiment description (defaults applied).
 
-    Keys the experiment kind does not take are None.
+    Each field declares its config key once (``_key``); validate_config
+    reads the keys in field order.  Keys the experiment kind does not take
+    are None.
     """
 
-    protocol: str
-    experiment: str
-    slots_per_frame: int
-    frame_duration_ms: float
-    pull_packet_slots: int
-    push_packet_slots: int
-    overhead_slots_per_frame: int
-    alphas: Tuple[float, ...]
-    latency_targets_ms: Optional[Tuple[float, ...]]
-    horizon_frames: Optional[int]
-    pull_rate_pps: Optional[float]
-    push_rate_pps: Optional[float]
-    target_reliability: Optional[float]
-    rate_tolerance_pps: Optional[float]
-    rate_upper_bound_pps: Optional[float]
-    n_pull_devices: Optional[int]
-    n_push_devices: Optional[int]
-    query: Optional[Tuple[float, float]]
-    push_threshold: Optional[float]
-    n_frames: Optional[int]
-    slots_per_frame_values: Optional[Tuple[int, ...]]
-    replications: int
-    master_seed: int
-    output: Optional[str]
+    protocol: str = _key(_kind_name)
+    experiment: str = _key(_kind_name, "simulate")
+    slots_per_frame: int = _key(_slots, section="frame")
+    frame_duration_ms: float = _key(_positive, section="frame")
+    pull_packet_slots: int = _key(_positive_int, section="frame")
+    push_packet_slots: int = _key(_positive_int, section="frame")
+    overhead_slots_per_frame: int = _key(_nonnegative_int, 0, section="frame")
+    alphas: Tuple[float, ...] = _key(_list_of(_alpha))
+    replications: int = _key(_positive_int, 1)
+    master_seed: int = _key(partial(_int, minimum=0, limit=SEED_LIMIT), 0)
+    output: Optional[str] = _key(_output_path, None)
+    latency_targets_ms: Optional[Tuple[float, ...]] = _key(_list_of(_positive), kinds=_CFF)
+    horizon_frames: Optional[int] = _key(_positive_int, kinds=_CFF)
+    pull_rate_pps: Optional[float] = _key(_nonnegative, kinds=_CFF_SIMULATE, section="traffic")
+    push_rate_pps: Optional[float] = _key(_nonnegative, kinds=_CFF_SIMULATE, section="traffic")
+    target_reliability: Optional[float] = _key(_reliability, 0.99, kinds=_CFF_CAPACITY, section="capacity")
+    rate_tolerance_pps: Optional[float] = _key(_positive, 50.0, kinds=_CFF_CAPACITY, section="capacity")
+    rate_upper_bound_pps: Optional[float] = _key(_positive, 10000.0, kinds=_CFF_CAPACITY, section="capacity")
+    n_pull_devices: Optional[int] = _key(_nonnegative_int, kinds=_RCS, section="population")
+    n_push_devices: Optional[int] = _key(_nonnegative_int, kinds=_RCS, section="population")
+    query: Optional[Tuple[float, float]] = _key(_interval, kinds=_RCS, section="population")
+    push_threshold: Optional[float] = _key(_threshold, kinds=_RCS, section="population")
+    n_frames: Optional[int] = _key(_positive_int, kinds=_RCS)
+    slots_per_frame_values: Optional[Tuple[int, ...]] = _key(
+        _list_of(_slots), lambda values: [values["slots_per_frame"]], kinds=_RCS
+    )
 
     @property
     def kind(self) -> str:
@@ -217,6 +201,16 @@ class ExperimentConfig:
             overhead_slots=self.overhead_slots_per_frame,
         )
 
+    def capacity_spec(self, latency_ms: float) -> CapacitySpec:
+        return CapacitySpec(
+            target_latency=latency_ms * 1e-3,
+            rate_tolerance=self.rate_tolerance_pps,
+            rate_upper_bound=self.rate_upper_bound_pps,
+            horizon_frames=self.horizon_frames,
+            replications=self.replications,
+            target_reliability=self.target_reliability,
+        )
+
     def population(self) -> RcsPopulation:
         return RcsPopulation(
             n_pull_devices=self.n_pull_devices,
@@ -228,23 +222,23 @@ class ExperimentConfig:
         """Lossless config echo (round-trips through validate_config); an
         unset output is left out."""
         out: Dict[str, object] = {}
-        for path, _, _, kinds in _SCHEMA:
-            section, _, key = path.rpartition(".")
-            value = getattr(self, key)
-            if self.kind in kinds and value is not None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if self.kind in f.metadata["kinds"] and value is not None:
+                section = f.metadata["section"]
                 node = out.setdefault(section, {}) if section else out
-                node[key] = list(value) if isinstance(value, tuple) else value
+                node[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
 def _read_object(obj: dict, tree: dict, prefix: str, values: dict) -> None:
-    """Check and parse one JSON object against its part of the schema tree."""
+    """Check and parse one JSON object against its part of the key tree."""
     for key in obj:
         if key not in tree:
             raise ConfigError(f"unknown config key: {prefix}{key}")
     for key, node in tree.items():
-        rows = node.values() if isinstance(node, dict) else (node,)
-        if key not in obj and any(row[2] is _REQUIRED for row in rows):
+        leaves = node.values() if isinstance(node, dict) else (node,)
+        if key not in obj and any(leaf.metadata["default"] is _REQUIRED for leaf in leaves):
             raise ConfigError(f"missing config key: {prefix}{key}")
     for key, node in tree.items():
         if isinstance(node, dict):
@@ -253,9 +247,9 @@ def _read_object(obj: dict, tree: dict, prefix: str, values: dict) -> None:
                 raise ConfigError(f"{prefix}{key}: expected an object")
             _read_object(section, node, f"{prefix}{key}.", values)
         else:
-            _, parse, default, _ = node
+            default = node.metadata["default"]
             raw = obj[key] if key in obj else (default(values) if callable(default) else default)
-            values[key] = parse(raw, prefix + key)
+            values[key] = node.metadata["parse"](raw, prefix + key)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -272,20 +266,27 @@ def validate_config(data: dict) -> ExperimentConfig:
     if kind not in _KINDS:
         raise ConfigError("the capacity frontier is defined for protocol 'cff' only")
 
-    # top-level key -> its row, or for a section the rows of its keys
+    # top-level key -> its field, or for a section the fields of its keys
     tree: Dict[str, object] = {}
-    for row in _SCHEMA:
-        if kind in row[3]:
-            section, _, key = row[0].rpartition(".")
-            (tree.setdefault(section, {}) if section else tree)[key] = row
+    for f in fields(ExperimentConfig):
+        if kind in f.metadata["kinds"]:
+            section = f.metadata["section"]
+            (tree.setdefault(section, {}) if section else tree)[f.name] = f
     values: Dict[str, object] = {}
     _read_object(data, tree, "", values)
     cfg = ExperimentConfig(**{f.name: values.get(f.name) for f in fields(ExperimentConfig)})
-    # surface geometry errors (packet larger than frame, overhead too big, ...) now
+    # surface what every point would fail on now, by the library's own checks:
+    # geometry (packet larger than frame, overhead too big, ...), RCS packet
+    # sizes, a capacity bracket already within tolerance
     try:
         for alpha in cfg.alphas:
             for s in cfg.slots_per_frame_values or (cfg.slots_per_frame,):
-                cfg.frame_config(alpha, s)
+                frame = cfg.frame_config(alpha, s)
+                if cfg.protocol == "rcs":
+                    _contention_slots(frame)
+        if cfg.experiment == "capacity":
+            for l_ms in cfg.latency_targets_ms:
+                cfg.capacity_spec(l_ms)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -331,9 +332,7 @@ class RunResult:
 
 def _point_seed(master_seed: int, index: int) -> int:
     # keeps point streams clear of the replication XOR space (indices < 2**32)
-    if not 0 <= master_seed < SEED_LIMIT:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
-    return (master_seed ^ ((index + 1) << 32)) & (SEED_LIMIT - 1)
+    return derive_seed(master_seed, (index + 1) << 32)
 
 
 def _fmt(value) -> str:
@@ -396,14 +395,7 @@ def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
 def _cff_capacity_point(job: _PointJob) -> List[Dict[str, str]]:
     cfg = job.config
     frame = cfg.frame_config(job.alpha)
-    spec = CapacitySpec(
-        target_latency=job.latency_ms * 1e-3,
-        rate_tolerance=cfg.rate_tolerance_pps,
-        rate_upper_bound=cfg.rate_upper_bound_pps,
-        horizon_frames=cfg.horizon_frames,
-        replications=cfg.replications,
-        target_reliability=cfg.target_reliability,
-    )
+    spec = cfg.capacity_spec(job.latency_ms)
     pull_res = max_class_rate(frame, PacketClass.PULL, spec, job.seed)
     push_res = max_class_rate(frame, PacketClass.PUSH, spec, job.seed)
     return _metric_rows(

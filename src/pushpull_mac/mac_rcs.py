@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import FrameConfig
 from .mac_cff import contention_rounds
-from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
+from .rawdraw import MAX_BOUND, bounded, doubles_of, halves_of, rejected, span_end
 from .traffic import PushTrigger, SemanticQuery
 
 # the per-draw form of the contention rounds replayed here; it stays
@@ -100,6 +100,10 @@ class RcsResult:
 
 
 _FRAMES_PER_BLOCK = 128
+# shared-slot counts (int64, 8 MiB) a block's rounds may hold: past 8192
+# shared slots a block takes fewer frames, so its memory stays flat in S
+# until one frame's counts pass the cap
+_COUNTS_PER_BLOCK = 2**20
 
 
 def _array(typecode: str, values: np.ndarray) -> array:
@@ -131,8 +135,8 @@ def _independent_frames(
     """``n_frames`` independent RCS frames as ``RcsResult.frames`` counts, the
     same frames one numpy call per draw on ``rng`` gives.
 
-    Every draw of a frame comes from PCG64's 64-bit outputs: ``random``
-    turns one output into a double ((x >> 11) * 2**-53), and ``integers``
+    Every draw of a frame comes from PCG64's 64-bit outputs (``rawdraw``):
+    ``random`` turns one output into a double, and ``integers``
     below 2**32 takes 32-bit halves, low half first, keeping the
     unused high half in the generator for the next 32-bit draw, whatever
     doubles come between.  A block of frames is therefore one ``random_raw``
@@ -160,13 +164,13 @@ def _independent_frames(
     f = 0
     while f < n_frames:
         keep = p if lead < 0 else min(p, lead // 2)
-        block = min(n_frames - f, _FRAMES_PER_BLOCK)
+        block = min(n_frames - f, _FRAMES_PER_BLOCK, max(1, _COUNTS_PER_BLOCK // max(shared_ops, 1)))
         short = int(block * rate) + worst + slack - (len(words) - p)
         words = np.concatenate((words[keep:], rng.bit_generator.random_raw(max(short, 0))))
         p -= keep
         if lead >= 0:
             lead -= 2 * keep
-        doubles = (words >> np.uint64(11)) * 2.0**-53
+        doubles = doubles_of(words)
         n_starts = len(words) - n_dbl + 1
         matched_at = _window_counts(query.match_mask(doubles), 0, n_pull, n_starts)
         pushing_at = _window_counts(population.trigger.fires(doubles), n_pull, n_push, n_starts)

@@ -1,16 +1,18 @@
-"""numpy's bounded 32-bit integer draw, replayed on raw PCG64 output.
+"""numpy's double and bounded 32-bit integer draws, replayed on raw PCG64
+output.
 
-``Generator.integers(0, bound)`` with 2 <= bound < 2**32 (numpy 2.x) draws
-from 32-bit halves of the bit generator's 64-bit outputs, low half first, and
-keeps an unused high half in the generator for the next 32-bit draw, whatever
-doubles come between.  A half x is Lemire's multiply-shift: it draws
-(x * bound) >> 32, unless the low 32 bits of x * bound fall below
-2**32 % bound, which rejects x (the next half is taken instead).  A bound of
-1 draws 0 and consumes nothing.
+``Generator.random()`` turns one 64-bit output x into the double
+(x >> 11) * 2**-53.  ``Generator.integers(0, bound)`` with
+2 <= bound < 2**32 (numpy 2.x) draws from 32-bit halves of the bit
+generator's 64-bit outputs, low half first, and keeps an unused high half in
+the generator for the next 32-bit draw, whatever doubles come between.  A
+half x is Lemire's multiply-shift: it draws (x * bound) >> 32, unless the low
+32 bits of x * bound fall below 2**32 % bound, which rejects x (the next half
+is taken instead).  A bound of 1 draws 0 and consumes nothing.
 
 The RCS and CFF kernels take blocks of ``bit_generator.random_raw`` output
 and apply these helpers to them, so a seed gives the values the per-draw
-``Generator`` calls give.  If numpy changes this rule, the pinned outputs in
+``Generator`` calls give.  If numpy changes these rules, the pinned outputs in
 the tests fail instead of the output changing silently.
 """
 from __future__ import annotations
@@ -20,9 +22,14 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["MAX_BOUND", "halves_of", "bounded", "rejected", "span_end"]
+__all__ = ["MAX_BOUND", "doubles_of", "halves_of", "bounded", "rejected", "span_end"]
 
 MAX_BOUND = 2**32  # bounds from here on take numpy's 64-bit path, not replayed
+
+
+def doubles_of(words: np.ndarray) -> np.ndarray:
+    """The double ``Generator.random`` draws from each raw 64-bit output."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def halves_of(words: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -153,9 +153,9 @@ class TestValidateConfig:
     def test_readme_documents_every_key(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Config schema (JSON)")[1].split("```jsonc")[1].split("```")[0]
-        for path, *_ in harness._SCHEMA:
-            for key in path.split("."):
-                assert f'"{key}":' in block, f"README config block lacks {path}"
+        for f in fields(harness.ExperimentConfig):
+            for key in filter(None, (f.metadata["section"], f.name)):
+                assert f'"{key}":' in block, f"README config block lacks {key}"
 
 
 def capacity_cfg():
@@ -266,6 +266,8 @@ SINGLE_FAULTS = [
     ),
     ("cff", "frame.slots_per_frame", 2**32, "frame.slots_per_frame: must be < 4294967296, got 4294967296"),
     ("rcs", "slots_per_frame_values", [50, 2**32], "slots_per_frame_values[1]: must be < 4294967296, got 4294967296"),
+    ("rcs", "frame.pull_packet_slots", 2, "RCS shared contention requires equal pull/push packet sizes, got 2 and 1"),
+    ("capacity", "capacity.rate_tolerance_pps", 20000.0, "rate_upper_bound 10000.0 must exceed rate_tolerance 20000.0"),
 ]
 
 

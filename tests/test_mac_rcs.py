@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, simulate_rcs
 from pushpull_mac.mac_rcs import _independent_frames
 
-from _invariants import RcsFrame, generator_emitting, match_probability, recorded_rcs_rounds, run_rcs_frame
+from _invariants import (
+    RcsFrame,
+    check_rcs_run,
+    generator_emitting,
+    match_probability,
+    recorded_rcs_rounds,
+    run_rcs_frame,
+)
 
 ALL = SemanticQuery(0.0, 1.0)
 NONE = SemanticQuery(2.0, 3.0)
@@ -162,6 +170,20 @@ class TestSimulateRcs:
         r50 = simulate_rcs(config(50, 0.4), pop, q, 20_000, seed=11)
         assert r50.retrieval_accuracy >= r25.retrieval_accuracy - 0.02
         assert r50.push_success_prob >= r25.push_success_prob - 0.02
+
+    def test_block_memory_does_not_grow_with_slots(self):
+        # 25000 shared slots: the counts of a 128-frame block's shared rounds
+        # alone would take 24 MiB, so a block takes fewer frames; the frames
+        # stay those of the per-draw reference
+        cfg, pop, q = config(50_000, 0.5), population(12, 40), SemanticQuery(0.25, 0.75)
+        tracemalloc.start()
+        try:
+            simulate_rcs(cfg, pop, q, 300, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        check_rcs_run(cfg, pop, q, 300, seed=7)
 
     def test_variance_halves_when_frames_double(self):
         pop = population(6, 10)
