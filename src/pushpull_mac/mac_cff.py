@@ -51,10 +51,23 @@ loop joins the taken frames' arrivals to the backlog at once.  The first
 frame that fails (its prefix leaves a slot with fewer than two, or a half of
 its round or offsets is rejected) ends the stretch and runs frame by frame,
 its round computed in full.  Runs with an abort rule or without
-retransmission go frame by frame throughout.  At the end of the run the
-offsets are sorted and lifted to arrival slots in bulk, latencies and
-``on_delivery`` calls are built from the rounds' winners, and the pull FIFO,
-which draws no randomness, is served in closed form (:func:`schedule_pull`).
+retransmission go frame by frame throughout.
+
+A frame step does only what the next frame depends on: it draws and decides
+the round, keeps its losers pending, steps over the frame's offset draws and
+appends its push arrivals.  Nothing reads a delivery before the run ends, so
+a decided round is held as it is (the frame, and references to its pending
+packets, draws and win mask) and the winners' delivery slots are settled in
+bulk, many rounds in one pass: once the held rounds pass
+``_HELD_CONTENDERS`` contenders, which bounds the memory they keep alive,
+and once after the loop.  The abort check after frame f counts frame
+f - lag's pending packets with two binary searches, but only when the
+oldest pending packet arrived in that frame or before: the pending packets
+ascend, so otherwise none of that frame's is pending, exactly; near capacity
+that is most frames.  At the end of the run the offsets are lifted to
+arrival slots in one sort, latencies and ``on_delivery`` calls are built
+from the settled winners, and the pull FIFO, which draws no randomness, is
+served in closed form (:func:`schedule_pull`).
 """
 from __future__ import annotations
 
@@ -68,7 +81,6 @@ import numpy as np
 from .core import FrameConfig, PacketClass, stable_floor
 from .metrics import MetricsRecord
 from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
-from .traffic import sort_arrival_offsets
 
 # ``sample_arrival_offsets`` is the per-draw form of the offset draws replayed
 # here; it stays importable from this module, where the benchmark tracer
@@ -88,6 +100,21 @@ _WINDOW_WORDS = 4096
 # by frame, when some slot holds fewer than two of them: probability about
 # 17 * K * exp(-16) (4e-5 at K = 20)
 _PREFIX_PER_SLOT = 16
+
+# (round, slot) pairs a contention_rounds call counts in full (int64, 512 KiB)
+# when they outnumber its contenders; past that it counts only the slots
+# chosen.  No benchmark or acceptance configuration gets there: push rounds
+# have at most a few hundred slots, the certificate's prefixes put 16 draws
+# in every slot, and RCS blocks of 128 frames stay under it up to 512 shared
+# slots.
+_DENSE_SLOTS = 2**16
+
+# contenders of the push rounds held before their winners are settled in one
+# pass; a held round keeps its pending packets, its win mask and its draws
+# alive, and its draws may be a view of a whole window of them, so a larger
+# cap costs memory on collapsed backlogs (2**16 raised the peak RSS of
+# cff_mixed sweeps by 1.3 MiB, 3.5 %), a smaller one settles more often
+_HELD_CONTENDERS = 2**10
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +150,7 @@ class PushAbortRule:
 
 def contention_rounds(
     choice: np.ndarray, n_slots: int, group: Optional[np.ndarray] = None, n_groups: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The framed-ALOHA rule: a slot chosen by exactly one contender is a
     success (Schoute 1983).  Every array kernel decides its rounds here.
 
@@ -133,17 +160,26 @@ def contention_rounds(
     counts[r, s], the contenders of round r in slot s; one round gives
     counts[s] up to the highest slot chosen (no slot above it holds any).
     With one slot a lone contender wins; with none nobody does, nothing is
-    counted and only ``len(choice)`` is read.
+    counted and only ``len(choice)`` is read.  Rounds of more than
+    ``_DENSE_SLOTS`` (round, slot) pairs in all, and more pairs than
+    contenders, count only the slots chosen, so memory follows the
+    contenders, not the slots; counts is then None.
     """
     if n_slots < 1:
         counts = np.zeros(0 if group is None else (n_groups, 0), dtype=np.int64)
         return np.zeros(len(choice), dtype=bool), counts
     if group is None:
-        counts = np.bincount(choice)
-        return counts[choice] == 1, counts
-    key = group * n_slots + choice
-    counts = np.bincount(key, minlength=n_groups * n_slots)
-    return counts[key] == 1, counts.reshape(n_groups, n_slots)
+        if n_slots <= _DENSE_SLOTS or n_slots <= len(choice):
+            counts = np.bincount(choice)
+            return counts[choice] == 1, counts
+        key = choice
+    else:
+        key = group * n_slots + choice
+        if n_groups * n_slots <= _DENSE_SLOTS or n_groups * n_slots <= len(key):
+            counts = np.bincount(key, minlength=n_groups * n_slots)
+            return counts[key] == 1, counts.reshape(n_groups, n_slots)
+    _, inverse, seen = np.unique(key, return_inverse=True, return_counts=True)
+    return seen[inverse] == 1, None
 
 
 def uniform_slot_contention(
@@ -158,8 +194,8 @@ def uniform_slot_contention(
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     choices = rng.integers(0, n_slots, size=n_contenders, dtype=np.int64)
-    winner_mask, counts = contention_rounds(choices, n_slots)
-    return choices, np.concatenate((counts, np.zeros(n_slots - len(counts), dtype=np.int64))), winner_mask
+    winner_mask, _ = contention_rounds(choices, n_slots)
+    return choices, np.bincount(choices, minlength=n_slots), winner_mask
 
 
 def schedule_pull(
@@ -459,33 +495,39 @@ def simulate_cff(
     late_cum = 0
     late_budget = math.inf
     lag = 1
-    if push_abort is not None:
+    abort = push_abort is not None
+    if abort:
         late_slots = stable_floor(push_abort.latency_target / slot_dur)
         late_budget = (1.0 - push_abort.target_reliability) * (cum_push[-1] - n_warm)
         lag = max(1, -(-(late_slots - 1) // S))
 
     stream = _HalfStream(rng.bit_generator, S, push_ops)
     pend = np.empty(0, dtype=np.int64)  # pending push packets, ascending
-    # a push packet is delivered at most once: its delivery slot, or -1
-    delivered_at = np.full(cum_push[-1], -1, dtype=np.int64)
+    # rounds not yet settled, (frame, pending, choices, win mask): references,
+    # since every round replaces pend; settled in bulk into won
+    held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    held_size = 0  # their contenders
+    first_end = push_start_off + push_stride - 1  # where opportunity 0 of frame 0 ends
+    won = [(pend, pend)]  # (packets, delivery slots) of settled rounds, in round order
     dropped = 0  # measured packets dropped after their single attempt (no retransmission)
     arrived_frames = horizon_frames  # frames whose arrivals joined the queues
 
     # pending packets above which frames are taken in stretches; runs with an
     # abort or without retransmission go frame by frame, so that the abort
     # and the single-attempt drops are counted in one place
-    stretch_above = stream.prefix if push_ops >= 2 and push_retransmit and push_abort is None else math.inf
+    stretch_above = stream.prefix if push_ops >= 2 and push_retransmit and not abort else math.inf
     cp = co = None  # cum_push and cum_offsets as arrays, once a stretch is tried
     f = 0
     while f < horizon_frames:
+        n = pend.size
         # a collapsed backlog: take the frames from f in bulk while their
         # rounds are certified winnerless; the pending packets only gain the
         # frames' arrivals, so every round's size is known up front
-        if pend.size > stretch_above:
+        if n > stretch_above:
             if cp is None:
                 cp, co = np.array(cum_push), np.array(cum_offsets)
             stop = min(horizon_frames, f + stream.budget // stream.prefix + 1)
-            rounds = cp[f:stop] + (pend.size - cum_push[f])
+            rounds = cp[f:stop] + (n - cum_push[f])
             offsets = co[f + 1 : stop + 1] - co[f:stop]
             taken = stream.take_winnerless(rounds, offsets)
             if taken:
@@ -493,34 +535,43 @@ def simulate_cff(
                 f += taken
                 continue
 
-        # push sub-frame: framed-ALOHA contention among everything pending
-        if push_ops and pend.size:
-            choice = stream.contend(pend.size)
+        # push sub-frame: framed-ALOHA contention among everything pending;
+        # nothing reads the deliveries before the run ends, so the round is
+        # held and its winners' slots are computed later, many rounds at once
+        if push_ops and n:
+            choice = stream.contend(n)
             win, _ = contention_rounds(choice, push_ops)
-            # opportunity k ends at slot f*S + push_start_off + (k+1)*push_stride - 1
-            delivered_at[pend[win]] = choice[win] * push_stride + (f * S + push_start_off + push_stride - 1)
+            held.append((f, pend, choice, win))
+            held_size += n
+            if held_size > _HELD_CONTENDERS:
+                won.append(_settle(held, S, first_end, push_stride))
+                held, held_size = [], 0
             pend = pend[~win]
             if not push_retransmit:
                 dropped += int(np.count_nonzero(pend >= n_warm))
                 pend = pend[:0]
+            n = pend.size
 
         # certified abort: count the pending packets that turned late this
-        # frame (each frame's packets turn late once, so nothing double-counts)
-        if push_abort is not None and pend.size and f >= lag:
-            lo = max(cum_push[f - lag], n_warm)
+        # frame (each frame's packets turn late once, so nothing double-counts);
+        # pend ascends, so frame f - lag has none pending when the oldest one
+        # arrived after it, and near capacity most frames end there
+        if abort and n and f >= lag:
             hi = cum_push[f - lag + 1]
-            if hi > lo:
-                late_cum += int(pend.searchsorted(hi) - pend.searchsorted(lo))
-                if late_cum > late_budget:
-                    arrived_frames = f
-                    break
+            if pend[0] < hi:
+                lo = max(cum_push[f - lag], n_warm)
+                if hi > lo:
+                    late_cum += int(pend.searchsorted(hi) - pend.searchsorted(lo))
+                    if late_cum > late_budget:
+                        arrived_frames = f
+                        break
 
         # arrivals during frame f join the queues after its sub-frames, so they
         # are eligible from frame f+1; with nothing pending, nothing contends
         # or turns late until push packets arrive, so the offsets of every
         # frame up to the next one with push arrivals are taken at once
         g = f + 1
-        if not pend.size:
+        if not n:
             j = bisect_left(push_frames, f)
             g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
         stream.skip(cum_offsets[g] - cum_offsets[f])
@@ -528,14 +579,15 @@ def simulate_cff(
             pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[g])))
         f = g
 
+    if held:
+        won.append(_settle(held, S, first_end, push_stride))
     pull_arrivals, push_arrivals = _arrival_slots(
         stream.close(), pull_counts[:arrived_frames], push_counts[:arrived_frames], S
     )
     # push deliveries in the order the rounds made them: by frame, then in
     # pending order (ascending packet index)
-    won = np.flatnonzero(delivered_at >= 0)
-    won = won[np.argsort(delivered_at[won] // S, kind="stable")]
-    _deliver(record, PacketClass.PUSH, push_arrivals[won], delivered_at[won], measured_from_slot, S, on_delivery)
+    won_packets, won_slots = map(np.concatenate, zip(*won))
+    _deliver(record, PacketClass.PUSH, push_arrivals[won_packets], won_slots, measured_from_slot, S, on_delivery)
 
     # pull sub-frames: contention-free FIFO service, closed form over the
     # frames that ran (an aborted frame's pull sub-frame ran before the abort)
@@ -564,17 +616,32 @@ def simulate_cff(
     return record
 
 
+def _settle(
+    held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]], S: int, first_end: int, stride: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The winners of held rounds ``(frame, pending, choices, win mask)``, in
+    round order, and their delivery slots: opportunity k of frame f ends at
+    slot f*S + first_end + k*stride."""
+    frames, pends, choices, wins = zip(*held)
+    win = np.concatenate(wins)
+    base = np.repeat(np.array(frames, dtype=np.int64) * S + first_end, [p.size for p in pends])
+    return np.concatenate(pends)[win], np.concatenate(choices)[win] * stride + base[win]
+
+
 def _arrival_slots(
     offsets: np.ndarray, pull_counts: np.ndarray, push_counts: np.ndarray, S: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(pull, push) arrival slots from the offset draws of consecutive frames,
     taken in stream order (pull f, push f, pull f+1, ...); each class's slots
     ascend, so the pull ones are the FIFO order."""
-    batches = np.stack((pull_counts, push_counts), axis=1)
-    slots = sort_arrival_offsets(offsets, batches.ravel(), S)
-    slots += np.repeat(np.arange(0, len(batches) * S, S, dtype=np.int64), batches.sum(axis=1))
-    is_push = np.repeat(np.tile((False, True), len(batches)), batches.ravel())
-    return slots[~is_push], slots[is_push]
+    # frame f's offsets are lifted to its slots, f*S + offset, and the push
+    # ones by a further F*S, so one sort orders each class, pull before push
+    F = len(pull_counts)
+    lifts = np.arange(0, F * S, S) + np.array(((0,), (F * S,)))  # rows: pull, push
+    slots = offsets + lifts.T.ravel().repeat(np.array((pull_counts, push_counts)).T.ravel())
+    slots.sort()
+    n_pull = int(pull_counts.sum())
+    return slots[:n_pull], slots[n_pull:] - F * S
 
 
 def _deliver(

@@ -100,10 +100,6 @@ class RcsResult:
 
 
 _FRAMES_PER_BLOCK = 128
-# shared-slot counts (int64, 8 MiB) a block's rounds may hold: past 8192
-# shared slots a block takes fewer frames, so its memory stays flat in S
-# until one frame's counts pass the cap
-_COUNTS_PER_BLOCK = 2**20
 
 
 def _array(typecode: str, values: np.ndarray) -> array:
@@ -164,7 +160,7 @@ def _independent_frames(
     f = 0
     while f < n_frames:
         keep = p if lead < 0 else min(p, lead // 2)
-        block = min(n_frames - f, _FRAMES_PER_BLOCK, max(1, _COUNTS_PER_BLOCK // max(shared_ops, 1)))
+        block = min(n_frames - f, _FRAMES_PER_BLOCK)
         short = int(block * rate) + worst + slack - (len(words) - p)
         words = np.concatenate((words[keep:], rng.bit_generator.random_raw(max(short, 0))))
         p -= keep

@@ -22,6 +22,7 @@ from .core import PacketClass
 __all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within"]
 
 _NO_SLOTS = np.empty(0, dtype=np.int64)
+_CLASSES = tuple(PacketClass)
 
 
 class EmptySampleError(ValueError):
@@ -32,33 +33,33 @@ class MetricsRecord:
     """Per-class arrivals, misses and delivered latencies (slots) of CFF runs
     with one slot duration (seconds)."""
 
-    __slots__ = ("slot_duration", "_slots", "_arrived", "_failed")
+    __slots__ = ("slot_duration", "_classes")
 
     def __init__(self, slot_duration: float) -> None:
         self.slot_duration = slot_duration
-        self._slots = dict.fromkeys(PacketClass, _NO_SLOTS)
-        self._arrived = dict.fromkeys(PacketClass, 0)
-        self._failed = dict.fromkeys(PacketClass, 0)
+        # per class: [latency slots, misses, arrivals], one lookup an add
+        self._classes = {klass: [_NO_SLOTS, 0, 0] for klass in _CLASSES}
 
     def add(self, klass: PacketClass, latency_slots=(), failed: int = 0, arrived: int = 0) -> None:
         """Append delivered latencies (slots) and count misses and arrivals."""
+        entry = self._classes[klass]
         if len(latency_slots):
-            self._slots[klass] = np.concatenate((self._slots[klass], np.asarray(latency_slots, dtype=np.int64)))
-        self._failed[klass] += failed
-        self._arrived[klass] += arrived
+            entry[0] = np.concatenate((entry[0], np.asarray(latency_slots, dtype=np.int64)))
+        entry[1] += failed
+        entry[2] += arrived
 
     def latency_slots(self, klass: PacketClass) -> np.ndarray:
-        return self._slots[klass]
-
-    def arrived(self, klass: PacketClass) -> int:
-        return self._arrived[klass]
+        return self._classes[klass][0]
 
     def failed(self, klass: PacketClass) -> int:
-        return self._failed[klass]
+        return self._classes[klass][1]
+
+    def arrived(self, klass: PacketClass) -> int:
+        return self._classes[klass][2]
 
     def latencies(self, klass: PacketClass) -> List[float]:
         """Delivered latencies in seconds, then one +inf per miss."""
-        return (self._slots[klass] * self.slot_duration).tolist() + [math.inf] * self._failed[klass]
+        return (self.latency_slots(klass) * self.slot_duration).tolist() + [math.inf] * self.failed(klass)
 
     def merge(self, other: "MetricsRecord") -> None:
         """Fold ``other`` into this record, class by class."""
@@ -66,8 +67,8 @@ class MetricsRecord:
             raise ValueError(
                 f"cannot merge records of slot durations {self.slot_duration} and {other.slot_duration}"
             )
-        for klass in PacketClass:
-            self.add(klass, other._slots[klass], other._failed[klass], other._arrived[klass])
+        for klass, entry in other._classes.items():
+            self.add(klass, *entry)
 
 
 def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "sample_arrival_offsets",
-    "sort_arrival_offsets",
     "SemanticQuery",
     "PushTrigger",
     "derive_seed",
@@ -47,12 +46,6 @@ def sample_arrival_offsets(counts: np.ndarray, n_slots: int, rng: np.random.Gene
     batch in order (same bound, so the generator stream is consumed alike).
     """
     offsets = rng.integers(0, n_slots, size=int(np.sum(counts)), dtype=np.int64)
-    return sort_arrival_offsets(offsets, counts, n_slots)
-
-
-def sort_arrival_offsets(offsets: np.ndarray, counts: np.ndarray, n_slots: int) -> np.ndarray:
-    """Sort int64 ``offsets`` (each below ``n_slots``) ascending within each
-    consecutive batch of ``counts[i]`` values, in place; returns ``offsets``."""
     # one sort orders every batch: batch i is lifted to [i*n_slots, (i+1)*n_slots)
     lift = np.arange(0, len(counts) * n_slots, n_slots, dtype=np.int64).repeat(counts)
     offsets += lift

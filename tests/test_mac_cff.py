@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -94,12 +95,13 @@ class TestSchedulePull:
 
 
 def reference_rounds(choice, n_slots, group, n_groups):
-    """The framed-ALOHA rule per round with a Counter: (win mask, counts[r][s])."""
+    """The framed-ALOHA rule per round with a Counter: (win mask, the
+    per-round Counters of slots chosen)."""
     per_round = [Counter() for _ in range(n_groups)]
     for slot, r in zip(choice, group):
         per_round[r][slot] += 1
     win = [n_slots > 0 and per_round[r][slot] == 1 for slot, r in zip(choice, group)]
-    return win, [[seen[s] for s in range(n_slots)] for seen in per_round]
+    return win, per_round
 
 
 class TestContentionRounds:
@@ -112,12 +114,40 @@ class TestContentionRounds:
             choice = rng.integers(0, max(n_slots, 1), size=n)  # no slot: only the length is read
             group = rng.integers(0, n_groups, size=n)
             win, counts = contention_rounds(choice, n_slots, group, n_groups)
-            assert (win.tolist(), counts.tolist()) == reference_rounds(choice, n_slots, group, n_groups)
+            ref_win, seen = reference_rounds(choice, n_slots, group, n_groups)
+            assert win.tolist() == ref_win
+            assert counts.tolist() == [[c[s] for s in range(n_slots)] for c in seen]
             # one round: the same rule, with counts up to the highest slot chosen
             win, counts = contention_rounds(choice, n_slots)
-            ref_win, (ref_counts,) = reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)
+            ref_win, (seen,) = reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)
             assert win.tolist() == ref_win
-            assert counts.tolist() + [0] * (n_slots - len(counts)) == ref_counts
+            assert counts.tolist() + [0] * (n_slots - len(counts)) == [seen[s] for s in range(n_slots)]
+
+    @pytest.mark.parametrize("n_slots", [mac_cff._DENSE_SLOTS + 1, 2**20, 2**32 - 1])
+    def test_many_slots_count_only_the_chosen(self, n_slots):
+        # more (round, slot) pairs than the dense cap and than contenders:
+        # the same rule from the slots chosen alone, and no counts
+        rng = np.random.default_rng(n_slots % 1000)
+        for _ in range(40):
+            n_groups = int(rng.choice([1, 2, 9, 60]))
+            n = int(rng.integers(0, 3000))
+            pool = rng.integers(0, n_slots, size=int(rng.integers(1, 300)))  # few slots, so some collide
+            choice = rng.choice(pool, size=n)
+            group = rng.integers(0, n_groups, size=n)
+            win, counts = contention_rounds(choice, n_slots, group, n_groups)
+            assert win.tolist() == reference_rounds(choice, n_slots, group, n_groups)[0] and counts is None
+            win, counts = contention_rounds(choice, n_slots)
+            assert win.tolist() == reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)[0]
+            assert counts is None
+        # as many contenders as slots past the cap: every slot is counted
+        slots = mac_cff._DENSE_SLOTS + 1
+        choice = rng.integers(0, slots, size=slots)
+        win, counts = contention_rounds(choice, slots)
+        assert counts.tolist() == np.bincount(choice).tolist() and win.tolist() == (counts[choice] == 1).tolist()
+        # the per-draw round still reports every slot's count
+        choices, counts, winners = uniform_slot_contention(3, min(n_slots, 2**20), rng)
+        assert len(counts) == min(n_slots, 2**20) and counts.sum() == 3
+        assert winners.tolist() == (counts[choices] == 1).tolist()
 
 
 class TestContendPush:
@@ -259,6 +289,20 @@ class TestSimulateCff:
             fast = simulate_cff(cfg, 0, 1000, 2000, seed, push_abort=PushAbortRule(target, 0.99))
             assert len(fast.latency_slots(PUSH)) < 1500, target
 
+    def test_memory_follows_contenders_not_slots(self):
+        # 2**22 push slots: counting every slot of a round would take 32 MiB;
+        # only the chosen ones are counted, and the records stay the per-draw
+        # reference's
+        cfg = FrameConfig(2**22, 0.01, 1, 1, 0.0)
+        tracemalloc.start()
+        try:
+            simulate_cff(cfg, 0.0, 300.0, 20, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        check_cff_matches_reference(cfg, 0.0, 300.0, 20, 3)
+
     def test_abort_rule_validation(self):
         for bad in (0.0, -0.01, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -286,6 +330,104 @@ class TestSimulateCff:
         for p in (0.5, 0.9):
             assert empirical_quantile(hi.latencies(PULL), p) <= empirical_quantile(lo.latencies(PULL), p) + slack
             assert empirical_quantile(hi.latencies(PUSH), p) >= empirical_quantile(lo.latencies(PUSH), p) - slack
+
+
+class _SettleSpy:
+    """Records the frames and the contenders of the held rounds each
+    ``_settle`` call settles."""
+
+    def __init__(self, monkeypatch):
+        self.frames, self.sizes = [], []
+        settle = mac_cff._settle
+
+        def spy(held, *args):
+            self.frames.append([f for f, *_ in held])
+            self.sizes.append([pend.size for _, pend, *_ in held])
+            return settle(held, *args)
+
+        monkeypatch.setattr(mac_cff, "_settle", spy)
+
+
+class TestHeldRounds:
+    """``simulate_cff`` holds its push rounds (pending packets, draws, win
+    mask) and settles their winners' delivery slots in bulk: once the held
+    rounds pass ``_HELD_CONTENDERS`` contenders, and at the end of the run.
+    The abort skips its lookups while the oldest pending packet arrived
+    after the frame it checks.  Records and ``on_delivery`` calls must stay
+    those of the per-draw reference wherever a settle falls."""
+
+    @pytest.mark.parametrize("cap", [0, 7, 2**10])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            dict(push_abort=PushAbortRule(0.05, 0.99)),
+            dict(push_abort=PushAbortRule(0.03, 0.5), warmup_frames=20),
+        ],
+    )
+    def test_backlogs_cross_the_cap(self, monkeypatch, cap, kw):
+        # near the push capacity (about 1840 pps on this frame): backlogs of
+        # a few to a few dozen packets, so the held rounds pass the cap again
+        # and again during the run
+        monkeypatch.setattr(mac_cff, "_HELD_CONTENDERS", cap)
+        spy = _SettleSpy(monkeypatch)
+        check_cff_matches_reference(paper_config(0.5), 200.0, 1700.0, 300, 4, **kw)
+        assert len(spy.frames) > 2
+
+    @pytest.mark.parametrize("lag", [1, 2, 3, 4, 5])
+    def test_abort_just_after_a_settle(self, monkeypatch, lag):
+        # a target of lag frames on the paper frame checks frame f - lag
+        # after frame f's round; with the cap one below the run's contenders
+        # the loop's one settle comes in the abort frame's round, just before
+        # the check that stops the run
+        cfg, rates, horizon = paper_config(0.5), (200.0, 2500.0), 200
+        kw = dict(push_abort=PushAbortRule(lag * cfg.frame_duration, 0.99))
+        spy = _SettleSpy(monkeypatch)
+        monkeypatch.setattr(mac_cff, "_HELD_CONTENDERS", math.inf)
+        simulate_cff(cfg, *rates, horizon, lag, **kw)
+        (frames,), (sizes,) = spy.frames, spy.sizes  # one settle, after the loop
+        assert frames[-1] < horizon - 1  # the run aborted in its last round's frame
+        monkeypatch.setattr(mac_cff, "_HELD_CONTENDERS", sum(sizes) - 1)
+        spy.frames.clear()
+        check_cff_matches_reference(cfg, *rates, horizon, lag, **kw)
+        assert spy.frames == [frames]  # settled in the abort frame, nothing left after the loop
+        # below capacity the backlog is a packet or two, often the last of
+        # its frame, and the lookups run only when one can be late: with
+        # target 1 the first late packet stops the run
+        rule = PushAbortRule(lag * cfg.frame_duration, 1.0)
+        for seed in range(6):
+            for rate in (1000.0, 1500.0):
+                check_cff_matches_reference(cfg, 200.0, rate, horizon, seed, push_abort=rule)
+
+    def test_single_attempt_with_an_abort(self, monkeypatch):
+        monkeypatch.setattr(mac_cff, "_HELD_CONTENDERS", 5)
+        for rule in (PushAbortRule(0.02, 0.9), PushAbortRule(0.005, 0.99)):
+            kw = dict(push_retransmit=False, push_abort=rule)
+            check_cff_matches_reference(paper_config(0.5), 200.0, 2500.0, 100, 6, **kw)
+
+    def test_no_push_slot_with_an_abort(self):
+        # no push opportunity: pending packets never leave, and nothing is held
+        cfg = paper_config(1.0)
+        assert cfg.push_tx_capacity == 0
+        for rule in (PushAbortRule(0.02, 0.9), PushAbortRule(0.05, 0.5), PushAbortRule(0.01, 0.01)):
+            check_cff_matches_reference(cfg, 300.0, 800.0, 120, 8, push_abort=rule)
+            check_cff_matches_reference(cfg, 300.0, 800.0, 120, 8, push_abort=rule, warmup_frames=30)
+
+    def test_held_rounds_stay_capped_on_a_collapsed_run(self, monkeypatch):
+        # K = 20 push slots against about 10 arrivals a frame: the backlog
+        # collapses and grows to about 20k; with an abort the run goes frame
+        # by frame, and held uncapped its rounds took about 650 MiB
+        cfg = paper_config(0.8)
+        assert cfg.push_tx_capacity == 20
+        spy = _SettleSpy(monkeypatch)
+        tracemalloc.start()
+        try:
+            simulate_cff(cfg, 0.0, 1000.0, 2000, 5, push_abort=PushAbortRule(0.05, 0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spy.frames[-1][-1] > 1900  # frame by frame almost to the horizon
+        assert peak < 8 * 2**20
 
 
 class TestExactOracle:

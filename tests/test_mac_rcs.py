@@ -173,7 +173,7 @@ class TestSimulateRcs:
 
     def test_block_memory_does_not_grow_with_slots(self):
         # 25000 shared slots: the counts of a 128-frame block's shared rounds
-        # alone would take 24 MiB, so a block takes fewer frames; the frames
+        # would take 24 MiB, so only the slots chosen are counted; the frames
         # stay those of the per-draw reference
         cfg, pop, q = config(50_000, 0.5), population(12, 40), SemanticQuery(0.25, 0.75)
         tracemalloc.start()
@@ -184,6 +184,19 @@ class TestSimulateRcs:
             tracemalloc.stop()
         assert peak < 20 * 2**20
         check_rcs_run(cfg, pop, q, 300, seed=7)
+
+    def test_frame_memory_does_not_grow_with_slots(self):
+        # 2**21 shared slots: one frame's shared-round counts alone would
+        # take 16 MiB
+        cfg, pop, q = config(2**22, 0.5), population(12, 40), SemanticQuery(0.25, 0.75)
+        tracemalloc.start()
+        try:
+            simulate_rcs(cfg, pop, q, 5, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        check_rcs_run(cfg, pop, q, 5, seed=7)
 
     def test_variance_halves_when_frames_double(self):
         pop = population(6, 10)

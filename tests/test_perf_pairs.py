@@ -115,17 +115,18 @@ def test_gain_rule():
     assert higher([0.9] * 10).startswith("gain not shown: change better in 0/10 ")
 
 
-def _results_root(path, values):
-    """A root whose perfbench/run.py prints, on its i-th run, a correct result
-    with ``values[name][i]`` for each metric, and whose BENCHMARK.json names
-    those metrics."""
+def _results_root(path, values, env=None):
+    """A root whose perfbench/run.py prints, on its i-th run, the ``env``
+    line (if given) and a correct result with ``values[name][i]`` for each
+    metric, and whose BENCHMARK.json names those metrics."""
     path.mkdir()
     body = (
         "import json, pathlib\n"
         "runs = pathlib.Path(__file__).with_name('runs')\n"
         "i = int(runs.read_text()) if runs.exists() else 0\n"
         "runs.write_text(str(i + 1))\n"
-        f"values = {values!r}\n"
+        + (f"print('env ' + json.dumps({env!r}))\n" if env else "")
+        + f"values = {values!r}\n"
         "metrics = {name: {'value': v[i], 'unit': 's'} for name, v in values.items()}\n"
         "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': metrics}))\n"
     )
@@ -148,3 +149,32 @@ def test_ten_pairs_by_default_with_a_gain_verdict_per_metric(tmp_path, capsys):
     assert lines[3].startswith("  peak_rss_mb 40.0000 [")
     assert lines[4].startswith("    gain not shown: change better in 0/10 ")
     assert len(lines) == 5
+
+
+ENV = dict(nproc="2", cpu_model="Some CPU", python="3.11.7", numpy="2.4.6", git_commit="a", src_sha256="x")
+
+
+@pytest.mark.parametrize(
+    "change_env, warning",
+    [
+        (dict(ENV, git_commit="b", src_sha256="y"), None),  # commit and source differ by design
+        (dict(ENV, numpy="2.3.0", git_commit="b"), "numpy '2.4.6' vs '2.3.0'"),
+        (dict(ENV, nproc="4", cpu_model="Other CPU"), "nproc '2' vs '4', cpu_model 'Some CPU' vs 'Other CPU'"),
+    ],
+)
+def test_each_side_env_printed_once_with_a_warning_when_hosts_differ(tmp_path, capsys, change_env, warning):
+    values = {"wall_s": [1.0] * 4, "peak_rss_mb": [40.0] * 4}
+    parent = _results_root(tmp_path / "parent", values, ENV)
+    change = _results_root(tmp_path / "change", values, change_env)
+    perf_pairs.main([str(parent), str(change), "--workloads", "cff_mixed,rcs_grid", "--pairs", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    sides = (("parent", ENV), ("change", change_env))
+    assert lines[:2] == [f"{side} env {json.dumps(env, sort_keys=True)}" for side, env in sides]
+    warned = [line for line in lines if line.startswith("WARNING")]
+    if warning is None:
+        assert not warned
+    else:
+        assert warned == [f"WARNING: parent and change env differ in {warning}; their numbers do not compare"]
+    assert sum(line.startswith(("parent env", "change env")) for line in lines) == 2  # once over both workloads
+    with pytest.raises(SystemExit, match="here: malformed env line 'env \\[1'"):
+        perf_pairs.parse_env("env [1\n", "here")

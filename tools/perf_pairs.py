@@ -17,7 +17,11 @@ distance is wider than the bound and not every change run beats every parent
 run.  It also says whether a gain on the metric may be claimed: only when at
 least ``GAIN_PAIRS`` pairs ran, the change reads better in at least nine
 tenths of them (ties count for neither), and its median is better than the
-parent's by more than the parent's quartile distance.  A run that is not
+parent's by more than the parent's quartile distance.  Each side's ``env``
+line (host, toolchain and source) is printed once, with a warning when the
+sides differ in any of ``SAME_ENV``: numbers from different hosts or
+toolchains do not compare, while the commit and the source digest differ by
+design.  A run that is not
 ``correct`` or has failed points is reported and stops the tool; so is a run
 that exits non-zero or whose last stdout line is not a result, with its
 side, workload, exit code and the tail of its stderr.
@@ -30,7 +34,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 # stderr lines a failed run's report quotes
@@ -38,6 +42,9 @@ STDERR_TAIL = 20
 
 # pairs a gain needs, and the default number of pairs run
 GAIN_PAIRS = 10
+
+# env fields both sides must share for their numbers to compare
+SAME_ENV = ("nproc", "cpu_model", "python", "numpy")
 
 
 def failure(where: str, what: str, stderr: str) -> str:
@@ -60,15 +67,40 @@ def parse_result(stdout: str, where: str, stderr: str = "") -> Dict[str, float]:
     return values
 
 
-def run_once(side: str, root: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
-    """One benchmark run of ``side`` in ``root``; its end-to-end metrics."""
+def parse_env(stdout: str, where: str, stderr: str = "") -> Optional[Dict[str, str]]:
+    """The fields of a benchmark run's ``env`` line, or None without one."""
+    line = next((line for line in stdout.splitlines() if line.startswith("env ")), None)
+    if line is None:
+        return None
+    try:
+        env = json.loads(line[4:])
+    except ValueError:
+        env = None
+    if not isinstance(env, dict):
+        raise SystemExit(failure(where, f"malformed env line {line!r}", stderr))
+    return env
+
+
+def env_warning(parent: Dict[str, str], change: Dict[str, str]) -> Optional[str]:
+    """A warning naming the ``SAME_ENV`` fields in which the sides differ."""
+    differ = [f"{k} {parent.get(k)!r} vs {change.get(k)!r}" for k in SAME_ENV if parent.get(k) != change.get(k)]
+    if not differ:
+        return None
+    return f"WARNING: parent and change env differ in {', '.join(differ)}; their numbers do not compare"
+
+
+def run_once(
+    side: str, root: Path, workload: str, seed: int, seconds: float
+) -> Tuple[Dict[str, float], Optional[Dict[str, str]]]:
+    """One benchmark run of ``side`` in ``root``; its end-to-end metrics and
+    its env fields."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     where = f"{side} {workload} ({root})"
     if run.returncode:
         raise SystemExit(failure(where, f"exit code {run.returncode}", run.stderr))
-    return parse_result(run.stdout, where, run.stderr)
+    return parse_result(run.stdout, where, run.stderr), parse_env(run.stdout, where, run.stderr)
 
 
 def quartiles(values: Sequence[float]) -> List[float]:
@@ -135,11 +167,20 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         ap.error("--pairs must be >= 1")
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    envs: Dict[str, Dict[str, str]] = {}  # each side's first env line
     for workload in args.workloads.split(","):
         runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(side, roots[side], workload, args.seed, args.seconds))
+                values, env = run_once(side, roots[side], workload, args.seed, args.seconds)
+                runs[side].append(values)
+                if side in envs or env is None:
+                    continue
+                envs[side] = env
+                print(f"{side} env {json.dumps(env, sort_keys=True)}")
+                warning = env_warning(envs["parent"], envs["change"]) if len(envs) == 2 else None
+                if warning:
+                    print(warning)
             pair = {side: runs[side][-1] for side in runs}
             print(f"{workload} pair {i + 1}/{args.pairs}: {json.dumps(pair, sort_keys=True)}", file=sys.stderr)
         print(f"{workload} ({args.pairs} pairs)")
