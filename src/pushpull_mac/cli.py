@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional
 
 from .harness import ConfigError, ExperimentConfig, load_config, run_experiment
-from .traffic import SEED_LIMIT
 
 
 class _UsageError(Exception):
@@ -71,14 +70,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < SEED_LIMIT:
-                raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
-            config = replace(config, master_seed=args.seed)
-        if args.replications is not None:
-            if args.replications < 1:
-                raise ConfigError("--replications must be >= 1")
-            config = replace(config, replications=args.replications)
+        # overrides go through their config keys' parsers, so each rule has one message
+        parse = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
+        overrides = (("master_seed", "--seed", args.seed), ("replications", "--replications", args.replications))
+        for key, flag, value in overrides:
+            if value is not None:
+                config = replace(config, **{key: parse[key](value, flag)})
         workers = getattr(args, "workers", 1)
         if workers < 1:
             raise ConfigError("--workers must be >= 1")

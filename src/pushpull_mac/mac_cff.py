@@ -16,11 +16,11 @@ them).  With no doubles left to draw, numpy's buffered high half is simply
 the next half, so these draws are consecutive 32-bit halves of the raw PCG64
 output.  ``simulate_cff`` fetches that output a window at a time and replays
 numpy's bounded-integer rule on it (:mod:`.rawdraw`), so a seed gives the
-records of the per-draw ``Generator`` calls.  Every draw is taken, and its
-half checked against the rejection rule, since that fixes where the next
-draw starts; only the values a round needs are computed (see below).  If
-numpy changes that rule, the pinned outputs in the tests fail instead of the
-output changing silently.
+records of the per-draw ``Generator`` calls.  A take of n draws spans n
+halves and those the rule rejects among them, listed once per bound and
+window (:class:`_HalfStream`); only the values a round needs are computed
+(see below).  If numpy changes that rule, the pinned outputs in the tests
+fail instead of the output changing silently.
 
 The framed-ALOHA rule (a slot chosen by exactly one contender succeeds) is
 written once, in :func:`contention_rounds`, for one round or many at once.
@@ -48,10 +48,10 @@ step: it fetches their halves at once, rejection-checks them, certifies
 every round's prefix from the counts of one :func:`contention_rounds` call
 over all the prefixes and computes nothing more of the rounds.  The frame
 loop joins the taken frames' arrivals to the backlog at once.  The first
-frame that fails (its prefix leaves a slot with fewer than two, or a half of
-its round or offsets is rejected) ends the stretch and runs frame by frame,
-its round computed in full.  Runs with an abort rule or without
-retransmission go frame by frame throughout.
+frame that fails (its prefix leaves a slot with fewer than two, or the rule
+rejects a half of it below K or of its offsets below S) ends the stretch and
+runs frame by frame, its round computed in full.  Runs with an abort rule or
+without retransmission go frame by frame throughout.
 
 A frame step does only what the next frame depends on: it draws and decides
 the round, keeps its losers pending, steps over the frame's offset draws and
@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -243,14 +243,15 @@ class _HalfStream:
     computing them; their values are read when the window is dropped, and
     ``close()`` returns every one taken, in stream order.  A take always lies
     in one window: a window that falls short is replaced by its unused tail
-    plus fresh output.  The push rejections are computed for a round's
-    halves, or a window's worth ahead when rounds are short, and the push
-    draws over the same halves once a round needs them; the offset
-    rejections from the window's first offset take to its end.  The window
-    lives in one buffer kept for the run (grown when short): a fresh one per
-    refill, up to every frame when rounds are long, fragments the heap and
-    cost about 0.7 MiB of peak memory on cff_mixed (40.8 and 41.0 MiB
-    against 40.2).
+    plus fresh output.  Every take goes through ``_take(n, bound)``, which
+    lists a bound's rejected halves once a window, from its first take there
+    to the window's end (one list if S equals the push capacity).  The push
+    draws are computed from a round's first half to its end, or a window's
+    worth ahead when rounds are short (to the window's end, they raised
+    cff_mixed's peak RSS by 1 %).  The window lives in one buffer kept for
+    the run (grown when short): a fresh one per refill, up to every frame
+    when rounds are long, fragments the heap and cost about 0.7 MiB of peak
+    memory on cff_mixed (40.8 and 41.0 MiB against 40.2).
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int) -> None:
@@ -264,12 +265,9 @@ class _HalfStream:
         self.halves = halves_of(self.words)
         self.size = 0  # halves in the window
         self.h = 0  # next unused half
-        self.push_to = -1  # end of the halves the push table covers, once built
-        self.choice_from = -1  # where the push draws start (they run to push_to), once computed
-        self.slot_from = -1  # where the slot table starts (it runs to the window's end), once built
+        self.rejected: Dict[int, List[int]] = {}  # bound -> its rejected halves, once listed
+        self.choice_from = self.choice_to = -1  # the halves the push draws are computed for, if any
         self.choice = np.empty(0, dtype=np.int64)  # choice[i - choice_from]: the draw below push_ops from half i
-        self.rejected_push: List[int] = []
-        self.rejected_slot: List[int] = []
         self.spans: List[int] = []  # offset takes in this window: start, end, start, end, ...
         self.read: List[np.ndarray] = []  # offset draws of dropped windows
         self.n_offsets = 0
@@ -289,38 +287,21 @@ class _HalfStream:
         self.h -= 2 * keep
         self.halves = halves_of(self.words)
         self.size = len(self.halves)
-        self.push_to = self.slot_from = -1
+        self.rejected, self.choice_to = {}, -1  # lists and push draws of the dropped window
 
-    def _push_table(self, end: int) -> Tuple[List[int], int]:
-        """Rejections below push_ops and the end of the halves the table
-        covers, which include [h, end): a round's own halves, or a window's
-        worth when rounds are short.  The draws themselves are computed by
-        the first ``contend`` that reads the table."""
-        if end > self.push_to:
-            h = self.h
-            self.push_to = min(self.size, max(end, h + 2 * _WINDOW_WORDS))
-            self.choice_from = -1
-            self.rejected_push = [h + i for i in rejected(self.halves[h : self.push_to], self.push_ops)]
-        return self.rejected_push, self.push_to
-
-    def _slot_table(self, end: int) -> Tuple[List[int], int]:
-        """Rejections below S from the window's first offset take to its end."""
-        if self.slot_from < 0:
-            self.slot_from = self.h
-            self.rejected_slot = [self.h + i for i in rejected(self.halves[self.h :], self.n_slots)]
-        return self.rejected_slot, self.size
-
-    def _take(self, n: int, table: Callable[[int], Tuple[List[int], int]]) -> Tuple[int, int]:
-        """The span of halves that yields the next ``n`` accepted draws."""
+    def _take(self, n: int, bound: int) -> Tuple[int, int]:
+        """The span of halves that yields the next ``n`` draws below ``bound``."""
         end = self.h + n
         while True:
             if end > self.size:
                 self._refill(end - self.size)
                 end = self.h + n
-            rej, covered = table(end)
+            rej = self.rejected.get(bound)
+            if rej is None:
+                rej = self.rejected[bound] = [self.h + i for i in rejected(self.halves[self.h :], bound)]
             if rej:
                 end = span_end(self.h, n, rej)
-            if end <= covered:
+            if end <= self.size:
                 h, self.h = self.h, end
                 return h, end
 
@@ -328,18 +309,18 @@ class _HalfStream:
         """A contention round's ``n`` slot choices (int64)."""
         if self.push_ops == 1:  # a bound-1 draw is 0 and consumes nothing
             return np.zeros(n, dtype=np.int64)
-        h = self.h
-        end = h + n
-        if end > self.push_to or self.rejected_push:
-            h, end = self._take(n, self._push_table)
+        h, end = self.h, self.h + n
+        if end > self.size or self.rejected.get(self.push_ops, True):  # no call if it fits and none is rejected
+            h, end = self._take(n, self.push_ops)
         self.h = end
-        if self.choice_from < 0:
-            self.choice_from = h
-            self.choice = bounded(self.halves[h : self.push_to], self.push_ops)
+        if end > self.choice_to:
+            self.choice_from, self.choice_to = h, min(self.size, max(end, h + 2 * _WINDOW_WORDS))
+            self.choice = bounded(self.halves[h : self.choice_to], self.push_ops)
         choice = self.choice[h - self.choice_from : end - self.choice_from]
         if end - h > n:  # drop the span's rejected halves
-            first = bisect_left(self.rejected_push, h)
-            choice = np.delete(choice, [i - h for i in self.rejected_push[first : first + end - h - n]])
+            rej = self.rejected[self.push_ops]
+            first = bisect_left(rej, h)
+            choice = np.delete(choice, [i - h for i in rej[first : first + end - h - n]])
         return choice
 
     def take_winnerless(self, rounds: np.ndarray, offsets: np.ndarray) -> int:
@@ -350,9 +331,9 @@ class _HalfStream:
         Candidate frame j draws a round of ``rounds[j]`` choices, more than
         ``prefix`` of them, then ``offsets[j]`` arrival offsets.  The frames
         that fit ``budget`` halves (at least one) are fetched at once.  The
-        first frame that fails ends the stretch untaken: a prefix that leaves
-        a slot with fewer than two, or a half of its round or offsets that
-        the rejection rule drops.
+        first frame that fails ends the stretch untaken: its prefix leaves a
+        slot with fewer than two, or the rule rejects a half of it below K
+        or of its offsets below S.
         """
         sizes = rounds + offsets
         ends = np.cumsum(sizes)
@@ -365,10 +346,8 @@ class _HalfStream:
         starts = ends - sizes[:m]
         ok = m
         rej = rejected(halves, self.push_ops)
-        if rej:  # only those inside a round count here
-            frame = ends.searchsorted(rej, "right")
-            hit = frame[np.asarray(rej) < starts[frame] + rounds[frame]]
-            ok = int(hit[0]) if hit.size else m
+        if rej:
+            ok = int(ends.searchsorted(rej[0], "right"))
         o_ends = np.cumsum(offsets)
         drawn = halves[np.arange(int(o_ends[-1])) + np.repeat(starts + rounds - o_ends + offsets, offsets)]
         rej = rejected(drawn, self.n_slots)
@@ -389,22 +368,18 @@ class _HalfStream:
         """Take ``n`` arrival-offset draws."""
         self.n_offsets += n
         if n and self.n_slots >= 2:
-            h = self.h
-            end = h + n
-            if end > self.size or self.slot_from < 0 or self.rejected_slot:
-                h, end = self._take(n, self._slot_table)
+            h, end = self.h, self.h + n
+            if end > self.size or self.rejected.get(self.n_slots, True):
+                h, end = self._take(n, self.n_slots)  # may refill, which reads and resets spans
             self.h = end
-            if self.spans and self.spans[-1] == h:
-                self.spans[-1] = end
-            else:
-                self.spans += (h, end)
+            self.spans += (h, end)
 
     def _read_spans(self) -> None:
         """Compute the offset draws taken in this window."""
         if not self.spans:
             return
         parts = []
-        rej = self.rejected_slot
+        rej = self.rejected[self.n_slots]
         for a, b in zip(self.spans[0::2], self.spans[1::2]):
             for r in rej[bisect_left(rej, a) : bisect_left(rej, b)] if rej else ():
                 parts.append(self.halves[a:r])

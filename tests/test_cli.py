@@ -151,7 +151,7 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, rcs_single())
         out = tmp_path / "r.csv"
         assert main(["rcs", "--config", cfg, "--seed", str(5 + 2**64), "--out", str(out), "--quiet"]) == 1
-        assert "--seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert f"--seed: must be < {2**64}, got {5 + 2**64}" in capsys.readouterr().err
         assert not out.exists()
         assert main(["rcs", "--config", cfg, "--seed", str(2**64 - 1), "--out", str(out), "--quiet"]) == 0
         assert main(["rcs", "--config", write_cfg(tmp_path, rcs_single(master_seed=2**64)), "--quiet"]) == 1

@@ -568,30 +568,39 @@ class TestRejectedDraws:
     REJECTED = 171798692  # * 25 == 2**32 + 4 (4 < 2**32 % 25 == 21); * 50 == 2**33 + 8 (8 < 2**32 % 50 == 46)
     ACCEPTED = 7
     CONFIG = FrameConfig(50, 0.01, 1, 1, 0.5)  # S = 50, push_tx_capacity = 25
-    # (bound, draws) per take, as a run makes them: offsets, a round, offsets, ...
+    # (is a round, draws) per take, as a run makes them: offsets, a round, offsets, ...
     # halves 0-2, 3-6, 7, 8-13, 14-18, 19-20 when nothing is rejected
-    TAKES = ((50, 3), (25, 4), (50, 1), (25, 6), (50, 5), (25, 2))
+    TAKES = ((False, 3), (True, 4), (False, 1), (True, 6), (False, 5), (True, 2))
 
+    # (window, position, low, high): where the built output lands
+    CASES = [
+        (4096, 2, REJECTED, ACCEPTED),  # half 4: a round skips a low half
+        (4096, 2, ACCEPTED, REJECTED),  # half 5: a round skips a high half
+        (4096, 0, ACCEPTED, REJECTED),  # half 1: offsets skip a high half
+        (4096, 7, REJECTED, REJECTED),  # halves 14-15: offsets skip two
+        (1, 2, REJECTED, REJECTED),  # the first window ends at half 8: two skips push a round past it
+        (1, 3, ACCEPTED, REJECTED),  # half 7, the window's last, skipped by a one-draw offset take
+    ]
+
+    # each case at S = 50, K = 25, and at S = K = 25, where both kinds of take
+    # read one list of rejected halves (REJECTED is rejected below 25 too)
     @pytest.mark.parametrize(
-        "window, position, low, high",
+        "window, position, low, high, S, K",
         [
-            (4096, 2, REJECTED, ACCEPTED),  # half 4: a round skips a low half
-            (4096, 2, ACCEPTED, REJECTED),  # half 5: a round skips a high half
-            (4096, 0, ACCEPTED, REJECTED),  # half 1: offsets skip a high half
-            (4096, 7, REJECTED, REJECTED),  # halves 14-15: offsets skip two
-            (1, 2, REJECTED, REJECTED),  # the first window ends at half 8: two skips push a round past it
-            (1, 3, ACCEPTED, REJECTED),  # half 7, the window's last, skipped by a one-draw offset take
+            pytest.param(*case, S, K, id="-".join(map(str, case)) + ("-S=K" if S == K else ""))
+            for case in CASES
+            for S, K in ((50, 25), (25, 25))
         ],
     )
-    def test_stream_matches_numpy(self, monkeypatch, window, position, low, high):
+    def test_stream_matches_numpy(self, monkeypatch, window, position, low, high, S, K):
         monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", window)
         word = (high << 32) | low
         numpy_rng = generator_emitting(word, position)
-        expected = [numpy_rng.integers(0, bound, size=n, dtype=np.int64).tolist() for bound, n in self.TAKES]
-        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25)
-        rounds = [stream.contend(n).tolist() if bound == 25 else stream.skip(n) for bound, n in self.TAKES]
+        expected = [numpy_rng.integers(0, K if rnd else S, size=n, dtype=np.int64).tolist() for rnd, n in self.TAKES]
+        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, S, K)
+        rounds = [stream.contend(n).tolist() if rnd else stream.skip(n) for rnd, n in self.TAKES]
         offsets = iter(stream.close().tolist())
-        got = [r if bound == 25 else [next(offsets) for _ in range(n)] for r, (bound, n) in zip(rounds, self.TAKES)]
+        got = [r if rnd else [next(offsets) for _ in range(n)] for r, (rnd, n) in zip(rounds, self.TAKES)]
         assert got == expected
         assert next(offsets, None) is None
 
