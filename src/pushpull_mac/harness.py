@@ -452,17 +452,18 @@ def enumerate_points(config: ExperimentConfig) -> List[_PointJob]:
     return jobs
 
 
-def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]]]:
-    """Execute one sweep point; failures become rows with the error column set."""
+def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]], float]:
+    """Execute one sweep point: (its index, its rows, its wall seconds);
+    failures become rows with the error column set."""
+    start = time.monotonic()
     kind = job.config.kind
     try:
-        return job.index, _POINT_KINDS[kind][0](job)
+        rows = _POINT_KINDS[kind][0](job)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         targets = job.config.latency_targets_ms if kind == "cff.simulate" else (job.latency_ms,)
-        return job.index, [
-            row for l_ms in targets for row in _metric_rows(job, repeat(None), L_ms=l_ms, error=error)
-        ]
+        rows = [row for l_ms in targets for row in _metric_rows(job, repeat(None), L_ms=l_ms, error=error)]
+    return job.index, rows, time.monotonic() - start
 
 
 def _write_csv(path: Path, rows: Sequence[Dict[str, str]]) -> None:
@@ -486,7 +487,7 @@ def run_experiment(
         raise ValueError("workers must be >= 1")
     start = time.monotonic()
     jobs = enumerate_points(config)
-    results: List[Tuple[int, List[Dict[str, str]]]] = []
+    results: List[Tuple[int, List[Dict[str, str]], float]] = []
     if workers == 1 or len(jobs) <= 1:
         for job in jobs:
             results.append(_run_point(job))
@@ -499,12 +500,12 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            for index, rows in pool.map(_run_point, jobs):
-                results.append((index, rows))
+            for result in pool.map(_run_point, jobs):
+                results.append(result)
                 if log:
-                    log(f"point {index + 1}/{len(jobs)} done")
+                    log(f"point {result[0] + 1}/{len(jobs)} done")
     results.sort(key=lambda item: item[0])
-    rows = [row for _, point_rows in results for row in point_rows]
+    rows = [row for _, point_rows, _ in results for row in point_rows]
     wall = time.monotonic() - start
 
     out_path = Path(out) if out is not None else (Path(config.output) if config.output else None)
@@ -517,6 +518,7 @@ def run_experiment(
             "master_seed": config.master_seed,
             "n_points": len(jobs),
             "n_rows": len(rows),
+            "point_wall_s": [seconds for _, _, seconds in results],  # in point order
             "version": __version__,
             "wall_time_s": wall,
         }

@@ -34,7 +34,7 @@ contention rounds run frame by frame: the pending push packets are ascending
 indices into the run's push arrivals (arrival slots never decrease with the
 index), a round is one :func:`contention_rounds` call over a slice of draws
 computed ahead (for a window's worth of short rounds, or for one long
-round), and offset draws are only stepped over.  Capacity probes above the
+round), and offset draws are only taken.  Capacity probes above the
 service ceiling back up to ~1e5 contenders per frame, far past what a
 per-object loop sustains.  Such a collapsed backlog redraws every frame and
 almost never wins: if the first ``_PREFIX_PER_SLOT`` x K draws of a round
@@ -53,21 +53,25 @@ rejects a half of it below K or of its offsets below S) ends the stretch and
 runs frame by frame, its round computed in full.  Runs with an abort rule or
 without retransmission go frame by frame throughout.
 
-A frame step does only what the next frame depends on: it draws and decides
-the round, keeps its losers pending, steps over the frame's offset draws and
-appends its push arrivals.  Nothing reads a delivery before the run ends, so
-a decided round is held as it is (the frame, and references to its pending
-packets, draws and win mask) and the winners' delivery slots are settled in
-bulk, many rounds in one pass: once the held rounds pass
-``_HELD_CONTENDERS`` contenders, which bounds the memory they keep alive,
-and once after the loop.  The abort check after frame f counts frame
-f - lag's pending packets with two binary searches, but only when the
-oldest pending packet arrived in that frame or before: the pending packets
-ascend, so otherwise none of that frame's is pending, exactly; near capacity
-that is most frames.  At the end of the run the offsets are lifted to
-arrival slots in one sort, latencies and ``on_delivery`` calls are built
-from the settled winners, and the pull FIFO, which draws no randomness, is
-served in closed form (:func:`schedule_pull`).
+A frame step does only what the next frame depends on: one stream call
+(``_HalfStream.step``, mostly one comparison and a slice) takes the round's
+draws, then the frame's offsets, or with nothing pending the offsets of
+every frame up to the next push arrival; the round is decided, its losers
+kept pending and the frame's push arrivals appended.  Nothing reads a
+delivery before the run ends, so a decided round is held as it is (the
+frame, and references to its pending packets, draws and win mask) and the
+winners' delivery slots are settled in bulk, many rounds in one pass: once
+the held rounds pass ``_HELD_CONTENDERS`` contenders, which bounds the
+memory they keep alive, and once after the loop.  The abort check after
+frame f counts frame f - lag's pending packets with two binary searches, but
+only when the oldest pending packet arrived in that frame or before: the
+pending packets ascend, so otherwise none of that frame's is pending,
+exactly; near capacity that is most frames.  The abort frame's offsets were
+taken in its step; closing the stream cuts the offsets at the frames that
+arrived.  At the end of the run the offsets are lifted to arrival slots in
+one sort, latencies and ``on_delivery`` calls are built from the settled
+winners, and the pull FIFO, which draws no randomness, is served in closed
+form (:func:`schedule_pull`).
 """
 from __future__ import annotations
 
@@ -115,6 +119,10 @@ _DENSE_SLOTS = 2**16
 # cap costs memory on collapsed backlogs (2**16 raised the peak RSS of
 # cff_mixed sweeps by 1.3 MiB, 3.5 %), a smaller one settles more often
 _HELD_CONTENDERS = 2**10
+
+# a count of one as a 0-d array: comparing with it skips the promotion of a
+# Python int, about half the cost of the comparison on a round's few counts
+_ONE = np.array(1, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,15 +179,15 @@ def contention_rounds(
     if group is None:
         if n_slots <= _DENSE_SLOTS or n_slots <= len(choice):
             counts = np.bincount(choice)
-            return counts[choice] == 1, counts
+            return counts[choice] == _ONE, counts
         key = choice
     else:
         key = group * n_slots + choice
         if n_groups * n_slots <= _DENSE_SLOTS or n_groups * n_slots <= len(key):
             counts = np.bincount(key, minlength=n_groups * n_slots)
-            return counts[key] == 1, counts.reshape(n_groups, n_slots)
+            return counts[key] == _ONE, counts.reshape(n_groups, n_slots)
     _, inverse, seen = np.unique(key, return_inverse=True, return_counts=True)
-    return seen[inverse] == 1, None
+    return seen[inverse] == _ONE, None
 
 
 def uniform_slot_contention(
@@ -219,65 +227,71 @@ def schedule_pull(
         raise ValueError("capacity must be >= 0")
     if packet_slots < 1:
         raise ValueError("packet_slots must be >= 1")
-    eligible = np.cumsum(joining, dtype=np.int64)
-    ramp = capacity * np.arange(eligible.size, dtype=np.int64)
+    frames = np.arange(len(joining), dtype=np.int64)
+    ramp = capacity * frames
     # served by the end of frame g, D(g) = min(D(g-1) + capacity, eligible(g))
     # with D(-1) = 0, unrolled: capacity*g + min(capacity, min_{h<=g} eligible(h) - capacity*h)
-    done = ramp + np.minimum(np.minimum.accumulate(eligible - ramp), capacity)
-    per_frame = np.diff(done, prepend=0)
-    frame = np.repeat(np.arange(eligible.size, dtype=np.int64), per_frame)
-    block = np.arange(frame.size, dtype=np.int64) - np.repeat(done - per_frame, per_frame)
-    return frame * slots_per_frame + start_offset + (block + 1) * packet_slots - 1
+    done = ramp + np.minimum(np.minimum.accumulate(np.cumsum(joining, dtype=np.int64) - ramp), capacity)
+    before = np.concatenate(([0], done[:-1]))  # D(g-1)
+    # the k-th packet served, in frame g, ends block k - D(g-1) of that frame
+    served = np.repeat(frames * slots_per_frame - before * packet_slots, done - before)
+    first_end = start_offset + packet_slots - 1  # where block 0 of frame 0 ends
+    return served + np.arange(first_end, first_end + served.size * packet_slots, packet_slots)
 
 
 class _HalfStream:
     """A run's bounded draws: consecutive 32-bit halves of raw PCG64 output,
-    fetched about ``_WINDOW_WORDS`` outputs at a time.
+    fetched about ``_WINDOW_WORDS`` outputs at a time (the first window about
+    as many as the run is expected to take, if fewer).
 
-    ``contend(n)`` takes a round's n draws below the push capacity and
-    returns them.  ``take_winnerless`` takes whole frames whose rounds it
-    certifies winnerless (see the module docstring), fetching at most
-    ``budget`` halves for them unless the first frame needs more; of those
-    rounds it computes only the prefixes, and it computes the frames' offsets
-    at once.  ``skip(n)`` takes n arrival-offset draws below S without
-    computing them; their values are read when the window is dropped, and
-    ``close()`` returns every one taken, in stream order.  A take always lies
-    in one window: a window that falls short is replaced by its unused tail
-    plus fresh output.  Every take goes through ``_take(n, bound)``, which
-    lists a bound's rejected halves once a window, from its first take there
-    to the window's end (one list if S equals the push capacity).  The push
-    draws are computed from a round's first half to its end, or a window's
-    worth ahead when rounds are short (to the window's end, they raised
-    cff_mixed's peak RSS by 1 %).  The window lives in one buffer kept for
-    the run (grown when short): a fresh one per refill, up to every frame
-    when rounds are long, fragments the heap and cost about 0.7 MiB of peak
-    memory on cff_mixed (40.8 and 41.0 MiB against 40.2).
+    ``step(n, m)`` takes a frame's draws: its round's n draws below the push
+    capacity, returned, then its m arrival offsets below S.  A step that ends
+    by ``limit`` (the window's end, the end of the push draws computed, or
+    the first listed rejected half of either bound; -1 until both lists are
+    built, and while a draw below the push capacity or S consumes nothing)
+    is one comparison and a slice.  Any other take goes through ``_take(n,
+    bound)``, which refills and lists a bound's rejected halves once a
+    window, from its first take there to the window's end (one list if S
+    equals the push capacity).  ``take_winnerless`` takes whole frames whose
+    rounds it certifies winnerless (see the module docstring), fetching at
+    most ``budget`` halves unless the first frame needs more; it computes
+    only their prefixes and their offsets.  The offsets of a window's steps
+    are read in one gather when it is dropped, and ``close(count)`` returns
+    the first count taken, in stream order.  A take lies in one window: a
+    window that falls short is replaced by its unused tail plus fresh output.
+    The push draws are computed from a round's first half to its end, or a
+    window's worth ahead when rounds are short (to the window's end, they
+    raised cff_mixed's peak RSS by 1 %).  The window lives in one buffer kept
+    for the run: a fresh one per refill fragmented the heap (+0.7 MiB peak
+    on cff_mixed).
     """
 
-    def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int) -> None:
+    def __init__(self, bit_generator: np.random.BitGenerator, n_slots: int, push_ops: int, expected: int) -> None:
         self.bit_generator = bit_generator
         self.n_slots = n_slots
         self.push_ops = push_ops
         self.prefix = _PREFIX_PER_SLOT * push_ops  # a longer backlog is taken in stretches
         self.budget = 16 * _WINDOW_WORDS  # halves a stretch of winnerless frames fetches at most (2**16)
+        self.ahead = min(_WINDOW_WORDS, expected // 2)  # words a refill fetches past the take's need
         self.buffer = np.empty(0, dtype=np.uint64)  # holds the window's words at its front
         self.words = self.buffer
         self.halves = halves_of(self.words)
         self.size = 0  # halves in the window
         self.h = 0  # next unused half
+        self.limit = -1  # a step ending by here holds no rejected half and only computed push draws
         self.rejected: Dict[int, List[int]] = {}  # bound -> its rejected halves, once listed
         self.choice_from = self.choice_to = -1  # the halves the push draws are computed for, if any
         self.choice = np.empty(0, dtype=np.int64)  # choice[i - choice_from]: the draw below push_ops from half i
         self.spans: List[int] = []  # offset takes in this window: start, end, start, end, ...
         self.read: List[np.ndarray] = []  # offset draws of dropped windows
-        self.n_offsets = 0
 
     def _refill(self, short: int) -> None:
         """Keep the window's unused tail and append at least ``short`` halves."""
         self._read_spans()
         keep = self.h // 2
         tail = self.words[keep:]
-        fresh = self.bit_generator.random_raw(_WINDOW_WORDS + (short + 1) // 2)
+        fresh = self.bit_generator.random_raw(self.ahead + (short + 1) // 2)
+        self.ahead = _WINDOW_WORDS
         n = len(tail) + len(fresh)
         if len(self.buffer) < n:
             self.buffer = np.empty(max(n, 2 * len(self.buffer)), dtype=np.uint64)
@@ -287,7 +301,7 @@ class _HalfStream:
         self.h -= 2 * keep
         self.halves = halves_of(self.words)
         self.size = len(self.halves)
-        self.rejected, self.choice_to = {}, -1  # lists and push draws of the dropped window
+        self.rejected, self.choice_to, self.limit = {}, -1, -1  # of the dropped window
 
     def _take(self, n: int, bound: int) -> Tuple[int, int]:
         """The span of halves that yields the next ``n`` draws below ``bound``."""
@@ -305,22 +319,37 @@ class _HalfStream:
                 h, self.h = self.h, end
                 return h, end
 
-    def contend(self, n: int) -> np.ndarray:
-        """A contention round's ``n`` slot choices (int64)."""
-        if self.push_ops == 1:  # a bound-1 draw is 0 and consumes nothing
-            return np.zeros(n, dtype=np.int64)
-        h, end = self.h, self.h + n
-        if end > self.size or self.rejected.get(self.push_ops, True):  # no call if it fits and none is rejected
+    def step(self, n: int, m: int) -> np.ndarray:
+        """Take a frame's draws: a contention round's ``n`` slot choices
+        (returned, int64), then ``m`` arrival offsets."""
+        h = self.h
+        end = h + n + m
+        if end <= self.limit:
+            self.h = end
+            self.spans += (h + n, end)
+            return self.choice[h - self.choice_from : h + n - self.choice_from]
+        if self.push_ops < 2 or not n:  # a bound-1 draw is 0 and consumes nothing
+            choice = np.zeros(n, dtype=np.int64)
+        else:
             h, end = self._take(n, self.push_ops)
-        self.h = end
-        if end > self.choice_to:
-            self.choice_from, self.choice_to = h, min(self.size, max(end, h + 2 * _WINDOW_WORDS))
-            self.choice = bounded(self.halves[h : self.choice_to], self.push_ops)
-        choice = self.choice[h - self.choice_from : end - self.choice_from]
-        if end - h > n:  # drop the span's rejected halves
-            rej = self.rejected[self.push_ops]
-            first = bisect_left(rej, h)
-            choice = np.delete(choice, [i - h for i in rej[first : first + end - h - n]])
+            if end > self.choice_to:
+                self.choice_from, self.choice_to = h, min(self.size, max(end, h + 2 * _WINDOW_WORDS))
+                self.choice = bounded(self.halves[h : self.choice_to], self.push_ops)
+            choice = self.choice[h - self.choice_from : end - self.choice_from]
+            if end - h > n:  # drop the span's rejected halves
+                rej = self.rejected[self.push_ops]
+                first = bisect_left(rej, h)
+                choice = np.delete(choice, [i - h for i in rej[first : first + end - h - n]])
+        if m and self.n_slots >= 2:
+            span = self._take(m, self.n_slots)  # may refill, which reads and resets spans
+            self.spans += span
+        self.limit = min(self.size, self.choice_to) if min(self.push_ops, self.n_slots) >= 2 else -1
+        for bound in (self.push_ops, self.n_slots):
+            rej = self.rejected.get(bound)
+            if rej is None:  # not listed in this window yet
+                self.limit = -1
+            elif rej and rej[-1] >= self.h:
+                self.limit = min(self.limit, rej[bisect_left(rej, self.h)])
         return choice
 
     def take_winnerless(self, rounds: np.ndarray, offsets: np.ndarray) -> int:
@@ -361,42 +390,29 @@ class _HalfStream:
             self.h += int(ends[ok - 1])
             self._read_spans()
             self.read.append(bounded(drawn[: int(o_ends[ok - 1])], self.n_slots))
-            self.n_offsets += int(o_ends[ok - 1])
         return ok
 
-    def skip(self, n: int) -> None:
-        """Take ``n`` arrival-offset draws."""
-        self.n_offsets += n
-        if n and self.n_slots >= 2:
-            h, end = self.h, self.h + n
-            if end > self.size or self.rejected.get(self.n_slots, True):
-                h, end = self._take(n, self.n_slots)  # may refill, which reads and resets spans
-            self.h = end
-            self.spans += (h, end)
-
     def _read_spans(self) -> None:
-        """Compute the offset draws taken in this window."""
+        """Compute the offset draws taken in this window, in one gather."""
         if not self.spans:
             return
-        parts = []
-        rej = self.rejected[self.n_slots]
-        for a, b in zip(self.spans[0::2], self.spans[1::2]):
-            for r in rej[bisect_left(rej, a) : bisect_left(rej, b)] if rej else ():
-                parts.append(self.halves[a:r])
-                a = r + 1
-            parts.append(self.halves[a:b])
-        self.read.append(bounded(np.concatenate(parts), self.n_slots))
+        bounds = np.fromiter(self.spans, np.int64, len(self.spans))
+        starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
+        index = np.arange(int(lengths.sum())) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
+        if self.rejected[self.n_slots]:  # drop the spans' rejected halves
+            index = index[~np.isin(index, self.rejected[self.n_slots])]
+        self.read.append(bounded(self.halves[index], self.n_slots))
         self.spans = []
 
-    def close(self) -> np.ndarray:
-        """Every offset draw taken, in stream order (int64); drops the window."""
+    def close(self, count: int) -> np.ndarray:
+        """The first ``count`` offset draws taken, in stream order (int64);
+        drops the window."""
         if self.n_slots == 1:
-            return np.zeros(self.n_offsets, dtype=np.int64)
+            return np.zeros(count, dtype=np.int64)
         self._read_spans()
         offsets = np.concatenate(self.read) if self.read else np.empty(0, dtype=np.int64)
-        self.buffer = self.words = self.halves = self.choice = None
-        self.read = []
-        return offsets
+        self.buffer = self.words = self.halves = self.choice = self.read = None
+        return offsets[:count]
 
 
 def simulate_cff(
@@ -452,7 +468,6 @@ def simulate_cff(
         else np.zeros(horizon_frames, dtype=np.int64)
         for rate in (pull_rate, push_rate)
     )
-    push_per_frame = push_counts.tolist()
     cum_offsets = [0] + np.cumsum(pull_counts + push_counts).tolist()
     # push packets are numbered in arrival order: packet i arrives in frame g
     # iff cum_push[g] <= i < cum_push[g+1]
@@ -476,11 +491,13 @@ def simulate_cff(
         late_budget = (1.0 - push_abort.target_reliability) * (cum_push[-1] - n_warm)
         lag = max(1, -(-(late_slots - 1) // S))
 
-    stream = _HalfStream(rng.bit_generator, S, push_ops)
-    pend = np.empty(0, dtype=np.int64)  # pending push packets, ascending
-    # rounds not yet settled, (frame, pending, choices, win mask): references,
+    # a first window of about the run's offsets and two draws per push arrival
+    stream = _HalfStream(rng.bit_generator, S, push_ops, cum_offsets[-1] + 2 * cum_push[-1])
+    ids = np.arange(cum_push[-1])  # slices of it join pend
+    pend = ids[:0]  # pending push packets, ascending
+    # rounds not yet settled, (frame, pending, choices, win mask, size): references,
     # since every round replaces pend; settled in bulk into won
-    held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, int]] = []
     held_size = 0  # their contenders
     first_end = push_start_off + push_stride - 1  # where opportunity 0 of frame 0 ends
     won = [(pend, pend)]  # (packets, delivery slots) of settled rounds, in round order
@@ -492,6 +509,7 @@ def simulate_cff(
     # and the single-attempt drops are counted in one place
     stretch_above = stream.prefix if push_ops >= 2 and push_retransmit and not abort else math.inf
     cp = co = None  # cum_push and cum_offsets as arrays, once a stretch is tried
+    step, held_cap = stream.step, _HELD_CONTENDERS
     f = 0
     while f < horizon_frames:
         n = pend.size
@@ -506,19 +524,28 @@ def simulate_cff(
             offsets = co[f + 1 : stop + 1] - co[f:stop]
             taken = stream.take_winnerless(rounds, offsets)
             if taken:
-                pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[f + taken])))
+                pend = np.concatenate((pend, ids[cum_push[f] : cum_push[f + taken]]))
                 f += taken
                 continue
+
+        # one step takes frame f's round, then its offsets (its arrivals are
+        # eligible from frame f+1); with nothing pending, nothing contends or
+        # turns late until push packets arrive, so the step takes the offsets
+        # of every frame up to the next one with push arrivals
+        g = f + 1
+        if not n:
+            j = bisect_left(push_frames, f)
+            g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
+        choice = step(n, cum_offsets[g] - cum_offsets[f])
 
         # push sub-frame: framed-ALOHA contention among everything pending;
         # nothing reads the deliveries before the run ends, so the round is
         # held and its winners' slots are computed later, many rounds at once
         if push_ops and n:
-            choice = stream.contend(n)
             win, _ = contention_rounds(choice, push_ops)
-            held.append((f, pend, choice, win))
+            held.append((f, pend, choice, win, n))
             held_size += n
-            if held_size > _HELD_CONTENDERS:
+            if held_size > held_cap:
                 won.append(_settle(held, S, first_end, push_stride))
                 held, held_size = [], 0
             pend = pend[~win]
@@ -530,7 +557,8 @@ def simulate_cff(
         # certified abort: count the pending packets that turned late this
         # frame (each frame's packets turn late once, so nothing double-counts);
         # pend ascends, so frame f - lag has none pending when the oldest one
-        # arrived after it, and near capacity most frames end there
+        # arrived after it, and near capacity most frames end there.  The
+        # frame's offsets were taken; close() drops them.
         if abort and n and f >= lag:
             hi = cum_push[f - lag + 1]
             if pend[0] < hi:
@@ -541,23 +569,15 @@ def simulate_cff(
                         arrived_frames = f
                         break
 
-        # arrivals during frame f join the queues after its sub-frames, so they
-        # are eligible from frame f+1; with nothing pending, nothing contends
-        # or turns late until push packets arrive, so the offsets of every
-        # frame up to the next one with push arrivals are taken at once
-        g = f + 1
-        if not n:
-            j = bisect_left(push_frames, f)
-            g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
-        stream.skip(cum_offsets[g] - cum_offsets[f])
-        if push_per_frame[g - 1]:
-            pend = np.concatenate((pend, np.arange(cum_push[f], cum_push[g])))
+        a, b = cum_push[f], cum_push[g]
+        if b > a:
+            pend = np.concatenate((pend, ids[a:b])) if n else ids[a:b]
         f = g
 
     if held:
         won.append(_settle(held, S, first_end, push_stride))
     pull_arrivals, push_arrivals = _arrival_slots(
-        stream.close(), pull_counts[:arrived_frames], push_counts[:arrived_frames], S
+        stream.close(cum_offsets[arrived_frames]), pull_counts[:arrived_frames], push_counts[:arrived_frames], S
     )
     # push deliveries in the order the rounds made them: by frame, then in
     # pending order (ascending packet index)
@@ -592,15 +612,15 @@ def simulate_cff(
 
 
 def _settle(
-    held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]], S: int, first_end: int, stride: int
+    held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, int]], S: int, first_end: int, stride: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The winners of held rounds ``(frame, pending, choices, win mask)``, in
-    round order, and their delivery slots: opportunity k of frame f ends at
-    slot f*S + first_end + k*stride."""
-    frames, pends, choices, wins = zip(*held)
+    """The winners of held rounds ``(frame, pending, choices, win mask,
+    size)``, in round order, and their delivery slots: opportunity k of frame
+    f ends at slot f*S + first_end + k*stride."""
+    frames, pends, choices, wins, sizes = zip(*held)
     win = np.concatenate(wins)
-    base = np.repeat(np.array(frames, dtype=np.int64) * S + first_end, [p.size for p in pends])
-    return np.concatenate(pends)[win], np.concatenate(choices)[win] * stride + base[win]
+    slots = np.concatenate(choices) * stride + np.repeat(np.array(frames, dtype=np.int64) * S + first_end, sizes)
+    return np.concatenate(pends)[win], slots[win]
 
 
 def _arrival_slots(

@@ -21,7 +21,6 @@ from pushpull_mac import (
     schedule_pull,
     simulate_cff,
     simulate_rcs,
-    uniform_slot_contention,
 )
 from pushpull_mac.capacity import WARMUP_FRACTION, CapacitySpec
 from pushpull_mac.core import stable_floor
@@ -123,10 +122,12 @@ def reference_cff_run(
     push_abort=None,
 ) -> MetricsRecord:
     """``simulate_cff`` as a loop of ``Generator`` calls: one
-    ``uniform_slot_contention`` call per push contention round and one
-    ``sample_arrival_offsets`` call for the offsets drawn between two rounds.
-    ``simulate_cff`` replays the same draws on raw generator output, so both
-    must give the same record and the same ``on_delivery`` calls."""
+    ``integers`` call per push contention round, decided by
+    ``mac_cff.contention_rounds`` (the draws of ``uniform_slot_contention``,
+    without its per-slot counts, so memory follows the contenders, not S),
+    and one ``sample_arrival_offsets`` call for the offsets drawn between two
+    rounds.  ``simulate_cff`` replays the same draws on raw generator output,
+    so both must give the same record and the same ``on_delivery`` calls."""
     rng = np.random.default_rng(seed)
     S = config.slots_per_frame
     slot_dur = config.slot_duration
@@ -168,7 +169,8 @@ def reference_cff_run(
             pend_arrival = np.concatenate((pend_arrival, draw_arrivals(drawn, f)))
             drawn = f
         if pend_arrival.size and push_ops > 0:
-            choices, _, winner_mask = uniform_slot_contention(pend_arrival.size, push_ops, rng)
+            choices = rng.integers(0, push_ops, size=pend_arrival.size, dtype=np.int64)
+            winner_mask, _ = mac_cff.contention_rounds(choices, push_ops)
             if winner_mask.any():
                 won_arrival = pend_arrival[winner_mask]
                 delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)

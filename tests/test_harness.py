@@ -450,8 +450,16 @@ class TestRunExperiment:
         assert meta["n_rows"] == 8
         assert meta["n_points"] == 4
         assert "version" in meta and "wall_time_s" in meta
+        # each point's wall seconds, in point order, within the run's
+        times = meta["point_wall_s"]
+        assert len(times) == 4 and all(t >= 0.0 for t in times) and sum(times) <= meta["wall_time_s"]
         # the echo is lossless: reloading it reproduces the same run
         assert validate_config(meta["config"]) == cfg
+        # a worker pool times each point in its worker, and the CSV stays the same
+        pooled = run_experiment(cfg, out=str(tmp_path / "pooled.csv"), workers=2)
+        times = json.loads(pooled.meta_path.read_text())["point_wall_s"]
+        assert len(times) == 4 and all(0.0 <= t <= pooled.wall_time_s for t in times)
+        assert pooled.csv_path.read_bytes() == out.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = validate_config(rcs_cfg())

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ class TestSimulateCff:
         assert peak < 4 * 2**20
         check_cff_matches_reference(cfg, 0.0, 300.0, 20, 3)
 
+    def test_first_window_follows_the_run(self):
+        # a two-frame push run takes a few dozen halves: its first window
+        # fetches about that many raw outputs, not a whole window's worth
+        class Counting(np.random.PCG64):
+            fetched = 0
+
+            def random_raw(self, size=None, output=True):
+                self.fetched += size
+                return super().random_raw(size, output)
+
+        bit_generator = Counting(7)
+        rec = simulate_cff(paper_config(0.5), 200.0, 800.0, 2, np.random.Generator(bit_generator))
+        assert rec.arrived(PUSH) and rec.latency_slots(PUSH).size  # a round was drawn
+        assert 0 < bit_generator.fetched < mac_cff._WINDOW_WORDS
+        check_cff_matches_reference(paper_config(0.5), 200.0, 800.0, 2, lambda: np.random.Generator(Counting(7)))
+
     def test_abort_rule_validation(self):
         for bad in (0.0, -0.01, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -568,9 +585,10 @@ class TestRejectedDraws:
     REJECTED = 171798692  # * 25 == 2**32 + 4 (4 < 2**32 % 25 == 21); * 50 == 2**33 + 8 (8 < 2**32 % 50 == 46)
     ACCEPTED = 7
     CONFIG = FrameConfig(50, 0.01, 1, 1, 0.5)  # S = 50, push_tx_capacity = 25
-    # (is a round, draws) per take, as a run makes them: offsets, a round, offsets, ...
-    # halves 0-2, 3-6, 7, 8-13, 14-18, 19-20 when nothing is rejected
-    TAKES = ((False, 3), (True, 4), (False, 1), (True, 6), (False, 5), (True, 2))
+    # (round draws, offset draws) per frame step, as a run makes them; when
+    # nothing is rejected: halves 0-2 | 3-6, 7 | 8-13, 14-18 | 19-20 | 21-22
+    # | 23-25, 26-27 | 28-29, 30
+    STEPS = ((0, 3), (4, 1), (6, 5), (2, 0), (0, 2), (3, 2), (2, 1))
 
     # (window, position, low, high): where the built output lands
     CASES = [
@@ -580,7 +598,15 @@ class TestRejectedDraws:
         (4096, 7, REJECTED, REJECTED),  # halves 14-15: offsets skip two
         (1, 2, REJECTED, REJECTED),  # the first window ends at half 8: two skips push a round past it
         (1, 3, ACCEPTED, REJECTED),  # half 7, the window's last, skipped by a one-draw offset take
+        (4096, 9, ACCEPTED, REJECTED),  # half 19: step 3 ends by the limit, step 4's round skips it
+        (4096, 10, ACCEPTED, REJECTED),  # half 21: step 4 ends by the limit, step 5's offsets skip it
     ]
+    # of the last two cases: the step that ends by the limit right before the built half
+    BY_THE_LIMIT = {(4096, 9, ACCEPTED, REJECTED): 2, (4096, 10, ACCEPTED, REJECTED): 3}
+    # a first window of 14 words (12 for an expected run of 24 halves, 2 for
+    # the first take): step 6 ends by the limit at the window's end, half 28,
+    # and step 7's round skips half 28 of the next window
+    WINDOW_END = (4096, 14, REJECTED, ACCEPTED)
 
     # each case at S = 50, K = 25, and at S = K = 25, where both kinds of take
     # read one list of rejected halves (REJECTED is rejected below 25 too)
@@ -588,21 +614,41 @@ class TestRejectedDraws:
         "window, position, low, high, S, K",
         [
             pytest.param(*case, S, K, id="-".join(map(str, case)) + ("-S=K" if S == K else ""))
-            for case in CASES
+            for case in CASES + [WINDOW_END]
             for S, K in ((50, 25), (25, 25))
         ],
     )
     def test_stream_matches_numpy(self, monkeypatch, window, position, low, high, S, K):
         monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", window)
+        case = (window, position, low, high)
         word = (high << 32) | low
         numpy_rng = generator_emitting(word, position)
-        expected = [numpy_rng.integers(0, K if rnd else S, size=n, dtype=np.int64).tolist() for rnd, n in self.TAKES]
-        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, S, K)
-        rounds = [stream.contend(n).tolist() if rnd else stream.skip(n) for rnd, n in self.TAKES]
-        offsets = iter(stream.close().tolist())
-        got = [r if rnd else [next(offsets) for _ in range(n)] for r, (rnd, n) in zip(rounds, self.TAKES)]
+        expected = [
+            numpy_rng.integers(0, bound, size=k, dtype=np.int64).tolist()
+            for n, m in self.STEPS
+            for bound, k in ((K, n), (S, m))
+            if k
+        ]
+        first = 24 if case == self.WINDOW_END else 2 * window  # the run's expected halves
+        stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, S, K, first)
+        by_limit, rounds = [], []
+        for n, m in self.STEPS:
+            by_limit.append(stream.h + n + m <= stream.limit)
+            rounds.append(stream.step(n, m).tolist())
+            if case == self.WINDOW_END and len(rounds) == 6:
+                assert by_limit[-1] and stream.h == stream.size == 28
+        offsets = iter(stream.close(sum(m for _, m in self.STEPS)).tolist())
+        got = [
+            draws
+            for r, (n, m) in zip(rounds, self.STEPS)
+            for draws, k in ((r, n), ([next(offsets) for _ in range(m)], m))
+            if k
+        ]
         assert got == expected
         assert next(offsets, None) is None
+        if case in self.BY_THE_LIMIT:
+            step = self.BY_THE_LIMIT[case]
+            assert by_limit[step] and not by_limit[step + 1]
 
     @staticmethod
     def _counts(rng, horizon, rates):
@@ -627,31 +673,122 @@ class TestRejectedDraws:
         offsets = int(pull[: first + 1].sum() + push[: first + 1].sum())
         return words, (2 * words, 2 * words + offsets), (2 * words + offsets, 2 * words + offsets + int(push[first]))
 
-    @pytest.mark.parametrize("target", [0, 1])  # 0: offset draws, 1: a contention round
-    def test_runs_match_numpy(self, target):
+    # edges of the frame step's fast path, each found in the steps of a run
+    # (see _StepLog): rates, frames, the built output's position (past the
+    # count draws, which take about 3-7 words a frame here), window words,
+    # the run's options, and whether the run's steps show the edge (the
+    # built output's first half is ``half``, counted from the stream's first)
+    EDGES = {
+        # a step ends by the stream's limit at the built output's first
+        # half, and the next step's round begins there
+        "round after a step by the limit": (
+            (200.0, 300.0), 14, 120, 4096, {},
+            lambda log, half: any(a.by_limit and b.start == half and b.n for a, b in zip(log.steps, log.steps[1:])),
+        ),
+        # ... and the next step, with nothing pending, begins there with offsets
+        "offsets after a step by the limit": (
+            (200.0, 100.0), 30, 200, 4096, {},
+            lambda log, half: any(a.by_limit and b.start == half and not b.n for a, b in zip(log.steps, log.steps[1:])),
+        ),
+        # a step ends by the limit at the window's end, and a step follows
+        "window end": (
+            (200.0, 300.0), 30, 260, 8, {},
+            lambda log, half: any(a.by_limit and a.at_end for a in log.steps[:-1]),
+        ),
+        # the abort frame's round fits the window and its offsets run into
+        # the next one; close() drops those offsets
+        "abort frame past a refill": (
+            (200.0, 3000.0), 30, 400, 8, dict(push_abort=PushAbortRule(0.01, 0.9)),
+            lambda log, half: log.steps[-1].straddles and log.kept[-1] < sum(step.m for step in log.steps),
+        ),
+    }
+
+    # 0: offset draws, 1: a contention round
+    @pytest.mark.parametrize("target", [0, 1, *EDGES])
+    def test_runs_match_numpy(self, monkeypatch, target):
         # both halves of one output are rejected; search high state halves
         # until that output lands in the first offsets (or the first round)
-        # right after the count draws, then compare whole runs
+        # right after the count draws, or the run's steps show the edge,
+        # then compare whole runs
         word = (self.REJECTED << 32) | self.REJECTED
-        position, horizon = 44, 6
+        position, horizon, rates, kws = 44, 6, (200.0, 300.0), [{}]
+        if target in self.EDGES:
+            rates, horizon, position, window, kw, shows = self.EDGES[target]
+            monkeypatch.setattr(mac_cff, "_WINDOW_WORDS", window)
+            log, kws = _StepLog(monkeypatch), [kw, {}]
         for i in range(4000):
             high = (0x9E3779B97F4A7C18 + i * 0x2545F4914F6CDD1D) % 2**64
-            words, *spans = self._layout(generator_emitting(word, position, high), horizon)
-            lo, hi = spans[target]
-            if words <= position and lo <= 2 * position and 2 * position + 1 < hi:
+            words, *spans = self._layout(generator_emitting(word, position, high), horizon, rates)
+            if words > position:
+                continue
+            if target in self.EDGES:
+                log.clear()
+                simulate_cff(self.CONFIG, *rates, horizon, generator_emitting(word, position, high), **kw)
+                if shows(log, 2 * (position - words)):
+                    break
+            elif spans[target][0] <= 2 * position and 2 * position + 1 < spans[target][1]:
                 break
         else:
-            raise AssertionError("no state puts the rejected output in the target draws")
-        for kw in ({}, dict(push_abort=PushAbortRule(0.01, 0.9)), dict(push_retransmit=False)):
+            raise AssertionError(f"no state puts the rejected output in the target draws ({target})")
+        for kw in kws + [dict(push_abort=PushAbortRule(0.01, 0.9)), dict(push_retransmit=False)]:
             check_cff_matches_reference(
-                self.CONFIG, 200.0, 300.0, horizon, lambda: generator_emitting(word, position, high), **kw
+                self.CONFIG, *rates, horizon, lambda: generator_emitting(word, position, high), **kw
             )
+
+
+class _Step(NamedTuple):
+    start: int  # its first half, counted from the stream's first
+    n: int  # round draws
+    m: int  # offset draws
+    by_limit: bool  # it ended by the stream's limit: one comparison and a slice
+    at_end: bool  # it ended at its window's end
+    straddles: bool  # its round fit its window and its offsets ran into a refill
+
+
+class _StepLog:
+    """Records the frame steps of ``simulate_cff`` runs (``_Step``), and the
+    offset draws each ``close`` keeps."""
+
+    def __init__(self, monkeypatch):
+        self.steps, self.kept = [], []
+        step, refill, close = mac_cff._HalfStream.step, mac_cff._HalfStream._refill, mac_cff._HalfStream.close
+        origins = {}  # stream -> its window's first half, counted from the stream's first
+        taking = []  # the step under way: its stream, where its round ends, whether a refill came past that
+
+        def spy_refill(stream, short):
+            origin = origins.get(stream, 0)
+            if taking and taking[0] is stream and origin + stream.h >= taking[1]:
+                taking[2] = True
+            origins[stream] = origin + 2 * (stream.h // 2)  # the window keeps its words from the one holding half h
+            refill(stream, short)
+
+        def spy_step(stream, n, m):
+            h, origin = stream.h, origins.get(stream, 0)
+            by_limit = h + n + m <= stream.limit
+            taking[:] = [stream, origin + h + n, False]
+            draws = step(stream, n, m)
+            self.steps.append(_Step(origin + h, n, m, by_limit, by_limit and stream.h == stream.size, taking[2]))
+            taking.clear()
+            return draws
+
+        def spy_close(stream, count):
+            self.kept.append(count)
+            return close(stream, count)
+
+        monkeypatch.setattr(mac_cff._HalfStream, "_refill", spy_refill)
+        monkeypatch.setattr(mac_cff._HalfStream, "step", spy_step)
+        monkeypatch.setattr(mac_cff._HalfStream, "close", spy_close)
+
+    def clear(self):
+        self.steps.clear()
+        self.kept.clear()
 
 
 class _RoundSpy:
     """Counts the contention rounds ``simulate_cff`` makes (the reference
-    loop does not use the stream): the rounds ``contend`` draws and the
-    frames ``take_winnerless`` takes in bulk, each one a round certified
+    loop does not use the stream): the rounds the frame steps draw (a step
+    of n > 0 draws with push opportunities) and the frames
+    ``take_winnerless`` takes in bulk, each one a round certified
     winnerless.  Also their draws and the longest, the rounds long enough to
     be certified (more than 16 K contenders, K >= 2), the certified rounds,
     the ``take_winnerless`` calls and the stretches of more than one frame."""
@@ -659,7 +796,7 @@ class _RoundSpy:
     def __init__(self, monkeypatch):
         self.rounds = self.draws = self.longest = self.certifiable = self.certified = 0
         self.takes = self.stretches = 0
-        contend, take = mac_cff._HalfStream.contend, mac_cff._HalfStream.take_winnerless
+        step, take = mac_cff._HalfStream.step, mac_cff._HalfStream.take_winnerless
 
         def count(sizes, certifiable):
             self.rounds += len(sizes)
@@ -667,9 +804,10 @@ class _RoundSpy:
             self.longest = max([self.longest, *sizes])
             self.certifiable += certifiable
 
-        def spy_contend(stream, n):
-            count([n], stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops)
-            return contend(stream, n)
+        def spy_step(stream, n, m):
+            if n and stream.push_ops:
+                count([n], stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops)
+            return step(stream, n, m)
 
         def spy_take(stream, rounds, offsets):
             taken = take(stream, rounds, offsets)
@@ -679,7 +817,7 @@ class _RoundSpy:
             self.stretches += taken > 1
             return taken
 
-        monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
+        monkeypatch.setattr(mac_cff._HalfStream, "step", spy_step)
         monkeypatch.setattr(mac_cff._HalfStream, "take_winnerless", spy_take)
 
 
@@ -744,8 +882,8 @@ class TestCertifiedRounds:
         # round is computed in full
         for per_slot in (mac_cff._PREFIX_PER_SLOT, 1):
             monkeypatch.setattr(mac_cff, "_PREFIX_PER_SLOT", per_slot)
-            stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25)
-            stream.skip(3)
+            stream = mac_cff._HalfStream(generator_emitting(word, position).bit_generator, 50, 25, 2 * window)
+            stream.step(0, 3)
             computed.clear()
             monkeypatch.setattr(mac_cff, "bounded", spy)
             taken = 0
@@ -763,10 +901,9 @@ class TestCertifiedRounds:
             assert got == sum(prefixes[: len(got) // (per_slot * 25)], []) and len(got) >= taken * per_slot * 25
             # the frames left are drawn one by one, ending where numpy's did
             for j in range(taken, 2):
-                assert stream.contend(451).tolist() == expected[1 + 2 * j]
-                stream.skip(5)
-            assert stream.contend(4).tolist() == expected[5]
-            assert stream.close().tolist() == expected[0] + expected[2] + expected[4]
+                assert stream.step(451, 5).tolist() == expected[1 + 2 * j]
+            assert stream.step(4, 0).tolist() == expected[5]
+            assert stream.close(13).tolist() == expected[0] + expected[2] + expected[4]
 
     @staticmethod
     def _frames(rng, horizon, rates):

@@ -94,12 +94,12 @@ def test_cff_runs_match_reference(monkeypatch):
     window_halves = 2 * mac_cff._WINDOW_WORDS
     certified = []  # per certifiable round (n > 16 K, K >= 2) of the current run: was it certified?
     stretches = []  # frames of each bulk take of the current run
-    contend, take = mac_cff._HalfStream.contend, mac_cff._HalfStream.take_winnerless
+    step, take = mac_cff._HalfStream.step, mac_cff._HalfStream.take_winnerless
 
-    def spy_contend(stream, n):
+    def spy_step(stream, n, m):
         if stream.push_ops >= 2 and n > mac_cff._PREFIX_PER_SLOT * stream.push_ops:
             certified.append(False)
-        return contend(stream, n)
+        return step(stream, n, m)
 
     def spy_take(stream, *args):
         taken = take(stream, *args)
@@ -107,7 +107,7 @@ def test_cff_runs_match_reference(monkeypatch):
         stretches.append(taken)
         return taken
 
-    monkeypatch.setattr(mac_cff._HalfStream, "contend", spy_contend)
+    monkeypatch.setattr(mac_cff._HalfStream, "step", spy_step)
     monkeypatch.setattr(mac_cff._HalfStream, "take_winnerless", spy_take)
     for i in range(N_CFF_RUNS):
         config = _edge_cff_config(rng) if rng.random() < 0.35 else random_cff_config(rng)
