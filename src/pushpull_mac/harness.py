@@ -14,6 +14,7 @@ writing.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -488,23 +489,20 @@ def run_experiment(
     start = time.monotonic()
     jobs = enumerate_points(config)
     results: List[Tuple[int, List[Dict[str, str]], float]] = []
-    if workers == 1 or len(jobs) <= 1:
-        for job in jobs:
-            results.append(_run_point(job))
-            if log:
-                log(f"point {job.index + 1}/{len(jobs)} done (alpha={job.alpha})")
-    else:
+    pool = None
+    if workers > 1 and len(jobs) > 1:
         # imported here: it costs every start about 14 ms, and one worker
         # needs no pool; a fork-started pool starts all its workers at once,
         # so more than one per point would only idle
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            for result in pool.map(_run_point, jobs):
-                results.append(result)
-                if log:
-                    log(f"point {result[0] + 1}/{len(jobs)} done")
-    results.sort(key=lambda item: item[0])
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+    with pool or contextlib.nullcontext():
+        # either map yields the results in job order
+        for job, result in zip(jobs, (pool.map if pool else map)(_run_point, jobs)):
+            results.append(result)
+            if log:
+                log(f"point {job.index + 1}/{len(jobs)} done (alpha={job.alpha})")
     rows = [row for _, point_rows, _ in results for row in point_rows]
     wall = time.monotonic() - start
 

@@ -23,9 +23,9 @@ window (:class:`_HalfStream`); only the values a round needs are computed
 fail instead of the output changing silently.
 
 The framed-ALOHA rule (a slot chosen by exactly one contender succeeds) is
-written once, in :func:`contention_rounds`, for one round or many at once.
-Every array kernel calls it: the push rounds and the winnerless certificate
-here, the shared rounds of :mod:`.mac_rcs`, and the per-draw
+written once, in :func:`contention_rounds`, for one round or many at once;
+it returns who won.  Every array kernel decides its rounds with it: the push
+rounds here, the shared rounds of :mod:`.mac_rcs`, and the per-draw
 :func:`uniform_slot_contention`.  Its one scalar form is the RCS reserved
 round (see :mod:`.mac_rcs` for why it stays scalar).
 
@@ -45,7 +45,7 @@ known: the pending ones plus the frame's arrivals.  In a run that
 retransmits and has no abort rule, once more than 16 x K packets are
 pending, ``_HalfStream.take_winnerless`` takes a stretch of frames in one
 step: it fetches their halves at once, rejection-checks them, certifies
-every round's prefix from the counts of one :func:`contention_rounds` call
+every round's prefix from the slot counts of one ``np.bincount`` call
 over all the prefixes and computes nothing more of the rounds.  The frame
 loop joins the taken frames' arrivals to the backlog at once.  The first
 frame that fails (its prefix leaves a slot with fewer than two, or the rule
@@ -76,7 +76,7 @@ form (:func:`schedule_pull`).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -84,7 +84,7 @@ import numpy as np
 
 from .core import FrameConfig, PacketClass, stable_floor
 from .metrics import MetricsRecord
-from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end
+from .rawdraw import MAX_BOUND, bounded, halves_of, rejected, span_end, span_halves
 
 # ``sample_arrival_offsets`` is the per-draw form of the offset draws replayed
 # here; it stays importable from this module, where the benchmark tracer
@@ -108,9 +108,8 @@ _PREFIX_PER_SLOT = 16
 # (round, slot) pairs a contention_rounds call counts in full (int64, 512 KiB)
 # when they outnumber its contenders; past that it counts only the slots
 # chosen.  No benchmark or acceptance configuration gets there: push rounds
-# have at most a few hundred slots, the certificate's prefixes put 16 draws
-# in every slot, and RCS blocks of 128 frames stay under it up to 512 shared
-# slots.
+# have at most a few hundred slots, and RCS blocks of 128 frames stay under
+# it up to 512 shared slots.
 _DENSE_SLOTS = 2**16
 
 # contenders of the push rounds held before their winners are settled in one
@@ -158,36 +157,25 @@ class PushAbortRule:
 
 def contention_rounds(
     choice: np.ndarray, n_slots: int, group: Optional[np.ndarray] = None, n_groups: int = 1
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> np.ndarray:
     """The framed-ALOHA rule: a slot chosen by exactly one contender is a
     success (Schoute 1983).  Every array kernel decides its rounds here.
 
     Contender i picks slot ``choice[i]`` (int64, below ``n_slots``) of round
     ``group[i]`` (below ``n_groups``); without ``group`` all contenders share
-    one round.  Returns (per-contender win mask, counts).  Several rounds give
-    counts[r, s], the contenders of round r in slot s; one round gives
-    counts[s] up to the highest slot chosen (no slot above it holds any).
-    With one slot a lone contender wins; with none nobody does, nothing is
-    counted and only ``len(choice)`` is read.  Rounds of more than
-    ``_DENSE_SLOTS`` (round, slot) pairs in all, and more pairs than
-    contenders, count only the slots chosen, so memory follows the
-    contenders, not the slots; counts is then None.
+    one round.  Returns the per-contender win mask.  With one slot a lone
+    contender wins; with none nobody does and only ``len(choice)`` is read.
+    Rounds of more than ``_DENSE_SLOTS`` (round, slot) pairs in all, and more
+    pairs than contenders, count only the slots chosen, so memory follows
+    the contenders, not the slots.
     """
     if n_slots < 1:
-        counts = np.zeros(0 if group is None else (n_groups, 0), dtype=np.int64)
-        return np.zeros(len(choice), dtype=bool), counts
-    if group is None:
-        if n_slots <= _DENSE_SLOTS or n_slots <= len(choice):
-            counts = np.bincount(choice)
-            return counts[choice] == _ONE, counts
-        key = choice
-    else:
-        key = group * n_slots + choice
-        if n_groups * n_slots <= _DENSE_SLOTS or n_groups * n_slots <= len(key):
-            counts = np.bincount(key, minlength=n_groups * n_slots)
-            return counts[key] == _ONE, counts.reshape(n_groups, n_slots)
+        return np.zeros(len(choice), dtype=bool)
+    key = choice if group is None else group * n_slots + choice
+    if n_groups * n_slots <= _DENSE_SLOTS or n_groups * n_slots <= len(key):
+        return np.bincount(key)[key] == _ONE
     _, inverse, seen = np.unique(key, return_inverse=True, return_counts=True)
-    return seen[inverse] == _ONE, None
+    return seen[inverse] == _ONE
 
 
 def uniform_slot_contention(
@@ -202,8 +190,7 @@ def uniform_slot_contention(
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     choices = rng.integers(0, n_slots, size=n_contenders, dtype=np.int64)
-    winner_mask, _ = contention_rounds(choices, n_slots)
-    return choices, np.bincount(choices, minlength=n_slots), winner_mask
+    return choices, np.bincount(choices, minlength=n_slots), contention_rounds(choices, n_slots)
 
 
 def schedule_pull(
@@ -359,9 +346,10 @@ class _HalfStream:
 
         Candidate frame j draws a round of ``rounds[j]`` choices, more than
         ``prefix`` of them, then ``offsets[j]`` arrival offsets.  The frames
-        that fit ``budget`` halves (at least one) are fetched at once.  The
-        first frame that fails ends the stretch untaken: its prefix leaves a
-        slot with fewer than two, or the rule rejects a half of it below K
+        that fit ``budget`` halves (at least one) are fetched at once, and
+        one ``bincount`` over all their prefixes counts each round's slots.
+        The first frame that fails ends the stretch untaken: its prefix leaves
+        a slot with fewer than two, or the rule rejects a half of it below K
         or of its offsets below S.
         """
         sizes = rounds + offsets
@@ -378,13 +366,14 @@ class _HalfStream:
         if rej:
             ok = int(ends.searchsorted(rej[0], "right"))
         o_ends = np.cumsum(offsets)
-        drawn = halves[np.arange(int(o_ends[-1])) + np.repeat(starts + rounds - o_ends + offsets, offsets)]
+        drawn = halves[span_halves(np.column_stack((ends - offsets, ends)).ravel())]
         rej = rejected(drawn, self.n_slots)
         ok = min(ok, int(o_ends.searchsorted(rej[0], "right"))) if rej else ok
-        if ok:  # the prefixes' counts, all rounds at once, certify every round
-            choice = bounded(halves[(starts[:ok, None] + np.arange(self.prefix)).ravel()], self.push_ops)
-            _, counts = contention_rounds(choice, self.push_ops, np.arange(ok).repeat(self.prefix), ok)
-            fails = np.flatnonzero(counts.min(axis=1) < 2)
+        if ok:  # the prefixes' slot counts, all rounds at once, certify every round
+            K = self.push_ops
+            choice = bounded(halves[(starts[:ok, None] + np.arange(self.prefix)).ravel()], K)
+            key = choice + np.arange(0, ok * K, K).repeat(self.prefix)  # round r's slot s counts at r*K + s
+            fails = np.flatnonzero(np.bincount(key, minlength=ok * K).reshape(ok, K).min(axis=1) < 2)
             ok = int(fails[0]) if fails.size else ok
         if ok:
             self.h += int(ends[ok - 1])
@@ -396,9 +385,7 @@ class _HalfStream:
         """Compute the offset draws taken in this window, in one gather."""
         if not self.spans:
             return
-        bounds = np.fromiter(self.spans, np.int64, len(self.spans))
-        starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
-        index = np.arange(int(lengths.sum())) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
+        index = span_halves(self.spans)
         if self.rejected[self.n_slots]:  # drop the spans' rejected halves
             index = index[~np.isin(index, self.rejected[self.n_slots])]
         self.read.append(bounded(self.halves[index], self.n_slots))
@@ -468,11 +455,11 @@ def simulate_cff(
         else np.zeros(horizon_frames, dtype=np.int64)
         for rate in (pull_rate, push_rate)
     )
-    cum_offsets = [0] + np.cumsum(pull_counts + push_counts).tolist()
     # push packets are numbered in arrival order: packet i arrives in frame g
-    # iff cum_push[g] <= i < cum_push[g+1]
-    cum_push = [0] + np.cumsum(push_counts).tolist()
-    push_frames = np.flatnonzero(push_counts).tolist()
+    # iff cum_push[g] <= i < cum_push[g+1]; the lists are the loop's scalar views
+    co = np.concatenate(([0], np.cumsum(pull_counts + push_counts)))
+    cp = np.concatenate(([0], np.cumsum(push_counts)))
+    cum_offsets, cum_push = co.tolist(), cp.tolist()
     n_warm = cum_push[warmup_frames]  # push packets from this index on are measured
 
     # Certified-abort bookkeeping.  With counts batched, the run's total
@@ -508,7 +495,6 @@ def simulate_cff(
     # abort or without retransmission go frame by frame, so that the abort
     # and the single-attempt drops are counted in one place
     stretch_above = stream.prefix if push_ops >= 2 and push_retransmit and not abort else math.inf
-    cp = co = None  # cum_push and cum_offsets as arrays, once a stretch is tried
     step, held_cap = stream.step, _HELD_CONTENDERS
     f = 0
     while f < horizon_frames:
@@ -517,8 +503,6 @@ def simulate_cff(
         # rounds are certified winnerless; the pending packets only gain the
         # frames' arrivals, so every round's size is known up front
         if n > stretch_above:
-            if cp is None:
-                cp, co = np.array(cum_push), np.array(cum_offsets)
             stop = min(horizon_frames, f + stream.budget // stream.prefix + 1)
             rounds = cp[f:stop] + (n - cum_push[f])
             offsets = co[f + 1 : stop + 1] - co[f:stop]
@@ -532,17 +516,14 @@ def simulate_cff(
         # eligible from frame f+1); with nothing pending, nothing contends or
         # turns late until push packets arrive, so the step takes the offsets
         # of every frame up to the next one with push arrivals
-        g = f + 1
-        if not n:
-            j = bisect_left(push_frames, f)
-            g = push_frames[j] + 1 if j < len(push_frames) else horizon_frames
+        g = f + 1 if n else min(bisect_right(cum_push, cum_push[f]), horizon_frames)
         choice = step(n, cum_offsets[g] - cum_offsets[f])
 
         # push sub-frame: framed-ALOHA contention among everything pending;
         # nothing reads the deliveries before the run ends, so the round is
         # held and its winners' slots are computed later, many rounds at once
         if push_ops and n:
-            win, _ = contention_rounds(choice, push_ops)
+            win = contention_rounds(choice, push_ops)
             held.append((f, pend, choice, win, n))
             held_size += n
             if held_size > held_cap:

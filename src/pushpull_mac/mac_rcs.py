@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import FrameConfig
 from .mac_cff import contention_rounds
-from .rawdraw import MAX_BOUND, bounded, doubles_of, halves_of, rejected, span_end
+from .rawdraw import MAX_BOUND, bounded, doubles_of, halves_of, rejected, span_end, span_halves
 from .traffic import PushTrigger, SemanticQuery
 
 # the per-draw form of the contention rounds replayed here; it stays
@@ -140,9 +140,11 @@ def _independent_frames(
     for the whole block, and a scalar pass walks the frames, reading a
     frame's match and push counts at its start word and running its reserved
     round, whose winners fix the shared round's size and so where the next
-    frame starts.  The shared rounds then run together in one
-    ``contention_rounds`` call.  ``rng`` is left past the words drawn, so it
-    is spent after the call.
+    frame starts.  The walk lists the halves of each shared round as spans,
+    an accepted buffered half as a span of one half before the fresh ones;
+    one gather (``rawdraw.span_halves``) reads them and the shared rounds
+    run together in one ``contention_rounds`` call.  ``rng`` is left past the
+    words drawn, so it is spent after the call.
     """
     n_pull, n_push = population.n_pull_devices, population.n_push_devices
     if max(reserved_ops, shared_ops) >= MAX_BOUND:
@@ -179,7 +181,8 @@ def _independent_frames(
             sh_rejected = rejected(halves, shared_ops)
 
         f0, p0 = f, p
-        matched_l, won_l, pushing_l, lead_l, start_l, end_l = [], [], [], [], [], []
+        matched_l, won_l, pushing_l = [], [], []
+        spans = []  # the shared rounds' halves: start, end, start, end, ...
         while f < f0 + block and p + worst <= len(words):
             # the frame's 32-bit draws: the buffered half (if any), then
             # fresh halves from the word after its doubles
@@ -206,13 +209,13 @@ def _independent_frames(
                     h = end
                 # the framed-ALOHA rule in its one scalar form (module docstring)
                 won = list(map(drawn.count, drawn)).count(1)
-            shared_lead = -1
-            shared_start = h
+            lead_span = ()  # an accepted buffered half: the shared round's first draw
+            start = h
             need = matched - won + pushing
             if need and shared_ops >= 2:
                 if ld >= 0:
                     if ld not in sh_rejected:
-                        shared_lead = ld
+                        lead_span = (ld, ld + 1)
                         need -= 1
                     ld = -1
                 h = span_end(h, need, sh_rejected) if sh_rejected else h + need
@@ -224,9 +227,8 @@ def _independent_frames(
             matched_l.append(matched)
             won_l.append(won)
             pushing_l.append(pushing)
-            lead_l.append(shared_lead)
-            start_l.append(shared_start)
-            end_l.append(h)
+            spans += lead_span
+            spans += (start, h)
             f += 1
         if f == f0:
             continue
@@ -240,21 +242,13 @@ def _independent_frames(
         contenders = matched - won + pushing
         frame_of = np.repeat(np.arange(k), contenders)
         if shared_ops >= 2:
-            lead_a = np.array(lead_l, dtype=np.int64)
-            start_a = np.array(start_l, dtype=np.int64)
-            has_lead = lead_a >= 0
-            # a buffered half is its frame's first draw: widen the span by one
-            # in front, then point that entry at the buffered half
-            span = np.array(end_l, dtype=np.int64) - start_a + has_lead
-            first_at = np.cumsum(span) - span
-            idx = np.arange(span.sum()) + np.repeat(start_a - has_lead - first_at, span)
-            idx[first_at[has_lead]] = lead_a[has_lead]
+            idx = span_halves(spans)
             if sh_rejected:
                 idx = idx[np.isin(idx, sh_rejected, invert=True)]
             choice = bounded(halves[idx], shared_ops)
         else:  # a bound-1 draw is 0 and takes no half; with no slot nothing is drawn
             choice = np.zeros(len(frame_of), dtype=np.int64)
-        win, _ = contention_rounds(choice, shared_ops, frame_of, k)
+        win = contention_rounds(choice, shared_ops, frame_of, k)
         # the frame's stragglers come first, then its pushing devices
         pull_win = np.arange(len(choice)) < np.repeat(np.cumsum(contenders) - pushing, contenders)
         shared_pull = np.bincount(frame_of[win & pull_win], minlength=k)

@@ -18,11 +18,11 @@ the tests fail instead of the output changing silently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["MAX_BOUND", "doubles_of", "halves_of", "bounded", "rejected", "span_end"]
+__all__ = ["MAX_BOUND", "doubles_of", "halves_of", "bounded", "rejected", "span_end", "span_halves"]
 
 MAX_BOUND = 2**32  # bounds from here on take numpy's 64-bit path, not replayed
 
@@ -62,3 +62,12 @@ def span_end(start: int, need: int, rejected: List[int]) -> int:
         end += 1
         i += 1
     return end
+
+
+def span_halves(spans: Sequence[int]) -> np.ndarray:
+    """The indices of the halves in spans given as ``start, end, start, end,
+    ...``, span by span (int64)."""
+    bounds = np.asarray(spans, dtype=np.int64)
+    ends = bounds[1::2]
+    lengths = ends - bounds[0::2]
+    return np.arange(int(lengths.sum())) + np.repeat(ends - lengths.cumsum(), lengths)

@@ -170,7 +170,7 @@ def reference_cff_run(
             drawn = f
         if pend_arrival.size and push_ops > 0:
             choices = rng.integers(0, push_ops, size=pend_arrival.size, dtype=np.int64)
-            winner_mask, _ = mac_cff.contention_rounds(choices, push_ops)
+            winner_mask = mac_cff.contention_rounds(choices, push_ops)
             if winner_mask.any():
                 won_arrival = pend_arrival[winner_mask]
                 delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)

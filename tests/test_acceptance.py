@@ -172,10 +172,10 @@ def test_criterion_4_small_instance_enumeration():
     # the rule the simulators run, one round of two contenders per frame, on
     # the draws one ``integers(0, n_slots, size=2)`` call per frame makes
     rounds = np.arange(frames).repeat(2)
-    win, _ = contention_rounds(rng.integers(0, 2, size=2 * frames), 2, rounds, frames)
+    win = contention_rounds(rng.integers(0, 2, size=2 * frames), 2, rounds, frames)
     contend_rate = int(np.count_nonzero(win)) / (2 * frames)
 
-    win, _ = contention_rounds(rng.integers(0, 1, size=2 * frames), 1, rounds, frames)
+    win = contention_rounds(rng.integers(0, 1, size=2 * frames), 1, rounds, frames)
     forced = int(np.count_nonzero(win))
 
     # same enumeration through the RCS reserved portion (2 matched, 2 reserved slots)

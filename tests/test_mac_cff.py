@@ -96,13 +96,11 @@ class TestSchedulePull:
 
 
 def reference_rounds(choice, n_slots, group, n_groups):
-    """The framed-ALOHA rule per round with a Counter: (win mask, the
-    per-round Counters of slots chosen)."""
+    """The framed-ALOHA rule per round with a Counter: the win mask."""
     per_round = [Counter() for _ in range(n_groups)]
     for slot, r in zip(choice, group):
         per_round[r][slot] += 1
-    win = [n_slots > 0 and per_round[r][slot] == 1 for slot, r in zip(choice, group)]
-    return win, per_round
+    return [n_slots > 0 and per_round[r][slot] == 1 for slot, r in zip(choice, group)]
 
 
 class TestContentionRounds:
@@ -114,20 +112,16 @@ class TestContentionRounds:
             n = int(rng.integers(0, 4 * max(n_slots, 1) * n_groups + 2))
             choice = rng.integers(0, max(n_slots, 1), size=n)  # no slot: only the length is read
             group = rng.integers(0, n_groups, size=n)
-            win, counts = contention_rounds(choice, n_slots, group, n_groups)
-            ref_win, seen = reference_rounds(choice, n_slots, group, n_groups)
-            assert win.tolist() == ref_win
-            assert counts.tolist() == [[c[s] for s in range(n_slots)] for c in seen]
-            # one round: the same rule, with counts up to the highest slot chosen
-            win, counts = contention_rounds(choice, n_slots)
-            ref_win, (seen,) = reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)
-            assert win.tolist() == ref_win
-            assert counts.tolist() + [0] * (n_slots - len(counts)) == [seen[s] for s in range(n_slots)]
+            win = contention_rounds(choice, n_slots, group, n_groups)
+            assert win.tolist() == reference_rounds(choice, n_slots, group, n_groups)
+            # one round: the same rule
+            win = contention_rounds(choice, n_slots)
+            assert win.tolist() == reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)
 
     @pytest.mark.parametrize("n_slots", [mac_cff._DENSE_SLOTS + 1, 2**20, 2**32 - 1])
     def test_many_slots_count_only_the_chosen(self, n_slots):
         # more (round, slot) pairs than the dense cap and than contenders:
-        # the same rule from the slots chosen alone, and no counts
+        # the same rule from the slots chosen alone
         rng = np.random.default_rng(n_slots % 1000)
         for _ in range(40):
             n_groups = int(rng.choice([1, 2, 9, 60]))
@@ -135,16 +129,15 @@ class TestContentionRounds:
             pool = rng.integers(0, n_slots, size=int(rng.integers(1, 300)))  # few slots, so some collide
             choice = rng.choice(pool, size=n)
             group = rng.integers(0, n_groups, size=n)
-            win, counts = contention_rounds(choice, n_slots, group, n_groups)
-            assert win.tolist() == reference_rounds(choice, n_slots, group, n_groups)[0] and counts is None
-            win, counts = contention_rounds(choice, n_slots)
-            assert win.tolist() == reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)[0]
-            assert counts is None
+            win = contention_rounds(choice, n_slots, group, n_groups)
+            assert win.tolist() == reference_rounds(choice, n_slots, group, n_groups)
+            win = contention_rounds(choice, n_slots)
+            assert win.tolist() == reference_rounds(choice, n_slots, np.zeros(n, dtype=np.int64), 1)
         # as many contenders as slots past the cap: every slot is counted
         slots = mac_cff._DENSE_SLOTS + 1
         choice = rng.integers(0, slots, size=slots)
-        win, counts = contention_rounds(choice, slots)
-        assert counts.tolist() == np.bincount(choice).tolist() and win.tolist() == (counts[choice] == 1).tolist()
+        win = contention_rounds(choice, slots)
+        assert win.tolist() == (np.bincount(choice)[choice] == 1).tolist()
         # the per-draw round still reports every slot's count
         choices, counts, winners = uniform_slot_contention(3, min(n_slots, 2**20), rng)
         assert len(counts) == min(n_slots, 2**20) and counts.sum() == 3

@@ -5,7 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, simulate_rcs
+from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, rawdraw, simulate_rcs
 from pushpull_mac.mac_rcs import _independent_frames
 
 from _invariants import (
@@ -341,32 +341,58 @@ class TestRejectedDraws:
     REJECTED = 171798692  # 171798692 * 25 == 2**32 + 4, and 4 < 2**32 % 25 == 21
     ACCEPTED = 7
 
+    # (alpha, low, high, position): the built output and where it lands
+    CASES = [
+        (0.5, REJECTED, ACCEPTED, 4),  # reserved round skips a fresh half
+        (0.5, ACCEPTED, REJECTED, 4),  # next frame's reserved round skips the buffered half
+        (0.0, REJECTED, ACCEPTED, 4),  # shared round skips a fresh half
+        (0.0, ACCEPTED, REJECTED, 4),  # next frame's shared round skips the buffered half
+        (0.0, REJECTED, ACCEPTED, 9),  # next frame's shared round takes the buffered half, then skips a fresh one
+    ]
+
     @pytest.mark.parametrize(
-        "alpha, low, high",
+        "alpha, low, high, position",
         [
-            (0.5, REJECTED, ACCEPTED),  # reserved round skips a fresh half
-            (0.5, ACCEPTED, REJECTED),  # next frame's reserved round skips the buffered half
-            (0.0, REJECTED, ACCEPTED),  # shared round skips a fresh half
-            (0.0, ACCEPTED, REJECTED),  # next frame's shared round skips the buffered half
+            pytest.param(*case, id="-".join(map(str, case[:3])) + ("" if case[3] == 4 else f"-at-{case[3]}"))
+            for case in CASES
         ],
     )
-    def test_matches_numpy(self, alpha, low, high):
+    def test_matches_numpy(self, alpha, low, high, position):
         # one pull device, which matches ALL, and three push devices: frame 0
         # draws four doubles (outputs 1-3 are <= 0.5, so none pushes), then
         # one 32-bit draw from output 4, plus one if that half is rejected; a
         # skipped or extra half shifts every later frame's draws, which the
-        # push contention then shows
+        # push contention then shows.  At position 9, output 4's low half is
+        # frame 0's one draw and its high half stays buffered; frame 1 draws
+        # outputs 5-8 as doubles, and one of 6-8 pushes, so its shared round
+        # of two or more takes the buffered half and then output 9's halves,
+        # the low one rejected.  Search high state halves, from the default,
+        # until the outputs before the built one give that layout.
         cfg = config(50, alpha)
         assert (cfg.pull_slot_budget, cfg.push_slot_budget) == ((25, 25) if alpha else (0, 50))
         bound = 25 if alpha else 50  # 2**32 % 50 == 46 rejects REJECTED too
         pop = population(1, 3)
         word = (high << 32) | low
-        probe = generator_emitting(word, 4)
-        assert (probe.random(4)[1:] <= 0.5).all()
-        first = probe.integers(0, bound, size=1, dtype=np.int64)
-        assert first[0] == ((low if low == self.ACCEPTED else high) * bound) >> 32
-        rng = generator_emitting(word, 4)
+        for i in range(200):
+            state = (0x9E3779B97F4A7C18 + i * 0x2545F4914F6CDD1D) % 2**64
+            raw = generator_emitting(word, position, state).bit_generator.random_raw(position + 1)
+            pushes = rawdraw.doubles_of(raw) > 0.5
+            if not pushes[1:4].any() and (position == 4 or pushes[6:9].any()):
+                break
+        else:
+            raise AssertionError("no state gives the layout")
+        if position == 4:
+            probe = generator_emitting(word, position, state)
+            probe.random(4)
+            first = probe.integers(0, bound, size=1, dtype=np.int64)
+            assert first[0] == ((low if low == self.ACCEPTED else high) * bound) >> 32
+        else:  # output 4's halves are accepted: one draw in frame 0 and the buffered one in frame 1
+            assert not rawdraw.rejected(rawdraw.halves_of(raw[4:5]), bound)
+        rng = generator_emitting(word, position, state)
         expected = [run_rcs_frame(cfg, pop, ALL, rng) for _ in range(50)]
         assert (expected[0].matched_pull, expected[0].push_attempted) == (1, 0)
-        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, generator_emitting(word, 4))
+        if position == 9:
+            assert expected[1].matched_pull + expected[1].push_attempted >= 2
+        rng = generator_emitting(word, position, state)
+        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, rng)
         assert counts.tolist() == [list(f) for f in expected]
