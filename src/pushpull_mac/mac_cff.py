@@ -108,8 +108,8 @@ _PREFIX_PER_SLOT = 16
 # (round, slot) pairs a contention_rounds call counts in full (int64, 512 KiB)
 # when they outnumber its contenders; past that it counts only the slots
 # chosen.  No benchmark or acceptance configuration gets there: push rounds
-# have at most a few hundred slots, and RCS blocks of 128 frames stay under
-# it up to 512 shared slots.
+# have at most a few hundred slots, and an RCS window of the benchmark's
+# population (about 125 frames) stays under it up to 512 shared slots.
 _DENSE_SLOTS = 2**16
 
 # contenders of the push rounds held before their winners are settled in one
@@ -517,7 +517,7 @@ def simulate_cff(
         # turns late until push packets arrive, so the step takes the offsets
         # of every frame up to the next one with push arrivals
         g = f + 1 if n else min(bisect_right(cum_push, cum_push[f]), horizon_frames)
-        choice = step(n, cum_offsets[g] - cum_offsets[f])
+        choice = step(n if push_ops else 0, cum_offsets[g] - cum_offsets[f])  # no slot, no round
 
         # push sub-frame: framed-ALOHA contention among everything pending;
         # nothing reads the deliveries before the run ends, so the round is
@@ -551,8 +551,8 @@ def simulate_cff(
                         break
 
         a, b = cum_push[f], cum_push[g]
-        if b > a:
-            pend = np.concatenate((pend, ids[a:b])) if n else ids[a:b]
+        if b > a:  # pend is the slice ids[a - n : a] when empty, or with no push slot (nothing leaves it)
+            pend = np.concatenate((pend, ids[a:b])) if n and push_ops else ids[a - n : b]
         f = g
 
     if held:

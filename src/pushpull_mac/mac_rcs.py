@@ -10,21 +10,21 @@ uniform on [0, 1)) is tested against the query, every push device's drawn
 value against the push trigger, then the matching pull devices contend in
 the reserved slots, and the unsuccessful ones retry once alongside the
 pushing devices in the shared slots (one slot draw per contender, as
-``mac_cff.uniform_slot_contention`` makes it).  ``simulate_rcs`` runs whole
-blocks of frames from the generator's raw 64-bit output
+``mac_cff.uniform_slot_contention`` makes it).  ``simulate_rcs`` walks the
+generator's raw 64-bit output a fixed window at a time
 (``_independent_frames``): it replays numpy's own sampling rules on that
 output, so a seed gives the frames that one numpy call per draw gives, draw
 for draw.
 
 Both rounds follow the framed-ALOHA rule, a slot chosen by exactly one
 contender succeeds, whose array form is ``mac_cff.contention_rounds``.  A
-block's shared rounds are one call of it, with any number of shared slots
+window's shared rounds are one call of it, with any number of shared slots
 (none or one included).  The reserved round is the rule's one scalar form
 (a count of the choices seen once): its winners fix the shared round's
 size, so where the frame's draws end and the next frame's begin, and the
 walk must decide it frame by frame, on at most ``n_pull`` draws, where a
 numpy call costs more than the scalar count.  It stays scalar until the
-reserved draws are taken in bulk per block.
+reserved draws are taken in bulk per window.
 """
 from __future__ import annotations
 
@@ -99,7 +99,10 @@ class RcsResult:
         return succeeded / attempted if attempted else None
 
 
-_FRAMES_PER_BLOCK = 128
+# fresh raw 64-bit outputs a window fetches (at least two frames' worst
+# case); in-process rcs_grid sweeps read 8192 as fast as 16384, which took
+# 0.7 MiB more RSS, and 4096 10-15 % slower
+_WINDOW_WORDS = 8192
 
 
 def _array(typecode: str, values: np.ndarray) -> array:
@@ -135,15 +138,20 @@ def _independent_frames(
     ``random`` turns one output into a double, and ``integers``
     below 2**32 takes 32-bit halves, low half first, keeping the
     unused high half in the generator for the next 32-bit draw, whatever
-    doubles come between.  A block of frames is therefore one ``random_raw``
-    call: each output's double and both halves' bounded draws are computed
-    for the whole block, and a scalar pass walks the frames, reading a
-    frame's match and push counts at its start word and running its reserved
-    round, whose winners fix the shared round's size and so where the next
-    frame starts.  The walk lists the halves of each shared round as spans,
-    an accepted buffered half as a span of one half before the fresh ones;
-    one gather (``rawdraw.span_halves``) reads them and the shared rounds
-    run together in one ``contention_rounds`` call.  ``rng`` is left past the
+    doubles come between.  A window of raw output is one ``random_raw``
+    call of ``_WINDOW_WORDS`` fresh words (at least twice a frame's worst
+    case, at most the worst case of the frames left and one more) after the
+    unused words of the last window, those after the one word of a pending
+    buffered half: each word's double and both halves'
+    bounded draws are computed for the whole window, and a scalar pass walks
+    the frames while a frame's worst case fits, reading a frame's match and
+    push counts at its start word and running its reserved round, whose
+    winners fix the shared round's size and so where the next frame starts
+    (a frame whose rejections overrun the window starts the next one).  The
+    walk lists the halves of each shared round as spans, an accepted
+    buffered half as a span of one half before the fresh ones; one gather
+    (``rawdraw.span_halves``) reads them and the window's shared rounds run
+    together in one ``contention_rounds`` call.  ``rng`` is left past the
     words drawn, so it is spent after the call.
     """
     n_pull, n_push = population.n_pull_devices, population.n_push_devices
@@ -153,21 +161,16 @@ def _independent_frames(
     # words a frame can take without rejections: its doubles, then at most
     # n_pull reserved and n_pull + n_push shared 32-bit draws
     worst = n_dbl + (2 * n_pull + n_push + 1) // 2
-    rate = worst  # words drawn per frame, re-estimated after each block
     counts = np.zeros((n_frames, 5), dtype=np.int64)
     words = np.empty(0, dtype=np.uint64)
     p = 0  # first unused 64-bit word
     lead = -1  # index of the buffered high half, if any
-    slack = 4
     f = 0
     while f < n_frames:
-        keep = p if lead < 0 else min(p, lead // 2)
-        block = min(n_frames - f, _FRAMES_PER_BLOCK)
-        short = int(block * rate) + worst + slack - (len(words) - p)
-        words = np.concatenate((words[keep:], rng.bit_generator.random_raw(max(short, 0))))
-        p -= keep
-        if lead >= 0:
-            lead -= 2 * keep
+        held = words[lead // 2 : lead // 2 + 1] if lead >= 0 else words[:0]  # a buffered half's word
+        fresh = min(max(_WINDOW_WORDS, 2 * worst), (n_frames - f + 1) * worst)  # a short run fetches less
+        words = np.concatenate((held, words[p:], rng.bit_generator.random_raw(fresh)))
+        p, lead = len(held), 1 if lead >= 0 else -1
         doubles = doubles_of(words)
         n_starts = len(words) - n_dbl + 1
         matched_at = _window_counts(query.match_mask(doubles), 0, n_pull, n_starts)
@@ -180,10 +183,10 @@ def _independent_frames(
         if shared_ops >= 2:
             sh_rejected = rejected(halves, shared_ops)
 
-        f0, p0 = f, p
+        f0 = f
         matched_l, won_l, pushing_l = [], [], []
         spans = []  # the shared rounds' halves: start, end, start, end, ...
-        while f < f0 + block and p + worst <= len(words):
+        while f < n_frames and p + worst <= len(words):
             # the frame's 32-bit draws: the buffered half (if any), then
             # fresh halves from the word after its doubles
             h = first = 2 * (p + n_dbl)
@@ -219,8 +222,7 @@ def _independent_frames(
                         need -= 1
                     ld = -1
                 h = span_end(h, need, sh_rejected) if sh_rejected else h + need
-            if h > len(halves):  # rejections overran the words drawn
-                slack *= 2
+            if h > len(halves):  # rejections overran the window: the frame starts the next one
                 break
             lead = h if (h - first) % 2 else ld  # an odd count leaves a high half
             p = (h + 1) // 2
@@ -230,12 +232,7 @@ def _independent_frames(
             spans += lead_span
             spans += (start, h)
             f += 1
-        if f == f0:
-            continue
-        # a little above the mean, so the next block rarely runs short
-        rate = min(worst, 1.05 * (p - p0) / (f - f0))
-
-        k = f - f0
+        k = f - f0  # none when the window's first frame overran it
         matched = np.array(matched_l, dtype=np.int64)
         won = np.array(won_l, dtype=np.int64)
         pushing = np.array(pushing_l, dtype=np.int64)
@@ -269,8 +266,9 @@ def simulate_rcs(
     Retrieval accuracy is the fraction of frames in which every matching
     device was received (vacuously successful with zero matches); push success
     probability pools attempts across frames.  Failed devices abandon at the
-    frame end, so the frames run in blocks (``_independent_frames``), giving
-    the frames that one numpy call per draw on ``default_rng(seed)`` gives.
+    frame end, so the frames are walked on windows of raw output
+    (``_independent_frames``), giving the frames that one numpy call per
+    draw on ``default_rng(seed)`` gives.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")

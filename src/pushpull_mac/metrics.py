@@ -8,7 +8,7 @@ Latencies become seconds only where they are compared with a target
 (:func:`reliability_within`) or listed with one +inf per miss
 (:meth:`MetricsRecord.latencies`, which the benchmark tracer counts).
 Records of equal slot duration merge class by class for replication
-aggregation.
+aggregation (:func:`merge_records`).
 """
 from __future__ import annotations
 
@@ -61,24 +61,23 @@ class MetricsRecord:
         """Delivered latencies in seconds, then one +inf per miss."""
         return (self.latency_slots(klass) * self.slot_duration).tolist() + [math.inf] * self.failed(klass)
 
-    def merge(self, other: "MetricsRecord") -> None:
-        """Fold ``other`` into this record, class by class."""
-        if other.slot_duration != self.slot_duration:
-            raise ValueError(
-                f"cannot merge records of slot durations {self.slot_duration} and {other.slot_duration}"
-            )
-        for klass, entry in other._classes.items():
-            self.add(klass, *entry)
-
 
 def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:
-    """Merge records in the given (replication-index) order."""
+    """Merge records of one slot duration class by class, in the given
+    (replication-index) order: one concatenation per class."""
     records = list(records)
     if not records:
         raise ValueError("merge_records needs at least one record: the merged record takes its slot duration")
     merged = MetricsRecord(records[0].slot_duration)
     for rec in records:
-        merged.merge(rec)
+        if rec.slot_duration != merged.slot_duration:
+            raise ValueError(
+                f"cannot merge records of slot durations {merged.slot_duration} and {rec.slot_duration}"
+            )
+    for klass, entry in merged._classes.items():
+        entry[0] = np.concatenate([rec.latency_slots(klass) for rec in records])
+        entry[1] = sum(rec.failed(klass) for rec in records)
+        entry[2] = sum(rec.arrived(klass) for rec in records)
     return merged
 
 

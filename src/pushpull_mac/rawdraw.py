@@ -10,7 +10,7 @@ half x is Lemire's multiply-shift: it draws (x * bound) >> 32, unless the low
 32 bits of x * bound fall below 2**32 % bound, which rejects x (the next half
 is taken instead).  A bound of 1 draws 0 and consumes nothing.
 
-The RCS and CFF kernels take blocks of ``bit_generator.random_raw`` output
+The RCS and CFF kernels take windows of ``bit_generator.random_raw`` output
 and apply these helpers to them, so a seed gives the values the per-draw
 ``Generator`` calls give.  If numpy changes these rules, the pinned outputs in
 the tests fail instead of the output changing silently.

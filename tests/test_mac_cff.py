@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 from collections import Counter
 from typing import NamedTuple
@@ -422,6 +423,17 @@ class TestHeldRounds:
         for rule in (PushAbortRule(0.02, 0.9), PushAbortRule(0.05, 0.5), PushAbortRule(0.01, 0.01)):
             check_cff_matches_reference(cfg, 300.0, 800.0, 120, 8, push_abort=rule)
             check_cff_matches_reference(cfg, 300.0, 800.0, 120, 8, push_abort=rule, warmup_frames=30)
+
+    def test_no_push_slot_is_linear_in_the_horizon(self):
+        # the backlog that never drains is a slice of the run's packet
+        # numbers and no round is drawn, so the run is linear in its horizon
+        # (joining the backlog anew every frame made 16000 frames take 5 s)
+        cfg = paper_config(1.0)
+        start = time.perf_counter()
+        record = simulate_cff(cfg, 500.0, 2000.0, 16000, 1)
+        assert time.perf_counter() - start < 1.0
+        assert record.failed(PacketClass.PUSH) == record.arrived(PacketClass.PUSH) > 300_000
+        check_cff_matches_reference(cfg, 500.0, 2000.0, 200, 1, warmup_frames=20)
 
     def test_held_rounds_stay_capped_on_a_collapsed_run(self, monkeypatch):
         # K = 20 push slots against about 10 arrivals a frame: the backlog

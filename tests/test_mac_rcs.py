@@ -5,7 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, rawdraw, simulate_rcs
+from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, mac_rcs, rawdraw, simulate_rcs
 from pushpull_mac.mac_rcs import _independent_frames
 
 from _invariants import (
@@ -172,9 +172,9 @@ class TestSimulateRcs:
         assert r50.push_success_prob >= r25.push_success_prob - 0.02
 
     def test_block_memory_does_not_grow_with_slots(self):
-        # 25000 shared slots: the counts of a 128-frame block's shared rounds
-        # would take 24 MiB, so only the slots chosen are counted; the frames
-        # stay those of the per-draw reference
+        # 25000 shared slots: the counts of a window's shared rounds (about
+        # 125 frames of this population) would take 24 MiB, so only the slots
+        # chosen are counted; the frames stay those of the per-draw reference
         cfg, pop, q = config(50_000, 0.5), population(12, 40), SemanticQuery(0.25, 0.75)
         tracemalloc.start()
         try:
@@ -207,6 +207,58 @@ class TestSimulateRcs:
             accs_2n.append(simulate_rcs(cfg, pop, ALL, 600, seed=10_000 + seed).retrieval_accuracy)
         ratio = np.var(accs_n) / np.var(accs_2n)
         assert 1.4 <= ratio <= 2.9
+
+
+class TestWindow:
+    """The kernel walks fixed windows of raw output: it keeps the unused
+    words and the word of a pending buffered half, then appends fresh ones."""
+
+    def test_pending_half_does_not_pin_the_window(self):
+        # only frame 0 matches, and its one reserved draw leaves a buffered
+        # half that no later frame takes (nobody pushes); keeping every word
+        # from that half on would hold the run's 4 million words (a 200 MiB
+        # peak)
+        cfg, pop = config(50, 0.5), RcsPopulation(1, 2000, PushTrigger(1.0))
+        x0 = float(np.random.default_rng(7).random())
+        q = SemanticQuery(x0, x0)
+        tracemalloc.start()
+        try:
+            res = simulate_rcs(cfg, pop, q, 2000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert res.frames[:, 0].tolist() == [1] + [0] * 1999 and not res.frames[:, 3].any()
+        check_rcs_run(cfg, pop, q, 2000, seed=7)
+
+    def test_held_half_taken_windows_later(self):
+        # 4000 rarely pushing devices and two shared slots: frame 3's lone
+        # push leaves a buffered half, which waits five silent frames (20000
+        # words; a window, twice a frame's worst case, is 12000) until frame
+        # 8's two pushes take it and one fresh half; whether they collide
+        # reads the held half's value
+        cfg, pop = config(2, 0.0), population(0, 4000, threshold=1 - 1e-4)
+        rng = np.random.default_rng(8)
+        frames = [run_rcs_frame(cfg, pop, ALL, rng) for _ in range(30)]
+        assert [f.push_attempted for f in frames[:9]] == [0, 0, 0, 1, 0, 0, 0, 0, 2]
+        check_rcs_run(cfg, pop, ALL, 30, seed=8)
+
+    def test_rejections_overrun_the_window(self, monkeypatch):
+        # two always-pushing devices and 50 shared slots: a frame takes two
+        # doubles and one word of halves, so with a window of six words
+        # frame 1 ends at the window's last word.  Its first half is
+        # rejected, so its second draw lies past the window's end and the
+        # frame starts the next window
+        monkeypatch.setattr(mac_rcs, "_WINDOW_WORDS", 6)
+        cfg, pop = config(50, 0.0), population(0, 2, threshold=0.0)
+        word = (TestRejectedDraws.ACCEPTED << 32) | TestRejectedDraws.REJECTED
+        raw = generator_emitting(word, 5).bit_generator.random_raw(6)
+        assert rawdraw.rejected(rawdraw.halves_of(raw), 50) == [10]
+        rng = generator_emitting(word, 5)
+        expected = [run_rcs_frame(cfg, pop, ALL, rng) for _ in range(10)]
+        assert [f.push_attempted for f in expected] == [2] * 10
+        counts = _independent_frames(0, 50, pop, ALL, 10, generator_emitting(word, 5))
+        assert counts.tolist() == [list(f) for f in expected]
 
 
 class TestRcsResult:
@@ -335,8 +387,8 @@ class TestExactOracle:
 
 class TestRejectedDraws:
     """numpy rejects a 32-bit word w for a draw below n when (w * n) mod 2**32
-    < 2**32 % n and takes the next word instead; the block kernel replays
-    that rule, also for the high half a frame leaves buffered."""
+    < 2**32 % n and takes the next word instead; the kernel replays that
+    rule, also for the high half a frame leaves buffered."""
 
     REJECTED = 171798692  # 171798692 * 25 == 2**32 + 4, and 4 < 2**32 % 25 == 21
     ACCEPTED = 7

@@ -172,5 +172,3 @@ class TestMerge:
         b = record_with(PULL, [10], slot_duration=SLOT / 2)
         with pytest.raises(ValueError, match="slot durations"):
             merge_records([a, b])
-        with pytest.raises(ValueError, match="slot durations"):
-            a.merge(b)

@@ -54,13 +54,38 @@ def test_rcs_invariants_randomized():
             ) from exc
 
 
-def test_rcs_runs_match_frame_loop():
-    # run lengths around the kernel's block size cross block ends
+class _RawCalls:
+    """Stands in for the Generator the RCS kernel reads, which only calls
+    ``bit_generator.random_raw``; counts those calls, one a window."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.bit_generator = self
+        self._random_raw = rng.bit_generator.random_raw
+        self.calls = 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self._random_raw(size)
+
+
+def test_rcs_runs_match_frame_loop(monkeypatch):
+    # run lengths whose words span one to about three of the kernel's
+    # windows: runs end mid-window, and some refill mid-run
+    windows = []
+    kernel = mac_rcs._independent_frames
+
+    def counting(*args):
+        rng = _RawCalls(args[-1])
+        counts = kernel(*args[:-1], rng)
+        windows.append(rng.calls)
+        return counts
+
+    monkeypatch.setattr(mac_rcs, "_independent_frames", counting)
     rng = np.random.default_rng(8096)
-    block = mac_rcs._FRAMES_PER_BLOCK
     for i in range(N_RCS_RUNS):
         config, population, query = random_rcs_case(rng)
-        n_frames = int(rng.choice([1, 2, block - 1, block, block + 1, 2 * block + 1, int(rng.integers(3, 700))]))
+        doubles = population.n_pull_devices + population.n_push_devices  # a frame's fewest words
+        n_frames = int(rng.integers(1, min(4000, 3 * mac_rcs._WINDOW_WORDS // max(doubles, 1)) + 1))
         seed = int(rng.integers(0, 2**32))
         try:
             check_rcs_run(config, population, query, n_frames, seed)
@@ -70,6 +95,8 @@ def test_rcs_runs_match_frame_loop():
                 f"pull={population.n_pull_devices}, push={population.n_push_devices}, "
                 f"query=[{query.lo}, {query.hi}]"
             ) from exc
+    assert len(windows) == N_RCS_RUNS
+    assert sum(calls > 1 for calls in windows) >= N_RCS_RUNS // 4, windows
 
 
 def _edge_cff_config(rng: np.random.Generator) -> FrameConfig:
