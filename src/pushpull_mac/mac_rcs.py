@@ -19,12 +19,13 @@ for draw.
 Both rounds follow the framed-ALOHA rule, a slot chosen by exactly one
 contender succeeds, whose array form is ``mac_cff.contention_rounds``.  A
 window's shared rounds are one call of it, with any number of shared slots
-(none or one included).  The reserved round is the rule's one scalar form
-(a count of the choices seen once): its winners fix the shared round's
-size, so where the frame's draws end and the next frame's begin, and the
-walk must decide it frame by frame, on at most ``n_pull`` draws, where a
-numpy call costs more than the scalar count.  It stays scalar until the
-reserved draws are taken in bulk per window.
+(none or one included).  The reserved round is the rule's one scalar form:
+its winners fix the shared round's size, so where the frame's draws end and
+the next frame's begin, and the walk must decide it frame by frame, on at
+most ``n_pull`` draws, where a numpy call costs more than a scalar rule.
+With k distinct slots among the m matching devices' choices, at most one
+slot is chosen twice when k >= m - 1, so the winners are 2k - m; below that,
+the choices seen once are counted.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import FrameConfig
 from .mac_cff import contention_rounds
-from .rawdraw import MAX_BOUND, bounded, doubles_of, halves_of, rejected, span_end, span_halves
+from .rawdraw import MAX_BOUND, bounded, halves_of, least_word, rejected, span_end, span_halves
 from .traffic import PushTrigger, SemanticQuery
 
 # the per-draw form of the contention rounds replayed here; it stays
@@ -117,10 +118,26 @@ def _array(typecode: str, values: np.ndarray) -> array:
 def _window_counts(mask: np.ndarray, offset: int, width: int, n_starts: int) -> array:
     """For each start word p < ``n_starts``, how many of the words
     p + offset .. p + offset + width - 1 are set in ``mask``.  The result is
-    an ``array``, for the scalar frame walk."""
-    total = np.zeros(len(mask) + 1, dtype=np.int32)
-    np.cumsum(mask, out=total[1:])
-    return _array("i", total[offset + width : offset + width + n_starts] - total[offset : offset + n_starts])
+    an ``array`` of the narrowest type that holds ``width``, for the scalar
+    frame walk.
+
+    The counts are sums of shifted slices: ``run`` holds the sums of 1, 2,
+    4, ... consecutive words in turn, and each set bit of ``width`` adds
+    one of them, from where the last one added ends (a ``cumsum`` is
+    sequential and several times slower).
+    """
+    dtype = np.min_scalar_type(width)
+    out = np.zeros(n_starts, dtype=dtype)
+    run = mask[offset : offset + n_starts + width - 1].astype(dtype)
+    step = at = 0  # run sums 2**step words; counted words so far
+    while width >> step:
+        if width >> step & 1:
+            out += run[at : at + n_starts]
+            at += 1 << step
+        if width >> step + 1:
+            run = run[: -(1 << step)] + run[1 << step :]
+        step += 1
+    return _array(dtype.char, out)
 
 
 def _independent_frames(
@@ -142,12 +159,15 @@ def _independent_frames(
     call of ``_WINDOW_WORDS`` fresh words (at least twice a frame's worst
     case, at most the worst case of the frames left and one more) after the
     unused words of the last window, those after the one word of a pending
-    buffered half: each word's double and both halves'
-    bounded draws are computed for the whole window, and a scalar pass walks
-    the frames while a frame's worst case fits, reading a frame's match and
-    push counts at its start word and running its reserved round, whose
-    winners fix the shared round's size and so where the next frame starts
-    (a frame whose rejections overrun the window starts the next one).  The
+    buffered half.  For the whole window, the match and push tests are made
+    on the raw words (a bound on a double is a bound on its word,
+    ``rawdraw.least_word``), their counts over a frame's observations are
+    taken at every start word (``_window_counts``), and both halves' bounded
+    draws are computed.  Then a scalar pass walks the frames while a frame's
+    worst case fits, reading a frame's match and push counts at its start
+    word and running its reserved round, whose winners fix the shared
+    round's size and so where the next frame starts (a frame whose
+    rejections overrun the window starts the next one).  The
     walk lists the halves of each shared round as spans, an accepted
     buffered half as a span of one half before the fresh ones; one gather
     (``rawdraw.span_halves``) reads them and the window's shared rounds run
@@ -161,6 +181,12 @@ def _independent_frames(
     # words a frame can take without rejections: its doubles, then at most
     # n_pull reserved and n_pull + n_push shared 32-bit draws
     worst = n_dbl + (2 * n_pull + n_push + 1) // 2
+    # a double d matches iff lo <= d <= hi and pushes iff d > threshold,
+    # tested on its raw word against the bounds' least raw words (Python ints:
+    # numpy compares 2**64, which no word reaches, exactly)
+    match_lo, match_end = least_word(query.lo), least_word(query.hi, strict=True)
+    push_lo = least_word(population.trigger.threshold, strict=True)
+    res_type = np.min_scalar_type(reserved_ops - 1)  # a reserved draw's narrowest type
     counts = np.zeros((n_frames, 5), dtype=np.int64)
     words = np.empty(0, dtype=np.uint64)
     p = 0  # first unused 64-bit word
@@ -171,47 +197,51 @@ def _independent_frames(
         fresh = min(max(_WINDOW_WORDS, 2 * worst), (n_frames - f + 1) * worst)  # a short run fetches less
         words = np.concatenate((held, words[p:], rng.bit_generator.random_raw(fresh)))
         p, lead = len(held), 1 if lead >= 0 else -1
-        doubles = doubles_of(words)
         n_starts = len(words) - n_dbl + 1
-        matched_at = _window_counts(query.match_mask(doubles), 0, n_pull, n_starts)
-        pushing_at = _window_counts(population.trigger.fires(doubles), n_pull, n_push, n_starts)
-        del doubles
+        matched_at = _window_counts((words >= match_lo) & (words < match_end), 0, n_pull, n_starts)
+        pushing_at = _window_counts(words >= push_lo, n_pull, n_push, n_starts)
         halves = halves_of(words)
         if reserved_ops >= 2:
-            res_choice = _array("I", bounded(halves, reserved_ops).astype(np.uint32))  # 4 bytes a draw
+            res_choice = _array(res_type.char, bounded(halves, reserved_ops).astype(res_type))
             res_rejected = rejected(halves, reserved_ops)
         if shared_ops >= 2:
             sh_rejected = rejected(halves, shared_ops)
 
+        last = len(words) - worst  # the last start word whose frame's worst case fits
+        n_halves = 2 * len(words)
         f0 = f
         matched_l, won_l, pushing_l = [], [], []
         spans = []  # the shared rounds' halves: start, end, start, end, ...
-        while f < n_frames and p + worst <= len(words):
+        while f < n_frames and p <= last:
             # the frame's 32-bit draws: the buffered half (if any), then
             # fresh halves from the word after its doubles
             h = first = 2 * (p + n_dbl)
             ld = lead
             matched, pushing = matched_at[p], pushing_at[p]
             won = 0
-            if matched and reserved_ops:
-                if reserved_ops == 1:  # a bound-1 draw is 0 and takes no half
-                    drawn = array("I", bytes(4 * matched))
-                else:
+            if matched and reserved_ops == 1:  # a bound-1 draw is 0 and takes no half: a lone device wins
+                won = int(matched == 1)
+            elif matched and reserved_ops:
+                if res_rejected:  # rare: the rejected halves are skipped
                     need, drawn = matched, res_choice[:0]
                     if ld >= 0:
                         if ld not in res_rejected:
                             drawn = res_choice[ld : ld + 1]
                             need -= 1
                         ld = -1
-                    if res_rejected:
-                        end = span_end(h, need, res_rejected)
-                        drawn += array("I", (c for i, c in enumerate(res_choice[h:end], h) if i not in res_rejected))
-                    else:
-                        end = h + need
-                        drawn += res_choice[h:end]
+                    end = span_end(h, need, res_rejected)
+                    drawn += array(res_type.char, (c for i, c in enumerate(res_choice[h:end], h) if i not in res_rejected))
                     h = end
-                # the framed-ALOHA rule in its one scalar form (module docstring)
-                won = list(map(drawn.count, drawn)).count(1)
+                elif ld >= 0:  # the buffered half, then fresh ones
+                    drawn = res_choice[ld : ld + 1] + res_choice[h : h + matched - 1]
+                    h += matched - 1
+                    ld = -1
+                else:
+                    drawn = res_choice[h : h + matched]
+                    h += matched
+                # the framed-ALOHA rule in its scalar form (module docstring)
+                distinct = len(set(drawn))
+                won = 2 * distinct - matched if distinct >= matched - 1 else list(map(drawn.count, drawn)).count(1)
             lead_span = ()  # an accepted buffered half: the shared round's first draw
             start = h
             need = matched - won + pushing
@@ -222,7 +252,7 @@ def _independent_frames(
                         need -= 1
                     ld = -1
                 h = span_end(h, need, sh_rejected) if sh_rejected else h + need
-            if h > len(halves):  # rejections overran the window: the frame starts the next one
+            if h > n_halves:  # rejections overran the window: the frame starts the next one
                 break
             lead = h if (h - first) % 2 else ld  # an odd count leaves a high half
             p = (h + 1) // 2
@@ -233,9 +263,9 @@ def _independent_frames(
             spans += (start, h)
             f += 1
         k = f - f0  # none when the window's first frame overran it
-        matched = np.array(matched_l, dtype=np.int64)
-        won = np.array(won_l, dtype=np.int64)
-        pushing = np.array(pushing_l, dtype=np.int64)
+        rows = counts[f0:f]
+        rows[:, 0], rows[:, 1], rows[:, 3] = matched_l, won_l, pushing_l
+        matched, won, pushing = rows[:, 0], rows[:, 1], rows[:, 3]
         contenders = matched - won + pushing
         frame_of = np.repeat(np.arange(k), contenders)
         if shared_ops >= 2:
@@ -248,9 +278,8 @@ def _independent_frames(
         win = contention_rounds(choice, shared_ops, frame_of, k)
         # the frame's stragglers come first, then its pushing devices
         pull_win = np.arange(len(choice)) < np.repeat(np.cumsum(contenders) - pushing, contenders)
-        shared_pull = np.bincount(frame_of[win & pull_win], minlength=k)
-        push_won = np.bincount(frame_of[win & ~pull_win], minlength=k)
-        counts[f0:f] = np.column_stack((matched, won, shared_pull, pushing, push_won))
+        rows[:, 2] = np.bincount(frame_of[win & pull_win], minlength=k)
+        rows[:, 4] = np.bincount(frame_of[win & ~pull_win], minlength=k)
     return counts
 
 

@@ -2,10 +2,12 @@
 output.
 
 ``Generator.random()`` turns one 64-bit output x into the double
-(x >> 11) * 2**-53.  ``Generator.integers(0, bound)`` with
-2 <= bound < 2**32 (numpy 2.x) draws from 32-bit halves of the bit
-generator's 64-bit outputs, low half first, and keeps an unused high half in
-the generator for the next 32-bit draw, whatever doubles come between.  A
+(x >> 11) * 2**-53, so a test of that double against a bound is a test of x
+against the bound's least raw word (``least_word``).
+``Generator.integers(0, bound)`` with 2 <= bound < 2**32 (numpy 2.x) draws
+from 32-bit halves of the bit generator's 64-bit outputs, low half first,
+and keeps an unused high half in the generator for the next 32-bit draw,
+whatever doubles come between.  A
 half x is Lemire's multiply-shift: it draws (x * bound) >> 32, unless the low
 32 bits of x * bound fall below 2**32 % bound, which rejects x (the next half
 is taken instead).  A bound of 1 draws 0 and consumes nothing.
@@ -17,19 +19,28 @@ the tests fail instead of the output changing silently.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["MAX_BOUND", "doubles_of", "halves_of", "bounded", "rejected", "span_end", "span_halves"]
+__all__ = ["MAX_BOUND", "least_word", "halves_of", "bounded", "rejected", "span_end", "span_halves"]
 
 MAX_BOUND = 2**32  # bounds from here on take numpy's 64-bit path, not replayed
 
 
-def doubles_of(words: np.ndarray) -> np.ndarray:
-    """The double ``Generator.random`` draws from each raw 64-bit output."""
-    return (words >> np.uint64(11)) * 2.0**-53
+def least_word(bound: float, strict: bool = False) -> int:
+    """The least raw 64-bit output whose double is at least ``bound`` (above
+    it if ``strict``), or 2**64 when none is: the double of x is at least
+    (above) ``bound`` iff x >= least_word.
+
+    The doubles are k * 2**-53 for k = x >> 11 < 2**53, and scaling a bound
+    by 2**53 is exact, so the test is on k against the scaled bound.
+    """
+    scaled = min(max(bound, -1.0), 2.0) * 2.0**53  # clamped first: every double is in [0, 1)
+    k = math.floor(scaled) + 1 if strict else math.ceil(scaled)
+    return min(max(k, 0), 2**53) << 11
 
 
 def halves_of(words: np.ndarray) -> np.ndarray:

@@ -353,18 +353,30 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         backlog -= int(served[PacketClass.PULL][g])
 
 
+# bounds that are doubles numpy draws, as in the benchmark's query [0.25, 0.75]
+# and trigger 0.5
+GRID_BOUNDS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 def random_rcs_case(rng: np.random.Generator):
-    s = int(rng.integers(1, 41))
+    """A random RCS geometry, population and query, up to the benchmark's
+    widths (75 slots, 12 pull and 40 push devices); a quarter of the
+    triggers and queries take their bounds from ``GRID_BOUNDS``."""
+    s = int(rng.integers(1, 81))
     alpha = float(rng.choice([0.0, 1.0, round(float(rng.random()), 3)]))
     config = FrameConfig(s, 0.01, 1, 1, alpha)
+    threshold = float(rng.choice(GRID_BOUNDS)) if rng.random() < 0.25 else float(rng.random())
     population = RcsPopulation(
         n_pull_devices=int(rng.integers(0, 16)),
-        n_push_devices=int(rng.integers(0, 16)),
-        trigger=PushTrigger(float(rng.random())),
+        n_push_devices=int(rng.integers(0, 41)),
+        trigger=PushTrigger(threshold),
     )
-    lo = float(rng.uniform(-0.1, 1.0))
-    query = SemanticQuery(lo, lo + float(rng.uniform(0, 1.1)))
-    return config, population, query
+    if rng.random() < 0.25:
+        lo, hi = sorted(rng.choice(GRID_BOUNDS, size=2).tolist())
+    else:
+        lo = float(rng.uniform(-0.1, 1.0))
+        hi = lo + float(rng.uniform(0, 1.1))
+    return config, population, SemanticQuery(lo, hi)
 
 
 class RcsFrame(NamedTuple):

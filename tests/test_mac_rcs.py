@@ -428,7 +428,7 @@ class TestRejectedDraws:
         for i in range(200):
             state = (0x9E3779B97F4A7C18 + i * 0x2545F4914F6CDD1D) % 2**64
             raw = generator_emitting(word, position, state).bit_generator.random_raw(position + 1)
-            pushes = rawdraw.doubles_of(raw) > 0.5
+            pushes = (raw >> np.uint64(11)) * 2.0**-53 > 0.5  # the doubles numpy draws
             if not pushes[1:4].any() and (position == 4 or pushes[6:9].any()):
                 break
         else:
@@ -448,3 +448,143 @@ class TestRejectedDraws:
         rng = generator_emitting(word, position, state)
         counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, ALL, 50, rng)
         assert counts.tolist() == [list(f) for f in expected]
+
+
+class TestRawWordBounds:
+    """The kernel tests a double d = (x >> 11) * 2**-53 against the query and
+    the trigger as its raw word x against least raw words
+    (``rawdraw.least_word``); at the words next to every bound that must
+    agree with ``match_mask`` and ``fires`` on d."""
+
+    QUERIES = [
+        (0.25, 0.75),
+        (0.5, 0.5),  # lo == hi on the grid
+        (0.1, 0.1),  # lo == hi between grid points
+        (-0.5, 0.3),
+        (-3.0, -2.0),
+        (0.2, 1.0),
+        (0.2, 1.5),
+        (1.0, 1.0),
+        (2.0, 3.0),
+        (0.0, 0.0),
+        (-1e308, 1e308),
+        (2**-53, 1 - 2**-53),
+        (1 - 2**-53, 1 - 2**-53),
+    ]
+    THRESHOLDS = [0.0, 1.0, 1 - 2**-53, 2**-53, 0.5, 0.1]
+
+    @staticmethod
+    def words_near(*bounds):
+        """Raw words whose doubles are k - 1, k, k + 1 times 2**-53 for each
+        bound's k = floor(bound * 2**53), and the least and greatest doubles,
+        each with the 11 low bits (which the double drops) clear and set."""
+        ks = {0, 2**53 - 1}
+        for b in bounds:
+            k = math.floor(min(max(b, -1.0), 2.0) * 2**53)
+            ks.update((k - 1, k, k + 1))
+        return np.array([k << 11 | low for k in sorted(ks) if 0 <= k < 2**53 for low in (0, 2**11 - 1)], dtype=np.uint64)
+
+    @staticmethod
+    def doubles(words):
+        return (words >> np.uint64(11)) * 2.0**-53
+
+    @pytest.mark.parametrize("lo, hi", QUERIES)
+    def test_match_on_words(self, lo, hi):
+        words = self.words_near(lo, hi)
+        got = (words >= rawdraw.least_word(lo)) & (words < rawdraw.least_word(hi, strict=True))
+        assert got.tolist() == SemanticQuery(lo, hi).match_mask(self.doubles(words)).tolist()
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_push_on_words(self, threshold):
+        words = self.words_near(threshold)
+        got = words >= rawdraw.least_word(threshold, strict=True)
+        assert got.tolist() == PushTrigger(threshold).fires(self.doubles(words)).tolist()
+
+    def test_least_words(self):
+        assert rawdraw.least_word(0.25) == 2**51 << 11  # 0.25 itself is a double
+        assert rawdraw.least_word(0.25, strict=True) == (2**51 + 1) << 11
+        assert rawdraw.least_word(0.1) == rawdraw.least_word(0.1, strict=True)  # 0.1 is not
+        assert rawdraw.least_word(-0.5) == rawdraw.least_word(0.0) == 0
+        assert rawdraw.least_word(0.0, strict=True) == 2**11
+        assert rawdraw.least_word(1 - 2**-53) == 2**64 - 2**11
+        # no double reaches 1: the least word is past every word
+        assert rawdraw.least_word(1.0) == rawdraw.least_word(1 - 2**-53, strict=True) == rawdraw.least_word(1e308) == 2**64
+
+    # (k, n_pull, n_push, query, threshold): one device, whose observation
+    # is the run's first output, with double k * 2**-53
+    EDGE_FRAMES = [
+        (2**51, 1, 0, (0.25, 0.75), 0.5),  # d == lo matches
+        (2**51 - 1, 1, 0, (0.25, 0.75), 0.5),  # just below lo
+        (3 * 2**51, 1, 0, (0.25, 0.75), 0.5),  # d == hi matches
+        (3 * 2**51 + 1, 1, 0, (0.25, 0.75), 0.5),  # just above hi
+        (2**52, 0, 1, (0.0, 1.0), 0.5),  # d == threshold does not push
+        (2**52 + 1, 0, 1, (0.0, 1.0), 0.5),  # just above it pushes
+        (2**53 - 1, 0, 1, (0.0, 1.0), 1 - 2**-53),  # the greatest double is not above 1 - 2**-53
+    ]
+
+    @pytest.mark.parametrize("low", [0, 2**11 - 1])  # the bits the double drops
+    @pytest.mark.parametrize("k, n_pull, n_push, bounds, threshold", EDGE_FRAMES)
+    def test_kernel_at_exact_bounds(self, k, n_pull, n_push, bounds, threshold, low):
+        cfg, pop, query = config(10, 0.5), population(n_pull, n_push, threshold), SemanticQuery(*bounds)
+        word = k << 11 | low
+        rng = generator_emitting(word, 0)
+        expected = [run_rcs_frame(cfg, pop, query, rng) for _ in range(20)]
+        counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, query, 20, generator_emitting(word, 0))
+        assert counts.tolist() == [list(f) for f in expected]
+        d = np.array([k * 2.0**-53])
+        decided = query.match_mask(d)[0] if n_pull else pop.trigger.fires(d)[0]
+        assert counts[0, 0] + counts[0, 3] == decided
+
+
+class TestWindowCounts:
+    """``_window_counts`` sums a mask over every width-word window by
+    doubling sums, in the narrowest type that holds ``width``."""
+
+    @pytest.mark.parametrize("width", [0, 1, 12, 40, 255, 256, 4000])
+    @pytest.mark.parametrize("offset", [0, 3, 41])
+    def test_matches_cumsum(self, width, offset):
+        n_starts = 700
+        mask = np.random.default_rng(width + offset).random(offset + n_starts + width + 5) < 0.7
+        total = np.concatenate(([0], np.cumsum(mask)))
+        want = total[offset + width : offset + width + n_starts] - total[offset : offset + n_starts]
+        got = mac_rcs._window_counts(mask, offset, width, n_starts)
+        assert got.tolist() == want.tolist()
+        assert got.itemsize == (1 if width < 256 else 2)
+
+    def test_full_windows(self):
+        # every word set: the counts reach the type's top at 255
+        got = mac_rcs._window_counts(np.ones(300, dtype=bool), 2, 255, 40)
+        assert got.tolist() == [255] * 40 and got.itemsize == 1
+
+
+class TestReservedRound:
+    """The walk reads a reserved round's winners as 2k - m from its k
+    distinct choices among m when at most one slot is chosen twice, and
+    counts the lone choices otherwise; both against the per-draw reference."""
+
+    @staticmethod
+    def reserved_choices(cfg, pop, n_frames, seed):
+        """Each frame's reserved choices in the per-draw reference."""
+        rng = np.random.default_rng(seed)
+        with recorded_rcs_rounds() as rounds:
+            for _ in range(n_frames):
+                run_rcs_frame(cfg, pop, ALL, rng)
+        return [r.choices.tolist() for r in rounds if r.n_slots == cfg.pull_slot_budget]
+
+    @pytest.mark.parametrize("alpha, n_pull", [(0.2, 6), (0.2, 12), (0.3, 8), (0.3, 12)])
+    def test_slots_chosen_three_times(self, alpha, n_pull):
+        cfg, pop = config(10, alpha), population(n_pull, 4)
+        assert cfg.pull_slot_budget in (2, 3) and cfg.pull_slot_budget != cfg.push_slot_budget
+        choices = self.reserved_choices(cfg, pop, 200, seed=n_pull)
+        assert all(len(set(c)) < len(c) - 1 for c in choices)  # every frame takes the count
+        assert any(max(map(c.count, c)) >= 3 for c in choices)
+        check_rcs_run(cfg, pop, ALL, 200, seed=n_pull)
+
+    def test_one_pair_collides(self):
+        # three devices in three slots: all alone, one pair and a lone
+        # device (2k - m = 1), or all in one slot
+        cfg, pop = config(10, 0.3), population(3, 4)
+        choices = self.reserved_choices(cfg, pop, 300, seed=5)
+        patterns = {tuple(sorted(map(c.count, c))) for c in choices}
+        assert {(1, 1, 1), (1, 2, 2), (3, 3, 3)} <= patterns
+        check_rcs_run(cfg, pop, ALL, 300, seed=5)
