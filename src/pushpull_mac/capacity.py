@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .core import FrameConfig, PacketClass
 from .mac_cff import PushAbortRule, simulate_cff
@@ -194,22 +194,28 @@ def service_ceiling(config: FrameConfig, klass: PacketClass) -> float:
     return per_frame / config.frame_duration
 
 
+def search_spec(config: FrameConfig, klass: PacketClass, spec: CapacitySpec) -> Optional[CapacitySpec]:
+    """``spec`` with its bracket capped at the class's service ceiling, which
+    is structural, so the cap excludes no feasible rate; None at a zero
+    ceiling, where the capacity is exactly zero.  A capped bracket already
+    within ``rate_tolerance`` raises ``ValueError`` naming the class and alpha."""
+    ceiling = service_ceiling(config, klass)
+    if ceiling == 0.0:
+        return None
+    try:
+        return replace(spec, rate_upper_bound=min(spec.rate_upper_bound, ceiling))
+    except ValueError as exc:
+        raise ValueError(f"{klass.value} search at alpha {config.alpha}, capped at the service ceiling: {exc}") from None
+
+
 def max_class_rate(
     config: FrameConfig,
     klass: PacketClass,
     spec: CapacitySpec,
     master_seed: int = 0,
 ) -> MaxRateResult:
-    """Capacity search for one class, bisecting below the service ceiling.
-
-    The ceiling is structural (a sub-frame cannot carry more packets than fit
-    in it), so tightening the bracket never excludes a feasible rate; a zero
-    ceiling short-circuits to an exact zero capacity, and a capped bracket
-    already within ``rate_tolerance`` raises ``ValueError`` (:class:`CapacitySpec`).
-    """
-    ceiling = service_ceiling(config, klass)
-    if ceiling == 0.0:
+    """Capacity search for one class over the bracket of :func:`search_spec`."""
+    bounded = search_spec(config, klass, spec)
+    if bounded is None:
         return MaxRateResult(rate=0.0, unreachable=True, monotonicity_violated=False, probes=())
-    bounded = replace(spec, rate_upper_bound=min(spec.rate_upper_bound, ceiling))
     return max_rate(make_cff_rate_evaluator(config, klass, bounded, master_seed), bounded)
-

@@ -11,7 +11,7 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional
 
-from .harness import ConfigError, ExperimentConfig, load_config, run_experiment
+from .harness import ConfigError, ExperimentConfig, enumerate_points, load_config, run_experiment
 
 
 class _UsageError(Exception):
@@ -24,40 +24,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# subcommand -> (its help, the experiment kind it runs, None for any; whether
+# it runs a single point)
+_COMMANDS = {
+    "cff": ("single CFF simulation (one alpha)", "cff.simulate", True),
+    "rcs": ("single RCS simulation (one alpha, one frame size)", "rcs.simulate", True),
+    "capacity": ("CFF capacity frontier over alpha and latency targets", "cff.capacity", False),
+    "sweep": ("config-driven batch (whatever the config describes)", None, False),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pushpull-mac", description="Push-pull medium access frame simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("cff", "single CFF simulation (one alpha)"),
-        ("rcs", "single RCS simulation (one alpha, one frame size)"),
-        ("capacity", "CFF capacity frontier over alpha and latency targets"),
-        ("sweep", "config-driven batch (whatever the config describes)"),
-    ):
+    for name, (help_text, _, single) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="override output CSV path")
         p.add_argument("--replications", type=int, default=None, help="override replications")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        if name in ("capacity", "sweep"):
+        if not single:
             p.add_argument("--workers", type=int, default=1, help="parallel sweep-point workers")
     return parser
 
 
 def _check_command(command: str, config: ExperimentConfig) -> None:
-    if command == "cff":
-        if config.protocol != "cff" or config.experiment != "simulate":
-            raise ConfigError("subcommand 'cff' needs protocol=cff, experiment=simulate")
-        if len(config.alphas) != 1:
-            raise ConfigError("subcommand 'cff' runs a single point; give exactly one alpha")
-    elif command == "rcs":
-        if config.protocol != "rcs":
-            raise ConfigError("subcommand 'rcs' needs protocol=rcs")
-        if len(config.alphas) != 1 or len(config.slots_per_frame_values) != 1:
-            raise ConfigError("subcommand 'rcs' runs a single point; give one alpha and one frame size")
-    elif command == "capacity":
-        if config.protocol != "cff" or config.experiment != "capacity":
-            raise ConfigError("subcommand 'capacity' needs protocol=cff, experiment=capacity")
+    _, kind, single = _COMMANDS[command]
+    if kind not in (None, config.kind):
+        protocol, experiment = kind.split(".")
+        raise ConfigError(f"subcommand '{command}' needs protocol={protocol}, experiment={experiment}")
+    if single and len(enumerate_points(config)) != 1:
+        raise ConfigError(f"subcommand '{command}' runs a single point; give exactly one alpha and one frame size")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -76,6 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for key, flag, value in overrides:
             if value is not None:
                 config = replace(config, **{key: parse[key](value, flag)})
+        out = parse["output"](args.out, "--out")
         workers = getattr(args, "workers", 1)
         if workers < 1:
             raise ConfigError("--workers must be >= 1")
@@ -86,7 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     try:
-        result = run_experiment(config, out=args.out, workers=workers, log=log)
+        result = run_experiment(config, out=out, workers=workers, log=log)
     except Exception as exc:
         print(f"pushpull-mac: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

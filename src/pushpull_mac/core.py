@@ -16,6 +16,10 @@ __all__ = ["PacketClass", "FrameConfig"]
 # 28.999999999999996); small enough never to bump a genuinely fractional value.
 _FLOOR_EPS = 1e-9
 
+# a frame holds fewer slots than this: every slot draw is below a frame's slot
+# count, and the kernels replay numpy's bounded-integer rule below 2**32 only
+SLOT_LIMIT = 2**32
+
 
 def stable_floor(x: float) -> int:
     return int(math.floor(x + _FLOOR_EPS))
@@ -44,8 +48,8 @@ class FrameConfig:
     overhead_slots: int = 0
 
     def __post_init__(self) -> None:
-        if self.slots_per_frame < 1:
-            raise ValueError(f"slots_per_frame must be >= 1, got {self.slots_per_frame}")
+        if not 1 <= self.slots_per_frame < SLOT_LIMIT:
+            raise ValueError(f"slots_per_frame must be in [1, {SLOT_LIMIT}), got {self.slots_per_frame}")
         if not (self.frame_duration > 0.0) or not math.isfinite(self.frame_duration):
             raise ValueError(f"frame_duration must be positive, got {self.frame_duration}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -21,19 +21,18 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .capacity import CapacitySpec, max_class_rate
-from .core import FrameConfig, PacketClass
+from .capacity import CapacitySpec, max_class_rate, search_spec
+from .core import SLOT_LIMIT, FrameConfig, PacketClass
 from .mac_cff import simulate_cff
 from .mac_rcs import RcsPopulation, RcsResult, _contention_slots, simulate_rcs
 from .metrics import merge_records, reliability_within
-from .rawdraw import MAX_BOUND
 from .traffic import SEED_LIMIT, PushTrigger, SemanticQuery, derive_seed
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "run_experiment", "RunResult"]
@@ -89,7 +88,7 @@ def _float(value, path: str, minimum: Optional[float] = None, strict: bool = Fal
 
 
 _positive_int = partial(_int, minimum=1)
-_slots = partial(_int, minimum=1, limit=MAX_BOUND)  # slot draws are replayed below 2**32 only
+_slots = partial(_int, minimum=1, limit=SLOT_LIMIT)
 _nonnegative_int = partial(_int, minimum=0)
 _positive = partial(_float, minimum=0.0, strict=True)
 _nonnegative = partial(_float, minimum=0.0)
@@ -129,6 +128,8 @@ def _list_of(parse: Callable) -> Callable:
 def _output_path(value, path: str) -> Optional[str]:
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string path, got {value!r}")
+    if value == "":
+        raise ConfigError(f"{path}: expected a non-empty path")
     return value
 
 
@@ -276,18 +277,18 @@ def validate_config(data: dict) -> ExperimentConfig:
     values: Dict[str, object] = {}
     _read_object(data, tree, "", values)
     cfg = ExperimentConfig(**{f.name: values.get(f.name) for f in fields(ExperimentConfig)})
-    # surface what every point would fail on now, by the library's own checks:
+    # surface what a point would fail on now, by the library's own checks:
     # geometry (packet larger than frame, overhead too big, ...), RCS packet
-    # sizes, a capacity bracket already within tolerance
+    # sizes, a search bracket already within tolerance, capped or not
     try:
-        for alpha in cfg.alphas:
-            for s in cfg.slots_per_frame_values or (cfg.slots_per_frame,):
-                frame = cfg.frame_config(alpha, s)
-                if cfg.protocol == "rcs":
-                    _contention_slots(frame)
-        if cfg.experiment == "capacity":
-            for l_ms in cfg.latency_targets_ms:
-                cfg.capacity_spec(l_ms)
+        for job in enumerate_points(cfg):
+            frame = cfg.frame_config(job.alpha, job.slots_per_frame)
+            if cfg.protocol == "rcs":
+                _contention_slots(frame)
+            if job.latency_ms is not None:
+                spec = cfg.capacity_spec(job.latency_ms)
+                for klass in PacketClass:
+                    search_spec(frame, klass, spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -366,18 +367,12 @@ def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
     # one simulated system per alpha; every latency target reads the same record
     cfg = job.config
     frame = cfg.frame_config(job.alpha)
-    records = []
-    for r in range(cfg.replications):
-        records.append(
-            simulate_cff(
-                frame,
-                cfg.pull_rate_pps,
-                cfg.push_rate_pps,
-                cfg.horizon_frames,
-                derive_seed(job.seed, r),
-            )
-        )
-    merged = merge_records(records)
+    merged = merge_records(
+        [
+            simulate_cff(frame, cfg.pull_rate_pps, cfg.push_rate_pps, cfg.horizon_frames, derive_seed(job.seed, r))
+            for r in range(cfg.replications)
+        ]
+    )
     rows: List[Dict[str, str]] = []
     for l_ms in cfg.latency_targets_ms:
         rows += _metric_rows(
@@ -428,29 +423,15 @@ _POINT_KINDS = {
 
 
 def enumerate_points(config: ExperimentConfig) -> List[_PointJob]:
-    """Sweep points in output order; each carries its derived seed."""
-    jobs: List[_PointJob] = []
-    if config.protocol == "cff":
-        s = config.slots_per_frame
-        if config.experiment == "capacity":
-            combos = [(a, s, l) for a in config.alphas for l in config.latency_targets_ms]
-        else:
-            # latency targets are reporting thresholds, not separate systems
-            combos = [(a, s, None) for a in config.alphas]
-    else:
-        combos = [(a, s, None) for a in config.alphas for s in config.slots_per_frame_values]
-    for i, (alpha, s, l_ms) in enumerate(combos):
-        jobs.append(
-            _PointJob(
-                index=i,
-                config=config,
-                alpha=alpha,
-                slots_per_frame=s,
-                latency_ms=l_ms,
-                seed=_point_seed(config.master_seed, i),
-            )
-        )
-    return jobs
+    """Sweep points in output order, each with its derived seed: alphas x
+    frame sizes x latency targets.  Only capacity points sweep the targets;
+    a simulated system reads every target from one record."""
+    sizes = config.slots_per_frame_values or (config.slots_per_frame,)
+    targets = config.latency_targets_ms if config.experiment == "capacity" else (None,)
+    return [
+        _PointJob(i, config, alpha, s, l_ms, _point_seed(config.master_seed, i))
+        for i, (alpha, s, l_ms) in enumerate(product(config.alphas, sizes, targets))
+    ]
 
 
 def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]], float]:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import FrameConfig
 from .mac_cff import contention_rounds
-from .rawdraw import MAX_BOUND, bounded, halves_of, least_word, rejected, span_end, span_halves
+from .rawdraw import bounded, halves_of, least_word, rejected, span_end, span_halves
 from .traffic import PushTrigger, SemanticQuery
 
 # the per-draw form of the contention rounds replayed here; it stays
@@ -175,8 +175,6 @@ def _independent_frames(
     words drawn, so it is spent after the call.
     """
     n_pull, n_push = population.n_pull_devices, population.n_push_devices
-    if max(reserved_ops, shared_ops) >= MAX_BOUND:
-        raise ValueError("contention rounds need fewer than 2**32 slots")
     n_dbl = n_pull + n_push  # doubles at a frame's start
     # words a frame can take without rejections: its doubles, then at most
     # n_pull reserved and n_pull + n_push shared 32-bit draws

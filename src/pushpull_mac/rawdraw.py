@@ -14,8 +14,10 @@ is taken instead).  A bound of 1 draws 0 and consumes nothing.
 
 The RCS and CFF kernels take windows of ``bit_generator.random_raw`` output
 and apply these helpers to them, so a seed gives the values the per-draw
-``Generator`` calls give.  If numpy changes these rules, the pinned outputs in
-the tests fail instead of the output changing silently.
+``Generator`` calls give.  Their bounds are at most a frame's slot count,
+which ``FrameConfig`` keeps below 2**32 (``core.SLOT_LIMIT``).  If numpy
+changes these rules, the pinned outputs in the tests fail instead of the
+output changing silently.
 """
 from __future__ import annotations
 
@@ -25,10 +27,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["MAX_BOUND", "least_word", "halves_of", "bounded", "rejected", "span_end", "span_halves"]
-
-MAX_BOUND = 2**32  # bounds from here on take numpy's 64-bit path, not replayed
-
+__all__ = ["least_word", "halves_of", "bounded", "rejected", "span_end", "span_halves"]
 
 def least_word(bound: float, strict: bool = False) -> int:
     """The least raw 64-bit output whose double is at least ``bound`` (above

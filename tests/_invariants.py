@@ -1,9 +1,11 @@
 """Shared test helpers: the per-draw references that the array kernels
 replay (``reference_cff_run``, ``run_rcs_frame``), the randomized-invariant
-checks of the property and acceptance suites, and small statistics."""
+checks of the property and acceptance suites, the exact law of RCS frames
+(``rcs_exact``) and small statistics."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import NamedTuple, Sequence
 
@@ -85,6 +87,75 @@ def empirical_quantile(samples: Sequence[float], p: float) -> float:
 def match_probability(query: SemanticQuery) -> float:
     """A device's chance to match ``query``: observations are uniform on [0, 1)."""
     return max(0.0, min(query.hi, 1.0) - max(query.lo, 0.0))
+
+
+def _binomial(n, p):
+    """P(K = k) for K ~ Bin(n, p), k = 0..n."""
+    return [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _stragglers(m, r):
+    """P(X = x), x = 0..m, where X counts the balls that do not land alone
+    when m balls fall uniformly into r slots (the occupancy law; Kolchin et
+    al., Random Allocations, 1978), by a walk over (empty, singleton) slot
+    counts.  Without slots every ball is a straggler."""
+    if r == 0:
+        return [0.0] * m + [1.0]
+    states = {(r, 0): 1.0}
+    for _ in range(m):
+        after = defaultdict(float)
+        for (empty, alone), pr in states.items():
+            crowded = r - empty - alone
+            if empty:
+                after[empty - 1, alone + 1] += pr * empty / r
+            if alone:
+                after[empty, alone - 1] += pr * alone / r
+            if crowded:
+                after[empty, alone] += pr * crowded / r
+        states = after
+    law = [0.0] * (m + 1)
+    for (_, alone), pr in states.items():
+        law[m - alone] += pr
+    return law
+
+
+def _all_alone(tagged, others, slots):
+    """P(each of ``tagged`` balls lands alone) when ``tagged + others`` balls
+    fall uniformly into ``slots`` slots: falling(slots, tagged) *
+    (slots - tagged)**others / slots**(tagged + others)."""
+    if tagged == 0:
+        return 1.0
+    if slots < tagged:
+        return 0.0
+    return math.perm(slots, tagged) * (slots - tagged) ** others / slots ** (tagged + others)
+
+
+def rcs_exact(cfg, pop, query):
+    """(retrieval accuracy, pooled push success) of independent RCS frames
+    with one-slot packets.  M ~ Bin(n_pull, match probability) devices match
+    and contend in R reserved slots; the X stragglers retry among X + P
+    contenders in Sh shared slots, P ~ Bin(n_push, 1 - threshold).  A frame
+    retrieves iff every straggler lands alone; the pooled push success is
+    E[push successes] / E[P]."""
+    reserved, shared = cfg.pull_slot_budget, cfg.push_slot_budget
+    p_push = 1.0 - pop.trigger.threshold
+    accuracy = push_won = 0.0
+    for m, pm in enumerate(_binomial(pop.n_pull_devices, match_probability(query))):
+        for x, px in enumerate(_stragglers(m, reserved)):
+            for n_push, pp in enumerate(_binomial(pop.n_push_devices, p_push)):
+                w = pm * px * pp
+                accuracy += w * _all_alone(x, n_push, shared)
+                if n_push:
+                    push_won += w * n_push * _all_alone(1, x + n_push - 1, shared)
+    return accuracy, push_won / (pop.n_push_devices * p_push)
+
+
+def z_score(residuals):
+    """Mean over standard error of per-frame residuals whose exact mean is 0."""
+    sd = residuals.std(ddof=1)
+    if sd == 0:
+        return 0.0 if residuals.mean() == 0 else math.inf
+    return residuals.mean() * math.sqrt(len(residuals)) / sd
 
 
 def check_cff_matches_reference(config: FrameConfig, pull_rate, push_rate, horizon_frames, seed, **kw) -> None:

@@ -26,7 +26,7 @@ from pushpull_mac import (
 from pushpull_mac.cli import main as cli_main
 from pushpull_mac.mac_cff import contention_rounds
 
-from _invariants import check_cff_run, check_rcs_frame, random_cff_config, random_rcs_case
+from _invariants import check_cff_run, check_rcs_frame, random_cff_config, random_rcs_case, rcs_exact, z_score
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
@@ -108,13 +108,17 @@ def test_criterion_1_capacity_frontier_qualitative():
 @pytest.mark.slow
 def test_criterion_2_rcs_sweep_qualitative():
     """Fig.-4-style RCS sweep: accuracy nondecreasing and push success
-    nonincreasing in alpha, both improving with S; inside 2 minutes."""
+    nonincreasing in alpha, both improving with S; every cell's two metrics
+    within 4.5 standard errors of the exact law (``rcs_exact``: under it,
+    one of the 66 z-scores exceeds 4.5 with probability about 4.5e-4);
+    inside 2 minutes."""
     alphas = [round(0.1 * i, 1) for i in range(11)]
     frame_sizes = (25, 50, 75)
     tol = 0.02
+    z_bound = 4.5
     n_frames = 100_000
     start = time.monotonic()
-    acc, push = {}, {}
+    acc, push, zs = {}, {}, []
     for s in frame_sizes:
         accs, pushes = [], []
         for i, alpha in enumerate(alphas):
@@ -122,12 +126,21 @@ def test_criterion_2_rcs_sweep_qualitative():
             res = simulate_rcs(cfg, RCS_POPULATION, RCS_QUERY, n_frames, seed=1000 + i)
             accs.append(res.retrieval_accuracy)
             pushes.append(res.push_success_prob if res.push_success_prob is not None else 0.0)
+            # frames are independent: per-frame residuals against the exact law
+            accuracy, push_success = rcs_exact(cfg, RCS_POPULATION, RCS_QUERY)
+            matched, reserved, shared, attempted, succeeded = res.frames.T
+            retrieved = (reserved + shared == matched).astype(np.float64)
+            zs += [z_score(retrieved - accuracy), z_score(succeeded - push_success * attempted)]
         acc[s], push[s] = accs, pushes
         print(f"  S={s:2d} acc : " + " ".join(f"{x:.3f}" for x in accs))
         print(f"  S={s:2d} push: " + " ".join(f"{x:.3f}" for x in pushes))
     elapsed = time.monotonic() - start
+    z_max = max(abs(z) for z in zs)
+    print(f"  max |z| against the exact law: {z_max:.3f} over {len(zs)} z-scores")
 
     problems = []
+    if z_max > z_bound:
+        problems.append(f"max |z| {z_max:.2f} over {len(zs)} z-scores exceeds {z_bound}")
     for s in frame_sizes:
         for i in range(len(alphas) - 1):
             if acc[s][i + 1] < acc[s][i] - tol:
@@ -145,7 +158,7 @@ def test_criterion_2_rcs_sweep_qualitative():
     _report(
         "2 (RCS sweep, Fig.-4 trends)",
         not problems,
-        "; ".join(problems) if problems else f"33 points in {elapsed:.0f}s",
+        "; ".join(problems) if problems else f"33 points in {elapsed:.0f}s, max |z| {z_max:.2f} over {len(zs)}",
     )
 
 

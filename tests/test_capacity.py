@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from pushpull_mac import (
     run_experiment,
     validate_config,
 )
-from pushpull_mac.capacity import make_cff_rate_evaluator, service_ceiling
+from pushpull_mac.capacity import make_cff_rate_evaluator, search_spec, service_ceiling
 import pushpull_mac.capacity as capacity
 import pushpull_mac.harness as harness
 
@@ -104,7 +105,7 @@ class TestMaxRate:
             with pytest.raises(ValueError, match="rate_tolerance"):
                 max_rate(lambda r: (1.0, True), spec(rate_upper_bound=bound))
         half = FrameConfig(100, 0.01, 5, 1, alpha=0.5)  # pull ceiling 1000 pps
-        with pytest.raises(ValueError, match="rate_tolerance"):
+        with pytest.raises(ValueError, match="pull search at alpha 0.5, .*rate_tolerance"):
             max_class_rate(half, PULL, spec(rate_tolerance=2000.0, rate_upper_bound=1e6, horizon_frames=50), 1)
 
 
@@ -116,6 +117,13 @@ class TestServiceCeiling:
         cfg0 = FrameConfig(100, 0.01, 5, 1, alpha=0.0)
         assert service_ceiling(cfg0, PULL) == 0.0
         assert service_ceiling(cfg0, PUSH) == pytest.approx(10000.0)
+
+    def test_search_spec_caps_at_the_ceiling(self):
+        half = FrameConfig(100, 0.01, 5, 1, alpha=0.5)  # pull ceiling 1000 pps, push 5000 pps
+        wide = spec(rate_upper_bound=1e6)
+        assert search_spec(half, PULL, wide) == replace(wide, rate_upper_bound=1000.0)
+        assert search_spec(half, PUSH, spec(rate_upper_bound=2000.0)) == spec(rate_upper_bound=2000.0)
+        assert search_spec(FrameConfig(100, 0.01, 5, 1, alpha=0.0), PULL, wide) is None  # no pull slot
 
 
 class TestMaxClassRate:

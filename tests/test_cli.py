@@ -88,6 +88,12 @@ class TestSingles:
         cfg = write_cfg(tmp_path, cff_single())
         assert main(["rcs", "--config", cfg]) == 1
 
+    def test_rcs_rejects_two_frame_sizes(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, rcs_single(slots_per_frame_values=[25, 50]))
+        assert main(["rcs", "--config", cfg]) == 1
+        assert "subcommand 'rcs' runs a single point" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--quiet"]) == 0
+
 
 class TestSweepAndCapacity:
     def test_sweep_runs_rcs_grid(self, tmp_path):
@@ -155,6 +161,23 @@ class TestErrorPaths:
         assert not out.exists()
         assert main(["rcs", "--config", cfg, "--seed", str(2**64 - 1), "--out", str(out), "--quiet"]) == 0
         assert main(["rcs", "--config", write_cfg(tmp_path, rcs_single(master_seed=2**64)), "--quiet"]) == 1
+
+    def test_empty_out_flag_rejected(self, tmp_path, capsys):
+        # an empty path names no file: refused like any bad flag, before running
+        cfg = write_cfg(tmp_path, rcs_single())
+        assert main(["rcs", "--config", cfg, "--out", "", "--quiet"]) == 1
+        assert capsys.readouterr().err == "pushpull-mac: config error: --out: expected a non-empty path\n"
+
+    def test_capped_search_bracket_rejected_at_load(self, tmp_path, capsys):
+        # the pull ceiling at alpha 0.1 (200 pps) leaves a bracket narrower
+        # than the tolerance: every row of the point would carry the error
+        data = cff_single(
+            experiment="capacity", alphas=[0.1], latency_targets_ms=[50.0], capacity={"rate_tolerance_pps": 500.0}
+        )
+        del data["traffic"]
+        assert main(["capacity", "--config", write_cfg(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pushpull-mac: config error: pull search at alpha 0.1, capped at the service ceiling:")
 
     def test_bad_workers_flag(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, rcs_single())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pushpull_mac import FrameConfig, PacketClass, simulate_cff
+from pushpull_mac.core import SLOT_LIMIT
 
 
 def paper_config(alpha: float, **kw) -> FrameConfig:
@@ -80,6 +81,13 @@ class TestFrameConfigValidation:
             FrameConfig(10, 0.0, 1, 1, 0.5)
         with pytest.raises(ValueError):
             FrameConfig(10, 0.01, 1, 1, 0.5, overhead_slots=10)
+
+    def test_slot_limit(self):
+        # slot draws are replayed below 2**32 only; the frame owns that limit
+        assert SLOT_LIMIT == 2**32
+        assert FrameConfig(2**32 - 1, 0.01, 1, 1, 0.5).usable_slots == 2**32 - 1
+        with pytest.raises(ValueError, match=r"slots_per_frame must be in \[1, 4294967296\), got 4294967296"):
+            FrameConfig(2**32, 0.01, 1, 1, 0.5)
 
     def test_slot_duration(self):
         assert paper_config(0.5).slot_duration == pytest.approx(1e-4)

@@ -268,6 +268,11 @@ SINGLE_FAULTS = [
     ("rcs", "slots_per_frame_values", [50, 2**32], "slots_per_frame_values[1]: must be < 4294967296, got 4294967296"),
     ("rcs", "frame.pull_packet_slots", 2, "RCS shared contention requires equal pull/push packet sizes, got 2 and 1"),
     ("capacity", "capacity.rate_tolerance_pps", 20000.0, "rate_upper_bound 10000.0 must exceed rate_tolerance 20000.0"),
+    (  # the pull ceiling at alpha 0.3 (600 pps) caps a bracket that is wide
+        "capacity", "capacity.rate_tolerance_pps", 700.0,
+        "pull search at alpha 0.3, capped at the service ceiling: rate_upper_bound 600.0 must exceed rate_tolerance 700.0",
+    ),
+    ("cff", "output", "", "output: expected a non-empty path"),  # would write nothing
 ]
 
 
@@ -547,6 +552,18 @@ class TestRunExperiment:
             _point_seed(2**64, 0)
         with pytest.raises(ValueError):
             enumerate_points(replace(validate_config(rcs_cfg()), master_seed=5 + 2**64))
+
+    def test_points_are_alphas_by_frame_sizes_by_targets(self):
+        # one rule for every kind: only capacity sweeps the latency targets
+        points = {
+            "cff": [(0.3, 100, None), (0.6, 100, None)],
+            "capacity": [(0.3, 100, 20.0), (0.3, 100, 50.0), (0.6, 100, 20.0), (0.6, 100, 50.0)],
+            "rcs": [(0.0, 25, None), (0.0, 50, None), (0.5, 25, None), (0.5, 50, None)],
+        }
+        for base, want in points.items():
+            jobs = enumerate_points(validate_config(_BASES[base]()))
+            assert [(j.alpha, j.slots_per_frame, j.latency_ms) for j in jobs] == want, base
+            assert [j.index for j in jobs] == list(range(len(want)))
 
     def test_point_seeds_distinct(self):
         cfg = validate_config(rcs_cfg())

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -10,11 +9,14 @@ from pushpull_mac.mac_rcs import _independent_frames
 
 from _invariants import (
     RcsFrame,
+    _stragglers,
     check_rcs_run,
     generator_emitting,
     match_probability,
+    rcs_exact,
     recorded_rcs_rounds,
     run_rcs_frame,
+    z_score,
 )
 
 ALL = SemanticQuery(0.0, 1.0)
@@ -280,75 +282,6 @@ class TestRcsResult:
         wins = sum(f.retrieval_success for r in runs for f in frame_rows(r))
         assert pooled.retrieval_accuracy == wins / 1200
         assert pooled.push_success_prob == sum(map(push_successes, runs)) / sum(map(push_attempts, runs))
-
-
-def _binomial(n, p):
-    """P(K = k) for K ~ Bin(n, p), k = 0..n."""
-    return [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
-
-
-def _stragglers(m, r):
-    """P(X = x), x = 0..m, where X counts the balls that do not land alone
-    when m balls fall uniformly into r slots (the occupancy law; Kolchin et
-    al., Random Allocations, 1978), by a walk over (empty, singleton) slot
-    counts.  Without slots every ball is a straggler."""
-    if r == 0:
-        return [0.0] * m + [1.0]
-    states = {(r, 0): 1.0}
-    for _ in range(m):
-        after = defaultdict(float)
-        for (empty, alone), pr in states.items():
-            crowded = r - empty - alone
-            if empty:
-                after[empty - 1, alone + 1] += pr * empty / r
-            if alone:
-                after[empty, alone - 1] += pr * alone / r
-            if crowded:
-                after[empty, alone] += pr * crowded / r
-        states = after
-    law = [0.0] * (m + 1)
-    for (_, alone), pr in states.items():
-        law[m - alone] += pr
-    return law
-
-
-def _all_alone(tagged, others, slots):
-    """P(each of ``tagged`` balls lands alone) when ``tagged + others`` balls
-    fall uniformly into ``slots`` slots: falling(slots, tagged) *
-    (slots - tagged)**others / slots**(tagged + others)."""
-    if tagged == 0:
-        return 1.0
-    if slots < tagged:
-        return 0.0
-    return math.perm(slots, tagged) * (slots - tagged) ** others / slots ** (tagged + others)
-
-
-def rcs_exact(cfg, pop, query):
-    """(retrieval accuracy, pooled push success) of independent RCS frames
-    with one-slot packets.  M ~ Bin(n_pull, match probability) devices match
-    and contend in R reserved slots; the X stragglers retry among X + P
-    contenders in Sh shared slots, P ~ Bin(n_push, 1 - threshold).  A frame
-    retrieves iff every straggler lands alone; the pooled push success is
-    E[push successes] / E[P]."""
-    reserved, shared = cfg.pull_slot_budget, cfg.push_slot_budget
-    p_push = 1.0 - pop.trigger.threshold
-    accuracy = push_won = 0.0
-    for m, pm in enumerate(_binomial(pop.n_pull_devices, match_probability(query))):
-        for x, px in enumerate(_stragglers(m, reserved)):
-            for n_push, pp in enumerate(_binomial(pop.n_push_devices, p_push)):
-                w = pm * px * pp
-                accuracy += w * _all_alone(x, n_push, shared)
-                if n_push:
-                    push_won += w * n_push * _all_alone(1, x + n_push - 1, shared)
-    return accuracy, push_won / (pop.n_push_devices * p_push)
-
-
-def z_score(residuals):
-    """Mean over standard error of per-frame residuals whose exact mean is 0."""
-    sd = residuals.std(ddof=1)
-    if sd == 0:
-        return 0.0 if residuals.mean() == 0 else math.inf
-    return residuals.mean() * math.sqrt(len(residuals)) / sd
 
 
 class TestExactOracle:
