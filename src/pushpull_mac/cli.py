@@ -11,7 +11,7 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional
 
-from .harness import ConfigError, ExperimentConfig, enumerate_points, load_config, run_experiment
+from .harness import ConfigError, ExperimentConfig, enumerate_points, load_config, point_label, run_experiment
 
 
 class _UsageError(Exception):
@@ -92,9 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not args.quiet:
         for row in result.rows:
-            point = f"alpha={row['alpha']}, S={row['S']}"
-            if row["L_ms"]:
-                point += f", L={row['L_ms']}ms"
+            point = point_label(row["alpha"], row["S"], row["L_ms"])
             value = row["metric_value"] if row["metric_value"] else "n/a"
             line = f"{row['metric_name']}={value} ({point})"
             if row["error"]:

@@ -34,10 +34,10 @@ class PacketClass(Enum):
 class FrameConfig:
     """Frame geometry: slot grid, per-class packet sizes and the pull fraction.
 
-    ``alpha`` is the fraction of the frame's usable slots reserved for
-    pull-based traffic.  ``overhead_slots`` models per-frame control signaling
-    (beacon/query); those slots are taken off the top of the frame before the
-    alpha split and carry no data.
+    Every slot of the frame carries data: slots ``0 .. pull_slot_budget - 1``
+    form the pull (or reserved) sub-frame and the rest the push (or shared)
+    sub-frame.  ``alpha`` is the fraction of the frame's slots reserved for
+    pull-based traffic.
     """
 
     slots_per_frame: int
@@ -45,7 +45,6 @@ class FrameConfig:
     pull_packet_slots: int
     push_packet_slots: int
     alpha: float
-    overhead_slots: int = 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.slots_per_frame < SLOT_LIMIT:
@@ -62,31 +61,18 @@ class FrameConfig:
             raise ValueError(
                 f"push_packet_slots must be in [1, {self.slots_per_frame}], got {self.push_packet_slots}"
             )
-        if not 0 <= self.overhead_slots < self.slots_per_frame:
-            raise ValueError(
-                f"overhead_slots must be in [0, {self.slots_per_frame}), got {self.overhead_slots}"
-            )
 
     @property
     def slot_duration(self) -> float:
         return self.frame_duration / self.slots_per_frame
 
     @property
-    def usable_slots(self) -> int:
-        return self.slots_per_frame - self.overhead_slots
-
-    @property
-    def data_start_slot(self) -> int:
-        """Offset of the first data slot within a frame (past the overhead)."""
-        return self.overhead_slots
-
-    @property
     def pull_slot_budget(self) -> int:
-        return stable_floor(self.alpha * self.usable_slots)
+        return stable_floor(self.alpha * self.slots_per_frame)
 
     @property
     def push_slot_budget(self) -> int:
-        return self.usable_slots - self.pull_slot_budget
+        return self.slots_per_frame - self.pull_slot_budget
 
     @property
     def pull_tx_capacity(self) -> int:

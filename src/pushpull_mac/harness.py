@@ -18,12 +18,13 @@ import contextlib
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product, repeat
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,9 +148,9 @@ _RCS = _KINDS[2:]
 
 def _key(parse: Callable, default=_REQUIRED, kinds: Tuple[str, ...] = _KINDS, section: str = ""):
     """Declare a config key as an ExperimentConfig field: its parser, its
-    default (or _REQUIRED; a callable default is computed from the values read
-    before it), the experiment kinds that take it and the JSON object it sits
-    in ("" for the root).  The key is the field's name."""
+    default (a parsed value, or _REQUIRED), the experiment kinds that take it
+    and the JSON object it sits in ("" for the root).  The key is the field's
+    name."""
     return field(metadata={"parse": parse, "default": default, "kinds": kinds, "section": section})
 
 
@@ -168,7 +169,6 @@ class ExperimentConfig:
     frame_duration_ms: float = _key(_positive, section="frame")
     pull_packet_slots: int = _key(_positive_int, section="frame")
     push_packet_slots: int = _key(_positive_int, section="frame")
-    overhead_slots_per_frame: int = _key(_nonnegative_int, 0, section="frame")
     alphas: Tuple[float, ...] = _key(_list_of(_alpha))
     replications: int = _key(_positive_int, 1)
     master_seed: int = _key(partial(_int, minimum=0, limit=SEED_LIMIT), 0)
@@ -185,22 +185,20 @@ class ExperimentConfig:
     query: Optional[Tuple[float, float]] = _key(_interval, kinds=_RCS, section="population")
     push_threshold: Optional[float] = _key(_threshold, kinds=_RCS, section="population")
     n_frames: Optional[int] = _key(_positive_int, kinds=_RCS)
-    slots_per_frame_values: Optional[Tuple[int, ...]] = _key(
-        _list_of(_slots), lambda values: [values["slots_per_frame"]], kinds=_RCS
-    )
+    slots_per_frame_values: Optional[Tuple[int, ...]] = _key(_list_of(_slots), None, kinds=_RCS)
 
     @property
     def kind(self) -> str:
         return f"{self.protocol}.{self.experiment}"
 
     def frame_config(self, alpha: float, slots_per_frame: Optional[int] = None) -> FrameConfig:
+        """A point's frame; the sweep passes the point's frame size."""
         return FrameConfig(
-            slots_per_frame=slots_per_frame or self.slots_per_frame,
+            slots_per_frame=self.slots_per_frame if slots_per_frame is None else slots_per_frame,
             frame_duration=self.frame_duration_ms * 1e-3,
             pull_packet_slots=self.pull_packet_slots,
             push_packet_slots=self.push_packet_slots,
             alpha=alpha,
-            overhead_slots=self.overhead_slots_per_frame,
         )
 
     def capacity_spec(self, latency_ms: float) -> CapacitySpec:
@@ -249,9 +247,7 @@ def _read_object(obj: dict, tree: dict, prefix: str, values: dict) -> None:
                 raise ConfigError(f"{prefix}{key}: expected an object")
             _read_object(section, node, f"{prefix}{key}.", values)
         else:
-            default = node.metadata["default"]
-            raw = obj[key] if key in obj else (default(values) if callable(default) else default)
-            values[key] = node.metadata["parse"](raw, prefix + key)
+            values[key] = node.metadata["parse"](obj[key], prefix + key) if key in obj else node.metadata["default"]
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -278,8 +274,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     _read_object(data, tree, "", values)
     cfg = ExperimentConfig(**{f.name: values.get(f.name) for f in fields(ExperimentConfig)})
     # surface what a point would fail on now, by the library's own checks:
-    # geometry (packet larger than frame, overhead too big, ...), RCS packet
-    # sizes, a search bracket already within tolerance, capped or not
+    # geometry (a packet larger than the frame), RCS packet sizes, a search
+    # bracket already within tolerance, capped or not
     try:
         for job in enumerate_points(cfg):
             frame = cfg.frame_config(job.alpha, job.slots_per_frame)
@@ -366,7 +362,7 @@ def _metric_rows(job: _PointJob, values: Iterable[Optional[float]], **extra) -> 
 def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
     # one simulated system per alpha; every latency target reads the same record
     cfg = job.config
-    frame = cfg.frame_config(job.alpha)
+    frame = cfg.frame_config(job.alpha, job.slots_per_frame)
     merged = merge_records(
         [
             simulate_cff(frame, cfg.pull_rate_pps, cfg.push_rate_pps, cfg.horizon_frames, derive_seed(job.seed, r))
@@ -390,7 +386,7 @@ def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
 
 def _cff_capacity_point(job: _PointJob) -> List[Dict[str, str]]:
     cfg = job.config
-    frame = cfg.frame_config(job.alpha)
+    frame = cfg.frame_config(job.alpha, job.slots_per_frame)
     spec = cfg.capacity_spec(job.latency_ms)
     pull_res = max_class_rate(frame, PacketClass.PULL, spec, job.seed)
     push_res = max_class_rate(frame, PacketClass.PUSH, spec, job.seed)
@@ -434,6 +430,13 @@ def enumerate_points(config: ExperimentConfig) -> List[_PointJob]:
     ]
 
 
+def point_label(alpha, slots_per_frame, latency_ms) -> str:
+    """How progress lines name a sweep point: its alpha, frame size and, where
+    the point has one, latency target."""
+    label = f"alpha={alpha}, S={slots_per_frame}"
+    return f"{label}, L={latency_ms}ms" if latency_ms else label
+
+
 def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]], float]:
     """Execute one sweep point: (its index, its rows, its wall seconds);
     failures become rows with the error column set."""
@@ -458,7 +461,7 @@ def _write_csv(path: Path, rows: Sequence[Dict[str, str]]) -> None:
 
 def run_experiment(
     config: ExperimentConfig,
-    out: Optional[str] = None,
+    out: Union[str, os.PathLike, None] = None,
     *,
     workers: int = 1,
     log: Logger = None,
@@ -467,6 +470,8 @@ def run_experiment(
     path is configured (or given).  Returns all rows either way."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if out is not None:  # the output key's rule, before any point runs
+        out = _output_path(os.fspath(out), "out")
     start = time.monotonic()
     jobs = enumerate_points(config)
     results: List[Tuple[int, List[Dict[str, str]], float]] = []
@@ -483,11 +488,13 @@ def run_experiment(
         for job, result in zip(jobs, (pool.map if pool else map)(_run_point, jobs)):
             results.append(result)
             if log:
-                log(f"point {job.index + 1}/{len(jobs)} done (alpha={job.alpha})")
+                point = point_label(job.alpha, job.slots_per_frame, job.latency_ms)
+                log(f"point {job.index + 1}/{len(jobs)} done ({point})")
     rows = [row for _, point_rows, _ in results for row in point_rows]
     wall = time.monotonic() - start
 
-    out_path = Path(out) if out is not None else (Path(config.output) if config.output else None)
+    target = out or config.output
+    out_path = Path(target) if target else None
     meta_path = None
     if out_path is not None:
         _write_csv(out_path, rows)

@@ -201,15 +201,14 @@ def schedule_pull(
     joining: np.ndarray,
     capacity: int,
     slots_per_frame: int,
-    start_offset: int = 0,
     packet_slots: int = 1,
 ) -> np.ndarray:
     """Serve a FIFO over consecutive frames, collision-free, in closed form.
 
     ``joining[g]`` packets join the back of the queue before frame ``g``'s
     pull sub-frame, which serves up to ``capacity`` packets from the head in
-    consecutive ``packet_slots``-wide blocks starting at slot ``start_offset``
-    of the frame (frame ``g`` starts at slot ``g * slots_per_frame``).  The
+    consecutive ``packet_slots``-wide blocks starting at the frame's first
+    slot (frame ``g`` starts at slot ``g * slots_per_frame``).  The
     result is each served packet's delivery slot (the end slot of its block),
     in queue order; the packets past its length are still queued after the
     last frame.
@@ -226,7 +225,7 @@ def schedule_pull(
     before = np.concatenate(([0], done[:-1]))  # D(g-1)
     # the k-th packet served, in frame g, ends block k - D(g-1) of that frame
     served = np.repeat(frames * slots_per_frame - before * packet_slots, done - before)
-    first_end = start_offset + packet_slots - 1  # where block 0 of frame 0 ends
+    first_end = packet_slots - 1  # where block 0 of frame 0 ends
     return served + np.arange(first_end, first_end + served.size * packet_slots, packet_slots)
 
 
@@ -443,7 +442,6 @@ def simulate_cff(
     rng = np.random.default_rng(seed)
     slot_dur = config.slot_duration
     push_stride = config.push_packet_slots
-    push_start_off = config.data_start_slot + config.pull_slot_budget
     measured_from_slot = warmup_frames * S
 
     record = MetricsRecord(slot_dur)
@@ -488,7 +486,7 @@ def simulate_cff(
     # since every round replaces pend; settled in bulk into won
     held: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, int]] = []
     held_size = 0  # their contenders
-    first_end = push_start_off + push_stride - 1  # where opportunity 0 of frame 0 ends
+    first_end = config.pull_slot_budget + push_stride - 1  # where opportunity 0 of frame 0 ends
     won = [(pend, pend)]  # (packets, delivery slots) of settled rounds, in round order
     dropped = 0  # measured packets dropped after their single attempt (no retransmission)
     arrived_frames = horizon_frames  # frames whose arrivals joined the queues
@@ -576,7 +574,6 @@ def simulate_cff(
             np.concatenate(([0], pull_counts[: pull_frames - 1])),
             config.pull_tx_capacity,
             S,
-            config.data_start_slot,
             config.pull_packet_slots,
         )
         n_served = delivery_slots.size

@@ -204,7 +204,7 @@ def reference_cff_run(
     slot_dur = config.slot_duration
     push_ops = config.push_tx_capacity
     push_stride = config.push_packet_slots
-    push_start_off = config.data_start_slot + config.pull_slot_budget
+    push_start_off = config.pull_slot_budget
     measured_from_slot = warmup_frames * S
     record = MetricsRecord(slot_dur)
 
@@ -281,7 +281,6 @@ def reference_cff_run(
             np.concatenate(([0], pull_counts[: pull_frames - 1])),
             config.pull_tx_capacity,
             S,
-            config.data_start_slot,
             config.pull_packet_slots,
         )
         n_served = delivery_slots.size
@@ -337,7 +336,6 @@ def random_cff_config(rng: np.random.Generator) -> FrameConfig:
     s = int(rng.integers(2, 61))
     pull_slots = int(rng.integers(1, min(s, 4) + 1))
     push_slots = int(rng.integers(1, min(s, 3) + 1))
-    overhead = int(rng.integers(0, min(s - 1, 3) + 1)) if rng.random() < 0.3 else 0
     alpha = float(rng.choice([0.0, 1.0, round(float(rng.random()), 3)]))
     return FrameConfig(
         slots_per_frame=s,
@@ -345,7 +343,6 @@ def random_cff_config(rng: np.random.Generator) -> FrameConfig:
         pull_packet_slots=pull_slots,
         push_packet_slots=push_slots,
         alpha=alpha,
-        overhead_slots=overhead,
     )
 
 
@@ -381,8 +378,6 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         assert record.latency_slots(klass).tolist() == (np.concatenate(lats).tolist() if lats else [])
 
     pull_budget = config.pull_slot_budget
-    data_start = config.data_start_slot
-    push_start = data_start + pull_budget
     pull_blocks = []
     last_pull_arrival = -1
     served = {klass: np.zeros(horizon, dtype=np.int64) for klass in PacketClass}  # per frame
@@ -396,8 +391,8 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         off = delivery % s
         if klass is PacketClass.PULL:
             stride = config.pull_packet_slots
-            assert ((data_start + stride - 1 <= off) & (off < data_start + pull_budget)).all()
-            assert ((off - data_start - (stride - 1)) % stride == 0).all()
+            assert ((stride - 1 <= off) & (off < pull_budget)).all()
+            assert ((off - (stride - 1)) % stride == 0).all()
             assert arrival[0] >= last_pull_arrival and (np.diff(arrival) >= 0).all(), "pull FIFO order broken"
             last_pull_arrival = int(arrival[-1])
             pull_blocks.extend(zip((delivery - stride + 1).tolist(), delivery.tolist()))
@@ -405,8 +400,7 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
             if not retransmit:
                 # a single attempt: contention in the frame after arrival
                 assert (delivery // s == arrival // s + 1).all(), "push retransmitted"
-            push_end = data_start + config.usable_slots
-            assert ((push_start + config.push_packet_slots - 1 <= off) & (off < push_end)).all()
+            assert ((pull_budget + config.push_packet_slots - 1 <= off) & (off < s)).all()
 
     # no two pull transmissions may overlap any slot (contention-free sub-frame)
     pull_blocks.sort()

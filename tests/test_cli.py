@@ -131,6 +131,12 @@ class TestErrorPaths:
         p.write_text("{not json")
         assert main(["cff", "--config", str(p)]) == 1
 
+    def test_overhead_key_refused(self, tmp_path, capsys):
+        data = cff_single()
+        data["frame"]["overhead_slots_per_frame"] = 0
+        assert main(["cff", "--config", write_cfg(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == "pushpull-mac: config error: unknown config key: frame.overhead_slots_per_frame\n"
+
     def test_config_not_utf8(self, tmp_path, capsys):
         p = tmp_path / "utf16.json"
         p.write_bytes(json.dumps(cff_single()).encode("utf-16"))  # starts with ff fe

@@ -49,12 +49,6 @@ class TestFrameLayout:
             assert cfg.pull_slot_budget + cfg.push_slot_budget == s
             assert 0 <= cfg.pull_slot_budget <= s
 
-    def test_budgets_partition_with_overhead(self):
-        cfg = paper_config(0.5, overhead_slots=10)
-        assert cfg.pull_slot_budget + cfg.push_slot_budget == 90
-        assert cfg.pull_slot_budget == 45
-        assert cfg.data_start_slot == 10
-
     def test_monotone_in_alpha(self):
         alphas = [i / 40 for i in range(41)]
         layouts = [paper_config(a) for a in alphas]
@@ -79,13 +73,12 @@ class TestFrameConfigValidation:
             FrameConfig(10, 0.01, 1, 11, 0.5)
         with pytest.raises(ValueError):
             FrameConfig(10, 0.0, 1, 1, 0.5)
-        with pytest.raises(ValueError):
-            FrameConfig(10, 0.01, 1, 1, 0.5, overhead_slots=10)
 
     def test_slot_limit(self):
         # slot draws are replayed below 2**32 only; the frame owns that limit
         assert SLOT_LIMIT == 2**32
-        assert FrameConfig(2**32 - 1, 0.01, 1, 1, 0.5).usable_slots == 2**32 - 1
+        largest = FrameConfig(2**32 - 1, 0.01, 1, 1, 0.5)
+        assert largest.pull_slot_budget + largest.push_slot_budget == 2**32 - 1
         with pytest.raises(ValueError, match=r"slots_per_frame must be in \[1, 4294967296\), got 4294967296"):
             FrameConfig(2**32, 0.01, 1, 1, 0.5)
 

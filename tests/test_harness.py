@@ -71,7 +71,6 @@ class TestValidateConfig:
         assert cfg.pull_packet_slots == 5
         assert cfg.push_packet_slots == 1
         assert cfg.frame_duration_ms == 10.0
-        assert cfg.overhead_slots_per_frame == 0
 
     def test_round_trips_through_echo(self):
         cfg = validate_config(cff_simulate_cfg())
@@ -129,13 +128,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="pull_packet_slots"):
             validate_config(data)
 
-    def test_overhead_slots_reach_frame_config(self):
+    def test_overhead_key_refused(self, tmp_path):
+        # every slot of a frame carries data; there is no overhead region
         data = cff_simulate_cfg()
-        data["frame"]["overhead_slots_per_frame"] = 10
-        cfg = validate_config(data)
-        frame = cfg.frame_config(0.5)
-        assert frame.overhead_slots == 10
-        assert frame.pull_slot_budget + frame.push_slot_budget == 90
+        data["frame"]["overhead_slots_per_frame"] = 0
+        path = tmp_path / "overhead.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "unknown config key: frame.overhead_slots_per_frame"
 
     def test_defaults_applied(self):
         cfg = validate_config(rcs_cfg())
@@ -206,9 +207,9 @@ SINGLE_FAULTS = [
     ("cff", "frame.frame_duration_ms", math.nan, "frame.frame_duration_ms: must be finite, got nan"),
     ("cff", "frame.pull_packet_slots", 0, "frame.pull_packet_slots: must be >= 1, got 0"),
     ("rcs", "frame.push_packet_slots", 0, "frame.push_packet_slots: must be >= 1, got 0"),
-    ("cff", "frame.overhead_slots_per_frame", -1, "frame.overhead_slots_per_frame: must be >= 0, got -1"),
+    ("cff", "frame.overhead_slots_per_frame", 0, "unknown config key: frame.overhead_slots_per_frame"),
     ("cff", "frame.pull_packet_slots", 500, "pull_packet_slots must be in [1, 100], got 500"),
-    ("rcs", "frame.overhead_slots_per_frame", 25, "overhead_slots must be in [0, 25), got 25"),
+    ("rcs", "frame.overhead_slots_per_frame", 10, "unknown config key: frame.overhead_slots_per_frame"),
     ("rcs", "slots_per_frame_values", [50, 0.5], "slots_per_frame_values[1]: expected an integer, got 0.5"),
     ("cff", "alphas", "0.5", "alphas: expected a non-empty list"),
     ("rcs", "alphas", [], "alphas: expected a non-empty list"),
@@ -542,6 +543,39 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.csv_path is None
         assert len(result.rows) == 8
+
+    def test_empty_out_refused_before_any_point(self, tmp_path, monkeypatch):
+        # the output key's rule, checked before the sweep: no point runs
+        cfg = validate_config(rcs_cfg())
+        lines = []
+        monkeypatch.setattr(harness, "_run_point", lambda job: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match="^out: expected a non-empty path$"):
+            run_experiment(cfg, out="", log=lines.append)
+        assert lines == []
+        monkeypatch.undo()
+        # a non-empty str or Path still writes
+        for out in (str(tmp_path / "a.csv"), tmp_path / "b.csv"):
+            assert run_experiment(cfg, out=out).csv_path == Path(out)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_progress_log_names_each_point(self, tmp_path):
+        lines = []
+        run_experiment(validate_config(rcs_cfg(alphas=[0.5])), out=str(tmp_path / "r.csv"), log=lines.append)
+        assert lines[:2] == ["point 1/2 done (alpha=0.5, S=25)", "point 2/2 done (alpha=0.5, S=50)"]
+        lines = []
+        run_experiment(validate_config(capacity_cfg()), log=lines.append)
+        assert lines[:2] == ["point 1/4 done (alpha=0.3, S=100, L=20.0ms)", "point 2/4 done (alpha=0.3, S=100, L=50.0ms)"]
+
+    def test_rcs_default_frame_size(self):
+        # without slots_per_frame_values an RCS sweep runs the frame's own size
+        data = rcs_cfg()
+        del data["slots_per_frame_values"]
+        cfg = validate_config(data)
+        assert cfg.slots_per_frame_values is None
+        assert "slots_per_frame_values" not in cfg.to_dict()
+        assert validate_config(cfg.to_dict()) == cfg
+        rows = run_experiment(cfg).rows
+        assert [(r["alpha"], r["S"]) for r in rows] == [("0.0", "25")] * 2 + [("0.5", "25")] * 2
 
     def test_seeds_beyond_64_bits_rejected(self):
         # seed derivation is 64-bit, so 5 + 2**64 would alias seed 5

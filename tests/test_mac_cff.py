@@ -51,13 +51,13 @@ class TestPullQueue:
         assert (np.diff(delivery) > 0).all()
 
 
-def reference_schedule(joining, capacity, slots_per_frame, start_offset, packet_slots):
+def reference_schedule(joining, capacity, slots_per_frame, packet_slots):
     """Frame-by-frame FIFO service: the loop that schedule_pull unrolls."""
     out, queued = [], 0
     for g, n in enumerate(joining):
         queued += n
         k = min(queued, capacity)
-        out += [g * slots_per_frame + start_offset + (b + 1) * packet_slots - 1 for b in range(k)]
+        out += [g * slots_per_frame + (b + 1) * packet_slots - 1 for b in range(k)]
         queued -= k
     return out
 
@@ -86,13 +86,13 @@ class TestSchedulePull:
     def test_backlog_carries_over_frames(self):
         # each frame serves min(queued, capacity), oldest first; the rest waits
         joining = np.array([25, 30, 0, 3, 0])
-        served = schedule_pull(joining, capacity=20, slots_per_frame=100, start_offset=10, packet_slots=4)
+        served = schedule_pull(joining, capacity=20, slots_per_frame=100, packet_slots=4)
         assert np.bincount(served // 100).tolist() == [20, 20, 15, 3]
-        assert served.tolist() == reference_schedule(joining.tolist(), 20, 100, 10, 4)
+        assert served.tolist() == reference_schedule(joining.tolist(), 20, 100, 4)
         rng = np.random.default_rng(3)
         for _ in range(200):
             joining = rng.poisson(rng.uniform(0, 8), size=int(rng.integers(1, 30)))
-            args = (int(rng.integers(0, 8)), 50, int(rng.integers(0, 10)), int(rng.integers(1, 5)))
+            args = (int(rng.integers(0, 8)), 50, int(rng.integers(1, 5)))
             assert schedule_pull(joining, *args).tolist() == reference_schedule(joining.tolist(), *args)
 
 
@@ -481,21 +481,21 @@ class TestExactOracle:
         [
             (paper_config(0.6), 100.0),
             (FrameConfig(50, 0.01, 2, 1, 0.8), 300.0),
-            (FrameConfig(100, 0.01, 5, 1, 0.5, overhead_slots=10), 50.0),
+            (FrameConfig(90, 0.009, 5, 1, 0.5), 50.0),
         ],
     )
     def test_pull_latency_matches_closed_form(self, cfg, rate):
         """Below the ceiling frame f's N ~ Poisson(mu) pull arrivals are all
         served in frame f+1, in arrival order: the one at offset u in
-        position b has latency S - u + d + (b + 1) P slots.  With u uniform
-        on the frame and E[sum of b] = mu**2 / 2, the packet-mean latency is
-        m = (S + 1) / 2 + d + P (1 + mu / 2).  Frames are independent, so the
+        position b has latency S - u + (b + 1) P slots.  With u uniform on
+        the frame and E[sum of b] = mu**2 / 2, the packet-mean latency is
+        m = (S + 1) / 2 + P (1 + mu / 2).  Frames are independent, so the
         per-frame sums of latency - m over the packets have mean 0."""
-        S, P, d = cfg.slots_per_frame, cfg.pull_packet_slots, cfg.data_start_slot
+        S, P = cfg.slots_per_frame, cfg.pull_packet_slots
         mu = rate * cfg.frame_duration
         overflow = 1 - sum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(cfg.pull_tx_capacity + 1))
         assert overflow <= 1e-8
-        m = (S + 1) / 2 + d + P * (1 + mu / 2)
+        m = (S + 1) / 2 + P * (1 + mu / 2)
         log = delivery_log(cfg, rate, 0, self.FRAMES, seed=5)
         arrival = np.concatenate([a for a, _ in log[PULL]])
         delivery = np.concatenate([dl for _, dl in log[PULL]])
@@ -513,7 +513,9 @@ class TestExactOracle:
 # delivered, failed, push arrived, delivered, failed); the digest covers both
 # classes' ``latencies`` (seconds in delivery order, then +inf per miss).
 # The no_retransmit digest was re-recorded with each class's misses moved
-# after its deliveries, when the record stopped storing +inf samples.
+# after its deliveries, when the record stopped storing +inf samples.  The
+# odd_geometry case was recorded when the frame still took an optional
+# overhead region, with that region empty: dropping the option kept its bytes.
 PINNED = {
     "pull_only": (
         (paper_config(0.5), 3000, 0, 120, 11, {}),
@@ -545,10 +547,11 @@ PINNED = {
         (35, 0, 35, 30, 0, 30),
         "89dcbbed3ee89ec6e71538b69597f467a19931deceb145ac035db17cd88d676d",
     ),
-    "overhead": (
-        (FrameConfig(40, 0.004, 3, 2, 0.45, overhead_slots=3), 2000, 2500, 90, 17, {}),
-        (719, 445, 274, 918, 12, 906),
-        "ed5cf67821b5fef28b8af3a0d37c96693a261f9b73457752c5b723189b201ab2",
+    # multi-slot packets in both sub-frames: 6 pull packets of 3 slots, 11 push of 2
+    "odd_geometry": (
+        (FrameConfig(40, 0.004, 3, 2, 0.45), 2000, 2500, 90, 17, {}),
+        (719, 534, 185, 918, 22, 896),
+        "ff58a0e964b081f87276176dc14e546c9ee01b0a11843d31a61ec06bd9399f11",
     ),
     # frames without new push arrivals while collided ones still wait: their
     # round must draw after the pull offsets of the frames before it

@@ -107,7 +107,7 @@ def _edge_cff_config(rng: np.random.Generator) -> FrameConfig:
         FrameConfig(12, 0.01, 1, 7, 0.5),  # push_tx_capacity 0: no rounds
         FrameConfig(20, 0.005, 2, 1, 1.0),  # alpha 1
         FrameConfig(20, 0.005, 2, 1, 0.0),  # alpha 0
-        FrameConfig(40, 0.004, 3, 2, 0.45, overhead_slots=3),
+        FrameConfig(40, 0.004, 3, 2, 0.45),  # multi-slot packets in both sub-frames
     ][int(rng.integers(0, 6))]
 
 
