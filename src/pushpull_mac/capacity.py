@@ -127,9 +127,9 @@ def make_cff_rate_evaluator(
     class silent.
 
     Reliability is the mean over the R replications of per-run reliability
-    (not pooled packets); a run with no measured arrivals counts as 1.0
-    (vacuous).  Replication seeds are master XOR index, shared across probed
-    rates.
+    (not pooled packets; on time means within :func:`~.metrics.slot_budget`);
+    a run with no measured arrivals counts as 1.0 (vacuous).  Replication
+    seeds are master XOR index, shared across probed rates.
 
     A probe stops as soon as it can no longer pass.  After each run the mean
     is bounded by scoring every run not yet made 1.0, with the same

@@ -86,8 +86,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FrameConfig, PacketClass, stable_floor
-from .metrics import MetricsRecord
+from .core import FrameConfig, PacketClass
+from .metrics import MetricsRecord, slot_budget
 from .rawdraw import bounded, halves_of, rejected, span_end, span_halves
 
 # ``sample_arrival_offsets`` is the per-draw form of the offset draws replayed
@@ -135,18 +135,20 @@ class PushAbortRule:
     Lateness is judged per arrival frame, from arrival counts alone.  A push
     packet of frame g still pending after frame f's round is delivered at
     slot (f+1) x S or later, so its latency is at least (f - g) x S + 2
-    slots.  For a target of L slots every packet of frame g is therefore
-    late from frame g + lag on, lag = max(1, ceil((L - 1) / S)), and the rule
-    counts frame g's packets still pending after that frame's round.  This
-    lags a per-slot deadline by at most one frame.  Once the count exceeds
-    the run's miss budget (1 - target_reliability) x total measured
-    arrivals, the final reliability cannot reach the target, so the run may
-    stop.  The returned record then understates reliability (remaining
-    arrivals count as misses) but the pass/fail comparison against the
-    target is exact, and the run stays deterministic.  A run that does not
-    stop gives the same record as without the rule.  The capacity evaluator
-    raises a run's target above the probe's when that run alone must score
-    more for the probe to pass; a stop then certifies that the probe fails.
+    slots.  It is late once that exceeds the target's slot budget B
+    (:func:`~.metrics.slot_budget`, the reliability metric's rule), so
+    every packet of frame g is late from frame g + lag on, lag = max(1,
+    ceil((B - 1) / S)), and the rule counts frame g's packets still pending
+    after that frame's round.  This lags a per-slot deadline by at most one
+    frame.  Once the count exceeds the run's miss budget (1 -
+    target_reliability) x total measured arrivals, the final reliability
+    cannot reach the target, so the run may stop.  The returned record then
+    understates reliability (remaining arrivals count as misses) but the
+    pass/fail comparison against the target is exact, and the run stays
+    deterministic.  A run that does not stop gives the same record as without
+    the rule.  The capacity evaluator raises a run's target above the
+    probe's when that run alone must score more for the probe to pass; a
+    stop then certifies that the probe fails.
     """
 
     latency_target: float  # seconds
@@ -474,9 +476,8 @@ def simulate_cff(
     lag = 1
     abort = push_abort is not None
     if abort:
-        late_slots = stable_floor(push_abort.latency_target / slot_dur)
         late_budget = (1.0 - push_abort.target_reliability) * (cum_push[-1] - n_warm)
-        lag = max(1, -(-(late_slots - 1) // S))
+        lag = max(1, -(-(slot_budget(push_abort.latency_target, slot_dur) - 1) // S))
 
     # a first window of about the run's offsets and two draws per push arrival
     stream = _HalfStream(rng.bit_generator, S, push_ops, cum_offsets[-1] + 2 * cum_push[-1])

@@ -4,9 +4,9 @@ A :class:`MetricsRecord` keeps, per traffic class, the measured arrivals, the
 measured misses (packets never delivered) and an int64 array of delivered
 latencies in slots.  The delivered count is the array's length, so
 ``len(latency_slots) + failed == arrived`` checks a run's conservation.
-Latencies become seconds only where they are compared with a target
-(:func:`reliability_within`) or listed with one +inf per miss
-(:meth:`MetricsRecord.latencies`, which the benchmark tracer counts).
+A target in seconds becomes whole slots only in :func:`slot_budget`, the
+on-time rule of :func:`reliability_within` and the push abort.  Latencies become
+seconds only in :meth:`MetricsRecord.latencies`, which the tracer counts.
 Records of equal slot duration merge class by class for replication
 aggregation (:func:`merge_records`).
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import PacketClass
 
-__all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within"]
+__all__ = ["EmptySampleError", "MetricsRecord", "merge_records", "reliability_within", "slot_budget"]
 
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 _CLASSES = tuple(PacketClass)
@@ -81,16 +81,27 @@ def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:
     return merged
 
 
-def reliability_within(record: MetricsRecord, klass: PacketClass, latency_target: float) -> float:
-    """Fraction of arrived packets of ``klass`` delivered within ``latency_target`` seconds.
+def slot_budget(latency_target: float, slot_duration: float) -> int:
+    """The most whole slots k with float64 ``k * slot_duration <= latency_target``
+    (seconds): floor(L / dt) moved a step or two at most.  A latency is on time
+    iff it is at most the budget; on the paper frame 300 * 1e-4 > 0.03, so the
+    budget at 30 ms is 299.  An infinite target puts every latency on time."""
+    if latency_target == math.inf:
+        return int(np.iinfo(np.int64).max)
+    k = math.floor(latency_target / slot_duration)
+    while k * slot_duration > latency_target:
+        k -= 1
+    while (k + 1) * slot_duration <= latency_target:
+        k += 1
+    return k
 
-    A latency of k slots meets the target iff the float64 product
-    ``k * slot_duration <= latency_target``; on the paper frame 300 * 1e-4
-    exceeds 0.03, so a 300-slot delivery is late at 30 ms.  Misses sit in
-    the arrival denominator.
-    """
+
+def reliability_within(record: MetricsRecord, klass: PacketClass, latency_target: float) -> float:
+    """Fraction of arrived packets of ``klass`` delivered within ``latency_target``
+    seconds, that is within its :func:`slot_budget`.  Misses sit in the
+    arrival denominator."""
     arrived = record.arrived(klass)
     if arrived == 0:
         raise EmptySampleError(f"no {klass.value} arrivals recorded")
-    met = np.count_nonzero(record.latency_slots(klass) * record.slot_duration <= latency_target)
+    met = np.count_nonzero(record.latency_slots(klass) <= slot_budget(latency_target, record.slot_duration))
     return int(met) / arrived

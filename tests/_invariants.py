@@ -25,9 +25,8 @@ from pushpull_mac import (
     simulate_rcs,
 )
 from pushpull_mac.capacity import WARMUP_FRACTION, CapacitySpec
-from pushpull_mac.core import stable_floor
 from pushpull_mac.mac_cff import PushAbortRule
-from pushpull_mac.metrics import MetricsRecord, reliability_within
+from pushpull_mac.metrics import MetricsRecord, reliability_within, slot_budget
 from pushpull_mac.traffic import derive_seed, sample_arrival_offsets
 
 
@@ -150,6 +149,63 @@ def rcs_exact(cfg, pop, query):
     return accuracy, push_won / (pop.n_push_devices * p_push)
 
 
+def pull_leftover_law(config: FrameConfig, rate: float) -> np.ndarray:
+    """Stationary law of the pull packets left over at a frame boundary.
+    Frame f's N ~ Poisson(mu) arrivals join the l left over and c =
+    ``pull_tx_capacity`` are served in frame f + 1, so l' = max(l + N - c, 0)
+    (Lindley 1952; Bailey 1954), solved on the support 0 .. 60c + n_max,
+    n_max the last count of Poisson mass above 1e-16, with the overflow kept
+    on its top state.  The law must leave that top c-block negligible."""
+    c, mu = config.pull_tx_capacity, rate * config.frame_duration
+    counts = [math.exp(-mu)]
+    while counts[-1] > 1e-16 or len(counts) <= mu:
+        counts.append(counts[-1] * mu / len(counts))
+    size = len(counts) + 60 * c
+    step = np.zeros((size, size))
+    for left in range(size):
+        np.add.at(step[left], np.clip(left + np.arange(len(counts)) - c, 0, size - 1), counts)
+    balance = step.T - np.eye(size)
+    balance[-1] = 1.0  # the law sums to one
+    law = np.linalg.solve(balance, np.eye(size)[-1])
+    assert law[-c:].sum() < 1e-12, "leftover support too short for this load"
+    return law
+
+
+def pull_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
+    """``reach[k]``: the expected number of one frame's pull arrivals, in the
+    stationary queue, that are on time (latency at most ``budget`` slots)
+    and delivered at most k frames after their arrival frame; ``reach[-1]``
+    counts every on-time one, so reliability is ``reach[-1] / mu``.  The
+    arrival of rank r among the frame's n, behind l left over, sits at queue
+    position p = l + r and is served p // c frames after the next, so its
+    latency is S (1 + p // c) + (p % c + 1) P - O_(r) slots, where O_(r), the
+    r-th smallest of n uniform offsets below S, has P(O_(r) >= a) =
+    P(Bin(n, a / S) <= r)."""
+    S, P, c = config.slots_per_frame, config.pull_packet_slots, config.pull_tx_capacity
+    mu = rate * config.frame_duration
+    law = pull_leftover_law(config, rate)
+    rounds = budget // S + 1  # no packet served later is on time
+    left = np.arange(c * rounds)[:, None]  # no packet behind more is on time
+    by_round = np.zeros(rounds)
+    x = np.arange(S + 1) / S
+    n, arrivals = 1, math.exp(-mu) * mu
+    while arrivals > 1e-16 or n <= mu:
+        k = np.arange(n + 1)[:, None]
+        ranks = np.arange(n)
+        # cdf[r, a] = P(Bin(n, a / S) <= r)
+        pmf = np.array([math.comb(n, j) for j in range(n + 1)])[:, None] * x**k * (1 - x) ** (n - k)
+        cdf = np.cumsum(pmf, axis=0)
+        position = left + ranks
+        late_rounds, slot = np.divmod(position, c)
+        least_offset = S * (1 + late_rounds) + (slot + 1) * P - budget
+        on_time = np.where(least_offset < S, cdf[ranks, np.clip(least_offset, 0, S)], 0.0)
+        by_round += arrivals * np.bincount(
+            np.minimum(late_rounds, rounds - 1).ravel(), (law[: left.size, None] * on_time).ravel(), rounds
+        )
+        n, arrivals = n + 1, arrivals * mu / (n + 1)
+    return np.concatenate(([0.0], np.cumsum(by_round)))
+
+
 def z_score(residuals):
     """Mean over standard error of per-frame residuals whose exact mean is 0."""
     sd = residuals.std(ddof=1)
@@ -215,7 +271,7 @@ def reference_cff_run(
 
     late_slots, late_budget, late_cum = 0, np.inf, 0
     if push_abort is not None:
-        late_slots = stable_floor(push_abort.latency_target / slot_dur)
+        late_slots = slot_budget(push_abort.latency_target, slot_dur)
         late_budget = (1.0 - push_abort.target_reliability) * int(push_counts[warmup_frames:].sum())
 
     # frames [0, drawn) have their arrival slots in drawn_parts

@@ -18,8 +18,16 @@ from pushpull_mac import (
     uniform_slot_contention,
 )
 from pushpull_mac.mac_cff import PushAbortRule, contention_rounds
-from pushpull_mac.metrics import reliability_within
-from _invariants import check_cff_matches_reference, empirical_quantile, frame_arrival_counts, generator_emitting
+from pushpull_mac.capacity import WARMUP_FRACTION
+from pushpull_mac.metrics import reliability_within, slot_budget
+from _invariants import (
+    check_cff_matches_reference,
+    empirical_quantile,
+    frame_arrival_counts,
+    generator_emitting,
+    pull_on_time,
+    z_score,
+)
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
@@ -505,6 +513,37 @@ class TestExactOracle:
         residual = np.bincount(frame, delivery + 1 - arrival, minlength=n) - m * np.bincount(frame, minlength=n)
         z = residual.mean() * math.sqrt(n) / residual.std(ddof=1)
         assert abs(z) <= 4
+
+    # the queueing regime: pull rates at 90 % of the pull service rate (6, 10
+    # and 14 packets per 10 ms frame), so packets wait behind leftovers
+    QUEUEING = ((0.3, 540.0), (0.5, 900.0), (0.7, 1260.0))
+    RUNS, HORIZON = 40, 10_000
+
+    def test_pull_reliability_in_the_queueing_regime(self):
+        """The reliability of pull runs against its exact law
+        (``pull_on_time``), judged by the code's own ``slot_budget``, at 20 ms
+        and at 30 ms (a budget of 299 slots).  Each run measures frames W ..
+        H - 1 after a warm-up W, and frame H - 1 - k can deliver only k frames
+        on, so its on-time count has mean (H - W) reach[-1] - sum over k of
+        (reach[-1] - reach[k]); with arrivals as a control variate the per-run
+        residual on_time - reach[-1] / mu x arrived + that cut has mean 0.
+        At 50 ms the misses are rare bursts (reliability above 0.9998) and
+        the residuals too skewed for a normal z over 40 runs, so it is left out."""
+        warmup = int(self.HORIZON * WARMUP_FRACTION)
+        zs = []
+        for alpha, rate in self.QUEUEING:
+            cfg = paper_config(alpha)
+            mu = rate * cfg.frame_duration
+            runs = [simulate_cff(cfg, rate, 0, self.HORIZON, seed, warmup_frames=warmup) for seed in range(self.RUNS)]
+            arrived = np.array([rec.arrived(PULL) for rec in runs])
+            for target in (0.02, 0.03):
+                reach = pull_on_time(cfg, rate, slot_budget(target, cfg.slot_duration))
+                cut = sum(reach[-1] - reach[k] for k in range(len(reach) - 1))
+                on_time = np.array([round(reliability_within(rec, PULL, target) * rec.arrived(PULL)) for rec in runs])
+                zs.append(z_score(on_time - reach[-1] / mu * arrived + cut))
+        z_max = max(map(abs, zs))
+        print(f"pull reliability in the queueing regime: max |z| {z_max:.3f} over {len(zs)} z-scores")
+        assert z_max <= 4, zs
 
 
 # Exact outputs of nine runs, recorded before the pull FIFO was served in

@@ -11,6 +11,8 @@ from pushpull_mac import (
     merge_records,
     reliability_within,
 )
+from pushpull_mac.core import stable_floor
+from pushpull_mac.metrics import slot_budget
 
 from _invariants import empirical_quantile
 
@@ -58,6 +60,46 @@ class TestReliabilityWithin:
         assert 300 * SLOT == 0.030000000000000002
         assert reliability_within(record_with(PULL, [300]), PULL, 0.030) == 0.0
         assert reliability_within(record_with(PULL, [299]), PULL, 0.030) == 1.0
+
+
+class TestSlotBudget:
+    def test_budget_is_the_float_rule(self):
+        # on-time by the budget is on-time by the float64 product, for
+        # latencies around the target on random whole-ms frames and targets,
+        # where L / dt often lands a rounding error off an integer
+        rng = np.random.default_rng(28)
+        moved = off_stable_floor = 0
+        for _ in range(2000):
+            slot = FrameConfig(int(rng.integers(1, 2000)), int(rng.integers(1, 50)) * 1e-3, 1, 1, 0.5).slot_duration
+            target = int(rng.integers(1, 200)) * 1e-3
+            lat = math.floor(target / slot) + np.arange(-3, 4)
+            lat = lat[lat >= 0]
+            budget = slot_budget(target, slot)
+            assert np.count_nonzero(lat <= budget) == np.count_nonzero(lat * slot <= target), (slot, target)
+            moved += budget != math.floor(target / slot)
+            off_stable_floor += budget != stable_floor(target / slot)
+        # the draws reach both corrections: floor(L / dt) moved, and a
+        # budget other than stable_floor's
+        assert moved > 0 and off_stable_floor > 0
+
+    def test_paper_frame_at_30ms(self):
+        assert slot_budget(0.030, SLOT) == 299
+        assert slot_budget(0.020, SLOT) == 200
+
+    def test_target_below_one_slot(self):
+        assert slot_budget(SLOT / 2, SLOT) == 0
+        assert reliability_within(record_with(PULL, [1, 1]), PULL, SLOT / 2) == 0.0
+
+    def test_infinite_target_puts_every_latency_on_time(self):
+        assert slot_budget(math.inf, SLOT) == np.iinfo(np.int64).max
+        assert reliability_within(record_with(PULL, [1, 2**62], failures=1), PULL, math.inf) == pytest.approx(2 / 3)
+
+    def test_huge_frame_where_stable_floor_falls_short(self):
+        # 1e-3 / 1e-11 rounds to just below 1e8, but 1e8 * 1e-11 <= 1e-3
+        slot = FrameConfig(10**8, 1e-3, 1, 1, 0.5).slot_duration
+        assert 10**8 * slot <= 1e-3
+        assert slot_budget(1e-3, slot) == 10**8
+        assert stable_floor(1e-3 / slot) == 10**8 - 1
 
 
 class TestRecord:

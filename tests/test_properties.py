@@ -7,7 +7,7 @@ import numpy as np
 from pushpull_mac import CapacitySpec, FrameConfig, PacketClass, capacity, mac_cff, mac_rcs
 from pushpull_mac.capacity import make_cff_rate_evaluator, max_class_rate, max_rate, service_ceiling
 from pushpull_mac.mac_cff import PushAbortRule
-from pushpull_mac.metrics import reliability_within
+from pushpull_mac.metrics import reliability_within, slot_budget
 
 from _invariants import (
     check_cff_matches_reference,
@@ -200,6 +200,25 @@ def test_push_abort_is_certified():
             assert full < target and reliability_within(run, PacketClass.PUSH, rule.latency_target) <= full, case
             short_aborts += frames <= 1
     assert short_aborts > 0
+
+
+def test_push_abort_lag_is_sound_and_tight():
+    # the abort counts frame g's pending packets from frame g + lag on,
+    # lag = max(1, ceil((B - 1) / S)) for the target's slot budget B; a packet
+    # counted then has a latency of at least lag * S + 2 slots, so it is late
+    # by the metric's rule (latency > B), and one frame earlier some packet
+    # could still be on time, so the abort waits no frame longer than it must.
+    # check_cff_matches_reference ties the kernel's lag to the reference's
+    # own per-packet test, age * S + 2 > B.
+    rng = np.random.default_rng(2828)
+    for _ in range(20_000):
+        s = int(rng.integers(1, 2000))
+        slot = FrameConfig(s, int(rng.integers(1, 50)) * 1e-3, 1, 1, 0.5).slot_duration
+        target = int(rng.integers(1, 200)) * 1e-3 if rng.random() < 0.5 else float(rng.uniform(slot, 400 * s * slot))
+        budget = slot_budget(target, slot)
+        lag = max(1, -(-(budget - 1) // s))
+        assert lag * s + 2 > budget, (s, slot, target)
+        assert lag == 1 or (lag - 1) * s + 2 <= budget, (s, slot, target)
 
 
 def _capacity_spec(config, klass, target_latency, replications, target_reliability=0.99):
