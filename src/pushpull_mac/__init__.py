@@ -3,10 +3,9 @@ single-cell IoT uplink, with a capacity-search and experiment harness."""
 
 __version__ = "0.1.0"
 
-from .core import FrameConfig, PacketClass
-from .traffic import PushTrigger, SemanticQuery, derive_seed
+from .core import FrameConfig, PacketClass, derive_seed
 from .mac_cff import schedule_pull, simulate_cff, uniform_slot_contention
-from .mac_rcs import RcsPopulation, RcsResult, simulate_rcs
+from .mac_rcs import RcsPopulation, RcsResult, SemanticQuery, simulate_rcs
 from .metrics import EmptySampleError, MetricsRecord, merge_records, reliability_within
 from .capacity import CapacitySpec, MaxRateResult, max_class_rate, max_rate
 from .harness import ConfigError, ExperimentConfig, RunResult, load_config, run_experiment, validate_config
@@ -15,7 +14,6 @@ __all__ = [
     "__version__",
     "FrameConfig",
     "PacketClass",
-    "PushTrigger",
     "SemanticQuery",
     "derive_seed",
     "schedule_pull",

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
-from .core import FrameConfig, PacketClass
+from .core import FrameConfig, PacketClass, derive_seed
 from .mac_cff import PushAbortRule, simulate_cff
 from .metrics import reliability_within
-from .traffic import derive_seed
 
 __all__ = [
     "CapacitySpec",

@@ -1,8 +1,10 @@
-"""Domain types and the slotted-time model shared by both frame simulators.
+"""Domain types, the slotted-time model shared by both frame simulators and
+the seed rule.
 
 Time is counted in global slot indices (integers from simulation start);
 wall-clock quantities are always derived from slot counts so that runs are
-bit-reproducible.
+bit-reproducible.  A (seed, config) pair fully determines a run, and the
+harness and the capacity search seed replications with :func:`derive_seed`.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["PacketClass", "FrameConfig"]
+__all__ = ["PacketClass", "FrameConfig", "derive_seed", "SEED_LIMIT"]
 
 # Guard against IEEE representation error in alpha * S (e.g. 0.29 * 100 ==
 # 28.999999999999996); small enough never to bump a genuinely fractional value.
@@ -19,6 +21,17 @@ _FLOOR_EPS = 1e-9
 # a frame holds fewer slots than this: every slot draw is below a frame's slot
 # count, and the kernels replay numpy's bounded-integer rule below 2**32 only
 SLOT_LIMIT = 2**32
+
+SEED_LIMIT = 2**64  # seeds are 64-bit: a larger one would alias a smaller one
+
+
+def derive_seed(master_seed: int, index: int) -> int:
+    """Per-replication seed: master XOR replication index (64-bit)."""
+    if master_seed < 0 or index < 0:
+        raise ValueError("seeds and indices must be non-negative")
+    if master_seed >= SEED_LIMIT or index >= SEED_LIMIT:
+        raise ValueError("seeds and indices must be below 2**64")
+    return master_seed ^ index
 
 
 def stable_floor(x: float) -> int:

@@ -30,11 +30,10 @@ import numpy as np
 
 from . import __version__
 from .capacity import CapacitySpec, max_class_rate, search_spec
-from .core import SLOT_LIMIT, FrameConfig, PacketClass
+from .core import SEED_LIMIT, SLOT_LIMIT, FrameConfig, PacketClass, derive_seed
 from .mac_cff import simulate_cff
-from .mac_rcs import RcsPopulation, RcsResult, _contention_slots, simulate_rcs
+from .mac_rcs import RcsPopulation, RcsResult, SemanticQuery, _contention_slots, simulate_rcs
 from .metrics import merge_records, reliability_within
-from .traffic import SEED_LIMIT, PushTrigger, SemanticQuery, derive_seed
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "run_experiment", "RunResult"]
 
@@ -212,11 +211,7 @@ class ExperimentConfig:
         )
 
     def population(self) -> RcsPopulation:
-        return RcsPopulation(
-            n_pull_devices=self.n_pull_devices,
-            n_push_devices=self.n_push_devices,
-            trigger=PushTrigger(self.push_threshold),
-        )
+        return RcsPopulation(self.n_pull_devices, self.n_push_devices, self.push_threshold)
 
     def to_dict(self) -> dict:
         """Lossless config echo (round-trips through validate_config); an

@@ -11,16 +11,17 @@ Random stream.  After the two per-frame count draws, every draw of a run is
 a bounded 32-bit integer draw, in this order per frame: the push contention
 round (one draw below ``push_tx_capacity`` per pending packet, as
 :func:`uniform_slot_contention` makes it), then the frame's pull and push
-arrival offsets (below S, as :func:`~.traffic.sample_arrival_offsets` makes
-them).  With no doubles left to draw, numpy's buffered high half is simply
-the next half, so these draws are consecutive 32-bit halves of the raw PCG64
-output.  ``simulate_cff`` fetches that output a window at a time and replays
-numpy's bounded-integer rule on it (:mod:`.rawdraw`), so a seed gives the
-records of the per-draw ``Generator`` calls.  A take of n draws spans n
-halves and those the rule rejects among them, listed once per bound and
-window (:class:`_HalfStream`); only the values a round needs are computed
-(see below).  If numpy changes that rule, the pinned outputs in the tests
-fail instead of the output changing silently.
+arrival offsets (below S, as :func:`sample_arrival_offsets` makes them).
+These two are the per-draw forms of what ``simulate_cff`` replays; no kernel
+calls them.  With no doubles left to draw, numpy's buffered high half is
+simply the next half, so these draws are consecutive 32-bit halves of the
+raw PCG64 output.  ``simulate_cff`` fetches that output a window at a time
+and replays numpy's bounded-integer rule on it (:mod:`.rawdraw`), so a seed
+gives the records of the per-draw ``Generator`` calls.  A take of n draws
+spans n halves and those the rule rejects among them, listed once per bound
+and window (:class:`_HalfStream`); only the values a round needs are
+computed (see below).  If numpy changes that rule, the pinned outputs in the
+tests fail instead of the output changing silently.
 
 The framed-ALOHA rule (a slot chosen by exactly one contender succeeds) is
 written once, in :func:`contention_rounds`, for one round or many at once;
@@ -90,12 +91,7 @@ from .core import FrameConfig, PacketClass
 from .metrics import MetricsRecord, slot_budget
 from .rawdraw import bounded, halves_of, rejected, span_end, span_halves
 
-# ``sample_arrival_offsets`` is the per-draw form of the offset draws replayed
-# here; it stays importable from this module, where the benchmark tracer
-# (perfbench/tracer.py) looks it up.
-from .traffic import sample_arrival_offsets  # noqa: F401
-
-__all__ = ["PushAbortRule", "schedule_pull", "simulate_cff", "uniform_slot_contention"]
+__all__ = ["PushAbortRule", "schedule_pull", "simulate_cff", "uniform_slot_contention", "sample_arrival_offsets"]
 
 # on_delivery(klass, arrival_slots, delivery_slots), once per delivering sub-frame
 DeliveryCallback = Callable[[PacketClass, np.ndarray, np.ndarray], None]
@@ -197,6 +193,25 @@ def uniform_slot_contention(
         raise ValueError("n_slots must be >= 1")
     choices = rng.integers(0, n_slots, size=n_contenders, dtype=np.int64)
     return choices, np.bincount(choices, minlength=n_slots), contention_rounds(choices, n_slots)
+
+
+def sample_arrival_offsets(counts: np.ndarray, n_slots: int, rng: np.random.Generator) -> np.ndarray:
+    """Slot offsets within a frame for consecutive arrival batches, ascending
+    within each batch, drawn per call.
+
+    Batch ``i`` holds ``counts[i]`` arrivals (one class in one frame); the
+    result lists the batches back to back.  Conditioned on the frame count,
+    Poisson arrival positions are iid uniform over the frame's slots.  All
+    batches come from one draw, which yields the same values as one draw per
+    batch in order (same bound, so the generator stream is consumed alike).
+    """
+    offsets = rng.integers(0, n_slots, size=int(np.sum(counts)), dtype=np.int64)
+    # one sort orders every batch: batch i is lifted to [i*n_slots, (i+1)*n_slots)
+    lift = np.arange(0, len(counts) * n_slots, n_slots, dtype=np.int64).repeat(counts)
+    offsets += lift
+    offsets.sort()
+    offsets -= lift
+    return offsets
 
 
 def schedule_pull(

@@ -1,13 +1,15 @@
 """RCS frame simulator: query-triggered pull contention in reserved slots,
 then shared slots where residual pull responses and push traffic contend
-together.
+together.  The BS pulls with a :class:`SemanticQuery`, a value interval;
+the push devices of an :class:`RcsPopulation` push when their drawn value
+exceeds its threshold.
 
 Queries are per-frame: devices that fail both the reserved attempt and the
 single shared retry do not carry over (the next frame is a fresh query).
 
 Per frame, in this draw order: every pull device's observation (one double,
 uniform on [0, 1)) is tested against the query, every push device's drawn
-value against the push trigger, then the matching pull devices contend in
+value against the push threshold, then the matching pull devices contend in
 the reserved slots, and the unsuccessful ones retry once alongside the
 pushing devices in the shared slots (one slot draw per contender, as
 ``mac_cff.uniform_slot_contention`` makes it).  ``simulate_rcs`` walks the
@@ -29,6 +31,7 @@ the choices seen once are counted.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -38,30 +41,44 @@ import numpy as np
 from .core import FrameConfig
 from .mac_cff import contention_rounds
 from .rawdraw import bounded, halves_of, least_word, rejected, span_end, span_halves
-from .traffic import PushTrigger, SemanticQuery
 
 # the per-draw form of the contention rounds replayed here; it stays
 # importable from this module, where the benchmark tracer
 # (perfbench/tracer.py) looks it up
 from .mac_cff import uniform_slot_contention  # noqa: F401
 
-__all__ = ["RcsPopulation", "RcsResult", "simulate_rcs"]
+__all__ = ["SemanticQuery", "RcsPopulation", "RcsResult", "simulate_rcs"]
+
+
+@dataclass(frozen=True, slots=True)
+class SemanticQuery:
+    """Value interval broadcast by the BS; a device matches iff lo <= value <= hi."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("query bounds must be finite")
+        if self.lo > self.hi:
+            raise ValueError(f"query interval empty: lo={self.lo} > hi={self.hi}")
 
 
 @dataclass(frozen=True, slots=True)
 class RcsPopulation:
-    """Disjoint pull- and push-enabled device sets and the push trigger.
-
-    Device ids: pull devices are 0..n_pull-1, push devices follow.
-    """
+    """Disjoint pull- and push-enabled device sets and the value-threshold
+    push model: a push device transmits iff its drawn value exceeds
+    ``push_threshold`` (probability 1 - threshold per device and frame)."""
 
     n_pull_devices: int
     n_push_devices: int
-    trigger: PushTrigger
+    push_threshold: float
 
     def __post_init__(self) -> None:
         if self.n_pull_devices < 0 or self.n_push_devices < 0:
             raise ValueError("device counts must be >= 0")
+        if not 0.0 <= self.push_threshold <= 1.0:
+            raise ValueError(f"threshold out of [0,1]: {self.push_threshold}")
 
 
 def _contention_slots(config: FrameConfig) -> Tuple[int, int]:
@@ -183,7 +200,7 @@ def _independent_frames(
     # tested on its raw word against the bounds' least raw words (Python ints:
     # numpy compares 2**64, which no word reaches, exactly)
     match_lo, match_end = least_word(query.lo), least_word(query.hi, strict=True)
-    push_lo = least_word(population.trigger.threshold, strict=True)
+    push_lo = least_word(population.push_threshold, strict=True)
     res_type = np.min_scalar_type(reserved_ops - 1)  # a reserved draw's narrowest type
     counts = np.zeros((n_frames, 5), dtype=np.int64)
     words = np.empty(0, dtype=np.uint64)

@@ -16,8 +16,8 @@ from pushpull_mac import (
     FrameConfig,
     PacketClass,
     RcsPopulation,
-    PushTrigger,
     SemanticQuery,
+    derive_seed,
     mac_cff,
     mac_rcs,
     schedule_pull,
@@ -25,9 +25,8 @@ from pushpull_mac import (
     simulate_rcs,
 )
 from pushpull_mac.capacity import WARMUP_FRACTION, CapacitySpec
-from pushpull_mac.mac_cff import PushAbortRule
+from pushpull_mac.mac_cff import PushAbortRule, sample_arrival_offsets
 from pushpull_mac.metrics import MetricsRecord, reliability_within, slot_budget
-from pushpull_mac.traffic import derive_seed, sample_arrival_offsets
 
 
 _MASK64 = (1 << 64) - 1
@@ -81,6 +80,11 @@ def empirical_quantile(samples: Sequence[float], p: float) -> float:
     idx = math.ceil(p * n - 1e-9)
     idx = min(max(idx, 1), n)
     return ordered[idx - 1]
+
+
+def matches(query: SemanticQuery, values: np.ndarray) -> np.ndarray:
+    """Which observations ``query`` matches: lo <= value <= hi."""
+    return (values >= query.lo) & (values <= query.hi)
 
 
 def match_probability(query: SemanticQuery) -> float:
@@ -137,7 +141,7 @@ def rcs_exact(cfg, pop, query):
     retrieves iff every straggler lands alone; the pooled push success is
     E[push successes] / E[P]."""
     reserved, shared = cfg.pull_slot_budget, cfg.push_slot_budget
-    p_push = 1.0 - pop.trigger.threshold
+    p_push = 1.0 - pop.push_threshold
     accuracy = push_won = 0.0
     for m, pm in enumerate(_binomial(pop.n_pull_devices, match_probability(query))):
         for x, px in enumerate(_stragglers(m, reserved)):
@@ -153,20 +157,30 @@ def pull_leftover_law(config: FrameConfig, rate: float) -> np.ndarray:
     """Stationary law of the pull packets left over at a frame boundary.
     Frame f's N ~ Poisson(mu) arrivals join the l left over and c =
     ``pull_tx_capacity`` are served in frame f + 1, so l' = max(l + N - c, 0)
-    (Lindley 1952; Bailey 1954), solved on the support 0 .. 60c + n_max,
-    n_max the last count of Poisson mass above 1e-16, with the overflow kept
-    on its top state.  The law must leave that top c-block negligible."""
+    (Lindley 1952; Bailey 1954), solved on the support 0 .. n_max + c + 40 /
+    theta, n_max the last count of Poisson mass above 1e-16, with the
+    overflow kept on its top state.  The law's tail falls like exp(-theta l),
+    theta the positive root of E[exp(theta (N - c))] = 1, that is of
+    mu (e^theta - 1) = c theta (Cramer-Lundberg), which lies below the
+    diffusion value 2 (c - mu) / mu; the support so grows with the load, not
+    with c.  The law must leave the top c-block negligible."""
     c, mu = config.pull_tx_capacity, rate * config.frame_duration
+    assert 0 < mu < c, "the queue is stable only below the pull service rate"
     counts = [math.exp(-mu)]
     while counts[-1] > 1e-16 or len(counts) <= mu:
         counts.append(counts[-1] * mu / len(counts))
-    size = len(counts) + 60 * c
-    step = np.zeros((size, size))
-    for left in range(size):
-        np.add.at(step[left], np.clip(left + np.arange(len(counts)) - c, 0, size - 1), counts)
-    balance = step.T - np.eye(size)
-    balance[-1] = 1.0  # the law sums to one
-    law = np.linalg.solve(balance, np.eye(size)[-1])
+    lo, hi = 0.0, 2 * (c - mu) / mu  # theta, by bisection
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mu * math.expm1(mid) < c * mid else (lo, mid)
+    size = len(counts) + c + math.ceil(40 / lo)
+    # balance[j, l] = P(l -> j) - [j == l]; the last equation is replaced by sum = 1
+    balance = -np.eye(size)
+    left = np.arange(size)
+    for n, p in enumerate(counts):
+        balance[np.clip(left + n - c, 0, size - 1), left] += p
+    balance[-1] = 1.0
+    law = np.linalg.solve(balance, np.eye(1, size, size - 1)[0])
     assert law[-c:].sum() < 1e-12, "leftover support too short for this load"
     return law
 
@@ -475,14 +489,14 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
 
 
 # bounds that are doubles numpy draws, as in the benchmark's query [0.25, 0.75]
-# and trigger 0.5
+# and threshold 0.5
 GRID_BOUNDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def random_rcs_case(rng: np.random.Generator):
     """A random RCS geometry, population and query, up to the benchmark's
     widths (75 slots, 12 pull and 40 push devices); a quarter of the
-    triggers and queries take their bounds from ``GRID_BOUNDS``."""
+    push thresholds and queries take their bounds from ``GRID_BOUNDS``."""
     s = int(rng.integers(1, 81))
     alpha = float(rng.choice([0.0, 1.0, round(float(rng.random()), 3)]))
     config = FrameConfig(s, 0.01, 1, 1, alpha)
@@ -490,7 +504,7 @@ def random_rcs_case(rng: np.random.Generator):
     population = RcsPopulation(
         n_pull_devices=int(rng.integers(0, 16)),
         n_push_devices=int(rng.integers(0, 41)),
-        trigger=PushTrigger(threshold),
+        push_threshold=threshold,
     )
     if rng.random() < 0.25:
         lo, hi = sorted(rng.choice(GRID_BOUNDS, size=2).tolist())
@@ -531,9 +545,9 @@ def run_rcs_frame(
     by ``mac_cff.uniform_slot_contention``, looked up at each call.
     """
     reserved_ops, shared_ops = mac_rcs._contention_slots(config)
-    # canonical draw order: observations, push triggers, reserved, shared
-    n_matched = int(np.count_nonzero(query.match_mask(rng.random(population.n_pull_devices))))
-    n_pushing = int(np.count_nonzero(population.trigger.fires(rng.random(population.n_push_devices))))
+    # canonical draw order: observations, push values, reserved, shared
+    n_matched = int(np.count_nonzero(matches(query, rng.random(population.n_pull_devices))))
+    n_pushing = int(np.count_nonzero(rng.random(population.n_push_devices) > population.push_threshold))
 
     n_res_won = 0
     if reserved_ops > 0 and n_matched:

@@ -14,7 +14,6 @@ from pushpull_mac import (
     CapacitySpec,
     FrameConfig,
     PacketClass,
-    PushTrigger,
     RcsPopulation,
     SemanticQuery,
     max_class_rate,
@@ -23,16 +22,26 @@ from pushpull_mac import (
     simulate_rcs,
     validate_config,
 )
+from pushpull_mac.capacity import service_ceiling
 from pushpull_mac.cli import main as cli_main
 from pushpull_mac.mac_cff import contention_rounds
+from pushpull_mac.metrics import slot_budget
 
-from _invariants import check_cff_run, check_rcs_frame, random_cff_config, random_rcs_case, rcs_exact, z_score
+from _invariants import (
+    check_cff_run,
+    check_rcs_frame,
+    pull_on_time,
+    random_cff_config,
+    random_rcs_case,
+    rcs_exact,
+    z_score,
+)
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
 PAPER_FRAME = dict(slots_per_frame=100, frame_duration=0.01, pull_packet_slots=5, push_packet_slots=1)
 
-RCS_POPULATION = RcsPopulation(n_pull_devices=12, n_push_devices=40, trigger=PushTrigger(0.5))
+RCS_POPULATION = RcsPopulation(n_pull_devices=12, n_push_devices=40, push_threshold=0.5)
 RCS_QUERY = SemanticQuery(0.25, 0.75)
 
 
@@ -60,7 +69,8 @@ FRONTIER_CONFIG = {
 def test_criterion_1_capacity_frontier_qualitative():
     """Fig.-3-style frontier, as the harness (and ``pushpull-mac capacity``)
     writes it: monotone in alpha, dominated by larger L, bounded by the pull
-    service ceiling; finishes inside 10 minutes."""
+    service ceiling, each pull row within a rate tolerance of the exact
+    capacity; finishes inside 10 minutes."""
     alphas = FRONTIER_CONFIG["alphas"]
     tol = FRONTIER_CONFIG["capacity"]["rate_tolerance_pps"]
     start = time.monotonic()
@@ -96,6 +106,7 @@ def test_criterion_1_capacity_frontier_qualitative():
                     problems.append(
                         f"{klass} dominance broken at alpha={alpha}: L={hi_l} gives {hi:.0f} < L={lo_l} {lo:.0f}"
                     )
+    problems += _exact_pull_capacity_problems(rates, tol)
     if elapsed > 600.0:
         problems.append(f"runtime {elapsed:.0f}s exceeds 600s")
     _report(
@@ -103,6 +114,56 @@ def test_criterion_1_capacity_frontier_qualitative():
         not problems,
         "; ".join(problems) if problems else f"27 points in {elapsed:.0f}s",
     )
+
+
+def _exact_pull_capacity_problems(rates, tol):
+    """Each pull row against the exact capacity of the stationary queue
+    (``pull_on_time``, on time by ``slot_budget``): the capacity lies in
+    [row - tol, row + 2 tol), so the exact reliability is at least the
+    target at row - tol and below it at row + 2 tol, unless that rate
+    reaches the service ceiling, which no stable rate does.  The capacity
+    itself, bisected to 1 pps, gives the row's offset."""
+    config = validate_config(FRONTIER_CONFIG)
+    target = config.target_reliability
+    problems, offsets, lows, highs, at_ceiling = [], [], [], [], 0
+    for l_ms in config.latency_targets_ms:
+        for alpha, row in zip(config.alphas, rates["max_pull_rate_pps", l_ms]):
+            frame = config.frame_config(alpha)
+            budget = slot_budget(l_ms * 1e-3, frame.slot_duration)
+            ceiling = service_ceiling(frame, PULL)
+
+            def reliability(rate):
+                return pull_on_time(frame, rate, budget)[-1] / (rate * frame.frame_duration)
+
+            lo, hi = row - tol, row + 2 * tol
+            if lo >= ceiling:
+                problems.append(f"pull alpha={alpha} L={l_ms}: {lo:.1f} pps is past the ceiling {ceiling:.1f}")
+                continue
+            if lo > 0:
+                lows.append(reliability(lo))
+                if lows[-1] < target:
+                    problems.append(f"pull alpha={alpha} L={l_ms}: exact reliability {lows[-1]:.4f} at {lo:.1f} pps")
+            if hi >= ceiling:
+                at_ceiling += 1
+                hi = ceiling
+            else:
+                highs.append(reliability(hi))
+                if highs[-1] >= target:
+                    problems.append(f"pull alpha={alpha} L={l_ms}: exact reliability {highs[-1]:.4f} at {hi:.1f} pps")
+            lo = max(lo, 0.0)
+            while hi - lo > 1.0:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if reliability(mid) >= target else (lo, mid)
+            offsets.append((abs(lo - row), lo - row, alpha, l_ms))
+    if not offsets:
+        return problems
+    _, offset, alpha, l_ms = max(offsets)
+    print(
+        f"  exact pull capacities: {len(offsets)} rows checked, largest offset {offset:+.1f} pps"
+        f" (alpha={alpha}, L={l_ms}ms); reliability >= {min(lows, default=math.nan):.4f} at row - tol,"
+        f" <= {max(highs, default=math.nan):.4f} at row + 2 tol ({at_ceiling} rows at the ceiling)"
+    )
+    return problems
 
 
 @pytest.mark.slow
@@ -192,7 +253,7 @@ def test_criterion_4_small_instance_enumeration():
     forced = int(np.count_nonzero(win))
 
     # same enumeration through the RCS reserved portion (2 matched, 2 reserved slots)
-    pop2 = RcsPopulation(2, 0, PushTrigger(1.0))
+    pop2 = RcsPopulation(2, 0, 1.0)
     res2 = simulate_rcs(FrameConfig(2, 0.01, 1, 1, 1.0), pop2, SemanticQuery(0.0, 1.0), frames, seed=45)
     rcs_device_rate = res2.retrieval_accuracy  # both-or-neither
     res1 = simulate_rcs(FrameConfig(1, 0.01, 1, 1, 1.0), pop2, SemanticQuery(0.0, 1.0), frames, seed=46)

@@ -77,6 +77,10 @@ class TestMaxRate:
         assert not res.monotonicity_violated
         assert [complete for _, _, complete in res.probes].count(False) > 0
 
+    def test_spec_rejects_an_empty_horizon(self):
+        with pytest.raises(ValueError, match="horizon_frames must be >= 1"):
+            spec(horizon_frames=0)
+
     def test_monotone_not_flagged(self):
         res = max_rate(lambda r: (max(0.0, 1.0 - r / 1500), True), spec(target_reliability=0.5))
         assert not res.monotonicity_violated

@@ -1,5 +1,6 @@
 import json
 
+import pushpull_mac.harness as harness
 from pushpull_mac.cli import main
 
 
@@ -189,6 +190,20 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, rcs_single())
         assert main(["sweep", "--config", cfg, "--workers", "0", "--quiet"]) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+    def test_point_error_printed_on_its_rows(self, tmp_path, capsys, monkeypatch):
+        # a failing point is a row with the error column set, not a failed run
+        def fail(*args, **kwargs):
+            raise RuntimeError("no frames today")
+
+        monkeypatch.setattr(harness, "simulate_rcs", fail)
+        cfg = write_cfg(tmp_path, rcs_single())
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{name}=n/a (alpha=0.5, S=25) [error: RuntimeError: no frames today]"
+            for name in ("retrieval_accuracy", "push_success_prob")
+        ]
 
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

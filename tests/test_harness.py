@@ -481,6 +481,11 @@ class TestRunExperiment:
         run_experiment(cfg, out=str(b), workers=2)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rejects_fewer_than_one_worker(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(validate_config(rcs_cfg()), out=str(tmp_path / "w0.csv"), workers=0)
+        assert not (tmp_path / "w0.csv").exists()
+
     def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
         # a fake pool records its size and maps in-process, so no process starts
         sizes = []

@@ -91,6 +91,14 @@ class TestSchedulePull:
     def test_zero_capacity(self):
         assert schedule_pull(np.array([2, 5]), capacity=0, slots_per_frame=100).size == 0
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ValueError, match="capacity must be >= 0"):
+            schedule_pull(np.array([2, 5]), capacity=-1, slots_per_frame=100)
+
+    def test_rejects_packets_under_one_slot(self):
+        with pytest.raises(ValueError, match="packet_slots must be >= 1"):
+            schedule_pull(np.array([2, 5]), capacity=20, slots_per_frame=100, packet_slots=0)
+
     def test_backlog_carries_over_frames(self):
         # each frame serves min(queued, capacity), oldest first; the rest waits
         joining = np.array([25, 30, 0, 3, 0])

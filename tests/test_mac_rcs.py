@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pushpull_mac import FrameConfig, PushTrigger, RcsPopulation, RcsResult, SemanticQuery, mac_rcs, rawdraw, simulate_rcs
+from pushpull_mac import FrameConfig, RcsPopulation, RcsResult, SemanticQuery, mac_rcs, rawdraw, simulate_rcs
 from pushpull_mac.mac_rcs import _independent_frames
 
 from _invariants import (
@@ -13,6 +13,7 @@ from _invariants import (
     check_rcs_run,
     generator_emitting,
     match_probability,
+    matches,
     rcs_exact,
     recorded_rcs_rounds,
     run_rcs_frame,
@@ -28,7 +29,7 @@ def config(s, alpha, k=1):
 
 
 def population(n_pull, n_push, threshold=0.5):
-    return RcsPopulation(n_pull, n_push, PushTrigger(threshold))
+    return RcsPopulation(n_pull, n_push, threshold)
 
 
 def push_attempts(res):
@@ -126,12 +127,12 @@ class TestRunRcsFrame:
         # the frame's first draws are one observation per pull device
         query = SemanticQuery(0.4, 0.6)
         observations = np.random.default_rng(8).random(40)
-        matching = int(np.count_nonzero(query.match_mask(observations)))
+        matching = int(np.count_nonzero(matches(query, observations)))
         assert 0 < matching < 40
         fr = run_rcs_frame(config(20, 1.0), population(40, 0), query, np.random.default_rng(8))
         assert fr.matched_pull == matching
         # a lone match gets through
-        lone = next(n for n in range(1, 40) if np.count_nonzero(query.match_mask(observations[:n])) == 1)
+        lone = next(n for n in range(1, 40) if np.count_nonzero(matches(query, observations[:n])) == 1)
         fr = run_rcs_frame(config(20, 1.0), population(lone, 0), query, np.random.default_rng(8))
         assert fr.matched_pull == fr.pull_succeeded == 1
 
@@ -220,7 +221,7 @@ class TestWindow:
         # half that no later frame takes (nobody pushes); keeping every word
         # from that half on would hold the run's 4 million words (a 200 MiB
         # peak)
-        cfg, pop = config(50, 0.5), RcsPopulation(1, 2000, PushTrigger(1.0))
+        cfg, pop = config(50, 0.5), RcsPopulation(1, 2000, 1.0)
         x0 = float(np.random.default_rng(7).random())
         q = SemanticQuery(x0, x0)
         tracemalloc.start()
@@ -385,9 +386,9 @@ class TestRejectedDraws:
 
 class TestRawWordBounds:
     """The kernel tests a double d = (x >> 11) * 2**-53 against the query and
-    the trigger as its raw word x against least raw words
+    the push threshold as its raw word x against least raw words
     (``rawdraw.least_word``); at the words next to every bound that must
-    agree with ``match_mask`` and ``fires`` on d."""
+    agree with lo <= d <= hi (``matches``) and with d > threshold."""
 
     QUERIES = [
         (0.25, 0.75),
@@ -425,13 +426,13 @@ class TestRawWordBounds:
     def test_match_on_words(self, lo, hi):
         words = self.words_near(lo, hi)
         got = (words >= rawdraw.least_word(lo)) & (words < rawdraw.least_word(hi, strict=True))
-        assert got.tolist() == SemanticQuery(lo, hi).match_mask(self.doubles(words)).tolist()
+        assert got.tolist() == matches(SemanticQuery(lo, hi), self.doubles(words)).tolist()
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_push_on_words(self, threshold):
         words = self.words_near(threshold)
         got = words >= rawdraw.least_word(threshold, strict=True)
-        assert got.tolist() == PushTrigger(threshold).fires(self.doubles(words)).tolist()
+        assert got.tolist() == (self.doubles(words) > threshold).tolist()
 
     def test_least_words(self):
         assert rawdraw.least_word(0.25) == 2**51 << 11  # 0.25 itself is a double
@@ -465,7 +466,7 @@ class TestRawWordBounds:
         counts = _independent_frames(cfg.pull_slot_budget, cfg.push_slot_budget, pop, query, 20, generator_emitting(word, 0))
         assert counts.tolist() == [list(f) for f in expected]
         d = np.array([k * 2.0**-53])
-        decided = query.match_mask(d)[0] if n_pull else pop.trigger.fires(d)[0]
+        decided = matches(query, d)[0] if n_pull else d[0] > threshold
         assert counts[0, 0] + counts[0, 3] == decided
 
 

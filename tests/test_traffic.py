@@ -6,16 +6,15 @@ import pytest
 from pushpull_mac import (
     FrameConfig,
     PacketClass,
-    PushTrigger,
     RcsPopulation,
     SemanticQuery,
     derive_seed,
     simulate_cff,
     simulate_rcs,
 )
-from pushpull_mac.traffic import sample_arrival_offsets
+from pushpull_mac.mac_cff import sample_arrival_offsets
 
-from _invariants import match_probability
+from _invariants import match_probability, matches
 
 PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 
@@ -23,19 +22,19 @@ PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 ONE_SLOT = FrameConfig(1, 1e-4, 1, 1, 1.0)
 HUNDRED_SLOTS = FrameConfig(100, 1e-2, 1, 1, 1.0)
 
-# RCS frames whose counts show the observation and trigger draws
+# RCS frames whose counts show the observation and push-value draws
 RCS_FRAME = FrameConfig(20, 0.01, 1, 1, 0.5)
 ALL = SemanticQuery(0.0, 1.0)
 
 
 def pull_devices(n, query, n_frames, seed):
     """Per-frame counts of ``n`` pull devices whose observation matches ``query``."""
-    return simulate_rcs(RCS_FRAME, RcsPopulation(n, 0, PushTrigger(1.0)), query, n_frames, seed).frames[:, 0]
+    return simulate_rcs(RCS_FRAME, RcsPopulation(n, 0, 1.0), query, n_frames, seed).frames[:, 0]
 
 
 def push_devices(n, threshold, n_frames, seed):
-    """Per-frame counts of ``n`` push devices whose drawn value fires the trigger."""
-    return simulate_rcs(RCS_FRAME, RcsPopulation(0, n, PushTrigger(threshold)), ALL, n_frames, seed).frames[:, 3]
+    """Per-frame counts of ``n`` push devices whose drawn value exceeds ``threshold``."""
+    return simulate_rcs(RCS_FRAME, RcsPopulation(0, n, threshold), ALL, n_frames, seed).frames[:, 3]
 
 
 class TestPoissonArrivals:
@@ -108,15 +107,15 @@ class TestPoissonArrivals:
 class TestSemanticQuery:
     def test_full_interval_matches_everything(self):
         obs = np.random.default_rng(0).uniform(size=50)
-        assert SemanticQuery(0.0, 1.0).match_mask(obs).all()
+        assert matches(SemanticQuery(0.0, 1.0), obs).all()
 
     def test_point_query(self):
-        assert SemanticQuery(0.4, 0.4).match_mask(np.array([0.4, 0.5])).tolist() == [True, False]
+        assert matches(SemanticQuery(0.4, 0.4), np.array([0.4, 0.5])).tolist() == [True, False]
 
     def test_match_fraction_concentrates(self):
         rng = np.random.default_rng(21)
         values = rng.uniform(size=100_000)
-        matched = SemanticQuery(0.2, 0.7).match_mask(values)
+        matched = matches(SemanticQuery(0.2, 0.7), values)
         assert matched.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_invalid(self):
@@ -148,12 +147,16 @@ class TestPushTrigger:
         assert included / 100_000 == pytest.approx(0.1, abs=0.005)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PushTrigger(1.2)
-        with pytest.raises(ValueError):
-            PushTrigger(-0.01)
-        with pytest.raises(ValueError):
-            RcsPopulation(0, -1, PushTrigger(0.5))
+        with pytest.raises(ValueError, match=r"threshold out of \[0,1\]: 1.2"):
+            RcsPopulation(0, 0, 1.2)
+        with pytest.raises(ValueError, match="threshold out of"):
+            RcsPopulation(0, 0, -0.01)
+        with pytest.raises(ValueError, match="threshold out of"):
+            RcsPopulation(0, 0, math.nan)
+        with pytest.raises(ValueError, match="device counts"):
+            RcsPopulation(0, -1, 0.5)
+        for edge in (0.0, 1.0):
+            assert RcsPopulation(1, 1, edge).push_threshold == edge
 
 
 class TestObservationModel:
