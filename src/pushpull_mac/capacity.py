@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from .core import FrameConfig, PacketClass, derive_seed
-from .mac_cff import PushAbortRule, simulate_cff
-from .metrics import reliability_within
+from .mac_cff import PushAbortRule, reliability_within, simulate_cff
 
 __all__ = [
     "CapacitySpec",
@@ -109,7 +108,7 @@ def max_rate(evaluate: Callable[[float], Tuple[float, bool]], spec: CapacitySpec
         by_rate[i + 1][1] > by_rate[i][1] + NOISE_MARGIN for i in range(len(by_rate) - 1)
     )
     return MaxRateResult(
-        rate=lo if passed_any else 0.0,
+        rate=lo,
         unreachable=not passed_any,
         monotonicity_violated=violated,
         probes=tuple(probes),
@@ -126,9 +125,10 @@ def make_cff_rate_evaluator(
     class silent.
 
     Reliability is the mean over the R replications of per-run reliability
-    (not pooled packets; on time means within :func:`~.metrics.slot_budget`);
-    a run with no measured arrivals counts as 1.0 (vacuous).  Replication
-    seeds are master XOR index, shared across probed rates.
+    (not pooled packets; on time means within :func:`~.core.slot_budget`);
+    a run with no measured arrivals, whose reliability reads None, counts as
+    1.0 (vacuous).  Replication seeds are master XOR index, shared across
+    probed rates.
 
     A probe stops as soon as it can no longer pass.  After each run the mean
     is bounded by scoring every run not yet made 1.0, with the same
@@ -172,10 +172,8 @@ def make_cff_rate_evaluator(
                 warmup_frames=warmup,
                 push_abort=abort,
             )
-            if rec.arrived(klass) == 0:
-                rels.append(1.0)
-            else:
-                rels.append(reliability_within(rec, klass, spec.target_latency))
+            rel = reliability_within(rec, klass, spec.target_latency)
+            rels.append(1.0 if rel is None else rel)
             bound = sum(rels + [1.0] * (R - j - 1)) / R
             # after the last run the bound is the full mean, exact unless
             # that run's target was raised above t

@@ -3,20 +3,19 @@ the seed rule.
 
 Time is counted in global slot indices (integers from simulation start);
 wall-clock quantities are always derived from slot counts so that runs are
-bit-reproducible.  A (seed, config) pair fully determines a run, and the
-harness and the capacity search seed replications with :func:`derive_seed`.
+bit-reproducible; a real quantity becomes whole slots by one rule, the most
+k whose float64 image is within it (the pull sub-frame, :func:`slot_budget`).
+A (seed, config) pair fully determines a run, and the harness and the
+capacity search seed replications with :func:`derive_seed`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-__all__ = ["PacketClass", "FrameConfig", "derive_seed", "SEED_LIMIT"]
-
-# Guard against IEEE representation error in alpha * S (e.g. 0.29 * 100 ==
-# 28.999999999999996); small enough never to bump a genuinely fractional value.
-_FLOOR_EPS = 1e-9
+__all__ = ["PacketClass", "FrameConfig", "derive_seed", "slot_budget", "SEED_LIMIT"]
 
 # a frame holds fewer slots than this: every slot draw is below a frame's slot
 # count, and the kernels replay numpy's bounded-integer rule below 2**32 only
@@ -34,8 +33,26 @@ def derive_seed(master_seed: int, index: int) -> int:
     return master_seed ^ index
 
 
-def stable_floor(x: float) -> int:
-    return int(math.floor(x + _FLOOR_EPS))
+def _most_within(estimate: float, within: Callable[[int], bool]) -> int:
+    """The most whole k with ``within(k)`` (true up to some k, false above),
+    searched from floor(estimate), a float product or quotient a step or two
+    off at most: 0.29 * 100 is 28.999999999999996, while 29 / 100 is 0.29."""
+    k = math.floor(estimate)
+    while not within(k):
+        k -= 1
+    while within(k + 1):
+        k += 1
+    return k
+
+
+def slot_budget(latency_target: float, slot_duration: float) -> int:
+    """The most whole slots k with float64 ``k * slot_duration <=
+    latency_target`` (seconds).  A latency is on time iff it is at most the
+    budget; on the paper frame 300 * 1e-4 > 0.03, so the budget at 30 ms is
+    299.  An infinite target puts every latency on time."""
+    if latency_target == math.inf:
+        return 2**63 - 1
+    return _most_within(latency_target / slot_duration, lambda k: k * slot_duration <= latency_target)
 
 
 class PacketClass(Enum):
@@ -81,7 +98,8 @@ class FrameConfig:
 
     @property
     def pull_slot_budget(self) -> int:
-        return stable_floor(self.alpha * self.slots_per_frame)
+        """The most whole slots k with float64 ``k / S <= alpha``."""
+        return _most_within(self.alpha * self.slots_per_frame, lambda k: k / self.slots_per_frame <= self.alpha)
 
     @property
     def push_slot_budget(self) -> int:

@@ -31,9 +31,8 @@ import numpy as np
 from . import __version__
 from .capacity import CapacitySpec, max_class_rate, search_spec
 from .core import SEED_LIMIT, SLOT_LIMIT, FrameConfig, PacketClass, derive_seed
-from .mac_cff import simulate_cff
+from .mac_cff import merge_records, reliability_within, simulate_cff
 from .mac_rcs import RcsPopulation, RcsResult, SemanticQuery, _contention_slots, simulate_rcs
-from .metrics import merge_records, reliability_within
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "run_experiment", "RunResult"]
 
@@ -368,10 +367,7 @@ def _cff_simulate_point(job: _PointJob) -> List[Dict[str, str]]:
     for l_ms in cfg.latency_targets_ms:
         rows += _metric_rows(
             job,
-            [
-                reliability_within(merged, klass, l_ms * 1e-3) if merged.arrived(klass) else None
-                for klass in (PacketClass.PULL, PacketClass.PUSH)
-            ],
+            [reliability_within(merged, klass, l_ms * 1e-3) for klass in (PacketClass.PULL, PacketClass.PUSH)],
             L_ms=l_ms,
             pull_rate_pps=cfg.pull_rate_pps,
             push_rate_pps=cfg.push_rate_pps,
@@ -432,9 +428,9 @@ def point_label(alpha, slots_per_frame, latency_ms) -> str:
     return f"{label}, L={latency_ms}ms" if latency_ms else label
 
 
-def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]], float]:
-    """Execute one sweep point: (its index, its rows, its wall seconds);
-    failures become rows with the error column set."""
+def _run_point(job: _PointJob) -> Tuple[List[Dict[str, str]], float]:
+    """Execute one sweep point: (its rows, its wall seconds); failures become
+    rows with the error column set."""
     start = time.monotonic()
     kind = job.config.kind
     try:
@@ -443,7 +439,7 @@ def _run_point(job: _PointJob) -> Tuple[int, List[Dict[str, str]], float]:
         error = f"{type(exc).__name__}: {exc}"
         targets = job.config.latency_targets_ms if kind == "cff.simulate" else (job.latency_ms,)
         rows = [row for l_ms in targets for row in _metric_rows(job, repeat(None), L_ms=l_ms, error=error)]
-    return job.index, rows, time.monotonic() - start
+    return rows, time.monotonic() - start
 
 
 def _write_csv(path: Path, rows: Sequence[Dict[str, str]]) -> None:
@@ -469,7 +465,7 @@ def run_experiment(
         out = _output_path(os.fspath(out), "out")
     start = time.monotonic()
     jobs = enumerate_points(config)
-    results: List[Tuple[int, List[Dict[str, str]], float]] = []
+    results: List[Tuple[List[Dict[str, str]], float]] = []
     pool = None
     if workers > 1 and len(jobs) > 1:
         # imported here: it costs every start about 14 ms, and one worker
@@ -485,7 +481,7 @@ def run_experiment(
             if log:
                 point = point_label(job.alpha, job.slots_per_frame, job.latency_ms)
                 log(f"point {job.index + 1}/{len(jobs)} done ({point})")
-    rows = [row for _, point_rows, _ in results for row in point_rows]
+    rows = [row for point_rows, _ in results for row in point_rows]
     wall = time.monotonic() - start
 
     target = out or config.output
@@ -499,7 +495,8 @@ def run_experiment(
             "master_seed": config.master_seed,
             "n_points": len(jobs),
             "n_rows": len(rows),
-            "point_wall_s": [seconds for _, _, seconds in results],  # in point order
+            "numpy": np.__version__,
+            "point_wall_s": [seconds for _, seconds in results],  # in point order
             "version": __version__,
             "wall_time_s": wall,
         }

@@ -77,21 +77,30 @@ arrived.  At the end of the run the offsets are lifted to arrival slots in
 one sort, latencies and ``on_delivery`` calls are built from the settled
 winners, and the pull FIFO, which draws no randomness, is served in closed
 form (:func:`schedule_pull`).
+
+The run record (:class:`MetricsRecord`) keeps per class the measured
+arrivals, misses and an int64 array of delivered latencies in slots, so
+``len(latency_slots) + failed == arrived``.  :func:`reliability_within`
+counts a latency on time iff it is within :func:`~.core.slot_budget`, the
+push abort's rule, and reads None for a class with no arrival, as the RCS
+push success probability does with no push attempted.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FrameConfig, PacketClass
-from .metrics import MetricsRecord, slot_budget
+from .core import FrameConfig, PacketClass, slot_budget
 from .rawdraw import bounded, halves_of, rejected, span_end, span_halves
 
-__all__ = ["PushAbortRule", "schedule_pull", "simulate_cff", "uniform_slot_contention", "sample_arrival_offsets"]
+__all__ = [
+    "MetricsRecord", "PushAbortRule", "merge_records", "reliability_within", "schedule_pull", "simulate_cff",
+    "uniform_slot_contention", "sample_arrival_offsets"
+]
 
 # on_delivery(klass, arrival_slots, delivery_slots), once per delivering sub-frame
 DeliveryCallback = Callable[[PacketClass, np.ndarray, np.ndarray], None]
@@ -124,6 +133,67 @@ _HELD_CONTENDERS = 2**10
 _ONE = np.array(1, dtype=np.int64)
 
 
+class MetricsRecord:
+    """Per-class arrivals, misses and delivered latencies (slots) of CFF runs
+    with one slot duration (seconds)."""
+
+    __slots__ = ("slot_duration", "_classes")
+
+    def __init__(self, slot_duration: float) -> None:
+        self.slot_duration = slot_duration
+        # per class: [latency slots, misses, arrivals], one lookup an add
+        self._classes = {klass: [np.empty(0, dtype=np.int64), 0, 0] for klass in PacketClass}
+
+    def add(self, klass: PacketClass, latency_slots=(), failed: int = 0, arrived: int = 0) -> None:
+        """Append delivered latencies (slots) and count misses and arrivals."""
+        entry = self._classes[klass]
+        if len(latency_slots):
+            entry[0] = np.concatenate((entry[0], np.asarray(latency_slots, dtype=np.int64)))
+        entry[1] += failed
+        entry[2] += arrived
+
+    def latency_slots(self, klass: PacketClass) -> np.ndarray:
+        return self._classes[klass][0]
+
+    def failed(self, klass: PacketClass) -> int:
+        return self._classes[klass][1]
+
+    def arrived(self, klass: PacketClass) -> int:
+        return self._classes[klass][2]
+
+    def latencies(self, klass: PacketClass) -> List[float]:
+        """Delivered latencies in seconds, then one +inf per miss."""
+        return (self.latency_slots(klass) * self.slot_duration).tolist() + [math.inf] * self.failed(klass)
+
+
+def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:
+    """Merge records of one slot duration class by class, in the given
+    (replication-index) order: one concatenation per class."""
+    records = list(records)
+    if not records:
+        raise ValueError("merge_records needs at least one record: the merged record takes its slot duration")
+    merged = MetricsRecord(records[0].slot_duration)
+    for rec in records:
+        if rec.slot_duration != merged.slot_duration:
+            raise ValueError(f"cannot merge records of slot durations {merged.slot_duration} and {rec.slot_duration}")
+    for klass, entry in merged._classes.items():
+        entry[0] = np.concatenate([rec.latency_slots(klass) for rec in records])
+        entry[1] = sum(rec.failed(klass) for rec in records)
+        entry[2] = sum(rec.arrived(klass) for rec in records)
+    return merged
+
+
+def reliability_within(record: MetricsRecord, klass: PacketClass, latency_target: float) -> Optional[float]:
+    """Fraction of the arrived ``klass`` packets delivered within
+    ``latency_target`` seconds, that is within its :func:`~.core.slot_budget`
+    (misses sit in the denominator); None when no packet of the class arrived."""
+    arrived = record.arrived(klass)
+    if not arrived:
+        return None
+    met = np.count_nonzero(record.latency_slots(klass) <= slot_budget(latency_target, record.slot_duration))
+    return int(met) / arrived
+
+
 @dataclass(frozen=True, slots=True)
 class PushAbortRule:
     """Certified early exit for capacity probes.
@@ -132,7 +202,7 @@ class PushAbortRule:
     packet of frame g still pending after frame f's round is delivered at
     slot (f+1) x S or later, so its latency is at least (f - g) x S + 2
     slots.  It is late once that exceeds the target's slot budget B
-    (:func:`~.metrics.slot_budget`, the reliability metric's rule), so
+    (:func:`~.core.slot_budget`, the reliability metric's rule), so
     every packet of frame g is late from frame g + lag on, lag = max(1,
     ceil((B - 1) / S)), and the rule counts frame g's packets still pending
     after that frame's round.  This lags a per-slot deadline by at most one

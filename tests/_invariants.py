@@ -5,14 +5,13 @@ checks of the property and acceptance suites, the exact law of RCS frames
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from pushpull_mac import (
-    EmptySampleError,
     FrameConfig,
     PacketClass,
     RcsPopulation,
@@ -25,8 +24,8 @@ from pushpull_mac import (
     simulate_rcs,
 )
 from pushpull_mac.capacity import WARMUP_FRACTION, CapacitySpec
-from pushpull_mac.mac_cff import PushAbortRule, sample_arrival_offsets
-from pushpull_mac.metrics import MetricsRecord, reliability_within, slot_budget
+from pushpull_mac.core import slot_budget
+from pushpull_mac.mac_cff import MetricsRecord, PushAbortRule, reliability_within, sample_arrival_offsets
 
 
 _MASK64 = (1 << 64) - 1
@@ -74,7 +73,7 @@ def empirical_quantile(samples: Sequence[float], p: float) -> float:
         raise ValueError(f"p out of (0,1]: {p}")
     n = len(samples)
     if n == 0:
-        raise EmptySampleError("empirical_quantile over empty samples")
+        raise ValueError("empirical_quantile over empty samples")
     ordered = sorted(samples)
     # guard against float product landing just above an exact integer
     idx = math.ceil(p * n - 1e-9)
@@ -97,29 +96,31 @@ def _binomial(n, p):
     return [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
 
 
-def _stragglers(m, r):
-    """P(X = x), x = 0..m, where X counts the balls that do not land alone
-    when m balls fall uniformly into r slots (the occupancy law; Kolchin et
-    al., Random Allocations, 1978), by a walk over (empty, singleton) slot
-    counts.  Without slots every ball is a straggler."""
+@lru_cache(maxsize=None)
+def straggler_laws(m_max, r):
+    """``laws[m, x]`` = P(X = x), m = 0..m_max, where X counts the balls that
+    do not land alone when m balls fall uniformly into r slots (the occupancy
+    law; Kolchin et al., Random Allocations, 1978).  One walk over the
+    (empty, singleton) slot counts drops ball after ball, so every m's law is
+    a step of it.  Without slots every ball is a straggler.  Cached, so it is
+    read-only."""
     if r == 0:
-        return [0.0] * m + [1.0]
-    states = {(r, 0): 1.0}
-    for _ in range(m):
-        after = defaultdict(float)
-        for (empty, alone), pr in states.items():
-            crowded = r - empty - alone
-            if empty:
-                after[empty - 1, alone + 1] += pr * empty / r
-            if alone:
-                after[empty, alone - 1] += pr * alone / r
-            if crowded:
-                after[empty, alone] += pr * crowded / r
-        states = after
-    law = [0.0] * (m + 1)
-    for (_, alone), pr in states.items():
-        law[m - alone] += pr
-    return law
+        laws = np.eye(m_max + 1)
+    else:
+        laws = np.zeros((m_max + 1, m_max + 1))
+        laws[0, 0] = 1.0
+        empty, alone = np.ogrid[: r + 1, : r + 1]
+        state = np.zeros((r + 1, r + 1))  # state[e, a] = P(e empty and a singleton slots)
+        state[r, 0] = 1.0
+        for m in range(1, m_max + 1):
+            after = state * np.maximum(r - empty - alone, 0) / r  # the ball joins a crowded slot
+            after[:-1, 1:] += (state * empty / r)[1:, :-1]  # an empty one
+            after[:, :-1] += (state * alone / r)[:, 1:]  # a singleton, now crowded
+            state = after
+            singles = state.sum(axis=0)[: min(m, r) + 1]
+            laws[m, m - np.arange(len(singles))] = singles
+    laws.flags.writeable = False
+    return laws
 
 
 def _all_alone(tagged, others, slots):
@@ -143,14 +144,24 @@ def rcs_exact(cfg, pop, query):
     reserved, shared = cfg.pull_slot_budget, cfg.push_slot_budget
     p_push = 1.0 - pop.push_threshold
     accuracy = push_won = 0.0
+    laws = straggler_laws(pop.n_pull_devices, reserved)
     for m, pm in enumerate(_binomial(pop.n_pull_devices, match_probability(query))):
-        for x, px in enumerate(_stragglers(m, reserved)):
+        for x, px in enumerate(laws[m, : m + 1].tolist()):
             for n_push, pp in enumerate(_binomial(pop.n_push_devices, p_push)):
                 w = pm * px * pp
                 accuracy += w * _all_alone(x, n_push, shared)
                 if n_push:
                     push_won += w * n_push * _all_alone(1, x + n_push - 1, shared)
     return accuracy, push_won / (pop.n_push_devices * p_push)
+
+
+def _poisson_counts(mu):
+    """P(N = n) for N ~ Poisson(mu), n = 0 .. the last count of mass above
+    1e-16 past the mean."""
+    counts = [math.exp(-mu)]
+    while counts[-1] > 1e-16 or len(counts) <= mu:
+        counts.append(counts[-1] * mu / len(counts))
+    return counts
 
 
 def pull_leftover_law(config: FrameConfig, rate: float) -> np.ndarray:
@@ -166,9 +177,7 @@ def pull_leftover_law(config: FrameConfig, rate: float) -> np.ndarray:
     with c.  The law must leave the top c-block negligible."""
     c, mu = config.pull_tx_capacity, rate * config.frame_duration
     assert 0 < mu < c, "the queue is stable only below the pull service rate"
-    counts = [math.exp(-mu)]
-    while counts[-1] > 1e-16 or len(counts) <= mu:
-        counts.append(counts[-1] * mu / len(counts))
+    counts = _poisson_counts(mu)
     lo, hi = 0.0, 2 * (c - mu) / mu  # theta, by bisection
     for _ in range(60):
         mid = (lo + hi) / 2
@@ -217,6 +226,56 @@ def pull_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
             np.minimum(late_rounds, rounds - 1).ravel(), (law[: left.size, None] * on_time).ravel(), rounds
         )
         n, arrivals = n + 1, arrivals * mu / (n + 1)
+    return np.concatenate(([0.0], np.cumsum(by_round)))
+
+
+def push_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
+    """``reach[k]`` as in :func:`pull_on_time`, for push arrivals with
+    retransmission: reliability is ``reach[-1] / mu``.  Losers stay pending,
+    so the backlog C carried out of a round follows C' = stragglers(C + A),
+    A ~ Poisson(mu), whose law comes from the occupancy walk
+    (:func:`straggler_laws`).  It is solved on the Poisson support plus 40
+    states, with the overflow kept on the top state.  Framed ALOHA with
+    immediate retransmission collapses under a large backlog (Schoute 1983),
+    so that law is only metastable: the top of its support must hold
+    negligible mass.  A tagged arrival's first round holds 1 + C + A''
+    contenders, A'' ~ Poisson(mu) its frame's other arrivals.  Of n it wins
+    with probability (1 - 1/K)^(n - 1), in a uniform slot c of the K =
+    ``push_tx_capacity``, and it loses among x stragglers with probability
+    P(X = x) x / n; its next round then holds x + A.  Won in round j, its
+    latency is j S + P0 + (c + 1) Q - o slots, with P0 = ``pull_slot_budget``,
+    Q = ``push_packet_slots`` and o its offset, uniform below S."""
+    S, Q, K = config.slots_per_frame, config.push_packet_slots, config.push_tx_capacity
+    mu = rate * config.frame_duration
+    assert K >= 1 and mu > 0
+    counts = _poisson_counts(mu)
+    size = len(counts) + 40  # backlog states
+    top = size + len(counts) - 1  # contenders of a round: backlog, arrivals and the tagged one
+    laws = straggler_laws(top, K)
+
+    def arrive(law):
+        """The law of a count plus A ~ Poisson(mu), overflow kept on ``top``."""
+        joined = np.convolve(law, counts)
+        joined[top] += joined[top + 1 :].sum()
+        return joined[: top + 1]
+
+    carried = sum(p * laws[a : a + size] for a, p in enumerate(counts))  # [C, C']
+    carried[:, size - 1] += carried[:, size:].sum(axis=1)
+    # balance[j, l] = P(l -> j) - [j == l]; the last equation is replaced by sum = 1
+    balance = carried[:, :size].T - np.eye(size)
+    balance[-1] = 1.0
+    backlog = np.linalg.solve(balance, np.eye(1, size, size - 1)[0])
+    assert backlog[-10:].sum() < 1e-9, "push backlog support too short: the load is past metastability"
+    n = np.arange(top + 1)
+    wins = (1 - 1 / K) ** np.maximum(n - 1, 0)
+    loses = laws * n / np.maximum(n, 1)[:, None]  # [n, x]: the tagged one among x stragglers
+    least_offset = config.pull_slot_budget + (np.arange(K) + 1) * Q - budget  # plus j S in round j
+    contenders = arrive(np.concatenate(([0.0], backlog, np.zeros(top - size))))
+    by_round = []
+    for j in range(1, budget // S + 2):  # no packet delivered later is on time
+        on_time = np.mean(S - np.clip(j * S + least_offset, 0, S)) / S
+        by_round.append(mu * (contenders @ wins) * on_time)
+        contenders = arrive(contenders @ loses)
     return np.concatenate(([0.0], np.cumsum(by_round)))
 
 

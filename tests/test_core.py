@@ -40,6 +40,10 @@ class TestFrameLayout:
         # 0.29 * 100 == 28.999999999999996 in IEEE doubles; floor must give 29
         layout = paper_config(0.29)
         assert layout.pull_slot_budget == 29
+        # at 10**8 slots the product's error passes any fixed epsilon: the
+        # budget is the most k with k / S <= alpha
+        assert math.floor(0.29 * 10**8 + 1e-9) == 28_999_999 and 29_000_000 / 10**8 == 0.29
+        assert FrameConfig(10**8, 0.01, 1, 1, 0.29).pull_slot_budget == 29_000_000
 
     def test_budgets_partition_frame(self):
         rng = np.random.default_rng(1)

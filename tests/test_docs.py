@@ -80,12 +80,13 @@ def module_name_resolves(name):
 def test_readme_module_names_resolve():
     names = readme_module_names()
     print(f"  {len(set(names))} module-qualified names in the README")
-    assert {"mac_cff.sample_arrival_offsets", "core.SLOT_LIMIT", "metrics.slot_budget"} <= set(names)
+    assert {"mac_cff.sample_arrival_offsets", "core.SLOT_LIMIT", "core.slot_budget"} <= set(names)
     assert [name for name in names if not module_name_resolves(name)] == []
 
 
 def test_unresolvable_module_names_are_caught():
     assert not module_name_resolves("traffic.sample_arrival_offsets")
     assert not module_name_resolves("mac_rcs.PushTrigger")
+    assert not module_name_resolves("metrics.slot_budget")
     assert not module_name_resolves("np.no_such_function")
     assert module_name_resolves("cli.main") and module_name_resolves("bit_generator.random_raw")

@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pushpull_mac.harness as harness
@@ -426,6 +427,17 @@ class TestRunExperiment:
         assert push_rows and all(r["metric_value"] == "" for r in push_rows)
         assert all(r["error"] == "" for r in push_rows)
 
+    def test_cff_absent_push_metric(self, tmp_path):
+        # a class with no measured arrival has no reliability: an empty cell,
+        # not an error, while the other class is measured
+        cfg = validate_config(cff_simulate_cfg(traffic={"pull_rate_pps": 300.0, "push_rate_pps": 0.0}))
+        rows = run_experiment(cfg, out=str(tmp_path / "c.csv")).rows
+        pull = [r for r in rows if r["metric_name"] == "pull_reliability"]
+        push = [r for r in rows if r["metric_name"] == "push_reliability"]
+        assert len(push) == 4 and all(r["metric_value"] == "" for r in push)
+        assert all(0.0 <= float(r["metric_value"]) <= 1.0 for r in pull)
+        assert all(r["error"] == "" for r in rows)
+
     def test_capacity_rows(self, tmp_path):
         data = cff_simulate_cfg(
             experiment="capacity",
@@ -456,6 +468,8 @@ class TestRunExperiment:
         assert meta["n_rows"] == 8
         assert meta["n_points"] == 4
         assert "version" in meta and "wall_time_s" in meta
+        # provenance: the numpy release whose sampling rules the kernels replay
+        assert meta["numpy"] == np.__version__
         # each point's wall seconds, in point order, within the run's
         times = meta["point_wall_s"]
         assert len(times) == 4 and all(t >= 0.0 for t in times) and sum(times) <= meta["wall_time_s"]

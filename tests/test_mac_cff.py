@@ -17,15 +17,16 @@ from pushpull_mac import (
     simulate_cff,
     uniform_slot_contention,
 )
-from pushpull_mac.mac_cff import PushAbortRule, contention_rounds
+from pushpull_mac.core import slot_budget
+from pushpull_mac.mac_cff import PushAbortRule, contention_rounds, reliability_within
 from pushpull_mac.capacity import WARMUP_FRACTION
-from pushpull_mac.metrics import reliability_within, slot_budget
 from _invariants import (
     check_cff_matches_reference,
     empirical_quantile,
     frame_arrival_counts,
     generator_emitting,
     pull_on_time,
+    push_on_time,
     z_score,
 )
 
@@ -522,36 +523,50 @@ class TestExactOracle:
         z = residual.mean() * math.sqrt(n) / residual.std(ddof=1)
         assert abs(z) <= 4
 
-    # the queueing regime: pull rates at 90 % of the pull service rate (6, 10
-    # and 14 packets per 10 ms frame), so packets wait behind leftovers
-    QUEUEING = ((0.3, 540.0), (0.5, 900.0), (0.7, 1260.0))
-    RUNS, HORIZON = 40, 10_000
+    HORIZON = 10_000
 
-    def test_pull_reliability_in_the_queueing_regime(self):
-        """The reliability of pull runs against its exact law
-        (``pull_on_time``), judged by the code's own ``slot_budget``, at 20 ms
-        and at 30 ms (a budget of 299 slots).  Each run measures frames W ..
-        H - 1 after a warm-up W, and frame H - 1 - k can deliver only k frames
-        on, so its on-time count has mean (H - W) reach[-1] - sum over k of
-        (reach[-1] - reach[k]); with arrivals as a control variate the per-run
-        residual on_time - reach[-1] / mu x arrived + that cut has mean 0.
-        At 50 ms the misses are rare bursts (reliability above 0.9998) and
-        the residuals too skewed for a normal z over 40 runs, so it is left out."""
+    def reliability_z_scores(self, klass, points, runs, targets, on_time_law):
+        """Runs of one class against its exact law, judged by the code's own
+        ``slot_budget``.  Each run measures frames W .. H - 1 after a warm-up
+        W, and frame H - 1 - k can deliver only k frames on, so its on-time
+        count has mean (H - W) reach[-1] - sum over k of (reach[-1] -
+        reach[k]); with arrivals as a control variate the per-run residual
+        on_time - reach[-1] / mu x arrived + that cut has mean 0."""
         warmup = int(self.HORIZON * WARMUP_FRACTION)
         zs = []
-        for alpha, rate in self.QUEUEING:
+        for alpha, rate in points:
             cfg = paper_config(alpha)
             mu = rate * cfg.frame_duration
-            runs = [simulate_cff(cfg, rate, 0, self.HORIZON, seed, warmup_frames=warmup) for seed in range(self.RUNS)]
-            arrived = np.array([rec.arrived(PULL) for rec in runs])
-            for target in (0.02, 0.03):
-                reach = pull_on_time(cfg, rate, slot_budget(target, cfg.slot_duration))
+            rates = (rate, 0) if klass is PULL else (0, rate)
+            recs = [simulate_cff(cfg, *rates, self.HORIZON, seed, warmup_frames=warmup) for seed in range(runs)]
+            arrived = np.array([rec.arrived(klass) for rec in recs])
+            for target in targets:
+                reach = on_time_law(cfg, rate, slot_budget(target, cfg.slot_duration))
                 cut = sum(reach[-1] - reach[k] for k in range(len(reach) - 1))
-                on_time = np.array([round(reliability_within(rec, PULL, target) * rec.arrived(PULL)) for rec in runs])
+                on_time = np.array([round(reliability_within(rec, klass, target) * rec.arrived(klass)) for rec in recs])
                 zs.append(z_score(on_time - reach[-1] / mu * arrived + cut))
         z_max = max(map(abs, zs))
-        print(f"pull reliability in the queueing regime: max |z| {z_max:.3f} over {len(zs)} z-scores")
-        assert z_max <= 4, zs
+        print(f"{klass.value} reliability: max |z| {z_max:.3f} over {len(zs)} z-scores")
+        return zs
+
+    def test_pull_reliability_in_the_queueing_regime(self):
+        """Pull rates at 90 % of the pull service rate (6, 10 and 14 packets
+        per 10 ms frame), so packets wait behind leftovers, against
+        ``pull_on_time`` at 20 ms and at 30 ms (a budget of 299 slots).  At
+        50 ms the misses are rare bursts (reliability above 0.9998) and the
+        residuals too skewed for a normal z over 40 runs, so it is left out."""
+        zs = self.reliability_z_scores(
+            PULL, ((0.3, 540.0), (0.5, 900.0), (0.7, 1260.0)), 40, (0.02, 0.03), pull_on_time
+        )
+        assert max(map(abs, zs)) <= 4, zs
+
+    def test_push_reliability_with_retransmission(self):
+        """Push rates with backlogs of a few packets, where losers retry in
+        every frame, against ``push_on_time`` at 20, 30 and 50 ms."""
+        zs = self.reliability_z_scores(
+            PUSH, ((0.2, 844.0), (0.5, 430.0), (0.8, 125.0)), 20, (0.02, 0.03, 0.05), push_on_time
+        )
+        assert max(map(abs, zs)) <= 4, zs
 
 
 # Exact outputs of nine runs, recorded before the pull FIFO was served in

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from pushpull_mac.mac_rcs import _independent_frames
 
 from _invariants import (
     RcsFrame,
-    _stragglers,
+    straggler_laws,
     check_rcs_run,
     generator_emitting,
     match_probability,
@@ -300,11 +302,20 @@ class TestExactOracle:
 
     def test_occupancy_law_small_cases(self):
         # two balls in two slots: both alone or both crowded, half the time each
-        assert _stragglers(2, 2) == pytest.approx([0.5, 0.0, 0.5])
+        assert straggler_laws(2, 2)[2].tolist() == pytest.approx([0.5, 0.0, 0.5])
         # three balls in three slots: 6 of 27 placements are all-alone, 3 all-crowded
-        assert _stragglers(3, 3) == pytest.approx([6 / 27, 0.0, 18 / 27, 3 / 27])
-        for m, r in ((5, 7), (12, 20), (4, 1)):
-            assert sum(_stragglers(m, r)) == pytest.approx(1.0)
+        assert straggler_laws(3, 3)[3].tolist() == pytest.approx([6 / 27, 0.0, 18 / 27, 3 / 27])
+        for m, r in ((5, 7), (12, 20), (4, 1), (3, 0)):
+            assert straggler_laws(m, r).sum(axis=1).tolist() == pytest.approx([1.0] * (m + 1))
+        # every m's law against all r**m placements
+        for r in (1, 2, 3):
+            laws = straggler_laws(4, r)
+            for m in range(5):
+                law = np.zeros(m + 1)
+                for placement in itertools.product(range(r), repeat=m):
+                    chosen = Counter(placement)
+                    law[sum(chosen[slot] > 1 for slot in placement)] += r**-m
+                assert laws[m].tolist() == pytest.approx(law.tolist() + [0.0] * (4 - m)), (m, r)
 
     @pytest.mark.parametrize("s, alpha", [(25, 0.0), (50, 0.4), (75, 0.8), (50, 1.0)])
     def test_simulation_matches_closed_form(self, s, alpha):

@@ -6,8 +6,8 @@ import numpy as np
 
 from pushpull_mac import CapacitySpec, FrameConfig, PacketClass, capacity, mac_cff, mac_rcs
 from pushpull_mac.capacity import make_cff_rate_evaluator, max_class_rate, max_rate, service_ceiling
-from pushpull_mac.mac_cff import PushAbortRule
-from pushpull_mac.metrics import reliability_within, slot_budget
+from pushpull_mac.core import slot_budget
+from pushpull_mac.mac_cff import PushAbortRule, reliability_within
 
 from _invariants import (
     check_cff_matches_reference,
