@@ -229,6 +229,11 @@ def pull_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(by_round)))
 
 
+class PastMetastability(AssertionError):
+    """The push backlog's law leaves mass on the top of its support: the
+    load is past the metastable regime :func:`push_on_time` solves."""
+
+
 def push_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
     """``reach[k]`` as in :func:`pull_on_time`, for push arrivals with
     retransmission: reliability is ``reach[-1] / mu``.  Losers stay pending,
@@ -238,8 +243,9 @@ def push_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
     states, with the overflow kept on the top state.  Framed ALOHA with
     immediate retransmission collapses under a large backlog (Schoute 1983),
     so that law is only metastable: the top of its support must hold
-    negligible mass.  A tagged arrival's first round holds 1 + C + A''
-    contenders, A'' ~ Poisson(mu) its frame's other arrivals.  Of n it wins
+    negligible mass, else :class:`PastMetastability` is raised.  A tagged
+    arrival's first round holds 1 + C + A'' contenders, A'' ~ Poisson(mu)
+    its frame's other arrivals.  Of n it wins
     with probability (1 - 1/K)^(n - 1), in a uniform slot c of the K =
     ``push_tx_capacity``, and it loses among x stragglers with probability
     P(X = x) x / n; its next round then holds x + A.  Won in round j, its
@@ -265,7 +271,8 @@ def push_on_time(config: FrameConfig, rate: float, budget: int) -> np.ndarray:
     balance = carried[:, :size].T - np.eye(size)
     balance[-1] = 1.0
     backlog = np.linalg.solve(balance, np.eye(1, size, size - 1)[0])
-    assert backlog[-10:].sum() < 1e-9, "push backlog support too short: the load is past metastability"
+    if backlog[-10:].sum() >= 1e-9:
+        raise PastMetastability(f"push backlog support too short at {rate} pps")
     n = np.arange(top + 1)
     wins = (1 - 1 / K) ** np.maximum(n - 1, 0)
     loses = laws * n / np.maximum(n, 1)[:, None]  # [n, x]: the tagged one among x stragglers

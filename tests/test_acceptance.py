@@ -30,6 +30,7 @@ from pushpull_mac.mac_cff import contention_rounds
 from _invariants import (
     check_cff_run,
     check_rcs_frame,
+    PastMetastability,
     pull_on_time,
     push_on_time,
     random_cff_config,
@@ -70,8 +71,9 @@ FRONTIER_CONFIG = {
 def test_criterion_1_capacity_frontier_qualitative():
     """Fig.-3-style frontier, as the harness (and ``pushpull-mac capacity``)
     writes it: monotone in alpha, dominated by larger L, bounded by the pull
-    service ceiling, each pull row within a rate tolerance of the exact
-    capacity; finishes inside 10 minutes."""
+    service ceiling, each pull row and each push row where the push law's
+    support holds within a rate tolerance of the exact capacity; finishes
+    inside 10 minutes."""
     alphas = FRONTIER_CONFIG["alphas"]
     tol = FRONTIER_CONFIG["capacity"]["rate_tolerance_pps"]
     start = time.monotonic()
@@ -107,7 +109,8 @@ def test_criterion_1_capacity_frontier_qualitative():
                     problems.append(
                         f"{klass} dominance broken at alpha={alpha}: L={hi_l} gives {hi:.0f} < L={lo_l} {lo:.0f}"
                     )
-    problems += _exact_capacity_problems(rates, tol, PULL) + _exact_capacity_problems(rates, tol, PUSH)
+    # every pull row; two thirds of the push rows (20 of 27 hold the push law's support at both ends)
+    problems += _exact_capacity_problems(rates, tol, PULL, 27) + _exact_capacity_problems(rates, tol, PUSH, 18)
     if elapsed > 600.0:
         problems.append(f"runtime {elapsed:.0f}s exceeds 600s")
     _report(
@@ -117,19 +120,21 @@ def test_criterion_1_capacity_frontier_qualitative():
     )
 
 
-def _exact_capacity_problems(rates, tol, klass):
+def _exact_capacity_problems(rates, tol, klass, min_checked):
     """Each row of ``klass`` against the exact capacity of the stationary
     system (``pull_on_time`` or ``push_on_time``, on time by
     ``slot_budget``): the capacity lies in [row - tol, row + 2 tol), so the
     exact reliability is at least the target at row - tol and below it at
     row + 2 tol, unless that rate reaches the service ceiling, which no
     stable rate does.  The capacity itself, bisected to 1 pps, gives the
-    row's offset.  The push law is only metastable; a row where its support
-    does not hold is not checked."""
+    row's offset.  The push law is only metastable: an end or a bisection
+    step past its support (``PastMetastability``) is not checked, and the
+    rest of the row still is.  At least ``min_checked`` rows must be
+    checked at both ends; an end at 0 pps or at the ceiling holds trivially."""
     config = validate_config(FRONTIER_CONFIG)
     target = config.target_reliability
     on_time_law = pull_on_time if klass is PULL else push_on_time
-    problems, offsets, lows, highs, at_ceiling, unchecked = [], [], [], [], 0, 0
+    problems, offsets, lows, highs, at_ceiling, checked = [], [], [], [], 0, 0
     for l_ms in config.latency_targets_ms:
         for alpha, row in zip(config.alphas, rates[f"max_{klass.value}_rate_pps", l_ms]):
             frame = config.frame_config(alpha)
@@ -137,42 +142,53 @@ def _exact_capacity_problems(rates, tol, klass):
             ceiling = service_ceiling(frame, klass)
 
             def reliability(rate):
-                return on_time_law(frame, rate, budget)[-1] / (rate * frame.frame_duration)
+                """The exact reliability at ``rate``, or None past the push law's support."""
+                try:
+                    return on_time_law(frame, rate, budget)[-1] / (rate * frame.frame_duration)
+                except PastMetastability:
+                    return None
 
             name = f"{klass.value} alpha={alpha} L={l_ms}"
             lo, hi = row - tol, row + 2 * tol
             if lo >= ceiling:
                 problems.append(f"{name}: {lo:.1f} pps is past the ceiling {ceiling:.1f}")
                 continue
-            try:
-                low = reliability(lo) if lo > 0 else None
-                high = reliability(hi) if hi < ceiling else None
-                lo, hi = max(lo, 0.0), min(hi, ceiling)
-                while hi - lo > 1.0:
-                    mid = (lo + hi) / 2
-                    lo, hi = (mid, hi) if reliability(mid) >= target else (lo, mid)
-            except AssertionError:  # only the push backlog's support check raises
-                unchecked += 1
-                continue
-            if low is not None:
+            ends = 0
+            if lo <= 0:
+                ends += 1
+            elif (low := reliability(lo)) is not None:
+                ends += 1
                 lows.append(low)
                 if low < target:
-                    problems.append(f"{name}: exact reliability {low:.4f} at {row - tol:.1f} pps")
-            if high is None:
+                    problems.append(f"{name}: exact reliability {low:.4f} at {lo:.1f} pps")
+            if hi >= ceiling:
+                ends += 1
                 at_ceiling += 1
-            else:
+                hi = ceiling
+            elif (high := reliability(hi)) is not None:
+                ends += 1
                 highs.append(high)
                 if high >= target:
-                    problems.append(f"{name}: exact reliability {high:.4f} at {row + 2 * tol:.1f} pps")
-            offsets.append((abs(lo - row), lo - row, alpha, l_ms))
-    if not offsets:
-        return problems
-    _, offset, alpha, l_ms = max(offsets)
+                    problems.append(f"{name}: exact reliability {high:.4f} at {hi:.1f} pps")
+            checked += ends == 2
+            lo = max(lo, 0.0)
+            while hi - lo > 1.0:
+                mid = (lo + hi) / 2
+                if (at_mid := reliability(mid)) is None:
+                    break
+                lo, hi = (mid, hi) if at_mid >= target else (lo, mid)
+            else:
+                offsets.append((abs(lo - row), lo - row, alpha, l_ms))
+    rows = len(config.latency_targets_ms) * len(config.alphas)
+    if checked < min_checked:
+        problems.append(f"{klass.value}: {checked} of {rows} rows checked at both ends, fewer than {min_checked}")
+    _, offset, alpha, l_ms = max(offsets, default=(0, math.nan, None, None))
     print(
-        f"  exact {klass.value} capacities: {len(offsets)} rows checked, {unchecked} past the law's support,"
-        f" largest offset {offset:+.1f} pps (alpha={alpha}, L={l_ms}ms); reliability"
-        f" >= {min(lows, default=math.nan):.4f} at row - tol, <= {max(highs, default=math.nan):.4f} at row + 2 tol"
-        f" ({at_ceiling} rows at the ceiling)"
+        f"  exact {klass.value} capacities: {checked} of {rows} rows checked at both ends; {len(lows)} lower"
+        f" and {len(highs)} upper ends evaluated, {at_ceiling} more at the ceiling;"
+        f" largest offset {offset:+.1f} pps (alpha={alpha}, L={l_ms}ms) over {len(offsets)} bisected;"
+        f" reliability >= {min(lows, default=math.nan):.4f} at row - tol,"
+        f" <= {max(highs, default=math.nan):.4f} at row + 2 tol"
     )
     return problems
 
