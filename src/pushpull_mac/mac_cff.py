@@ -78,8 +78,10 @@ one sort, latencies and ``on_delivery`` calls are built from the settled
 winners, and the pull FIFO, which draws no randomness, is served in closed
 form (:func:`schedule_pull`).
 
-The run record (:class:`MetricsRecord`) keeps per class the measured
-arrivals, misses and an int64 array of delivered latencies in slots, so
+The run record (:class:`MetricsRecord`) is a frozen value that
+``simulate_cff`` builds once at the end of a run, and :func:`merge_records`
+once per pooling.  Per class it holds an int64 array of the measured
+deliveries' latencies in slots, the misses and the measured arrivals, so
 ``len(latency_slots) + failed == arrived``.  :func:`reliability_within`
 counts a latency on time iff it is within :func:`~.core.slot_budget`, the
 push abort's rule, and reads None for a class with no arrival, as the RCS
@@ -133,33 +135,22 @@ _HELD_CONTENDERS = 2**10
 _ONE = np.array(1, dtype=np.int64)
 
 
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
-    """Per-class arrivals, misses and delivered latencies (slots) of CFF runs
-    with one slot duration (seconds)."""
+    """Per-class delivered latencies (int64 slots, in delivery order), misses
+    and arrivals of CFF runs with one slot duration (seconds)."""
 
-    __slots__ = ("slot_duration", "_classes")
-
-    def __init__(self, slot_duration: float) -> None:
-        self.slot_duration = slot_duration
-        # per class: [latency slots, misses, arrivals], one lookup an add
-        self._classes = {klass: [np.empty(0, dtype=np.int64), 0, 0] for klass in PacketClass}
-
-    def add(self, klass: PacketClass, latency_slots=(), failed: int = 0, arrived: int = 0) -> None:
-        """Append delivered latencies (slots) and count misses and arrivals."""
-        entry = self._classes[klass]
-        if len(latency_slots):
-            entry[0] = np.concatenate((entry[0], np.asarray(latency_slots, dtype=np.int64)))
-        entry[1] += failed
-        entry[2] += arrived
+    slot_duration: float
+    classes: Dict[PacketClass, Tuple[np.ndarray, int, int]]
 
     def latency_slots(self, klass: PacketClass) -> np.ndarray:
-        return self._classes[klass][0]
+        return self.classes[klass][0]
 
     def failed(self, klass: PacketClass) -> int:
-        return self._classes[klass][1]
+        return self.classes[klass][1]
 
     def arrived(self, klass: PacketClass) -> int:
-        return self._classes[klass][2]
+        return self.classes[klass][2]
 
     def latencies(self, klass: PacketClass) -> List[float]:
         """Delivered latencies in seconds, then one +inf per miss."""
@@ -172,15 +163,21 @@ def merge_records(records: Iterable[MetricsRecord]) -> MetricsRecord:
     records = list(records)
     if not records:
         raise ValueError("merge_records needs at least one record: the merged record takes its slot duration")
-    merged = MetricsRecord(records[0].slot_duration)
+    slot_duration = records[0].slot_duration
     for rec in records:
-        if rec.slot_duration != merged.slot_duration:
-            raise ValueError(f"cannot merge records of slot durations {merged.slot_duration} and {rec.slot_duration}")
-    for klass, entry in merged._classes.items():
-        entry[0] = np.concatenate([rec.latency_slots(klass) for rec in records])
-        entry[1] = sum(rec.failed(klass) for rec in records)
-        entry[2] = sum(rec.arrived(klass) for rec in records)
-    return merged
+        if rec.slot_duration != slot_duration:
+            raise ValueError(f"cannot merge records of slot durations {slot_duration} and {rec.slot_duration}")
+    return MetricsRecord(
+        slot_duration,
+        {
+            klass: (
+                np.concatenate([rec.latency_slots(klass) for rec in records]),
+                sum(rec.failed(klass) for rec in records),
+                sum(rec.arrived(klass) for rec in records),
+            )
+            for klass in PacketClass
+        },
+    )
 
 
 def reliability_within(record: MetricsRecord, klass: PacketClass, latency_target: float) -> Optional[float]:
@@ -531,8 +528,6 @@ def simulate_cff(
     push_stride = config.push_packet_slots
     measured_from_slot = warmup_frames * S
 
-    record = MetricsRecord(slot_dur)
-
     # Canonical draw order: both per-frame Poisson count batches up front (a
     # zero rate draws nothing), then per frame: push contention, pull arrival
     # offsets, push arrival offsets.
@@ -649,11 +644,12 @@ def simulate_cff(
     # push deliveries in the order the rounds made them: by frame, then in
     # pending order (ascending packet index)
     won_packets, won_slots = map(np.concatenate, zip(*won))
-    _deliver(record, PacketClass.PUSH, push_arrivals[won_packets], won_slots, measured_from_slot, S, on_delivery)
+    push_latency = _deliver(PacketClass.PUSH, push_arrivals[won_packets], won_slots, measured_from_slot, S, on_delivery)
 
     # pull sub-frames: contention-free FIFO service, closed form over the
     # frames that ran (an aborted frame's pull sub-frame ran before the abort)
     n_served = 0
+    pull_latency = np.empty(0, dtype=np.int64)
     if config.pull_tx_capacity and pull_arrivals.size:
         pull_frames = min(arrived_frames + 1, horizon_frames)
         delivery_slots = schedule_pull(
@@ -663,18 +659,27 @@ def simulate_cff(
             config.pull_packet_slots,
         )
         n_served = delivery_slots.size
-        _deliver(record, PacketClass.PULL, pull_arrivals[:n_served], delivery_slots, measured_from_slot, S, on_delivery)
+        pull_latency = _deliver(
+            PacketClass.PULL, pull_arrivals[:n_served], delivery_slots, measured_from_slot, S, on_delivery
+        )
 
-    _close_run(
-        record,
-        int(np.count_nonzero(pull_arrivals[n_served:] >= measured_from_slot)),
-        int(np.count_nonzero(pend >= n_warm)) + dropped,
-        pull_counts,
-        push_counts,
-        arrived_frames=arrived_frames,
-        warmup_frames=warmup_frames,
+    # close the run at the horizon or the abort: a miss is every measured
+    # packet still queued, pending or dropped, and every arrival of the
+    # frames from arrived_frames on (never simulated), so arrived == delivered
+    # + failed exactly; at the horizon the future slices are empty
+    start = max(arrived_frames, warmup_frames)
+    pull_left = int(np.count_nonzero(pull_arrivals[n_served:] >= measured_from_slot))
+    push_left = int(np.count_nonzero(pend >= n_warm)) + dropped
+    return MetricsRecord(
+        slot_dur,
+        {
+            klass: (latency, left + int(counts[start:].sum()), int(counts[warmup_frames:].sum()))
+            for klass, latency, left, counts in (
+                (PacketClass.PULL, pull_latency, pull_left, pull_counts),
+                (PacketClass.PUSH, push_latency, push_left, push_counts),
+            )
+        },
     )
-    return record
 
 
 def _settle(
@@ -706,41 +711,19 @@ def _arrival_slots(
 
 
 def _deliver(
-    record: MetricsRecord,
     klass: PacketClass,
     arrivals: np.ndarray,
     deliveries: np.ndarray,
     measured_from_slot: int,
     S: int,
     on_delivery: Optional[DeliveryCallback],
-) -> None:
-    """Record deliveries made in frame order (packets that arrived from slot
-    ``measured_from_slot`` on are measured), with one ``on_delivery`` call per
-    delivering sub-frame."""
-    record.add(klass, (deliveries + 1 - arrivals)[arrivals >= measured_from_slot])
+) -> np.ndarray:
+    """The measured latencies (slots) of deliveries made in frame order
+    (packets that arrived from slot ``measured_from_slot`` on are measured),
+    with one ``on_delivery`` call per delivering sub-frame."""
+    latency = (deliveries + 1 - arrivals)[arrivals >= measured_from_slot]
     if on_delivery is not None and deliveries.size:
         cuts = np.flatnonzero(np.diff(deliveries // S)) + 1
         for arrival, delivery in zip(np.split(arrivals, cuts), np.split(deliveries, cuts)):
             on_delivery(klass, arrival, delivery)
-
-
-def _close_run(
-    record: MetricsRecord,
-    pull_left: int,
-    push_left: int,
-    pull_counts: np.ndarray,
-    push_counts: np.ndarray,
-    arrived_frames: int,
-    warmup_frames: int,
-) -> None:
-    """Close a run at the horizon or an abort: count the measured arrivals,
-    and as a miss every measured packet still queued, pending or dropped
-    (``pull_left``, ``push_left``) and every arrival of the frames from
-    ``arrived_frames`` on (never simulated), keeping arrived == delivered +
-    failed exact.  At the horizon the future slices are empty."""
-    start = max(arrived_frames, warmup_frames)
-    for klass, left, counts in (
-        (PacketClass.PULL, pull_left, pull_counts),
-        (PacketClass.PUSH, push_left, push_counts),
-    ):
-        record.add(klass, failed=left + int(counts[start:].sum()), arrived=int(counts[warmup_frames:].sum()))
+    return latency

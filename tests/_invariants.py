@@ -306,14 +306,20 @@ def check_cff_matches_reference(config: FrameConfig, pull_rate, push_rate, horiz
         record = run(config, pull_rate, push_rate, horizon_frames, rng, on_delivery=lambda *d: log.append(d), **kw)
         runs.append((record, log))
     (want, want_log), (got, got_log) = runs
+    assert_same_record(got, want)
+    assert len(got_log) == len(want_log), "on_delivery call count differs"
+    for (k1, a1, d1), (k2, a2, d2) in zip(got_log, want_log):
+        assert k1 is k2 and a1.tolist() == a2.tolist() and d1.tolist() == d2.tolist(), "on_delivery calls differ"
+
+
+def assert_same_record(got, want) -> None:
+    """Two CFF records hold the same slot duration and, per class, the same
+    latencies in the same order, arrivals and misses."""
     assert got.slot_duration == want.slot_duration
     for klass in PacketClass:
         assert got.latency_slots(klass).tolist() == want.latency_slots(klass).tolist(), f"{klass} latencies differ"
         assert got.arrived(klass) == want.arrived(klass), f"{klass} arrivals differ"
         assert got.failed(klass) == want.failed(klass), f"{klass} misses differ"
-    assert len(got_log) == len(want_log), "on_delivery call count differs"
-    for (k1, a1, d1), (k2, a2, d2) in zip(got_log, want_log):
-        assert k1 is k2 and a1.tolist() == a2.tolist() and d1.tolist() == d2.tolist(), "on_delivery calls differ"
 
 
 def reference_cff_run(
@@ -342,7 +348,10 @@ def reference_cff_run(
     push_stride = config.push_packet_slots
     push_start_off = config.pull_slot_budget
     measured_from_slot = warmup_frames * S
-    record = MetricsRecord(slot_dur)
+    # measured latencies (slots) per class in delivery order, and the
+    # measured push packets dropped after their single attempt
+    latencies = {klass: [] for klass in PacketClass}
+    dropped = 0
 
     # draw order: both per-frame count batches, then per frame: push
     # contention, pull arrival offsets, push arrival offsets
@@ -382,14 +391,13 @@ def reference_cff_run(
                 won_arrival = pend_arrival[winner_mask]
                 delivery_slots = choices[winner_mask] * push_stride + (f * S + push_start_off + push_stride - 1)
                 lats = delivery_slots + 1 - won_arrival
-                record.add(PacketClass.PUSH, lats[won_arrival >= measured_from_slot])
+                latencies[PacketClass.PUSH].append(lats[won_arrival >= measured_from_slot])
                 if on_delivery is not None:
                     on_delivery(PacketClass.PUSH, won_arrival, delivery_slots)
             if push_retransmit:
                 pend_arrival = pend_arrival[~winner_mask]
             else:
-                lost = int(np.count_nonzero(pend_arrival[~winner_mask] >= measured_from_slot))
-                record.add(PacketClass.PUSH, failed=lost)
+                dropped += int(np.count_nonzero(pend_arrival[~winner_mask] >= measured_from_slot))
                 pend_arrival = pend_arrival[:0]
         if push_abort is not None and pend_arrival.size:
             # a packet of frame g pending now is delivered from slot (f+1)*S
@@ -422,22 +430,25 @@ def reference_cff_run(
         n_served = delivery_slots.size
         served = pull_arrivals[:n_served]
         lats = delivery_slots + 1 - served
-        record.add(PacketClass.PULL, lats[served >= measured_from_slot])
+        latencies[PacketClass.PULL].append(lats[served >= measured_from_slot])
         if on_delivery is not None and n_served:
             cuts = np.flatnonzero(np.diff(delivery_slots // S)) + 1
             for arrival, delivery in zip(np.split(served, cuts), np.split(delivery_slots, cuts)):
                 on_delivery(PacketClass.PULL, arrival, delivery)
 
-    # close the run: undelivered measured packets, and every arrival of the
-    # frames never simulated after an abort, are misses
+    # close the run: undelivered measured packets (queued, pending or
+    # dropped), and every arrival of the frames never simulated after an
+    # abort, are misses
     start = max(arrived_frames, warmup_frames)
-    for klass, pending, counts in (
-        (PacketClass.PULL, pull_arrivals[n_served:], pull_counts),
-        (PacketClass.PUSH, pend_arrival, push_counts),
+    classes = {}
+    for klass, pending, lost, counts in (
+        (PacketClass.PULL, pull_arrivals[n_served:], 0, pull_counts),
+        (PacketClass.PUSH, pend_arrival, dropped, push_counts),
     ):
-        missed = int(np.count_nonzero(pending >= measured_from_slot)) + int(counts[start:].sum())
-        record.add(klass, failed=missed, arrived=int(counts[warmup_frames:].sum()))
-    return record
+        missed = int(np.count_nonzero(pending >= measured_from_slot)) + lost + int(counts[start:].sum())
+        lats = np.concatenate(latencies[klass]) if latencies[klass] else np.empty(0, dtype=np.int64)
+        classes[klass] = (lats, missed, int(counts[warmup_frames:].sum()))
+    return MetricsRecord(slot_dur, classes)
 
 
 def reference_rate_evaluator(config: FrameConfig, klass: PacketClass, spec: CapacitySpec, master_seed: int):
@@ -504,10 +515,13 @@ def check_cff_run(config: FrameConfig, rng: np.random.Generator) -> None:
         push_retransmit=retransmit,
         on_delivery=lambda *d: deliveries.append(d),
     )
+    # watching the deliveries changes nothing
+    assert_same_record(simulate_cff(config, pull_rate, push_rate, horizon, seed=seed, push_retransmit=retransmit), record)
 
     # exact conservation per class (no warm-up); the recorded latencies are
-    # the delivery callbacks' own, in order
+    # the delivery callbacks' own, in order, held as int64 slot counts
     for klass in PacketClass:
+        assert record.latency_slots(klass).dtype == np.int64
         assert record.arrived(klass) == len(record.latency_slots(klass)) + record.failed(klass)
         assert len(record.latencies(klass)) == record.arrived(klass)
         lats = [d + 1 - a for k, a, d in deliveries if k is klass]

@@ -62,6 +62,7 @@ def test_library_surface_names_every_export():
 def test_unresolvable_names_are_caught():
     assert not resolves("RcsResult.record")
     assert not resolves("MetricsRecord.extend_deliveries")
+    assert not resolves("MetricsRecord.add")
     assert not resolves("mac_rcs.FrameLog")
     assert resolves("pushpull_mac") and resolves("mac_rcs.RcsResult")
 

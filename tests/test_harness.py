@@ -626,8 +626,9 @@ class TestRunExperiment:
         assert seeds == [_point_seed(9, i) for i in range(len(jobs))]
 
 
-# Sweeps whose points pool three replications: the CFF rows read records
-# merged by ``merge_records``, the RCS rows frame counts pooled across runs,
+# Sweeps whose points pool three replications, or five in the shipped
+# configs/cff_single.json: the CFF rows read records merged by
+# ``merge_records``, the RCS rows frame counts pooled across runs,
 # and the capacity rows a bisection whose probes average three runs.
 # The CSV digests were recorded before the record kept latencies in slots
 # and RCS results were read from frame counts, and the capacity digest
@@ -654,6 +655,10 @@ REPLICATED_SWEEPS = {
             master_seed=1,
         ),
         "a3d167455a4b10fc4acf6d34dc5c1f78a6866b6eac6cc33f4193e654510f2349",
+    ),
+    "cff_single": (
+        json.loads((REPO / "configs" / "cff_single.json").read_text()),
+        "41787fd420ae44e1adc23ce38c19dc0cdc2860a0dda563dd2c1ae1909d4e40b6",
     ),
     "rcs": (
         rcs_cfg(

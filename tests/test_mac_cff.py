@@ -15,10 +15,9 @@ from pushpull_mac import (
     rawdraw,
     schedule_pull,
     simulate_cff,
-    uniform_slot_contention,
 )
 from pushpull_mac.core import slot_budget
-from pushpull_mac.mac_cff import PushAbortRule, contention_rounds, reliability_within
+from pushpull_mac.mac_cff import PushAbortRule, contention_rounds, reliability_within, uniform_slot_contention
 from pushpull_mac.capacity import WARMUP_FRACTION
 from _invariants import (
     check_cff_matches_reference,

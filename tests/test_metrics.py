@@ -14,10 +14,15 @@ PULL, PUSH = PacketClass.PULL, PacketClass.PUSH
 SLOT = FrameConfig(100, 0.01, 5, 1, 0.5).slot_duration
 
 
-def record_with(klass, latency_slots, failures=0, slot_duration=SLOT):
-    rec = MetricsRecord(slot_duration)
-    rec.add(klass, latency_slots, failed=failures, arrived=len(latency_slots) + failures)
-    return rec
+def record_with(klass, latency_slots, failures=0, slot_duration=SLOT, arrived=None, other=((), 0, 0)):
+    """A record whose ``klass`` holds these latencies (slots), misses and
+    arrivals (by default delivered + failed: none in flight), and whose other
+    class holds ``other`` = (latency slots, misses, arrivals)."""
+    if arrived is None:
+        arrived = len(latency_slots) + failures
+    classes = {k: (np.asarray(other[0], dtype=np.int64), *other[1:]) for k in PacketClass}
+    classes[klass] = (np.asarray(latency_slots, dtype=np.int64), failures, arrived)
+    return MetricsRecord(slot_duration, classes)
 
 
 def eps_floor(x):
@@ -41,15 +46,13 @@ class TestReliabilityWithin:
     def test_empty_sample_signalled(self):
         # no arrival reads None, as the RCS push success probability does
         # with no push attempted; the CSV writes an empty cell
-        assert reliability_within(MetricsRecord(SLOT), PULL, 0.02) is None
+        assert reliability_within(record_with(PULL, []), PULL, 0.02) is None
         rec = record_with(PUSH, [3])
         assert reliability_within(rec, PULL, 0.02) is None and reliability_within(rec, PUSH, 0.02) == 1.0
 
     def test_in_flight_counts_against(self):
         # arrivals recorded but not yet resolved sit in the denominator
-        rec = MetricsRecord(SLOT)
-        rec.add(PULL, arrived=4)
-        rec.add(PULL, [100])
+        rec = record_with(PULL, [100], arrived=4)
         assert reliability_within(rec, PULL, 0.02) == pytest.approx(0.25)
 
     def test_float_boundary_on_the_paper_frame(self):
@@ -112,14 +115,6 @@ class TestRecord:
         assert rec.latencies(PUSH) == [3 * SLOT, 1 * SLOT, 2 * SLOT, math.inf, math.inf]
         assert (rec.arrived(PULL), len(rec.latency_slots(PULL)), rec.failed(PULL), rec.latencies(PULL)) == (0, 0, 0, [])
 
-    def test_adds_accumulate(self):
-        rec = MetricsRecord(SLOT)
-        rec.add(PULL, [4])
-        rec.add(PULL, failed=1)
-        rec.add(PULL, np.array([7, 8]), arrived=4)
-        assert rec.latency_slots(PULL).tolist() == [4, 7, 8]
-        assert (rec.arrived(PULL), len(rec.latency_slots(PULL)), rec.failed(PULL)) == (4, 3, 1)
-
 
 class TestEmpiricalQuantile:
     def test_order_statistic_100(self):
@@ -177,9 +172,7 @@ class TestConsistency:
 class TestMerge:
     def make(self, seed):
         rng = np.random.default_rng(seed)
-        rec = record_with(PULL, rng.integers(10, 1000, size=5), failures=int(rng.integers(0, 3)))
-        rec.add(PUSH, [200], failed=1, arrived=2)
-        return rec
+        return record_with(PULL, rng.integers(10, 1000, size=5), failures=int(rng.integers(0, 3)), other=([200], 1, 2))
 
     def test_counters_add(self):
         a, b = self.make(1), self.make(2)
