@@ -4,7 +4,8 @@ harness's ``capacity`` experiment runs it per class over the pull fraction.
 
 Reliability is assumed nonincreasing in the offered rate; a runtime guard
 flags observed violations beyond Monte Carlo noise instead of failing
-silently.
+silently.  The harness does not yet write that flag to the CSV or its
+sidecar.
 """
 from __future__ import annotations
 
@@ -68,17 +69,25 @@ class MaxRateResult:
     """Outcome of one capacity search.
 
     ``rate`` is the highest probed rate that met the target (the lower bracket
-    end); ``unreachable`` marks searches where no probed rate passed.
-    ``probes`` lists (rate, reliability, complete) in probe order.  A probe
-    that is not complete stopped once it could no longer pass: its
-    reliability is the bound that stopped it, below the target, not a full
-    mean.
+    end), 0.0 when none did.  ``probes`` lists (rate, reliability, complete)
+    in probe order.  A probe that is not complete stopped once it could no
+    longer pass: its reliability is the bound that stopped it, below the
+    target, not a full mean.  The two flags are read from these fields.
     """
 
     rate: float
-    unreachable: bool
-    monotonicity_violated: bool
     probes: Tuple[Tuple[float, float, bool], ...]
+
+    @property
+    def unreachable(self) -> bool:
+        """No probe passed: every probe is at a positive rate, so only a pass moves ``rate`` off 0.0."""
+        return self.rate == 0.0
+
+    @property
+    def monotonicity_violated(self) -> bool:
+        """Some complete probe beats the next lower complete probe by more than ``NOISE_MARGIN``."""
+        by_rate = sorted((rate, rel) for rate, rel, complete in self.probes if complete)
+        return any(high[1] > low[1] + NOISE_MARGIN for low, high in zip(by_rate, by_rate[1:]))
 
 
 def max_rate(evaluate: Callable[[float], Tuple[float, bool]], spec: CapacitySpec) -> MaxRateResult:
@@ -93,26 +102,15 @@ def max_rate(evaluate: Callable[[float], Tuple[float, bool]], spec: CapacitySpec
     """
     lo, hi = 0.0, spec.rate_upper_bound
     probes: List[Tuple[float, float, bool]] = []
-    passed_any = False
     while hi - lo > spec.rate_tolerance:
         mid = 0.5 * (lo + hi)
         rel, complete = evaluate(mid)
         probes.append((mid, float(rel), bool(complete)))
         if rel >= spec.target_reliability:
             lo = mid
-            passed_any = True
         else:
             hi = mid
-    by_rate = sorted((rate, rel) for rate, rel, complete in probes if complete)
-    violated = any(
-        by_rate[i + 1][1] > by_rate[i][1] + NOISE_MARGIN for i in range(len(by_rate) - 1)
-    )
-    return MaxRateResult(
-        rate=lo,
-        unreachable=not passed_any,
-        monotonicity_violated=violated,
-        probes=tuple(probes),
-    )
+    return MaxRateResult(rate=lo, probes=tuple(probes))
 
 
 def make_cff_rate_evaluator(
@@ -134,35 +132,30 @@ def make_cff_rate_evaluator(
     is bounded by scoring every run not yet made 1.0, with the same
     left-to-right float ``sum(...) / R`` as the full mean.  Float addition
     and division round monotonically and no run scores above 1.0, so once
-    that bound is below the target t, the full mean is too: the probe
-    returns the bound with ``complete`` False.  A probe that is not stopped
-    returns its full mean with ``complete`` True.
+    that bound is below the target t with runs left, the full mean is too:
+    the probe returns the bound with ``complete`` False.  ``complete`` True
+    means all R runs were made, and the value is their full mean.
 
-    Push runs carry a :class:`PushAbortRule`, which stops a run once missing
-    its target is certain (the record then understates reliability).  Run
-    j's target is what it must score for the probe to pass,
-    R·t − (Σ done + R − j − 1), less a slack of 1e-9·R² (far above the
-    rounding of these R-term sums, about R²·2⁻⁵³), and never below t.  At t
-    it is the plain per-run abort; above t an abort certifies that the
-    probe fails, and the bound then stops it.  So stops change no pass/fail
-    and no complete probe's value.
-    The per-run abort at t is certified per run, not per probe: its
-    understated value lowers the mean, so with R > 1 a probe whose other
-    runs pass could in principle flip from pass to fail.  That is kept, so
-    that capacities stay as they were, until the search is re-recorded.
+    Each push run carries ``PushAbortRule(target_latency, t)``, which stops
+    the run once missing t is certain (the record then understates
+    reliability).  Raising run j's target to what the probe needs from it,
+    R·t − (Σ done + R − j − 1) less a rounding slack, would change no
+    pass/fail and no run count: that abort fires only when the run's full
+    reliability is below the need, so the value recorded at t is too, and
+    the bound stops the probe after the same run.  The abort at t is
+    certified per run, not per probe: its understated value lowers the
+    mean, so with R > 1 a probe whose other runs pass could in principle
+    flip from pass to fail.  That is kept, so that capacities stay as they
+    were, until the search is re-recorded.
     """
     warmup = int(spec.horizon_frames * WARMUP_FRACTION)
     R, t = spec.replications, spec.target_reliability
-    slack = 1e-9 * R * R
+    abort = PushAbortRule(spec.target_latency, t) if klass is PacketClass.PUSH else None
 
     def evaluate(rate: float) -> Tuple[float, bool]:
         pull_rate, push_rate = (rate, 0.0) if klass is PacketClass.PULL else (0.0, rate)
         rels: List[float] = []
         for j in range(R):
-            target, abort = t, None
-            if klass is PacketClass.PUSH:
-                target = max(t, R * t - (sum(rels) + (R - j - 1)) - slack)
-                abort = PushAbortRule(spec.target_latency, target)
             rec = simulate_cff(
                 config,
                 pull_rate,
@@ -175,9 +168,7 @@ def make_cff_rate_evaluator(
             rel = reliability_within(rec, klass, spec.target_latency)
             rels.append(1.0 if rel is None else rel)
             bound = sum(rels + [1.0] * (R - j - 1)) / R
-            # after the last run the bound is the full mean, exact unless
-            # that run's target was raised above t
-            if bound < t and (j + 1 < R or target > t):
+            if bound < t and j + 1 < R:
                 return bound, False
         return bound, True
 
@@ -214,5 +205,5 @@ def max_class_rate(
     """Capacity search for one class over the bracket of :func:`search_spec`."""
     bounded = search_spec(config, klass, spec)
     if bounded is None:
-        return MaxRateResult(rate=0.0, unreachable=True, monotonicity_violated=False, probes=())
+        return MaxRateResult(rate=0.0, probes=())
     return max_rate(make_cff_rate_evaluator(config, klass, bounded, master_seed), bounded)

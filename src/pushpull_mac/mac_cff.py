@@ -209,9 +209,8 @@ class PushAbortRule:
     understates reliability (remaining arrivals count as misses) but the
     pass/fail comparison against the target is exact, and the run stays
     deterministic.  A run that does not stop gives the same record as without
-    the rule.  The capacity evaluator raises a run's target above the
-    probe's when that run alone must score more for the probe to pass; a
-    stop then certifies that the probe fails.
+    the rule.  The capacity evaluator gives every push run the probe's own
+    target.
     """
 
     latency_target: float  # seconds

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The two sweep criteria
 carry their stated runtime budgets and are the slow part of the suite; they
 are marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
+import hashlib
 import math
 import time
 
@@ -65,22 +66,28 @@ FRONTIER_CONFIG = {
     "replications": 20,
     "master_seed": 1,
 }
+# the CSV's SHA-256, the same as that of configs/cff_frontier.json
+FRONTIER_SHA256 = "4362061faed835faf1df23cf7349b34089ffa8b0e8bf001595ea13de09c3b516"
 
 
 @pytest.mark.slow
-def test_criterion_1_capacity_frontier_qualitative():
+def test_criterion_1_capacity_frontier_qualitative(tmp_path):
     """Fig.-3-style frontier, as the harness (and ``pushpull-mac capacity``)
     writes it: monotone in alpha, dominated by larger L, bounded by the pull
     service ceiling, each pull row and each push row where the push law's
     support holds within a rate tolerance of the exact capacity; finishes
-    inside 10 minutes."""
+    inside 10 minutes, and writes the pinned CSV bytes."""
     alphas = FRONTIER_CONFIG["alphas"]
     tol = FRONTIER_CONFIG["capacity"]["rate_tolerance_pps"]
+    out = tmp_path / "cff_frontier.csv"
     start = time.monotonic()
-    rows = run_experiment(validate_config(FRONTIER_CONFIG), workers=1).rows
+    rows = run_experiment(validate_config(FRONTIER_CONFIG), out=str(out), workers=1).rows
     elapsed = time.monotonic() - start
 
     problems = [f"alpha={r['alpha']} L={r['L_ms']}: point error {r['error']}" for r in rows if r["error"]]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    if digest != FRONTIER_SHA256:
+        problems.append(f"CSV SHA-256 {digest}, pinned {FRONTIER_SHA256}")
     # rates[metric, L] lists the capacities in alpha order, as the rows come
     rates = {}
     for r in rows:

@@ -629,7 +629,10 @@ class TestRunExperiment:
 # Sweeps whose points pool three replications, or five in the shipped
 # configs/cff_single.json: the CFF rows read records merged by
 # ``merge_records``, the RCS rows frame counts pooled across runs,
-# and the capacity rows a bisection whose probes average three runs.
+# and the capacity rows a bisection whose probes average three runs.  The
+# shipped configs/rcs_single.json (one run of 20000 frames) rides along, so
+# that every shipped config but configs/rcs_sweep.json has its bytes pinned
+# here or in acceptance criterion 1 (configs/cff_frontier.json).
 # The CSV digests were recorded before the record kept latencies in slots
 # and RCS results were read from frame counts, and the capacity digest
 # before a probe could stop early; all of these changes keep them.
@@ -659,6 +662,10 @@ REPLICATED_SWEEPS = {
     "cff_single": (
         json.loads((REPO / "configs" / "cff_single.json").read_text()),
         "41787fd420ae44e1adc23ce38c19dc0cdc2860a0dda563dd2c1ae1909d4e40b6",
+    ),
+    "rcs_single": (
+        json.loads((REPO / "configs" / "rcs_single.json").read_text()),
+        "1cc9947214aca28c2fe75c75bb4201832e44236bf64934df4445fd83219bddb7",
     ),
     "rcs": (
         rcs_cfg(

@@ -237,17 +237,18 @@ def _capacity_spec(config, klass, target_latency, replications, target_reliabili
 def test_capacity_probes_match_reference(monkeypatch):
     # a bisection driven by the reference probes rates on both sides of the
     # capacity; at each one, a complete probe must return the reference's
-    # float, and a stopped one must fail where the reference fails
+    # float after all R runs, and a stopped one must fail where the reference
+    # fails, with runs left
     rng = np.random.default_rng(3232)
     seen = {True: 0, False: 0}
-    raised = []  # per push run: was its abort target raised above the probe's?
+    runs = []  # runs made by the probe under way
     simulate = capacity.simulate_cff
 
     def spy(*args, push_abort=None, **kwargs):
-        if push_abort is not None:
-            # a run may abort above the probe's target, never below it
-            assert push_abort.target_reliability >= target
-            raised.append(push_abort.target_reliability > target)
+        # a push run aborts at the probe's own target, a pull run never
+        rule = PushAbortRule(spec.target_latency, target) if klass is PacketClass.PUSH else None
+        assert push_abort == rule, (push_abort, rule)
+        runs.append(1)
         return simulate(*args, push_abort=push_abort, **kwargs)
 
     monkeypatch.setattr(capacity, "simulate_cff", spy)
@@ -263,8 +264,10 @@ def test_capacity_probes_match_reference(monkeypatch):
 
         def both(rate):
             ref = want(rate)
+            runs.clear()
             rel, complete = got(rate)
-            case = f"search #{i}: {klass.value} at {rate} pps, {spec}, seed {seed}"
+            case = f"search #{i}: {klass.value} at {rate} pps, {spec}, seed {seed}, {len(runs)} runs"
+            assert complete == (len(runs) == replications), case
             if complete:
                 assert rel == ref, case
             else:
@@ -273,7 +276,7 @@ def test_capacity_probes_match_reference(monkeypatch):
             return ref, True
 
         max_rate(both, spec)
-    assert min(seen.values()) > 0 and any(raised), (seen, sum(raised))
+    assert min(seen.values()) > 0, seen
 
 
 def test_capacity_search_matches_reference():
